@@ -12,9 +12,7 @@ from .core import (
     DriftWindow,
     HittingEstimate,
     SimulationBudget,
-    Trajectory,
     estimate_hitting_probability,
-    run_trial,
     run_trials,
 )
 from .conditions import (
@@ -56,6 +54,7 @@ from .theorem import (
 from .inequalities import (
     InequalityResult,
     SelectionAudit,
+    SweepGrid,
     comma_lambda_bounds,
     diversity_bound,
     matching_jump_bound,
@@ -86,9 +85,9 @@ __all__ = [
     "Process",
     "SelectionAudit",
     "SimulationBudget",
+    "SweepGrid",
     "TailCheck",
     "TheoremConstants",
-    "Trajectory",
     "check_conditions_empirical",
     "check_conditions_exact",
     "comma_lambda_bounds",
@@ -112,7 +111,6 @@ __all__ = [
     "pea_prime",
     "pea_prime_expected_selections",
     "pea_prime_selection",
-    "run_trial",
     "run_trials",
     "sweep_comma_lambda",
     "sweep_diversity",

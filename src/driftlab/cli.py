@@ -8,13 +8,13 @@ embeds its full resolved configuration as '# key=value' header lines.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import asdict, fields
 
 from . import __version__
 from .conditions import check_conditions_empirical, check_conditions_exact, harvest_step_samples
-from .core import default_workers, estimate_hitting_probability, run_trials
-from .presets import WINDOW, PRESETS, ExperimentConfig, family_member, get_preset, load_config, with_overrides
+from .core import default_workers, estimate_hitting_probability
+from .presets import PRESETS, ExperimentConfig, get_preset, load_config, with_overrides
 from .reporting import (
     condition_report_columns,
     condition_report_rows,
@@ -23,9 +23,8 @@ from .reporting import (
     format_cell,
     write_csv,
 )
-from .stats import wilson_interval
 from .theorem import derive_constants, hajek_escape_bound
-from .inequalities import SWEEPS, sweep_comma_lambda, sweep_diversity, sweep_matching, sweep_mutation
+from .inequalities import SWEEPS, SweepGrid
 
 
 class ConfigError(Exception):
@@ -44,89 +43,47 @@ def _resolve_config(args) -> ExperimentConfig:
     return with_overrides(config, seed=args.seed, trials=args.trials, horizon=getattr(args, "horizon", None))
 
 
-def _resolve_horizon(config: ExperimentConfig, ell: float) -> tuple[int, dict]:
-    """Integer simulation horizon plus note fields for the CSV provenance.
-
-    'auto' inverts the escape-bound product for the largest certified horizon
-    and floors it at one step so the experiment simulates at least one
-    transition; 'window' runs one step per unit of window length.
-    """
-    info: dict = {}
-    if isinstance(config.horizon, int):
-        return config.horizon, info
-    if config.horizon == WINDOW:
-        return max(1, math.ceil(ell)), info
-    constants = derive_constants(config.eps, config.delta, config.r, ell, config.prob_target)
-    certified = math.floor(constants.horizon) if math.isfinite(constants.horizon) else math.inf
-    info["certified_horizon"] = constants.horizon
-    if certified > config.max_steps:
-        info["unresolved"] = True
-        return -1, info
-    return max(1, int(certified)), info
-
-
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
-    process = config.process()
     window = config.window()
-    budget = config.budget()
-    horizon, horizon_info = _resolve_horizon(config, window.ell)
-    if horizon < 0:
+    horizon, certified = config.resolve_horizon(window.ell)
+    if horizon is None:
+        certified_note = "" if certified is None else f" (certified horizon {certified!r})"
         raise ConfigError(
-            f"budget too small to resolve the certified horizon "
-            f"{horizon_info.get('certified_horizon')} within max_steps={config.max_steps}"
+            f"horizon {config.horizon}{certified_note} at ell={format_cell(window.ell)} "
+            f"exceeds max_steps={config.max_steps}"
         )
-    if horizon > config.max_steps:
-        raise ConfigError(f"horizon {horizon} exceeds max_steps {config.max_steps}")
-    outcomes = run_trials(process, window, budget.trials, horizon, budget.master_seed, args.threads)
-    hits = sum(1 for o in outcomes if o.hit_time is not None)
-    lo, hi = wilson_interval(hits, budget.trials)
-    point = hits / budget.trials
+    estimate = estimate_hitting_probability(config.process(), window, config.budget(), horizon, args.threads)
     provenance = config.provenance()
     provenance["resolved_horizon"] = horizon
-    provenance.update(horizon_info)
+    if certified is not None:
+        provenance["certified_horizon"] = certified
     summary = (
-        f"# summary: hits={hits} trials={budget.trials} point={format_cell(point)} "
-        f"ci_low={format_cell(lo)} ci_high={format_cell(hi)}"
+        f"# summary: hits={estimate.hits} trials={estimate.trials} point={format_cell(estimate.point)} "
+        f"ci_low={format_cell(estimate.ci_low)} ci_high={format_cell(estimate.ci_high)}"
     )
     if args.out:
         write_csv(
             args.out,
             provenance,
             ["trial", "hit_time", "truncated", "x0"],
-            ((o.index, o.hit_time, o.truncated, o.start_potential) for o in outcomes),
+            ((o.index, o.hit_time, o.truncated, o.start_potential) for o in estimate.outcomes),
             trailer=summary,
         )
     print(
-        f"{config.name}: hits {hits}/{budget.trials} within horizon {horizon}; "
-        f"point {point:.6g}, 95% Wilson [{lo:.6g}, {hi:.6g}]"
+        f"{config.name}: hits {estimate.hits}/{estimate.trials} within horizon {horizon}; "
+        f"point {estimate.point:.6g}, 95% Wilson [{estimate.ci_low:.6g}, {estimate.ci_high:.6g}]"
     )
     return 0
-
-
-def _check_report(config: ExperimentConfig):
-    process = config.process()
-    window = config.window()
-    params = config.condition_params()
-    table = process.jump_table()
-    if table is not None:
-        return check_conditions_exact(table, params, config.variant)
-    drift_samples, tail_samples = harvest_step_samples(
-        process, window, config.trials, config.max_steps, config.master_seed
-    )
-    if len(drift_samples) < 100 or len(tail_samples) < 100:
-        raise ConfigError(
-            f"insufficient samples harvested (drift {len(drift_samples)}, tail {len(tail_samples)}); "
-            "increase trials or max_steps"
-        )
-    return check_conditions_empirical(drift_samples, tail_samples, params, config.variant)
 
 
 def cmd_check(args) -> int:
     config = _resolve_config(args)
     process = config.process()
+    window = config.window()
+    params = config.condition_params()
+    table = process.jump_table()
     if args.jump_table:
-        table = process.jump_table()
         if table is None:
             raise ConfigError(
                 f"process {config.process_kind!r} has a state-dependent step law; "
@@ -138,7 +95,13 @@ def cmd_check(args) -> int:
             ["j", "p_up", "p_down"],
             table.csv_rows(),
         )
-    report = _check_report(config)
+    if table is not None:
+        report = check_conditions_exact(table, params, config.variant)
+    else:
+        drift_samples, tail_samples = harvest_step_samples(
+            process, window, config.trials, config.max_steps, config.master_seed
+        )
+        report = check_conditions_empirical(drift_samples, tail_samples, params, config.variant)
     provenance = config.provenance()
     if process.potential_scale != "identity":
         provenance["potential_scale"] = process.potential_scale
@@ -171,49 +134,28 @@ def cmd_constants(args) -> int:
 
 def cmd_bounds(args) -> int:
     suites = sorted(SWEEPS) if args.suite == "all" else [args.suite]
+    grid = SweepGrid(**{f.name: getattr(args, f.name) for f in fields(SweepGrid)})
     failures = 0
     rows = 0
-    all_columns = ["name", "parameters", "lhs", "rhs", "margin", "holds"]
 
     def emit():
         nonlocal failures, rows
         for suite in suites:
-            for result in _suite_results(suite, args):
+            for result in SWEEPS[suite](grid):
                 rows += 1
                 if not result.holds:
                     failures += 1
                 params = ";".join(f"{k}={format_cell(v)}" for k, v in result.parameters.items())
                 yield (result.name, params, result.lhs, result.rhs, result.margin, result.holds)
 
-    provenance = {
-        "command": "bounds",
-        "suite": args.suite,
-        "n_max": args.n_max,
-        "m_max": args.m_max,
-        "mu_max": args.mu_max,
-        "phi_max": args.phi_max,
-        "lambda_max": args.lambda_max,
-        "j_max": args.j_max,
-    }
     if args.out:
-        write_csv(args.out, provenance, all_columns, emit())
+        provenance = {"command": "bounds", "suite": args.suite, **asdict(grid)}
+        write_csv(args.out, provenance, ["name", "parameters", "lhs", "rhs", "margin", "holds"], emit())
     else:
         for _ in emit():
             pass
     print(f"bounds suite {args.suite}: {rows} links checked, {failures} failures")
     return 1 if failures else 0
-
-
-def _suite_results(suite: str, args):
-    if suite == "mutation":
-        return sweep_mutation(n_max=args.n_max)
-    if suite == "matching":
-        return sweep_matching(m_max=args.m_max, j_max=args.j_max)
-    if suite == "diversity":
-        return sweep_diversity(mu_max=args.mu_max, phi_max=args.phi_max, j_max=min(args.j_max, 20))
-    if suite == "comma-lambda":
-        return sweep_comma_lambda(n_hi=args.n_max, lambda_max=args.lambda_max, j_max=args.j_max)
-    raise ConfigError(f"unknown bounds suite {suite!r}")
 
 
 def cmd_scaling(args) -> int:
@@ -224,31 +166,23 @@ def cmd_scaling(args) -> int:
     failures = 0
     unresolved = []
     for ell in config.ell_values:
-        process, window = family_member(config, ell)
-        constants = derive_constants(config.eps, config.delta, config.r, ell, config.prob_target)
-        if isinstance(config.horizon, int):
-            horizon = config.horizon
-        elif config.horizon == WINDOW:
-            horizon = max(1, math.ceil(ell))
-        else:
-            certified = math.floor(constants.horizon) if math.isfinite(constants.horizon) else math.inf
-            horizon = max(1, certified) if certified <= config.max_steps else -1
+        process, window = config.family_member(ell)
+        constants = config.constants(ell)
+        horizon, _ = config.resolve_horizon(ell)
         table = process.jump_table()
         if table is not None:
             exact = check_conditions_exact(table, config.condition_params(), "two_sided")
             condition_note = f"two-sided condition: {exact.overall().upper()}"
         else:
             condition_note = "empirical"
-        if horizon < 0 or horizon > config.max_steps:
+        if horizon is None:
             unresolved.append(ell)
             rows.append(
                 (ell, None, constants.horizon, None, config.trials, None, None, None, None,
                  condition_note, "unresolved: horizon exceeds max_steps")
             )
             continue
-        estimate = estimate_hitting_probability(
-            process, window, config.budget(), int(horizon), args.threads
-        )
+        estimate = estimate_hitting_probability(process, window, config.budget(), horizon, args.threads)
         bound = hajek_escape_bound(constants.lam, ell, horizon, constants.d_bound, constants.p_ell)
         note = ""
         if condition_note.endswith("PASS") and estimate.point > bound:
@@ -347,12 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="run an inequality sweep suite")
     p.add_argument("--suite", choices=sorted(SWEEPS) + ["all"], default="all")
-    p.add_argument("--n-max", type=int, default=200, dest="n_max")
-    p.add_argument("--m-max", type=int, default=200, dest="m_max")
-    p.add_argument("--mu-max", type=int, default=20, dest="mu_max")
-    p.add_argument("--phi-max", type=int, default=50, dest="phi_max")
-    p.add_argument("--lambda-max", type=int, default=64, dest="lambda_max")
-    p.add_argument("--j-max", type=int, default=64, dest="j_max")
+    for f in fields(SweepGrid):
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default, dest=f.name)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_bounds)
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .jumps import NORMALIZATION_TOL, JumpDistribution
-from .rng import trial_generator
+from .rng import generator, trial_seed
 from .stats import mean_t_interval, wilson_interval
 
 TWO_SIDED = "two_sided"
@@ -171,8 +171,8 @@ def check_conditions_empirical(
     tail_arr = np.asarray(tail_samples, dtype=float)
     if drift_arr.size < MIN_SAMPLES or tail_arr.size < MIN_SAMPLES:
         raise ValueError(
-            f"need at least {MIN_SAMPLES} drift and tail samples, "
-            f"got {drift_arr.size} and {tail_arr.size}"
+            f"need at least {MIN_SAMPLES} drift and tail samples, got {drift_arr.size} drift "
+            f"and {tail_arr.size} tail samples; raise trials or max_steps"
         )
     mean, lo, hi = mean_t_interval(drift_arr)
     if lo >= params.eps:
@@ -237,7 +237,7 @@ def harvest_step_samples(
     tail_samples: list[float] = []
     a, b = window.a, window.b
     for trial in range(trials):
-        rng = trial_generator(master_seed, trial)
+        rng = generator(trial_seed(master_seed, trial))
         state = process.initial_state(rng)
         for _ in range(steps_per_trial):
             if process.absorbed(state):

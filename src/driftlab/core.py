@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .rng import MASK64, generator, trial_seed
@@ -51,93 +51,45 @@ class SimulationBudget:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One simulated run.
-
-    `potentials` holds the full path only when recording was requested; lean
-    runs keep just the start value, which bounds memory for very long horizons.
-    """
-
-    potentials: tuple[float, ...]
-    hit_time: Optional[int]
-    truncated: bool
-
-    def __post_init__(self):
-        if not self.potentials:
-            raise ValueError("trajectory must contain at least the start potential")
-        if (self.hit_time is None) != self.truncated:
-            raise ValueError("exactly one of hit_time / truncated must be set")
-        if self.hit_time is not None and self.hit_time < 1:
-            raise ValueError("hit_time must be a positive step index")
-
-    @property
-    def start_potential(self) -> float:
-        return self.potentials[0]
-
-
-@dataclass(frozen=True)
 class TrialOutcome:
-    """Lean per-trial record used for aggregation and CSV rows."""
+    """Per-trial record used for aggregation and CSV rows."""
 
     index: int
     start_potential: float
     hit_time: Optional[int]
-    truncated: bool
+
+    @property
+    def truncated(self) -> bool:
+        """True when the step budget ran out before the target was hit."""
+        return self.hit_time is None
 
 
 @dataclass(frozen=True)
 class HittingEstimate:
-    """Fraction of trials that hit the target within the horizon, with 95% Wilson CI."""
+    """Fraction of trials that hit the target within the horizon, with 95% Wilson CI,
+    and the per-trial outcomes it counts."""
 
     hits: int
     trials: int
     point: float
     ci_low: float
     ci_high: float
+    outcomes: tuple[TrialOutcome, ...] = field(repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.ci_low <= self.point <= self.ci_high <= 1.0:
             raise ValueError("estimate must satisfy 0 <= ci_low <= point <= ci_high <= 1")
 
 
-def run_trial(process, window: DriftWindow, max_steps: int, seed: int, record: bool = False) -> Trajectory:
-    """Simulate one trial until the potential first reaches <= window.a.
-
-    Rejects max_steps < 1 and processes whose initial potential lies below the
-    start threshold b (a misconfigured experiment, not a hit).
-    """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    rng = generator(seed)
-    state = process.initial_state(rng)
-    x = process.potential(state)
-    if x < window.b:
-        raise ValueError(
-            f"initial potential {x} is below the start threshold b={window.b}; "
-            "the window does not match the process configuration"
-        )
-    x0 = x
-    path = [x0]
-    hit_time = None
-    for t in range(1, max_steps + 1):
-        state = process.step(state, rng)
-        x = process.potential(state)
-        if record:
-            path.append(x)
-        if x <= window.a:
-            hit_time = t
-            break
-    potentials = tuple(path) if record else (x0,)
-    return Trajectory(potentials, hit_time, hit_time is None)
-
-
-def _run_outcome(process, window: DriftWindow, max_steps: int, master_seed: int, index: int) -> TrialOutcome:
+def _run_trial(process, window: DriftWindow, max_steps: int, master_seed: int, index: int) -> TrialOutcome:
+    """Simulate trial `index` until the potential first reaches <= window.a."""
     rng = generator(trial_seed(master_seed, index))
     state = process.initial_state(rng)
     x0 = process.potential(state)
     if x0 < window.b:
         raise ValueError(
-            f"initial potential {x0} is below the start threshold b={window.b}"
+            f"initial potential {x0} is below the start threshold b={window.b}; "
+            "the window does not match the process configuration"
         )
     hit_time = None
     for t in range(1, max_steps + 1):
@@ -145,12 +97,12 @@ def _run_outcome(process, window: DriftWindow, max_steps: int, master_seed: int,
         if process.potential(state) <= window.a:
             hit_time = t
             break
-    return TrialOutcome(index, x0, hit_time, hit_time is None)
+    return TrialOutcome(index, x0, hit_time)
 
 
 def _run_chunk(args) -> list[TrialOutcome]:
     process, window, max_steps, master_seed, lo, hi = args
-    return [_run_outcome(process, window, max_steps, master_seed, i) for i in range(lo, hi)]
+    return [_run_trial(process, window, max_steps, master_seed, i) for i in range(lo, hi)]
 
 
 def run_trials(
@@ -164,10 +116,14 @@ def run_trials(
     """Run independent trials with per-index seeds; output is ordered by index.
 
     The worker count never changes the outcomes: trial i always uses
-    trial_seed(master_seed, i).
+    trial_seed(master_seed, i). Rejects max_steps < 1 and processes whose
+    initial potential lies below the start threshold b (a misconfigured
+    experiment, not a hit).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     workers = max(1, int(workers))
     # Parallel dispatch only pays off for substantial work; small jobs stay serial.
     if workers == 1 or trials < 4 * workers or trials * max_steps < 2_000_000:
@@ -207,7 +163,7 @@ def estimate_hitting_probability(
     outcomes = run_trials(process, window, budget.trials, horizon, budget.master_seed, workers)
     hits = sum(1 for o in outcomes if o.hit_time is not None)
     lo, hi = wilson_interval(hits, budget.trials)
-    return HittingEstimate(hits, budget.trials, hits / budget.trials, lo, hi)
+    return HittingEstimate(hits, budget.trials, hits / budget.trials, lo, hi, tuple(outcomes))
 
 
 def default_workers() -> int:

@@ -49,39 +49,47 @@ def _log_binom(n: int, j: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
 
 
+def _mutation_comparisons(n: int, j: int) -> tuple[bool, bool, str, float, float, float]:
+    """Verdicts of C(n,j) n^{-j} <= 1/j! and 1/j! <= 2 (1/2)^j for 0 <= j <= n,
+    their note, and the three sides C(n,j) n^{-j}, 1/j! and 2 (1/2)^j as floats."""
+    if n <= EXACT_LIMIT:
+        holds1 = math.comb(n, j) * math.factorial(j) <= n**j
+        holds2 = 2**j <= 2 * math.factorial(j)
+        note = "exact integer comparison"
+    else:
+        holds1 = _log_binom(n, j) - j * math.log(n) <= -math.lgamma(j + 1) + 1e-9
+        holds2 = (j - 1) * math.log(2.0) <= math.lgamma(j + 1) + 1e-9
+        note = "log-gamma comparison"
+    binomial = _safe_exp(_log_binom(n, j) - j * math.log(n))
+    inv_factorial = _safe_exp(-math.lgamma(j + 1))
+    geometric = _safe_exp((1 - j) * math.log(2.0))
+    return holds1, holds2, note, binomial, inv_factorial, geometric
+
+
 def mutation_tail_chain(n: int, j: int) -> list[InequalityResult]:
     """Links C(n,j) n^{-j} <= 1/j! and 1/j! <= 2 (1/2)^j of the standard-bit-
     mutation tail bound. Both links hold with equality at j = 1."""
     if not 1 <= j <= n <= 10_000:
         raise ValueError(f"need 1 <= j <= n <= 10^4, got n={n}, j={j}")
     params = {"n": n, "j": j}
-    if n <= EXACT_LIMIT:
-        holds1 = math.comb(n, j) * math.factorial(j) <= n**j
-        holds2 = 2 ** (j - 1) <= math.factorial(j)
-        note = "exact integer comparison"
-    else:
-        holds1 = _log_binom(n, j) - j * math.log(n) <= -math.lgamma(j + 1) + 1e-9
-        holds2 = (j - 1) * math.log(2.0) <= math.lgamma(j + 1) + 1e-9
-        note = "log-gamma comparison"
-    log_lhs1 = _log_binom(n, j) - j * math.log(n)
-    log_fact = math.lgamma(j + 1)
+    holds1, holds2, note, binomial, inv_factorial, geometric = _mutation_comparisons(n, j)
     return [
         InequalityResult(
             "mutation-binomial-vs-factorial",
             params,
-            _safe_exp(log_lhs1),
-            _safe_exp(-log_fact),
+            binomial,
+            inv_factorial,
             holds1,
-            _safe_exp(-log_fact) - _safe_exp(log_lhs1),
+            inv_factorial - binomial,
             note,
         ),
         InequalityResult(
             "mutation-factorial-vs-geometric",
             params,
-            _safe_exp(-log_fact),
-            _safe_exp((1 - j) * math.log(2.0)),
+            inv_factorial,
+            geometric,
             holds2,
-            _safe_exp((1 - j) * math.log(2.0)) - _safe_exp(-log_fact),
+            geometric - inv_factorial,
             note,
         ),
     ]
@@ -260,35 +268,16 @@ def comma_lambda_bounds(n: int, lambda_offspring: int, j: int) -> list[Inequalit
         )
     lam = lambda_offspring
     params = {"n": n, "lambda": lam, "j": j}
-    results = []
-
-    # union bound: lambda C(n,j) n^-j <= lambda/j!   (lambda cancels)
-    if n <= EXACT_LIMIT:
-        holds1 = math.comb(n, j) * math.factorial(j) <= n**j
-        note1 = "exact integer comparison"
-    else:
-        holds1 = _log_binom(n, j) - j * math.log(n) <= -math.lgamma(j + 1) + 1e-9
-        note1 = "log-gamma comparison"
-    lhs1 = lam * _safe_exp(_log_binom(n, j) - j * math.log(n))
-    rhs1 = lam * _safe_exp(-math.lgamma(j + 1))
-    results.append(
-        InequalityResult("comma-lambda-union-vs-factorial", params, lhs1, rhs1, holds1, rhs1 - lhs1, note1)
-    )
-
-    # lambda/j! <= 2 lambda (1/2)^j
-    holds2 = Fraction(2**j, 2) <= math.factorial(j) if j >= 1 else True
-    rhs2 = lam * _safe_exp((1 - j) * math.log(2.0))
-    results.append(
+    # lambda cancels from both links, so they are the mutation chain's comparisons:
+    # union bound lambda C(n,j) n^-j <= lambda/j!, then lambda/j! <= 2 lambda (1/2)^j
+    holds1, holds2, note, binomial, inv_factorial, geometric = _mutation_comparisons(n, j)
+    lhs1, rhs1, rhs2 = lam * binomial, lam * inv_factorial, lam * geometric
+    results = [
+        InequalityResult("comma-lambda-union-vs-factorial", params, lhs1, rhs1, holds1, rhs1 - lhs1, note),
         InequalityResult(
-            "comma-lambda-factorial-vs-geometric",
-            params,
-            rhs1,
-            rhs2,
-            bool(holds2),
-            rhs2 - rhs1,
-            "exact integer comparison",
-        )
-    )
+            "comma-lambda-factorial-vs-geometric", params, rhs1, rhs2, holds2, rhs2 - rhs1, note
+        ),
+    ]
 
     # self-loop premise (1 - 1/n)^n >= 1/(2e)
     stay = (1.0 - 1.0 / n) ** n
@@ -400,29 +389,47 @@ def pea_prime_expected_selections(fitnesses, mu: Optional[int] = None) -> Select
     )
 
 
-def sweep_mutation(n_max: int = 200) -> Iterator[InequalityResult]:
+@dataclass(frozen=True)
+class SweepGrid:
+    """Upper ends of the sweep grids; every sweep takes the whole grid and reads
+    the fields it needs. n_max bounds both the mutation and the comma-lambda n."""
+
+    n_max: int = 200
+    m_max: int = 200
+    mu_max: int = 20
+    phi_max: int = 50
+    lambda_max: int = 64
+    j_max: int = 64
+
+
+def sweep_mutation(grid: SweepGrid = SweepGrid()) -> Iterator[InequalityResult]:
     """All mutation-chain links for 1 <= j <= n <= n_max."""
-    for n in range(1, n_max + 1):
+    for n in range(1, grid.n_max + 1):
         for j in range(1, n + 1):
             yield from mutation_tail_chain(n, j)
 
 
-def sweep_matching(m_max: int = 200, j_max: int = 64) -> Iterator[InequalityResult]:
+def sweep_matching(grid: SweepGrid = SweepGrid()) -> Iterator[InequalityResult]:
     """All matching-chain links for 2 <= m <= m_max, 1 <= h <= m/2, 0 <= j <= j_max.
 
     The ratio link does not depend on h and is emitted once per (m, j)."""
-    for m in range(2, m_max + 1):
-        for j in range(0, j_max + 1):
+    for m in range(2, grid.m_max + 1):
+        for j in range(0, grid.j_max + 1):
             yield matching_ratio_link(m, j)
         for h in range(1, m // 2 + 1):
-            for j in range(0, j_max + 1):
+            for j in range(0, grid.j_max + 1):
                 yield from _matching_sum_links(m, h, j)
 
 
-def sweep_diversity(mu_max: int = 20, phi_max: int = 50, j_max: int = 20) -> Iterator[InequalityResult]:
-    for phi in range(0, phi_max + 1):
-        for j in range(1, j_max + 1):
-            for mu in range(1, mu_max + 1):
+#: the diversity sweep stops at this tail index whatever the grid's j_max
+_DIVERSITY_J_CAP = 20
+
+
+def sweep_diversity(grid: SweepGrid = SweepGrid()) -> Iterator[InequalityResult]:
+    """All diversity-chain links for 0 <= phi <= phi_max, 1 <= j <= min(j_max, 20), 1 <= mu <= mu_max."""
+    for phi in range(0, grid.phi_max + 1):
+        for j in range(1, min(grid.j_max, _DIVERSITY_J_CAP) + 1):
+            for mu in range(1, grid.mu_max + 1):
                 yield from diversity_bound(mu, phi, j)
 
 
@@ -435,14 +442,12 @@ def log_spaced_integers(lo: int, hi: int, per_decade: int = 8) -> list[int]:
     return [int(v) for v in grid if lo <= v <= hi]
 
 
-def sweep_comma_lambda(
-    n_lo: int = 2, n_hi: int = 10_000, lambda_max: int = 64, j_max: int = 64
-) -> Iterator[InequalityResult]:
-    """Comma-lambda chain over log-sampled n and full lambda/j grids."""
-    lambdas = log_spaced_integers(1, lambda_max)
-    for n in log_spaced_integers(n_lo, n_hi):
+def sweep_comma_lambda(grid: SweepGrid = SweepGrid()) -> Iterator[InequalityResult]:
+    """Comma-lambda chain over log-sampled 2 <= n <= n_max and full lambda/j grids."""
+    lambdas = log_spaced_integers(1, grid.lambda_max)
+    for n in log_spaced_integers(2, grid.n_max):
         for lam in lambdas:
-            for j in range(0, min(j_max, n) + 1):
+            for j in range(0, min(grid.j_max, n) + 1):
                 yield from comma_lambda_bounds(n, lam, j)
 
 

@@ -38,11 +38,6 @@ class JumpDistribution:
                 f"jump table is not normalized: total probability {float(probs.sum())!r}"
             )
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "JumpDistribution":
-        pairs = sorted(pairs)
-        return cls(np.array([v for v, _ in pairs]), np.array([p for _, p in pairs]))
-
     def drift(self) -> float:
         """Exact one-step expectation of the jump."""
         return float(np.dot(self.values, self.probs))

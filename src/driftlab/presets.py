@@ -8,12 +8,14 @@ experiments. A configuration file is a flat sectioned key-value text file
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
-from typing import Union
+from typing import Optional, Union
 
 from .core import DriftWindow, SimulationBudget
 from .conditions import ConditionParams, VARIANTS
-from .processes import Process, make_process
+from .processes import Process, family_param, make_process
+from .theorem import TheoremConstants, derive_constants
 
 DEFAULT_SEED = 20260809
 
@@ -49,8 +51,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if isinstance(self.horizon, str) and self.horizon not in (AUTO, WINDOW):
-            raise ValueError(f"horizon must be an integer, {AUTO!r} or {WINDOW!r}")
+        if isinstance(self.horizon, str):
+            if self.horizon not in (AUTO, WINDOW):
+                raise ValueError(f"horizon must be an integer, {AUTO!r} or {WINDOW!r}")
+        elif self.horizon < 1:
+            raise ValueError(f"horizon must be at least one step, got {self.horizon}")
 
     def process(self) -> Process:
         return make_process(self.process_kind, **self.process_params)
@@ -63,6 +68,34 @@ class ExperimentConfig:
 
     def condition_params(self) -> ConditionParams:
         return ConditionParams(self.eps, self.delta, self.r, self.j_max)
+
+    def constants(self, ell: float) -> TheoremConstants:
+        return derive_constants(self.eps, self.delta, self.r, ell, self.prob_target)
+
+    def resolve_horizon(self, ell: float) -> tuple[Optional[int], Optional[float]]:
+        """(steps to simulate, certified horizon) at window length ell.
+
+        An integer horizon is taken as given, and 'window' runs one step per
+        unit of window length. 'auto' inverts the escape-bound product for the
+        largest certified horizon, returned as the second value, and floors it
+        at one step so the experiment simulates at least one transition. The
+        steps are None, never a number, when they exceed max_steps.
+        """
+        certified = None
+        if self.horizon == AUTO:
+            certified = self.constants(ell).horizon
+            steps = max(1, math.floor(certified)) if math.isfinite(certified) else math.inf
+        elif self.horizon == WINDOW:
+            steps = max(1, math.ceil(ell))
+        else:
+            steps = self.horizon
+        return (steps if steps <= self.max_steps else None), certified
+
+    def family_member(self, ell: float) -> tuple[Process, DriftWindow]:
+        """The configured process family at window length ell, on the window [0, ell]."""
+        window = DriftWindow(0.0, float(ell))
+        params = {**self.process_params, family_param(self.process_kind): ell}
+        return make_process(self.process_kind, **params), window
 
     def provenance(self) -> dict:
         """Key-value pairs embedded in every CSV this experiment emits."""
@@ -98,17 +131,27 @@ def _fmt_number(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
+def _counterexample_simulate(n: int) -> ExperimentConfig:
+    return ExperimentConfig(
+        name=f"counterexample-n{n}",
+        command="simulate",
+        process_kind="counterexample",
+        process_params={"n": n},
+        window_b=float(n),
+        trials=10_000,
+        max_steps=100,
+        horizon=n,
+        description=f"hitting probability of the n={n} counterexample chain within n steps",
+    )
+
+
 def _counterexample_check(name: str, variant: str) -> ExperimentConfig:
     return ExperimentConfig(
         name=name,
         command="check",
         process_kind="counterexample",
         process_params={"n": 15},
-        window_a=0.0,
         window_b=15.0,
-        eps=1.0,
-        delta=1.0,
-        r=2.0,
         variant=variant,
         trials=200,
         max_steps=100,
@@ -119,49 +162,17 @@ def _counterexample_check(name: str, variant: str) -> ExperimentConfig:
 PRESETS: dict[str, ExperimentConfig] = {
     cfg.name: cfg
     for cfg in [
-        ExperimentConfig(
-            name="counterexample-n15",
-            command="simulate",
-            process_kind="counterexample",
-            process_params={"n": 15},
-            window_a=0.0,
-            window_b=15.0,
-            eps=1.0,
-            delta=1.0,
-            r=2.0,
-            trials=10_000,
-            max_steps=100,
-            horizon=15,
-            description="hitting probability of the n=15 counterexample chain within n steps",
-        ),
-        ExperimentConfig(
-            name="counterexample-n10",
-            command="simulate",
-            process_kind="counterexample",
-            process_params={"n": 10},
-            window_a=0.0,
-            window_b=10.0,
-            eps=1.0,
-            delta=1.0,
-            r=2.0,
-            trials=10_000,
-            max_steps=100,
-            horizon=10,
-            description="hitting probability of the n=10 counterexample chain within n steps",
-        ),
+        _counterexample_simulate(15),
+        _counterexample_simulate(10),
         ExperimentConfig(
             name="geometric-walk-l30",
             command="simulate",
             process_kind="geometric-walk",
             process_params={"eps": 0.2, "delta": 1.0, "start": 30.0},
-            window_a=0.0,
             window_b=30.0,
             eps=0.2,
-            delta=1.0,
-            r=2.0,
             trials=200,
             max_steps=1_000_000,
-            horizon=AUTO,
             description="geometric drift walk over a length-30 window at the certified horizon",
         ),
         _counterexample_check("counterexample-onesided", "one_sided"),
@@ -171,14 +182,9 @@ PRESETS: dict[str, ExperimentConfig] = {
             command="check",
             process_kind="geometric-walk",
             process_params={"eps": 0.2, "delta": 1.0, "start": 30.0},
-            window_a=0.0,
             window_b=30.0,
             eps=0.2,
-            delta=1.0,
-            r=2.0,
-            variant="two_sided",
             trials=200,
-            max_steps=1000,
             description="exact two-sided condition check on the geometric drift walk",
         ),
         ExperimentConfig(
@@ -189,9 +195,6 @@ PRESETS: dict[str, ExperimentConfig] = {
             window_a=10.0,
             window_b=16.0,
             eps=0.25,
-            delta=1.0,
-            r=2.0,
-            variant="two_sided",
             trials=24,
             max_steps=12_000,
             description="empirical two-sided condition check on the n=50 plateau EA inside (10, 16)",
@@ -202,11 +205,8 @@ PRESETS: dict[str, ExperimentConfig] = {
             process_kind="geometric-walk",
             process_params={"eps": 0.2, "delta": 1.0},
             eps=0.2,
-            delta=1.0,
-            r=2.0,
             trials=200,
             max_steps=1_000_000,
-            horizon=AUTO,
             ell_values=(10.0, 20.0, 30.0, 40.0),
             description="escape probability of the geometric walk across window lengths",
         ),
@@ -214,10 +214,6 @@ PRESETS: dict[str, ExperimentConfig] = {
             name="counterexample-scaling",
             command="scaling",
             process_kind="counterexample",
-            process_params={},
-            eps=1.0,
-            delta=1.0,
-            r=2.0,
             trials=1000,
             max_steps=100,
             horizon=WINDOW,
@@ -234,23 +230,6 @@ def get_preset(name: str) -> ExperimentConfig:
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise ValueError(f"unknown preset {name!r}; known presets: {known}") from None
-
-
-def family_member(config: ExperimentConfig, ell: float) -> tuple[Process, DriftWindow]:
-    """Instantiate the configured process family at one window length."""
-    window = DriftWindow(0.0, float(ell))
-    params = dict(config.process_params)
-    if config.process_kind == "counterexample":
-        if not float(ell).is_integer():
-            raise ValueError(f"counterexample family needs integer sizes, got ell={ell}")
-        params["n"] = int(ell)
-    elif config.process_kind == "geometric-walk":
-        params["start"] = float(ell)
-    else:
-        raise ValueError(
-            f"process kind {config.process_kind!r} has no scaling family parameterization"
-        )
-    return make_process(config.process_kind, **params), window
 
 
 _INT_KEYS = {"n", "mu", "lambda_offspring", "trials", "max_steps", "master_seed", "j_max"}
@@ -273,8 +252,13 @@ def _parse_value(key: str, raw: str):
 
 def load_config(path: str) -> ExperimentConfig:
     """Load an experiment from a sectioned key-value file."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # values are plain numbers and names, so '%' is a literal character
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        # the parser's messages span several lines; the CLI reports one
+        raise ValueError(f"malformed config file: {' '.join(str(exc).split())}") from None
     if not read:
         raise ValueError(f"config file {path!r} not found or empty")
     fields: dict = {}

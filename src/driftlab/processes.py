@@ -9,6 +9,7 @@ step laws and are checked empirically instead.
 
 from __future__ import annotations
 
+import inspect
 import math
 from abc import ABC, abstractmethod
 
@@ -25,6 +26,9 @@ class Process(ABC):
     name = "process"
     #: reports flag any non-identity potential scale (e.g. log-transformed)
     potential_scale = "identity"
+    #: constructor parameter that sets the window length ell of a scaling family
+    #: (the window is [0, ell]); None when the process has no such family
+    family_param = None
 
     @abstractmethod
     def initial_state(self, rng: np.random.Generator):
@@ -45,9 +49,6 @@ class Process(ABC):
     def absorbed(self, state) -> bool:
         """True once the state can never move again; sample harvesting restarts here."""
         return False
-
-    def params(self) -> dict:
-        return {}
 
 
 class ConstantWalk(Process):
@@ -71,9 +72,6 @@ class ConstantWalk(Process):
     def jump_table(self):
         return JumpDistribution(np.array([self.step_size]), np.array([1.0]))
 
-    def params(self):
-        return {"step_size": self.step_size, "start": self.start}
-
 
 def constant_walk(step_size: float, start: float) -> ConstantWalk:
     return ConstantWalk(step_size, start)
@@ -91,10 +89,11 @@ class CounterexampleChain(Process):
     """
 
     name = "counterexample"
+    family_param = "n"
 
     def __init__(self, n: int):
-        if not 2 <= int(n) <= 25:
-            raise ValueError(f"n must be in [2, 25], got {n}")
+        if n != int(n) or not 2 <= n <= 25:
+            raise ValueError(f"n must be an integer in [2, 25], got {n}")
         self.n = int(n)
         self.up_prob = math.exp(-self.n)
         self.up_jump = math.ceil(2.0 * math.exp(self.n))
@@ -122,13 +121,6 @@ class CounterexampleChain(Process):
             np.array([1.0 - self.up_prob, self.up_prob]),
         )
 
-    def exact_hit_probability(self) -> float:
-        """P(n consecutive -1 steps), the exact chance of hitting 0 within n steps."""
-        return (1.0 - self.up_prob) ** self.n
-
-    def params(self):
-        return {"n": self.n}
-
 
 def counterexample_chain(n: int) -> CounterexampleChain:
     return CounterexampleChain(n)
@@ -148,6 +140,7 @@ class GeometricDriftWalk(Process):
     """
 
     name = "geometric-walk"
+    family_param = "start"
 
     def __init__(self, eps: float, delta: float, start: float = 0.0):
         if eps <= 0 or delta <= 0:
@@ -186,12 +179,6 @@ class GeometricDriftWalk(Process):
             return 1.0
         return (self.c_plus + self.c_minus) * (1.0 + self.delta) ** (-(j - 1)) / self.delta
 
-    def exact_down_tail(self, j: int) -> float:
-        """Closed-form P(step <= -j)."""
-        if j <= 0:
-            return self.c_minus / self.delta if j == 0 else 1.0
-        return self.c_minus * (1.0 + self.delta) ** (-(j - 1)) / self.delta
-
     def jump_table(self, mass_tol: float = 1e-16) -> JumpDistribution:
         """Table truncated once the omitted mass drops below mass_tol.
 
@@ -210,9 +197,6 @@ class GeometricDriftWalk(Process):
         values = np.concatenate([-j[::-1], j])
         probs = np.concatenate([self.c_minus * weights[::-1], self.c_plus * weights])
         return JumpDistribution(values, probs)
-
-    def params(self):
-        return {"eps": self.eps, "delta": self.delta, "start": self.start}
 
 
 def geometric_drift_walk(eps: float, delta: float, start: float = 0.0) -> GeometricDriftWalk:
@@ -257,9 +241,6 @@ class NeedleOneOneEA(Process):
         down = rng.binomial(state, self.mutation_rate)
         up = rng.binomial(self.n - state, self.mutation_rate)
         return state - down + up
-
-    def params(self):
-        return {"n": self.n, "mutation_rate": self.mutation_rate}
 
 
 def oneone_ea_needle(n: int) -> NeedleOneOneEA:
@@ -315,13 +296,6 @@ class OneCommaLambdaEA(Process):
         p_copy = (1.0 - self.mutation_rate) ** self.n
         return 1.0 - (1.0 - p_copy) ** self.lambda_offspring
 
-    def params(self):
-        return {
-            "n": self.n,
-            "lambda_offspring": self.lambda_offspring,
-            "mutation_rate": self.mutation_rate,
-        }
-
 
 def one_comma_lambda_ea(n: int, lambda_offspring: int) -> OneCommaLambdaEA:
     return OneCommaLambdaEA(n, lambda_offspring)
@@ -342,8 +316,13 @@ def pea_prime_selection(fitnesses) -> np.ndarray:
         raise ValueError("fitnesses must be positive")
     if np.any(np.diff(f) > 0):
         raise ValueError("fitnesses must be sorted non-increasingly")
+    return _discount_best(f, float(f.sum()))
+
+
+def _discount_best(f: np.ndarray, f_tot: float) -> np.ndarray:
+    """Proportional shares f/f_tot with 1/μ taken from the first (best) entry
+    and spread evenly over the other μ-1."""
     mu = f.size
-    f_tot = float(f.sum())
     q = f / f_tot + 1.0 / (mu * (mu - 1))
     q[0] = f[0] / f_tot - 1.0 / mu
     return q
@@ -394,9 +373,7 @@ class FitnessProportionalEA(Process):
             return np.full(self.mu, 1.0 / self.mu)
         if not self.force_best_mutation:
             return f / f_tot
-        q = f / f_tot + 1.0 / (self.mu * (self.mu - 1))
-        q[0] = f[0] / f_tot - 1.0 / self.mu
-        return q
+        return _discount_best(f, f_tot)
 
     def _mutate(self, count: int, rng) -> int:
         down = rng.binomial(count, self.mutation_rate)
@@ -424,14 +401,6 @@ class FitnessProportionalEA(Process):
     def step(self, state, rng):
         return self.generation(state, rng)[0]
 
-    def params(self):
-        return {
-            "n": self.n,
-            "mu": self.mu,
-            "force_best_mutation": self.force_best_mutation,
-            "mutation_rate": self.mutation_rate,
-        }
-
 
 def pea(n: int, mu: int) -> FitnessProportionalEA:
     return FitnessProportionalEA(n, mu, force_best_mutation=False)
@@ -442,9 +411,9 @@ def pea_prime(n: int, mu: int) -> FitnessProportionalEA:
 
 
 _FACTORIES = {
-    "constant": constant_walk,
-    "counterexample": counterexample_chain,
-    "geometric-walk": geometric_drift_walk,
+    "constant": ConstantWalk,
+    "counterexample": CounterexampleChain,
+    "geometric-walk": GeometricDriftWalk,
     "needle": NeedleOneOneEA,
     "one-comma-lambda": OneCommaLambdaEA,
     "pea": pea,
@@ -452,11 +421,27 @@ _FACTORIES = {
 }
 
 
-def make_process(kind: str, **params) -> Process:
-    """Build a registered process by name; used by the CLI and preset registry."""
+def _factory(kind: str):
     try:
-        factory = _FACTORIES[kind]
+        return _FACTORIES[kind]
     except KeyError:
         known = ", ".join(sorted(_FACTORIES))
         raise ValueError(f"unknown process kind {kind!r}; known kinds: {known}") from None
+
+
+def make_process(kind: str, **params) -> Process:
+    """Build a registered process by name; used by the CLI and preset registry."""
+    factory = _factory(kind)
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"process kind {kind!r}: {exc}") from None
     return factory(**params)
+
+
+def family_param(kind: str) -> str:
+    """Name of the parameter that sets the window length of `kind`'s scaling family."""
+    name = getattr(_factory(kind), "family_param", None)
+    if name is None:
+        raise ValueError(f"process kind {kind!r} has no scaling family parameterization")
+    return name

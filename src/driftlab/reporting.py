@@ -9,7 +9,6 @@ formatting; no timestamps or host details, which keeps reruns byte-identical.
 from __future__ import annotations
 
 import csv
-import io
 from typing import Iterable
 
 
@@ -21,17 +20,6 @@ def format_cell(value) -> str:
     if isinstance(value, float):
         return str(int(value)) if value.is_integer() and abs(value) < 1e15 else repr(value)
     return str(value)
-
-
-def render_csv(provenance: dict, columns: list[str], rows: Iterable) -> str:
-    buf = io.StringIO()
-    for key, value in provenance.items():
-        buf.write(f"# {key}={format_cell(value)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([format_cell(v) for v in row])
-    return buf.getvalue()
 
 
 def write_csv(path: str, provenance: dict, columns: list[str], rows: Iterable, trailer: str = "") -> None:

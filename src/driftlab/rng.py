@@ -33,7 +33,3 @@ def trial_seed(master_seed: int, index: int) -> int:
 def generator(seed: int) -> np.random.Generator:
     """A PCG64 generator for a single trial seed."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def trial_generator(master_seed: int, index: int) -> np.random.Generator:
-    return generator(trial_seed(master_seed, index))

@@ -31,11 +31,6 @@ def wilson_interval(hits: int, trials: int, z: float = Z95) -> tuple[float, floa
     return lo, hi
 
 
-def wilson_half_width(hits: int, trials: int) -> float:
-    lo, hi = wilson_interval(hits, trials)
-    return (hi - lo) / 2.0
-
-
 def mean_t_interval(samples) -> tuple[float, float, float]:
     """Sample mean with a two-sided 95% t-interval: (mean, low, high)."""
     x = np.asarray(samples, dtype=float)

@@ -7,6 +7,20 @@ summation, and high-precision reference values from mpmath.
 
 import numpy as np
 
+from driftlab.rng import generator, trial_seed
+
+
+def replay_potentials(process, master_seed, index, steps):
+    """Potentials of trial `index` over `steps` steps, drawn from the trial's own
+    generator as the trial loop draws them but without its stopping rule."""
+    rng = generator(trial_seed(master_seed, index))
+    state = process.initial_state(rng)
+    path = [process.potential(state)]
+    for _ in range(steps):
+        state = process.step(state, rng)
+        path.append(process.potential(state))
+    return path
+
 
 def geometric_step_pmf(eps, delta, j_cap=200):
     """Step pmf of the signed geometric walk as (offsets, probs) arrays."""

@@ -4,6 +4,7 @@ import io
 import pytest
 
 from driftlab.cli import main
+from driftlab.presets import load_config
 
 
 def read_csv(path):
@@ -206,3 +207,71 @@ def test_seed_override_changes_output(tmp_path):
     p2, _, _, _ = read_csv(out2)
     assert p1["master_seed"] == "20260809"
     assert p2["master_seed"] == "42"
+
+
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_horizon_below_one_step_exits_two(capsys):
+    assert main(["simulate", "--preset", "counterexample-n10", "--horizon", "0"]) == 2
+    assert "horizon" in _single_error_line(capsys)
+    assert main(["simulate", "--preset", "counterexample-n10", "--horizon", "-3"]) == 2
+    assert "-3" in _single_error_line(capsys)
+
+
+def test_malformed_config_files_exit_two(tmp_path, capsys):
+    unknown_key = tmp_path / "unknown-key.ini"
+    unknown_key.write_text("[process]\nkind = needle\nn = 10\nfoo = 1\n")
+    no_header = tmp_path / "no-header.ini"
+    no_header.write_text("kind = needle\n")
+    duplicate = tmp_path / "duplicate.ini"
+    duplicate.write_text("[process]\nkind = needle\nn = 10\nn = 12\n")
+    for path, words in ((unknown_key, "foo"), (no_header, "section"), (duplicate, "already exists")):
+        assert main(["check", "--config", str(path)]) == 2
+        assert words in _single_error_line(capsys)
+
+
+def test_percent_sign_in_config_value_is_literal(tmp_path):
+    cfg = tmp_path / "percent.ini"
+    cfg.write_text("[experiment]\nname = 50%\n[process]\nkind = needle\nn = 10\n")
+    assert load_config(str(cfg)).name == "50%"
+
+
+def test_scaling_error_paths_exit_two(tmp_path, capsys):
+    needle = tmp_path / "needle.ini"
+    needle.write_text("[process]\nkind = needle\nn = 20\n[run]\nell_values = 10\n")
+    assert main(["scaling", "--config", str(needle)]) == 2
+    assert "no scaling family" in _single_error_line(capsys)
+    fractional = tmp_path / "fractional.ini"
+    fractional.write_text("[process]\nkind = counterexample\n[run]\nhorizon = window\nell_values = 10,12.5\n")
+    assert main(["scaling", "--config", str(fractional), "--trials", "10"]) == 2
+    assert "12.5" in _single_error_line(capsys)
+
+
+def test_check_sample_floor_names_both_counts(capsys):
+    assert main(["check", "--preset", "needle-n50-twosided", "--trials", "1"]) == 2
+    message = _single_error_line(capsys)
+    assert "17 drift" in message and "12000 tail" in message
+    assert "raise trials or max_steps" in message
+
+
+def test_scaling_reports_unresolved_horizon(tmp_path, capsys):
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(
+        "[process]\nkind = geometric-walk\neps = 0.2\ndelta = 1\n"
+        "[conditions]\neps = 0.2\ndelta = 1\n"
+        "[budget]\ntrials = 10\nmax_steps = 1000\n"
+        "[run]\nell_values = 20000\n"
+    )
+    out = tmp_path / "far.csv"
+    assert main(["scaling", "--config", str(cfg), "--out", str(out)]) == 0
+    _, _, rows, _ = read_csv(out)
+    assert len(rows) == 1
+    assert rows[0]["note"] == "unresolved: horizon exceeds max_steps"
+    assert rows[0]["horizon"] == "" and float(rows[0]["certified_horizon"]) > 1000
+    assert "warning: budget too small" in capsys.readouterr().err

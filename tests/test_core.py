@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from helpers import hit_probability_within
+from helpers import hit_probability_within, replay_potentials
 
 import driftlab as dl
 
@@ -24,44 +24,33 @@ def test_budget_validation():
         dl.SimulationBudget(10, 10, -1)
 
 
-def test_trajectory_exactly_one_terminal_state():
-    with pytest.raises(ValueError):
-        dl.Trajectory((5.0,), hit_time=3, truncated=True)
-    with pytest.raises(ValueError):
-        dl.Trajectory((5.0,), hit_time=None, truncated=False)
-    dl.Trajectory((5.0,), hit_time=None, truncated=True)
-    dl.Trajectory((5.0, 0.0), hit_time=1, truncated=False)
-
-
 def test_constant_zero_step_truncates():
     # a process that never moves exhausts the budget without hitting
     win = dl.DriftWindow(0.0, 5.0)
-    traj = dl.run_trial(dl.constant_walk(0.0, 5.0), win, max_steps=50, seed=1)
-    assert traj.truncated and traj.hit_time is None
+    (outcome,) = dl.run_trials(dl.constant_walk(0.0, 5.0), win, 1, 50, master_seed=1)
+    assert outcome.truncated and outcome.hit_time is None
 
 
 def test_forced_descent_hits_at_window_length():
     win = dl.DriftWindow(0.0, 5.0)
-    traj = dl.run_trial(dl.constant_walk(-1.0, 5.0), win, max_steps=100, seed=1, record=True)
-    assert traj.hit_time == 5
-    assert traj.potentials == (5.0, 4.0, 3.0, 2.0, 1.0, 0.0)
+    (outcome,) = dl.run_trials(dl.constant_walk(-1.0, 5.0), win, 1, 100, master_seed=1)
+    assert outcome.hit_time == 5 and not outcome.truncated
+    assert outcome.start_potential == 5.0
 
 
-def test_run_trial_rejects_zero_budget_and_low_start():
+def test_run_trials_rejects_zero_budget_and_low_start():
     win = dl.DriftWindow(0.0, 5.0)
     with pytest.raises(ValueError):
-        dl.run_trial(dl.constant_walk(-1.0, 5.0), win, max_steps=0, seed=1)
+        dl.run_trials(dl.constant_walk(-1.0, 5.0), win, 1, 0, master_seed=1)
     with pytest.raises(ValueError):
-        dl.run_trial(dl.constant_walk(-1.0, 3.0), win, max_steps=10, seed=1)
+        dl.run_trials(dl.constant_walk(-1.0, 3.0), win, 1, 10, master_seed=1)
 
 
 def test_counterexample_hits_in_exactly_n_steps_for_almost_every_seed():
     n = 10
     process = dl.counterexample_chain(n)
     win = dl.DriftWindow(0.0, float(n))
-    hit_times = [
-        dl.run_trial(process, win, max_steps=100, seed=seed).hit_time for seed in range(200)
-    ]
+    hit_times = [o.hit_time for o in dl.run_trials(process, win, 200, 100, master_seed=0)]
     hits = [t for t in hit_times if t is not None]
     # hits can only happen via n consecutive unit steps
     assert set(hits) == {n}
@@ -69,22 +58,16 @@ def test_counterexample_hits_in_exactly_n_steps_for_almost_every_seed():
 
 
 def test_stopping_correctness_no_early_crossing():
+    # each outcome stops exactly at the first crossing of its replayed path
     process = dl.geometric_drift_walk(0.2, 1.0, start=6.0)
     win = dl.DriftWindow(0.0, 6.0)
-    for seed in range(300):
-        traj = dl.run_trial(process, win, max_steps=40, seed=seed, record=True)
-        if traj.hit_time is not None:
-            assert traj.potentials[traj.hit_time] <= win.a
-            assert all(x > win.a for x in traj.potentials[: traj.hit_time])
-        else:
-            assert all(x > win.a for x in traj.potentials)
-
-
-def test_lean_mode_keeps_only_start():
-    process = dl.constant_walk(-1.0, 5.0)
-    traj = dl.run_trial(process, dl.DriftWindow(0.0, 5.0), max_steps=10, seed=0)
-    assert traj.potentials == (5.0,)
-    assert traj.hit_time == 5
+    outcomes = dl.run_trials(process, win, 300, 40, master_seed=3)
+    assert any(o.hit_time is not None for o in outcomes)
+    for outcome in outcomes:
+        path = replay_potentials(process, 3, outcome.index, 40)
+        crossings = [t for t, x in enumerate(path) if x <= win.a]
+        assert outcome.hit_time == (crossings[0] if crossings else None)
+        assert outcome.start_potential == path[0]
 
 
 def test_estimator_deterministic_walks():
@@ -92,6 +75,7 @@ def test_estimator_deterministic_walks():
     budget = dl.SimulationBudget(100, 1000, master_seed=11)
     est = dl.estimate_hitting_probability(dl.constant_walk(-1.0, 5.0), win, budget, horizon=5)
     assert est.point == 1.0 and est.hits == 100
+    assert [o.hit_time for o in est.outcomes] == [5] * 100
     est = dl.estimate_hitting_probability(dl.constant_walk(1.0, 5.0), win, budget, horizon=1000)
     assert est.point == 0.0 and est.hits == 0
 

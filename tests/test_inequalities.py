@@ -9,6 +9,7 @@ import driftlab as dl
 from driftlab.inequalities import (
     E_HI,
     E_LO,
+    SweepGrid,
     log_spaced_integers,
     matching_ratio_link,
     sweep_comma_lambda,
@@ -226,24 +227,29 @@ class TestExpectedSelections:
 
 class TestSweeps:
     def test_mutation_sweep_small(self):
-        results = list(sweep_mutation(n_max=40))
+        results = list(sweep_mutation(SweepGrid(n_max=40)))
         assert results and all(r.holds for r in results)
 
     def test_matching_sweep_small(self):
-        results = list(sweep_matching(m_max=24, j_max=16))
+        results = list(sweep_matching(SweepGrid(m_max=24, j_max=16)))
         assert results and all(r.holds for r in results)
 
     def test_diversity_sweep_small(self):
-        results = list(sweep_diversity(mu_max=4, phi_max=10, j_max=6))
+        results = list(sweep_diversity(SweepGrid(mu_max=4, phi_max=10, j_max=6)))
         assert results and all(r.holds for r in results)
 
+    def test_diversity_sweep_caps_tail_index_at_twenty(self):
+        results = list(sweep_diversity(SweepGrid(mu_max=1, phi_max=0, j_max=64)))
+        assert len(results) == 3 * 20
+        assert max(r.parameters["j"] for r in results) == 20
+
     def test_comma_lambda_sweep_small(self):
-        results = list(sweep_comma_lambda(n_hi=128, lambda_max=8, j_max=16))
+        results = list(sweep_comma_lambda(SweepGrid(n_max=128, lambda_max=8, j_max=16)))
         assert results and all(r.holds for r in results)
 
     def test_empty_ranges_yield_nothing(self):
-        assert list(sweep_mutation(n_max=0)) == []
-        assert list(sweep_diversity(mu_max=0)) == []
+        assert list(sweep_mutation(SweepGrid(n_max=0))) == []
+        assert list(sweep_diversity(SweepGrid(mu_max=0))) == []
 
     def test_log_spaced_integers_cover_endpoints(self):
         grid = log_spaced_integers(2, 10_000)

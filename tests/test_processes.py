@@ -7,6 +7,7 @@ from scipy import stats as sstats
 
 import driftlab as dl
 from driftlab.rng import generator
+from helpers import replay_potentials
 
 
 class TestCounterexampleChain:
@@ -45,10 +46,8 @@ class TestCounterexampleChain:
 
     def test_trajectories_never_step_down_by_two(self):
         process = dl.counterexample_chain(6)
-        win = dl.DriftWindow(0.0, 6.0)
-        for seed in range(100):
-            traj = dl.run_trial(process, win, max_steps=50, seed=seed, record=True)
-            diffs = np.diff(traj.potentials)
+        for index in range(100):
+            diffs = np.diff(replay_potentials(process, 0, index, 50))
             assert all(d == -1.0 or d == process.up_jump or d == 0.0 for d in diffs)
             assert not any(d <= -2 for d in diffs)
 

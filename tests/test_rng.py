@@ -1,4 +1,4 @@
-from driftlab.rng import generator, splitmix64, trial_generator, trial_seed
+from driftlab.rng import generator, splitmix64, trial_seed
 
 # Reference outputs of the splitmix64 stream seeded with 0, as produced by the
 # original public-domain C implementation.
@@ -34,8 +34,8 @@ def test_generator_deterministic():
     a = generator(42).random(5)
     b = generator(42).random(5)
     assert (a == b).all()
-    c = trial_generator(7, 3).random(5)
-    d = trial_generator(7, 3).random(5)
+    c = generator(trial_seed(7, 3)).random(5)
+    d = generator(trial_seed(7, 3)).random(5)
     assert (c == d).all()
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
-from driftlab.stats import Z95, mean_t_interval, wilson_half_width, wilson_interval
+from driftlab.stats import Z95, mean_t_interval, wilson_interval
 
 
 def score_interval_by_root_finding(hits, trials, z=Z95):
@@ -39,7 +39,6 @@ def test_wilson_zero_hits_has_positive_upper_limit():
     lo, hi = wilson_interval(0, 200)
     assert lo == 0.0
     assert 0.0 < hi < 0.02
-    assert wilson_half_width(0, 200) == pytest.approx((hi - lo) / 2)
 
 
 def test_wilson_rejects_bad_input():
