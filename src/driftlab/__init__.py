@@ -32,12 +32,7 @@ from .processes import (
     NeedleOneOneEA,
     OneCommaLambdaEA,
     Process,
-    constant_walk,
-    counterexample_chain,
-    geometric_drift_walk,
     make_process,
-    one_comma_lambda_ea,
-    oneone_ea_needle,
     pea,
     pea_prime,
     pea_prime_selection,
@@ -91,12 +86,9 @@ __all__ = [
     "check_conditions_empirical",
     "check_conditions_exact",
     "comma_lambda_bounds",
-    "constant_walk",
-    "counterexample_chain",
     "derive_constants",
     "diversity_bound",
     "estimate_hitting_probability",
-    "geometric_drift_walk",
     "hajek_escape_bound",
     "harvest_step_samples",
     "lemma_tail_bound",
@@ -105,8 +97,6 @@ __all__ = [
     "mean_t_interval",
     "mgf_bound_check",
     "mutation_tail_chain",
-    "one_comma_lambda_ea",
-    "oneone_ea_needle",
     "pea",
     "pea_prime",
     "pea_prime_expected_selections",

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from . import __version__
 from .conditions import check_conditions_empirical, check_conditions_exact, harvest_step_samples
 from .core import default_workers, estimate_hitting_probability
-from .presets import PRESETS, ExperimentConfig, get_preset, load_config, with_overrides
+from .presets import PRESETS, ExperimentConfig, get_preset, load_config
 from .reporting import (
     condition_report_columns,
     condition_report_rows,
@@ -40,13 +40,16 @@ def _resolve_config(args) -> ExperimentConfig:
         config = load_config(args.config)
     else:
         raise ConfigError("one of --preset or --config is required")
-    return with_overrides(config, seed=args.seed, trials=args.trials, horizon=getattr(args, "horizon", None))
+    # the override flags' dests are the ExperimentConfig fields they set
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    return replace(config, **{name: value for name, value in overrides.items() if value is not None})
 
 
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     window = config.window()
-    horizon, certified = config.resolve_horizon(window.ell)
+    horizon, constants = config.resolve_horizon(window.ell)
+    certified = None if constants is None else constants.horizon
     if horizon is None:
         certified_note = "" if certified is None else f" (certified horizon {certified!r})"
         raise ConfigError(
@@ -167,63 +170,52 @@ def cmd_scaling(args) -> int:
     unresolved = []
     for ell in config.ell_values:
         process, window = config.family_member(ell)
-        constants = config.constants(ell)
-        horizon, _ = config.resolve_horizon(ell)
+        horizon, constants = config.resolve_horizon(ell)
+        constants = constants or config.constants(ell)
         table = process.jump_table()
         if table is not None:
             exact = check_conditions_exact(table, config.condition_params(), "two_sided")
             condition_note = f"two-sided condition: {exact.overall().upper()}"
         else:
             condition_note = "empirical"
+        row = {
+            "ell": ell,
+            "horizon": horizon,
+            "certified_horizon": constants.horizon,
+            "hits": None,
+            "trials": config.trials,
+            "point": None,
+            "ci_low": None,
+            "ci_high": None,
+            "escape_bound": None,
+            "condition": condition_note,
+            "note": "",
+        }
+        rows.append(row)
         if horizon is None:
             unresolved.append(ell)
-            rows.append(
-                (ell, None, constants.horizon, None, config.trials, None, None, None, None,
-                 condition_note, "unresolved: horizon exceeds max_steps")
-            )
+            row["note"] = "unresolved: horizon exceeds max_steps"
             continue
         estimate = estimate_hitting_probability(process, window, config.budget(), horizon, args.threads)
         bound = hajek_escape_bound(constants.lam, ell, horizon, constants.d_bound, constants.p_ell)
-        note = ""
+        row.update(
+            hits=estimate.hits,
+            trials=estimate.trials,
+            point=estimate.point,
+            ci_low=estimate.ci_low,
+            ci_high=estimate.ci_high,
+            escape_bound=bound,
+        )
         if condition_note.endswith("PASS") and estimate.point > bound:
             failures += 1
-            note = "empirical probability exceeds the certified bound"
-        rows.append(
-            (
-                ell,
-                horizon,
-                constants.horizon,
-                estimate.hits,
-                estimate.trials,
-                estimate.point,
-                estimate.ci_low,
-                estimate.ci_high,
-                bound,
-                condition_note,
-                note,
-            )
-        )
-    provenance = config.provenance()
-    columns = [
-        "ell",
-        "horizon",
-        "certified_horizon",
-        "hits",
-        "trials",
-        "point",
-        "ci_low",
-        "ci_high",
-        "escape_bound",
-        "condition",
-        "note",
-    ]
+            row["note"] = "empirical probability exceeds the certified bound"
     if args.out:
-        write_csv(args.out, provenance, columns, rows)
+        write_csv(args.out, config.provenance(), list(rows[0]), (row.values() for row in rows))
     for row in rows:
         print(
-            f"ell={format_cell(row[0])} horizon={format_cell(row[1])} "
-            f"point={format_cell(row[5])} bound={format_cell(row[8])} [{row[9]}]"
-            + (f" {row[10]}" if row[10] else "")
+            f"ell={format_cell(row['ell'])} horizon={format_cell(row['horizon'])} "
+            f"point={format_cell(row['point'])} bound={format_cell(row['escape_bound'])} [{row['condition']}]"
+            + (f" {row['note']}" if row["note"] else "")
         )
     if unresolved:
         print(
@@ -245,7 +237,7 @@ def cmd_list_presets(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, with_horizon: bool = False) -> None:
     parser.add_argument("--preset", help="name of a compiled-in experiment")
     parser.add_argument("--config", help="path to a sectioned key-value config file")
-    parser.add_argument("--seed", type=int, help="override the master seed (unsigned 64-bit)")
+    parser.add_argument("--seed", type=int, dest="master_seed", help="override the master seed (unsigned 64-bit)")
     parser.add_argument("--trials", type=int, help="override the trial count")
     parser.add_argument("--threads", type=int, default=default_workers(), help="worker processes for trials")
     parser.add_argument("--out", help="CSV output path")

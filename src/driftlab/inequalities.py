@@ -34,15 +34,17 @@ class InequalityResult:
     lhs: float
     rhs: float
     holds: bool
-    margin: float
     note: str = ""
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
 
     @staticmethod
     def from_exact(name, parameters, lhs, rhs, holds=None, note="") -> "InequalityResult":
-        lhs_f, rhs_f = float(lhs), float(rhs)
         if holds is None:
             holds = lhs <= rhs
-        return InequalityResult(name, parameters, lhs_f, rhs_f, bool(holds), rhs_f - lhs_f, note)
+        return InequalityResult(name, parameters, float(lhs), float(rhs), bool(holds), note)
 
 
 def _log_binom(n: int, j: int) -> float:
@@ -80,7 +82,6 @@ def mutation_tail_chain(n: int, j: int) -> list[InequalityResult]:
             binomial,
             inv_factorial,
             holds1,
-            inv_factorial - binomial,
             note,
         ),
         InequalityResult(
@@ -89,7 +90,6 @@ def mutation_tail_chain(n: int, j: int) -> list[InequalityResult]:
             inv_factorial,
             geometric,
             holds2,
-            geometric - inv_factorial,
             note,
         ),
     ]
@@ -131,7 +131,6 @@ def _matching_sum_links(m: int, h: int, j: int) -> list[InequalityResult]:
             lhs_sum,
             rhs_sum,
             holds_sum,
-            rhs_sum - lhs_sum,
             note,
         ),
         InequalityResult(
@@ -140,7 +139,6 @@ def _matching_sum_links(m: int, h: int, j: int) -> list[InequalityResult]:
             rhs_sum,
             largest_rhs,
             holds_largest,
-            largest_rhs - rhs_sum,
             "exact integer comparison",
         ),
     ]
@@ -273,9 +271,9 @@ def comma_lambda_bounds(n: int, lambda_offspring: int, j: int) -> list[Inequalit
     holds1, holds2, note, binomial, inv_factorial, geometric = _mutation_comparisons(n, j)
     lhs1, rhs1, rhs2 = lam * binomial, lam * inv_factorial, lam * geometric
     results = [
-        InequalityResult("comma-lambda-union-vs-factorial", params, lhs1, rhs1, holds1, rhs1 - lhs1, note),
+        InequalityResult("comma-lambda-union-vs-factorial", params, lhs1, rhs1, holds1, note),
         InequalityResult(
-            "comma-lambda-factorial-vs-geometric", params, rhs1, rhs2, holds2, rhs2 - rhs1, note
+            "comma-lambda-factorial-vs-geometric", params, rhs1, rhs2, holds2, note
         ),
     ]
 
@@ -290,7 +288,7 @@ def comma_lambda_bounds(n: int, lambda_offspring: int, j: int) -> list[Inequalit
         note3 = "float comparison, margin is a factor approaching 2"
     results.append(
         InequalityResult(
-            "comma-lambda-self-loop-premise", params, inv_2e, stay, bool(holds3), stay - inv_2e, note3
+            "comma-lambda-self-loop-premise", params, inv_2e, stay, bool(holds3), note3
         )
     )
 
@@ -304,7 +302,6 @@ def comma_lambda_bounds(n: int, lambda_offspring: int, j: int) -> list[Inequalit
             floor,
             p_loop,
             floor <= p_loop,
-            p_loop - floor,
         )
     )
 
@@ -312,7 +309,7 @@ def comma_lambda_bounds(n: int, lambda_offspring: int, j: int) -> list[Inequalit
     lhs5 = rhs2 / p_loop
     rhs5 = rhs2 / floor
     results.append(
-        InequalityResult("comma-lambda-ratio-chain", params, lhs5, rhs5, lhs5 <= rhs5, rhs5 - lhs5)
+        InequalityResult("comma-lambda-ratio-chain", params, lhs5, rhs5, lhs5 <= rhs5)
     )
     return results
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Optional, Union, get_type_hints
 
 from .core import DriftWindow, SimulationBudget
 from .conditions import ConditionParams, VARIANTS
-from .processes import Process, family_param, make_process
+from .processes import Process, family_param, make_process, param_types
 from .theorem import TheoremConstants, derive_constants
 
 DEFAULT_SEED = 20260809
@@ -23,6 +23,8 @@ DEFAULT_SEED = 20260809
 AUTO = "auto"
 #: horizon sentinel: one step per unit of window length
 WINDOW = "window"
+#: provenance keys that differ from their field names
+_PROVENANCE_KEYS = {"name": "experiment", "process_kind": "process"}
 
 
 @dataclass(frozen=True)
@@ -72,24 +74,26 @@ class ExperimentConfig:
     def constants(self, ell: float) -> TheoremConstants:
         return derive_constants(self.eps, self.delta, self.r, ell, self.prob_target)
 
-    def resolve_horizon(self, ell: float) -> tuple[Optional[int], Optional[float]]:
-        """(steps to simulate, certified horizon) at window length ell.
+    def resolve_horizon(self, ell: float) -> tuple[Optional[int], Optional[TheoremConstants]]:
+        """(steps to simulate, derived constants) at window length ell.
 
         An integer horizon is taken as given, and 'window' runs one step per
-        unit of window length. 'auto' inverts the escape-bound product for the
-        largest certified horizon, returned as the second value, and floors it
-        at one step so the experiment simulates at least one transition. The
-        steps are None, never a number, when they exceed max_steps.
+        unit of window length. 'auto' derives the constants, returned as the
+        second value (None otherwise), inverts the escape-bound product for the
+        largest certified horizon and floors it at one step so the experiment
+        simulates at least one transition. The steps are None, never a number,
+        when they exceed max_steps.
         """
-        certified = None
+        constants = None
         if self.horizon == AUTO:
-            certified = self.constants(ell).horizon
+            constants = self.constants(ell)
+            certified = constants.horizon
             steps = max(1, math.floor(certified)) if math.isfinite(certified) else math.inf
         elif self.horizon == WINDOW:
             steps = max(1, math.ceil(ell))
         else:
             steps = self.horizon
-        return (steps if steps <= self.max_steps else None), certified
+        return (steps if steps <= self.max_steps else None), constants
 
     def family_member(self, ell: float) -> tuple[Process, DriftWindow]:
         """The configured process family at window length ell, on the window [0, ell]."""
@@ -98,32 +102,17 @@ class ExperimentConfig:
         return make_process(self.process_kind, **params), window
 
     def provenance(self) -> dict:
-        """Key-value pairs embedded in every CSV this experiment emits."""
-        info = {
-            "experiment": self.name,
-            "command": self.command,
-            "process": self.process_kind,
-        }
-        for key, value in sorted(self.process_params.items()):
-            info[f"process.{key}"] = value
-        info.update(
-            {
-                "window_a": self.window_a,
-                "window_b": self.window_b,
-                "eps": self.eps,
-                "delta": self.delta,
-                "r": self.r,
-                "j_max": self.j_max,
-                "trials": self.trials,
-                "max_steps": self.max_steps,
-                "master_seed": self.master_seed,
-                "horizon": self.horizon,
-                "variant": self.variant,
-                "prob_target": self.prob_target,
-            }
-        )
-        if self.ell_values:
-            info["ell_values"] = ",".join(_fmt_number(v) for v in self.ell_values)
+        """Key-value pairs embedded in every CSV this experiment emits, in field order."""
+        info = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "process_params":
+                info.update((f"process.{key}", v) for key, v in sorted(value.items()))
+            elif f.name == "ell_values":
+                if value:
+                    info["ell_values"] = ",".join(_fmt_number(v) for v in value)
+            elif f.name != "description":
+                info[_PROVENANCE_KEYS.get(f.name, f.name)] = value
         return info
 
 
@@ -232,26 +221,36 @@ def get_preset(name: str) -> ExperimentConfig:
         raise ValueError(f"unknown preset {name!r}; known presets: {known}") from None
 
 
-_INT_KEYS = {"n", "mu", "lambda_offspring", "trials", "max_steps", "master_seed", "j_max"}
-_FLOAT_KEYS = {"a", "b", "eps", "delta", "r", "start", "mutation_rate", "step_size", "prob_target"}
+#: config-file layout: section -> {key -> ExperimentConfig field}. [process]
+#: also takes the parameters of its kind's constructor.
+_LAYOUT = {
+    "experiment": {"name": "name", "command": "command"},
+    "process": {"kind": "process_kind"},
+    "window": {"a": "window_a", "b": "window_b"},
+    "conditions": {"eps": "eps", "delta": "delta", "r": "r", "j_max": "j_max"},
+    "budget": {"trials": "trials", "max_steps": "max_steps", "master_seed": "master_seed"},
+    "run": {"horizon": "horizon", "variant": "variant", "prob_target": "prob_target", "ell_values": "ell_values"},
+}
+
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
-def _parse_value(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    try:
-        return int(raw)
-    except ValueError:
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
+def _parse_field(name: str, raw: str):
+    if name == "horizon":
+        return raw if raw in (AUTO, WINDOW) else int(raw)
+    if name == "ell_values":
+        return tuple(float(v) for v in raw.split(",")) if raw else ()
+    return _FIELD_TYPES[name](raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Load an experiment from a sectioned key-value file."""
+    """Load an experiment from a sectioned key-value file.
+
+    Each value is parsed by the type of its ExperimentConfig field, or of its
+    constructor parameter under [process]; a key left out takes the field's
+    default. An unknown section or key is an error, so a misspelt key cannot
+    silently run the default in its place.
+    """
     # values are plain numbers and names, so '%' is a literal character
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -261,51 +260,26 @@ def load_config(path: str) -> ExperimentConfig:
         raise ValueError(f"malformed config file: {' '.join(str(exc).split())}") from None
     if not read:
         raise ValueError(f"config file {path!r} not found or empty")
-    fields: dict = {}
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    fields["name"] = exp.get("name", "config")
-    fields["command"] = exp.get("command", "simulate")
-    if not parser.has_section("process"):
+    for section in parser.sections():
+        if section not in _LAYOUT:
+            raise ValueError(f"unknown config section [{section}]; known sections: {', '.join(_LAYOUT)}")
+    if not parser.has_option("process", "kind"):
         raise ValueError("config file needs a [process] section with a 'kind' key")
-    proc = dict(parser["process"])
-    try:
-        fields["process_kind"] = proc.pop("kind")
-    except KeyError:
-        raise ValueError("[process] section must define 'kind'") from None
-    fields["process_params"] = {k: _parse_value(k, v) for k, v in proc.items()}
-    if parser.has_section("window"):
-        win = parser["window"]
-        fields["window_a"] = win.getfloat("a", 0.0)
-        fields["window_b"] = win.getfloat("b", 1.0)
-    if parser.has_section("conditions"):
-        cond = parser["conditions"]
-        fields["eps"] = cond.getfloat("eps", 1.0)
-        fields["delta"] = cond.getfloat("delta", 1.0)
-        fields["r"] = cond.getfloat("r", 2.0)
-        fields["j_max"] = cond.getint("j_max", 64)
-    if parser.has_section("budget"):
-        bud = parser["budget"]
-        fields["trials"] = bud.getint("trials", 100)
-        fields["max_steps"] = bud.getint("max_steps", 1000)
-        fields["master_seed"] = bud.getint("master_seed", DEFAULT_SEED)
-    if parser.has_section("run"):
-        run = parser["run"]
-        horizon_raw = run.get("horizon", AUTO)
-        fields["horizon"] = horizon_raw if horizon_raw in (AUTO, WINDOW) else int(horizon_raw)
-        fields["variant"] = run.get("variant", "two_sided")
-        fields["prob_target"] = run.getfloat("prob_target", 0.5)
-        ells = run.get("ell_values", "")
-        if ells:
-            fields["ell_values"] = tuple(float(v) for v in ells.split(","))
-    return ExperimentConfig(**fields)
-
-
-def with_overrides(config: ExperimentConfig, *, seed=None, trials=None, horizon=None) -> ExperimentConfig:
-    updates = {}
-    if seed is not None:
-        updates["master_seed"] = seed
-    if trials is not None:
-        updates["trials"] = trials
-    if horizon is not None:
-        updates["horizon"] = horizon
-    return replace(config, **updates) if updates else config
+    process_types = param_types(parser["process"]["kind"])
+    process_params: dict = {}
+    values = {"name": "config", "command": "simulate", "process_params": process_params}
+    for section in parser.sections():
+        keys = _LAYOUT[section]
+        params = process_types if section == "process" else {}
+        for key, raw in parser[section].items():
+            if key not in keys and key not in params:
+                known = ", ".join(sorted([*keys, *params]))
+                raise ValueError(f"unknown key {key!r} in [{section}]; known keys: {known}")
+            try:
+                if key in params:
+                    process_params[key] = params[key](raw)
+                else:
+                    values[keys[key]] = _parse_field(keys[key], raw)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from None
+    return ExperimentConfig(**values)

@@ -73,10 +73,6 @@ class ConstantWalk(Process):
         return JumpDistribution(np.array([self.step_size]), np.array([1.0]))
 
 
-def constant_walk(step_size: float, start: float) -> ConstantWalk:
-    return ConstantWalk(step_size, start)
-
-
 class CounterexampleChain(Process):
     """Integer chain on ]0, n] with unit steps toward 0 and a rare huge jump away.
 
@@ -120,10 +116,6 @@ class CounterexampleChain(Process):
             np.array([-1.0, float(self.up_jump)]),
             np.array([1.0 - self.up_prob, self.up_prob]),
         )
-
-
-def counterexample_chain(n: int) -> CounterexampleChain:
-    return CounterexampleChain(n)
 
 
 class GeometricDriftWalk(Process):
@@ -199,10 +191,6 @@ class GeometricDriftWalk(Process):
         return JumpDistribution(values, probs)
 
 
-def geometric_drift_walk(eps: float, delta: float, start: float = 0.0) -> GeometricDriftWalk:
-    return GeometricDriftWalk(eps, delta, start)
-
-
 class NeedleOneOneEA(Process):
     """(1+1) EA on a single-optimum plateau, lumped to the Hamming distance chain.
 
@@ -241,10 +229,6 @@ class NeedleOneOneEA(Process):
         down = rng.binomial(state, self.mutation_rate)
         up = rng.binomial(self.n - state, self.mutation_rate)
         return state - down + up
-
-
-def oneone_ea_needle(n: int) -> NeedleOneOneEA:
-    return NeedleOneOneEA(n)
 
 
 class OneCommaLambdaEA(Process):
@@ -295,10 +279,6 @@ class OneCommaLambdaEA(Process):
         """P(at least one offspring is an unmutated copy of the parent)."""
         p_copy = (1.0 - self.mutation_rate) ** self.n
         return 1.0 - (1.0 - p_copy) ** self.lambda_offspring
-
-
-def one_comma_lambda_ea(n: int, lambda_offspring: int) -> OneCommaLambdaEA:
-    return OneCommaLambdaEA(n, lambda_offspring)
 
 
 def pea_prime_selection(fitnesses) -> np.ndarray:
@@ -437,6 +417,13 @@ def make_process(kind: str, **params) -> Process:
     except TypeError as exc:
         raise ValueError(f"process kind {kind!r}: {exc}") from None
     return factory(**params)
+
+
+def param_types(kind: str) -> dict[str, type]:
+    """How each constructor parameter of `kind` is read from text: int for an
+    `int` annotation, float for any other."""
+    signature = inspect.signature(_factory(kind), eval_str=True)
+    return {name: int if p.annotation is int else float for name, p in signature.parameters.items()}
 
 
 def family_param(kind: str) -> str:

@@ -90,3 +90,36 @@ def random_nondecreasing_step_function(rng, x_min, span=20, scale=5.0):
         return float(levels[idx])
 
     return f
+
+
+def config_file_text(config):
+    """`config` written key by key in the INI layout README documents, without
+    the loader's own tables. Floats are written with repr, so they read back
+    exactly; the description has no key and is left out."""
+    lines = [
+        "[experiment]",
+        f"name = {config.name}",
+        f"command = {config.command}",
+        "[process]",
+        f"kind = {config.process_kind}",
+        *(f"{key} = {value!r}" for key, value in config.process_params.items()),
+        "[window]",
+        f"a = {config.window_a!r}",
+        f"b = {config.window_b!r}",
+        "[conditions]",
+        f"eps = {config.eps!r}",
+        f"delta = {config.delta!r}",
+        f"r = {config.r!r}",
+        f"j_max = {config.j_max}",
+        "[budget]",
+        f"trials = {config.trials}",
+        f"max_steps = {config.max_steps}",
+        f"master_seed = {config.master_seed}",
+        "[run]",
+        f"horizon = {config.horizon}",
+        f"variant = {config.variant}",
+        f"prob_target = {config.prob_target!r}",
+    ]
+    if config.ell_values:
+        lines.append("ell_values = " + ",".join(repr(v) for v in config.ell_values))
+    return "\n".join(lines) + "\n"

@@ -116,7 +116,7 @@ def test_criterion_4_mgf_bound_suite():
         delta = float(rng.uniform(0.1, 3.0))
         eps_cap = (1.0 + delta) / delta
         eps = float(rng.uniform(0.05, 0.9) * eps_cap)
-        walk = dl.geometric_drift_walk(eps, delta)
+        walk = dl.GeometricDriftWalk(eps, delta)
         # r = 2 certifies the two-sided condition whenever delta <= 1; the
         # walk's exact tail needs r = 1 + delta beyond that
         r = max(2.0, 1.0 + delta)

@@ -1,10 +1,12 @@
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 
 from driftlab.cli import main
-from driftlab.presets import load_config
+from driftlab.presets import PRESETS, load_config
+from helpers import config_file_text
 
 
 def read_csv(path):
@@ -225,15 +227,31 @@ def test_horizon_below_one_step_exits_two(capsys):
 
 
 def test_malformed_config_files_exit_two(tmp_path, capsys):
-    unknown_key = tmp_path / "unknown-key.ini"
-    unknown_key.write_text("[process]\nkind = needle\nn = 10\nfoo = 1\n")
-    no_header = tmp_path / "no-header.ini"
-    no_header.write_text("kind = needle\n")
-    duplicate = tmp_path / "duplicate.ini"
-    duplicate.write_text("[process]\nkind = needle\nn = 10\nn = 12\n")
-    for path, words in ((unknown_key, "foo"), (no_header, "section"), (duplicate, "already exists")):
-        assert main(["check", "--config", str(path)]) == 2
-        assert words in _single_error_line(capsys)
+    needle = "[process]\nkind = needle\nn = 10\n"
+    cases = {
+        "unknown-key": (needle + "foo = 1\n", "foo"),
+        "no-header": ("kind = needle\n", "section"),
+        "duplicate": (needle + "n = 12\n", "already exists"),
+        "misspelt-key": (needle + "[budget]\ntrails = 5\n", "trails"),
+        "misspelt-run-key": (needle + "[run]\nhorizn = 3\n", "horizn"),
+        "unknown-section": (needle + "[extra]\nx = 1\n", "[extra]"),
+        "fractional-int": ("[process]\nkind = needle\nn = 20.7\n", "[process] n"),
+        "non-numeric": ("[process]\nkind = needle\nn = abc\n", "[process] n"),
+        "fractional-horizon": (needle + "[run]\nhorizon = 2.5\n", "[run] horizon"),
+    }
+    for name, (text, words) in cases.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == 2, name
+        assert words in _single_error_line(capsys), name
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_round_trips_through_config_file(name, tmp_path):
+    preset = PRESETS[name]
+    path = tmp_path / f"{name}.ini"
+    path.write_text(config_file_text(preset))
+    assert load_config(str(path)) == replace(preset, description="")
 
 
 def test_percent_sign_in_config_value_is_literal(tmp_path):

@@ -10,12 +10,12 @@ from driftlab.rng import generator
 
 @pytest.fixture(scope="module")
 def counterexample_table():
-    return dl.counterexample_chain(10).jump_table()
+    return dl.CounterexampleChain(10).jump_table()
 
 
 @pytest.fixture(scope="module")
 def walk():
-    return dl.geometric_drift_walk(0.2, 1.0)
+    return dl.GeometricDriftWalk(0.2, 1.0)
 
 
 class TestExactChecks:
@@ -118,7 +118,7 @@ class TestEmpiricalChecks:
                 assert t.verdict == ref.verdict
 
     def test_counterexample_large_jump_fails_when_observed(self):
-        table = dl.counterexample_chain(10).jump_table()
+        table = dl.CounterexampleChain(10).jump_table()
         rng = generator(8)  # seed with at least one up-jump among 1e5 draws
         samples = table.sample(rng, 100_000)
         n_jumps = int((samples > 1).sum())
@@ -148,7 +148,7 @@ class TestEmpiricalChecks:
 
 class TestHarvesting:
     def test_conditioning_domains(self):
-        process = dl.geometric_drift_walk(0.2, 1.0, start=8.0)
+        process = dl.GeometricDriftWalk(0.2, 1.0, start=8.0)
         window = dl.DriftWindow(2.0, 8.0)
         drift_s, tail_s = dl.harvest_step_samples(process, window, trials=20, steps_per_trial=200, master_seed=3)
         # drift samples only from inside the window, tail samples from above a;
@@ -156,7 +156,7 @@ class TestHarvesting:
         assert len(tail_s) >= len(drift_s) >= 100
 
     def test_restarts_keep_absorbed_states_out(self):
-        process = dl.counterexample_chain(5)
+        process = dl.CounterexampleChain(5)
         window = dl.DriftWindow(0.0, 5.0)
         drift_s, tail_s = dl.harvest_step_samples(process, window, trials=50, steps_per_trial=100, master_seed=9)
         # absorbed self-loops would contribute zero steps; the live chain never steps by 0

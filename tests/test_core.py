@@ -27,13 +27,13 @@ def test_budget_validation():
 def test_constant_zero_step_truncates():
     # a process that never moves exhausts the budget without hitting
     win = dl.DriftWindow(0.0, 5.0)
-    (outcome,) = dl.run_trials(dl.constant_walk(0.0, 5.0), win, 1, 50, master_seed=1)
+    (outcome,) = dl.run_trials(dl.ConstantWalk(0.0, 5.0), win, 1, 50, master_seed=1)
     assert outcome.truncated and outcome.hit_time is None
 
 
 def test_forced_descent_hits_at_window_length():
     win = dl.DriftWindow(0.0, 5.0)
-    (outcome,) = dl.run_trials(dl.constant_walk(-1.0, 5.0), win, 1, 100, master_seed=1)
+    (outcome,) = dl.run_trials(dl.ConstantWalk(-1.0, 5.0), win, 1, 100, master_seed=1)
     assert outcome.hit_time == 5 and not outcome.truncated
     assert outcome.start_potential == 5.0
 
@@ -41,14 +41,14 @@ def test_forced_descent_hits_at_window_length():
 def test_run_trials_rejects_zero_budget_and_low_start():
     win = dl.DriftWindow(0.0, 5.0)
     with pytest.raises(ValueError):
-        dl.run_trials(dl.constant_walk(-1.0, 5.0), win, 1, 0, master_seed=1)
+        dl.run_trials(dl.ConstantWalk(-1.0, 5.0), win, 1, 0, master_seed=1)
     with pytest.raises(ValueError):
-        dl.run_trials(dl.constant_walk(-1.0, 3.0), win, 1, 10, master_seed=1)
+        dl.run_trials(dl.ConstantWalk(-1.0, 3.0), win, 1, 10, master_seed=1)
 
 
 def test_counterexample_hits_in_exactly_n_steps_for_almost_every_seed():
     n = 10
-    process = dl.counterexample_chain(n)
+    process = dl.CounterexampleChain(n)
     win = dl.DriftWindow(0.0, float(n))
     hit_times = [o.hit_time for o in dl.run_trials(process, win, 200, 100, master_seed=0)]
     hits = [t for t in hit_times if t is not None]
@@ -59,7 +59,7 @@ def test_counterexample_hits_in_exactly_n_steps_for_almost_every_seed():
 
 def test_stopping_correctness_no_early_crossing():
     # each outcome stops exactly at the first crossing of its replayed path
-    process = dl.geometric_drift_walk(0.2, 1.0, start=6.0)
+    process = dl.GeometricDriftWalk(0.2, 1.0, start=6.0)
     win = dl.DriftWindow(0.0, 6.0)
     outcomes = dl.run_trials(process, win, 300, 40, master_seed=3)
     assert any(o.hit_time is not None for o in outcomes)
@@ -73,16 +73,16 @@ def test_stopping_correctness_no_early_crossing():
 def test_estimator_deterministic_walks():
     win = dl.DriftWindow(0.0, 5.0)
     budget = dl.SimulationBudget(100, 1000, master_seed=11)
-    est = dl.estimate_hitting_probability(dl.constant_walk(-1.0, 5.0), win, budget, horizon=5)
+    est = dl.estimate_hitting_probability(dl.ConstantWalk(-1.0, 5.0), win, budget, horizon=5)
     assert est.point == 1.0 and est.hits == 100
     assert [o.hit_time for o in est.outcomes] == [5] * 100
-    est = dl.estimate_hitting_probability(dl.constant_walk(1.0, 5.0), win, budget, horizon=1000)
+    est = dl.estimate_hitting_probability(dl.ConstantWalk(1.0, 5.0), win, budget, horizon=1000)
     assert est.point == 0.0 and est.hits == 0
 
 
 def test_estimator_counterexample_matches_closed_form():
     n = 15
-    process = dl.counterexample_chain(n)
+    process = dl.CounterexampleChain(n)
     win = dl.DriftWindow(0.0, float(n))
     budget = dl.SimulationBudget(2000, 100, master_seed=5)
     est = dl.estimate_hitting_probability(process, win, budget, horizon=n)
@@ -95,13 +95,13 @@ def test_estimator_validation():
     win = dl.DriftWindow(0.0, 5.0)
     budget = dl.SimulationBudget(10, 100, master_seed=1)
     with pytest.raises(ValueError):
-        dl.estimate_hitting_probability(dl.constant_walk(-1.0, 5.0), win, budget, horizon=0)
+        dl.estimate_hitting_probability(dl.ConstantWalk(-1.0, 5.0), win, budget, horizon=0)
     with pytest.raises(ValueError):
-        dl.estimate_hitting_probability(dl.constant_walk(-1.0, 5.0), win, budget, horizon=101)
+        dl.estimate_hitting_probability(dl.ConstantWalk(-1.0, 5.0), win, budget, horizon=101)
 
 
 def test_monotone_horizon_on_shared_seed_set():
-    process = dl.geometric_drift_walk(0.2, 1.0, start=5.0)
+    process = dl.GeometricDriftWalk(0.2, 1.0, start=5.0)
     win = dl.DriftWindow(0.0, 5.0)
     points = []
     for horizon in (1, 2, 5, 10, 50):
@@ -113,7 +113,7 @@ def test_monotone_horizon_on_shared_seed_set():
 def test_empirical_hit_probability_matches_dp_oracle():
     eps, delta, ell, horizon = 0.2, 1.0, 6, 12
     exact = hit_probability_within(eps, delta, ell, horizon)
-    process = dl.geometric_drift_walk(eps, delta, start=float(ell))
+    process = dl.GeometricDriftWalk(eps, delta, start=float(ell))
     win = dl.DriftWindow(0.0, float(ell))
     budget = dl.SimulationBudget(4000, 100, master_seed=20260809)
     est = dl.estimate_hitting_probability(process, win, budget, horizon=horizon)
@@ -121,7 +121,7 @@ def test_empirical_hit_probability_matches_dp_oracle():
 
 
 def test_run_trials_deterministic_and_order_stable():
-    process = dl.counterexample_chain(8)
+    process = dl.CounterexampleChain(8)
     win = dl.DriftWindow(0.0, 8.0)
     a = dl.run_trials(process, win, 500, 20, master_seed=77)
     b = dl.run_trials(process, win, 500, 20, master_seed=77)
@@ -131,7 +131,7 @@ def test_run_trials_deterministic_and_order_stable():
 
 def test_run_trials_worker_count_does_not_change_results():
     # enough work to actually engage the pool
-    process = dl.geometric_drift_walk(0.2, 1.0, start=30.0)
+    process = dl.GeometricDriftWalk(0.2, 1.0, start=30.0)
     win = dl.DriftWindow(0.0, 30.0)
     serial = dl.run_trials(process, win, 180, 12_000, master_seed=13, workers=1)
     parallel = dl.run_trials(process, win, 180, 12_000, master_seed=13, workers=3)

@@ -6,6 +6,7 @@ change; any other change must leave them as they are.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,10 @@ GOLDEN = {
         ["constants", "--eps", "0.2", "--delta", "1", "--ell", "30"],
         "651c5bbae86e2b9ef26a69d20807a460e16388a8f9cbb2b2f86399b5db644c82",
     ),
+    "simulate-readme-config": (
+        ["simulate", "--config", "example.ini"],
+        "c5889923c9b4b94482f0fd2859bffd946e518ea507ba02e6d7cffe4b88fe3430",
+    ),
     "bounds-smoke-grid": (
         ["bounds", "--suite", "all", *SMOKE_GRID],
         "c21497c945266aaf42ad293c9a812b7882413d82d1702acf780bc32c37bc0288",
@@ -66,9 +71,16 @@ GOLDEN = {
 }
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_csv_digest(name, tmp_path, capsys):
+def test_csv_digest(name, tmp_path, capsys, monkeypatch):
     argv, digest = GOLDEN[name]
+    # example.ini is the example config file of README's configuration section
+    example = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "example.ini").write_text(example)
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out.csv"
     # --jump-table takes the path itself; every other command writes --out
     argv = [*argv, str(out)] if argv[-1] == "--jump-table" else [*argv, "--out", str(out)]

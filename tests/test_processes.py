@@ -12,7 +12,7 @@ from helpers import replay_potentials
 
 class TestCounterexampleChain:
     def test_config_derived_values(self):
-        ce = dl.counterexample_chain(10)
+        ce = dl.CounterexampleChain(10)
         # ceil(2 e^10) evaluated with a high-precision calculator
         assert ce.up_jump == 44053
         assert ce.up_prob == pytest.approx(4.5399929762484854e-05, rel=1e-14)
@@ -20,39 +20,39 @@ class TestCounterexampleChain:
     def test_bounds_on_n(self):
         for bad in (1, 26, 0, -3):
             with pytest.raises(ValueError):
-                dl.counterexample_chain(bad)
-        dl.counterexample_chain(2)
-        dl.counterexample_chain(25)
+                dl.CounterexampleChain(bad)
+        dl.CounterexampleChain(2)
+        dl.CounterexampleChain(25)
 
     def test_drift_at_least_one_for_every_n(self):
         for n in range(2, 26):
-            table = dl.counterexample_chain(n).jump_table()
+            table = dl.CounterexampleChain(n).jump_table()
             expected = math.exp(-n) * math.ceil(2 * math.exp(n)) - (1 - math.exp(-n))
             assert table.drift() == pytest.approx(expected, rel=1e-12)
             assert table.drift() >= 1.0
 
     def test_one_sided_tail_is_unit_steps_only(self):
-        table = dl.counterexample_chain(10).jump_table()
+        table = dl.CounterexampleChain(10).jump_table()
         assert table.tail_down(1) == pytest.approx(1 - math.exp(-10), rel=1e-14)
         assert table.tail_down(2) == 0.0
         assert table.tail_down(50) == 0.0
 
     def test_two_sided_tail_concentrates_on_the_big_jump(self):
-        table = dl.counterexample_chain(10).jump_table()
+        table = dl.CounterexampleChain(10).jump_table()
         p = math.exp(-10)
         for j in (2, 100, 44053):
             assert table.tail_abs(j) == pytest.approx(p, rel=1e-14)
         assert table.tail_abs(44054) == 0.0
 
     def test_trajectories_never_step_down_by_two(self):
-        process = dl.counterexample_chain(6)
+        process = dl.CounterexampleChain(6)
         for index in range(100):
             diffs = np.diff(replay_potentials(process, 0, index, 50))
             assert all(d == -1.0 or d == process.up_jump or d == 0.0 for d in diffs)
             assert not any(d <= -2 for d in diffs)
 
     def test_absorbing_outside_live_region(self):
-        process = dl.counterexample_chain(5)
+        process = dl.CounterexampleChain(5)
         rng = generator(0)
         assert process.step(0, rng) == 0
         assert process.step(-3, rng) == -3
@@ -65,21 +65,21 @@ class TestGeometricDriftWalk:
     def test_weights_solved_from_series_sums(self):
         # independent oracle: for delta=1, sum (1/2)^j = 1 and sum j (1/2)^j = 2,
         # so c_+ + c_- = 1 and c_+ - c_- = 0.2 / 2 = 0.1
-        w = dl.geometric_drift_walk(0.2, 1.0)
+        w = dl.GeometricDriftWalk(0.2, 1.0)
         assert w.c_plus == pytest.approx(0.55, rel=1e-14)
         assert w.c_minus == pytest.approx(0.45, rel=1e-14)
         assert w.r == 2.0
 
     def test_table_is_normalized_with_exact_drift(self):
         for eps, delta in [(0.2, 1.0), (0.5, 0.3), (1.0, 2.5), (0.05, 0.1)]:
-            walk = dl.geometric_drift_walk(eps, delta)
+            walk = dl.GeometricDriftWalk(eps, delta)
             table = walk.jump_table()
             assert abs(float(table.probs.sum()) - 1.0) < 1e-12
             assert table.drift() == pytest.approx(eps, rel=1e-9)
 
     @pytest.mark.parametrize("delta", [0.3, 1.0, 2.0])
     def test_closed_form_tail_matches_term_summation(self, delta):
-        walk = dl.geometric_drift_walk(0.1, delta)
+        walk = dl.GeometricDriftWalk(0.1, delta)
         for j in range(0, 61):
             brute = sum(
                 (walk.c_plus + walk.c_minus) * (1.0 + delta) ** (-i)
@@ -91,29 +91,29 @@ class TestGeometricDriftWalk:
             assert walk.jump_table().tail_abs(j) == pytest.approx(brute, rel=1e-9)
 
     def test_tail_condition_holds_exactly_with_r_one_plus_delta(self):
-        walk = dl.geometric_drift_walk(0.3, 0.7)
+        walk = dl.GeometricDriftWalk(0.3, 0.7)
         for j in range(0, 65):
             bound = walk.r / (1.0 + walk.delta) ** j
             assert walk.exact_abs_tail(j) <= bound * (1 + 1e-12)
 
     def test_infeasible_drift_rejected_with_diagnostic(self):
         with pytest.raises(ValueError, match="geometric tails allow"):
-            dl.geometric_drift_walk(2.1, 1.0)  # max drift at delta=1 is (1+1)/1 = 2
+            dl.GeometricDriftWalk(2.1, 1.0)  # max drift at delta=1 is (1+1)/1 = 2
         with pytest.raises(ValueError):
-            dl.geometric_drift_walk(-0.1, 1.0)
+            dl.GeometricDriftWalk(-0.1, 1.0)
         with pytest.raises(ValueError):
-            dl.geometric_drift_walk(0.2, 0.0)
+            dl.GeometricDriftWalk(0.2, 0.0)
 
     def test_pure_upward_walk_never_hits(self):
         # eps = (1+delta)/delta makes c_minus zero
-        walk = dl.geometric_drift_walk(2.0, 1.0, start=5.0)
+        walk = dl.GeometricDriftWalk(2.0, 1.0, start=5.0)
         assert walk.c_minus == pytest.approx(0.0, abs=1e-15)
         budget = dl.SimulationBudget(200, 100, master_seed=4)
         est = dl.estimate_hitting_probability(walk, dl.DriftWindow(0.0, 5.0), budget, horizon=50)
         assert est.hits == 0
 
     def test_sampler_matches_exact_table_chi_square(self):
-        walk = dl.geometric_drift_walk(0.2, 1.0)
+        walk = dl.GeometricDriftWalk(0.2, 1.0)
         rng = generator(314159)
         samples = np.array([walk.step(0.0, rng) for _ in range(100_000)])
         # bins: -8..-1 and 1..8 individually, magnitudes > 8 pooled per side
@@ -136,7 +136,7 @@ class TestNeedleEA:
     def test_single_flip_probability_matches_binomial(self):
         # at distance n every flip is a wrong-bit flip, so the step size equals
         # the flip count and P(one flip) = C(10,1) (1/10) (9/10)^9 = 0.38742...
-        process = dl.oneone_ea_needle(10)
+        process = dl.NeedleOneOneEA(10)
         rng = generator(7)
         moves = np.array([10 - process.step(10, rng) for _ in range(60_000)])
         freq = float((moves == 1).mean())
@@ -147,7 +147,7 @@ class TestNeedleEA:
 
     def test_step_law_matches_binomial_convolution(self):
         n, d = 10, 4
-        process = dl.oneone_ea_needle(n)
+        process = dl.NeedleOneOneEA(n)
         rng = generator(21)
         deltas = np.array([process.step(d, rng) - d for _ in range(60_000)])
         # exact law: (up flips) - (down flips) with independent binomials
@@ -164,7 +164,7 @@ class TestNeedleEA:
 
     def test_two_sided_tail_dominated_by_mutation_bound(self):
         # P(|step| >= j) <= C(n,j) n^-j <= 2 (1/2)^j on the plateau
-        process = dl.oneone_ea_needle(50)
+        process = dl.NeedleOneOneEA(50)
         rng = generator(5)
         d = 25
         deltas = []
@@ -178,20 +178,20 @@ class TestNeedleEA:
             assert hi <= 2.0 * 0.5**j
 
     def test_optimum_is_kept(self):
-        process = dl.oneone_ea_needle(10)
+        process = dl.NeedleOneOneEA(10)
         rng = generator(0)
         assert process.step(0, rng) == 0
         assert process.absorbed(0)
 
     def test_uniform_start(self):
-        process = dl.oneone_ea_needle(40)
+        process = dl.NeedleOneOneEA(40)
         starts = [process.initial_state(generator(s)) for s in range(4000)]
         assert np.mean(starts) == pytest.approx(20.0, abs=0.5)
 
 
 class TestOneCommaLambdaEA:
     def test_lambda_one_accepts_every_offspring(self):
-        process = dl.one_comma_lambda_ea(20, 1)
+        process = dl.OneCommaLambdaEA(20, 1)
         rng = generator(3)
         # the chain equals a single mutation per step: its mean matches the
         # unconditional mutation drift (n - 2k)/n at k
@@ -201,7 +201,7 @@ class TestOneCommaLambdaEA:
 
     def test_copy_event_matches_closed_form(self):
         n, lam = 100, 2
-        process = dl.one_comma_lambda_ea(n, lam)
+        process = dl.OneCommaLambdaEA(n, lam)
         closed = 1.0 - (1.0 - 0.99**100) ** 2
         assert process.copy_probability() == pytest.approx(closed, rel=1e-12)
         rng = generator(11)
@@ -214,10 +214,10 @@ class TestOneCommaLambdaEA:
         for n in (2, 3, 10, 1000):
             for lam in (1, 2, 8, 64):
                 floor = 1.0 - (1.0 - 1.0 / (2.0 * math.e)) ** lam
-                assert dl.one_comma_lambda_ea(n, lam).copy_probability() >= floor - 1e-12
+                assert dl.OneCommaLambdaEA(n, lam).copy_probability() >= floor - 1e-12
 
     def test_best_offspring_selected(self):
-        process = dl.one_comma_lambda_ea(30, 8)
+        process = dl.OneCommaLambdaEA(30, 8)
         rng = generator(9)
         # with 8 offspring the next parent can never exceed the worst mutation,
         # and the generation returns the minimum offspring count
@@ -227,9 +227,9 @@ class TestOneCommaLambdaEA:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            dl.one_comma_lambda_ea(1, 2)
+            dl.OneCommaLambdaEA(1, 2)
         with pytest.raises(ValueError):
-            dl.one_comma_lambda_ea(10, 0)
+            dl.OneCommaLambdaEA(10, 0)
 
 
 class TestPeaSelection:

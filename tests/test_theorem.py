@@ -197,26 +197,26 @@ class TestMgfBoundCheck:
     def test_geometric_walk_exact_value(self):
         # closed form: E(e^{gamma |step|}) = 2 + delta at gamma = ln(1 + delta/2)
         for delta in (0.5, 1.0):
-            walk = dl.geometric_drift_walk(0.1, delta)
+            walk = dl.GeometricDriftWalk(0.1, delta)
             check = dl.mgf_bound_check(walk.jump_table(), delta=delta, r=1.0 + delta)
             assert check.estimate == pytest.approx(2.0 + delta, rel=1e-10)
             assert check.bound == pytest.approx((1 + delta) * (4 + delta + 2 / delta), rel=1e-12)
             assert check.verdict
 
     def test_geometric_walk_below_fourteen(self):
-        walk = dl.geometric_drift_walk(0.2, 1.0)
+        walk = dl.GeometricDriftWalk(0.2, 1.0)
         check = dl.mgf_bound_check(walk.jump_table(), delta=1.0, r=2.0)
         assert check.estimate <= 14.0
         assert check.verdict
 
     def test_empirical_samples_within_tolerance(self):
-        walk = dl.geometric_drift_walk(0.2, 1.0)
+        walk = dl.GeometricDriftWalk(0.2, 1.0)
         samples = walk.jump_table().sample(generator(99), 100_000)
         check = dl.mgf_bound_check(samples, delta=1.0, r=2.0)
         assert check.std_error is not None
         assert check.estimate <= 14.0 + 5.0 * check.std_error
 
     def test_rejects_condition_failures(self):
-        table = dl.counterexample_chain(10).jump_table()
+        table = dl.CounterexampleChain(10).jump_table()
         with pytest.raises(ValueError, match="not asserted"):
             dl.mgf_bound_check(table, delta=1.0, r=2.0)
