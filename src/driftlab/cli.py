@@ -13,7 +13,7 @@ from dataclasses import asdict, fields, replace
 
 from . import __version__
 from .conditions import check_conditions_empirical, check_conditions_exact, harvest_step_samples
-from .core import default_workers, estimate_hitting_probability
+from .core import default_workers, estimate_hitting_probability, ordered_map
 from .presets import PRESETS, ExperimentConfig, get_preset, load_config
 from .reporting import (
     condition_report_columns,
@@ -21,10 +21,11 @@ from .reporting import (
     condition_summary,
     constants_trace,
     format_cell,
+    format_rows,
     write_csv,
 )
 from .theorem import derive_constants, hajek_escape_bound
-from .inequalities import SWEEPS, SweepGrid
+from .inequalities import SWEEPS, SweepGrid, check_grid, slab_count
 
 
 class ConfigError(Exception):
@@ -135,27 +136,54 @@ def cmd_constants(args) -> int:
     return 0
 
 
+def _bounds_slab(task) -> tuple[str, int, int]:
+    """(CSV text, or "" without --out; links; failures) of one slab of a sweep.
+
+    The links stream into the formatter one by one. Links of one chain share
+    their parameters dict, so its text is built once per chain."""
+    suite, grid, slab, with_text = task
+    links = failures = 0
+
+    def rows():
+        nonlocal links, failures
+        params, text = None, ""
+        for result in SWEEPS[suite](grid, slab=slab):
+            links += 1
+            failures += not result.holds
+            if not with_text:
+                continue
+            if result.parameters is not params:
+                params = result.parameters
+                text = ";".join([f"{k}={format_cell(v)}" for k, v in params.items()])
+            yield (result.name, text, result.lhs, result.rhs, result.margin, result.holds)
+
+    text = format_rows(rows())
+    return text, links, failures
+
+
 def cmd_bounds(args) -> int:
     suites = sorted(SWEEPS) if args.suite == "all" else [args.suite]
     grid = SweepGrid(**{f.name: getattr(args, f.name) for f in fields(SweepGrid)})
+    for suite in suites:
+        check_grid(suite, grid)
+    tasks = [
+        (suite, grid, slab, bool(args.out)) for suite in suites for slab in range(slab_count(suite, grid))
+    ]
     failures = 0
     rows = 0
 
-    def emit():
+    def texts():
         nonlocal failures, rows
-        for suite in suites:
-            for result in SWEEPS[suite](grid):
-                rows += 1
-                if not result.holds:
-                    failures += 1
-                params = ";".join(f"{k}={format_cell(v)}" for k, v in result.parameters.items())
-                yield (result.name, params, result.lhs, result.rhs, result.margin, result.holds)
+        for text, links, failed in ordered_map(_bounds_slab, tasks, args.threads):
+            rows += links
+            failures += failed
+            yield text
 
     if args.out:
         provenance = {"command": "bounds", "suite": args.suite, **asdict(grid)}
-        write_csv(args.out, provenance, ["name", "parameters", "lhs", "rhs", "margin", "holds"], emit())
+        write_csv(args.out, provenance, ["name", "parameters", "lhs", "rhs", "margin", "holds"], (), blocks=texts())
     else:
-        for _ in emit():
+        for _ in texts():
             pass
     print(f"bounds suite {args.suite}: {rows} links checked, {failures} failures")
     return 1 if failures else 0
@@ -275,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SWEEPS) + ["all"], default="all")
     for f in fields(SweepGrid):
         p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default, dest=f.name)
+    p.add_argument("--threads", type=int, default=default_workers(), help="worker processes for sweep slabs")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_bounds)
 

@@ -51,12 +51,13 @@ class ConditionParams:
     j_max: int = 64
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.r < 1.0:
-            raise ValueError(f"r must be >= 1, got {self.r}")
+        # written so that NaN fails each comparison
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not 1.0 <= self.r < math.inf:
+            raise ValueError(f"r must be >= 1 and finite, got {self.r}")
         if self.j_max < 1:
             raise ValueError(f"j_max must be >= 1, got {self.j_max}")
 

@@ -9,9 +9,10 @@ they can be distributed across workers without affecting results.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .rng import MASK64, generator, trial_seed
 from .stats import wilson_interval
@@ -135,12 +136,35 @@ def run_trials(
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
-    outcomes: list[TrialOutcome] = []
+    return [outcome for chunk in ordered_map(_run_chunk, tasks, workers) for outcome in chunk]
+
+
+def ordered_map(fn, tasks: Iterable, workers: int) -> Iterator:
+    """Yield fn(task) for each task, in the order of `tasks`.
+
+    With workers > 1 the calls run in a pool of that many processes, and at
+    most 2 * workers of them are submitted and not yet yielded, so the results
+    held at once stay bounded however many tasks there are. fn and the tasks
+    are pickled, so fn must be a module-level function.
+    """
+    if workers <= 1:
+        yield from map(fn, tasks)
+        return
+    # The platform's default start method (fork on Linux) spares each worker the
+    # ~0.9 s import of numpy and scipy; the executor forks all its workers before
+    # it starts its own thread, and driftlab starts none.
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_run_chunk, tasks):
-            outcomes.extend(chunk)
-    outcomes.sort(key=lambda o: o.index)
-    return outcomes
+        pending: deque = deque()
+        try:
+            for task in tasks:
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, task))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def estimate_hitting_probability(

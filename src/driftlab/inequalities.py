@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,8 @@ E_HI = E_LO + Fraction(2, math.factorial(31))
 
 #: exact integer threshold below which links are decided in int/Fraction arithmetic
 EXACT_LIMIT = 1000
+#: the largest n of the mutation chain
+MUTATION_N_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def _mutation_comparisons(n: int, j: int) -> tuple[bool, bool, str, float, float
 def mutation_tail_chain(n: int, j: int) -> list[InequalityResult]:
     """Links C(n,j) n^{-j} <= 1/j! and 1/j! <= 2 (1/2)^j of the standard-bit-
     mutation tail bound. Both links hold with equality at j = 1."""
-    if not 1 <= j <= n <= 10_000:
+    if not 1 <= j <= n <= MUTATION_N_LIMIT:
         raise ValueError(f"need 1 <= j <= n <= 10^4, got n={n}, j={j}")
     params = {"n": n, "j": j}
     holds1, holds2, note, binomial, inv_factorial, geometric = _mutation_comparisons(n, j)
@@ -102,46 +104,48 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
-def _matching_sum_links(m: int, h: int, j: int) -> list[InequalityResult]:
+def _matching_sum_links(m: int, h: int, j_values: range) -> list[InequalityResult]:
     """Sum link sum_{i=j}^{m-j} x^i <= m x^j (x = 2h/m^2) and the simplification
-    m x^j <= m^{-(j-1)}; the sum is empty for j > m/2 and then trivially 0."""
-    params = {"m": m, "h": h, "j": j}
+    m x^j <= m^{-(j-1)} for each j of `j_values`; the sum is empty for j > m/2 and
+    then trivially 0. The exact powers (2h)^j and m^j are carried across j."""
     p, q = 2 * h, m * m
     x = p / q
-    upper = m - j
-    if j > upper:
-        lhs_sum = 0.0
-        holds_sum = True
-        note = "empty summation range, sum is 0"
-        sharper = 0.0
-    else:
-        k = upper - j
-        sum_num = (q ** (k + 1) - p ** (k + 1)) // (q - p)
-        holds_sum = sum_num <= m * q**k
-        lhs_sum = x**j * float(sum_num) / float(q**k) if q**k < 2**1000 else x**j / (1 - x)
-        sharper = x**j / (1.0 - x)
-        note = f"exact integer comparison; sharper geometric bound {sharper!r}"
-    rhs_sum = m * x**j
-    largest_rhs = m ** (-(j - 1)) if j >= 1 else float(m)
-    holds_largest = p**j <= m**j
-    results = [
-        InequalityResult(
-            "matching-sum-vs-largest-term",
-            params,
-            lhs_sum,
-            rhs_sum,
-            holds_sum,
-            note,
-        ),
-        InequalityResult(
-            "matching-largest-term-vs-power",
-            params,
-            rhs_sum,
-            largest_rhs,
-            holds_largest,
-            "exact integer comparison",
-        ),
-    ]
+    results = []
+    p_j, m_j = p ** j_values.start, m ** j_values.start
+    for j in j_values:
+        params = {"m": m, "h": h, "j": j}
+        x_j = x**j
+        upper = m - j
+        if j > upper:
+            lhs_sum = 0.0
+            holds_sum = True
+            note = "empty summation range, sum is 0"
+        else:
+            k = upper - j
+            q_k = q**k
+            sum_num = (q_k * q - p ** (k + 1)) // (q - p)
+            holds_sum = sum_num <= m * q_k
+            lhs_sum = x_j * float(sum_num) / float(q_k) if q_k < 2**1000 else x_j / (1 - x)
+            sharper = x_j / (1.0 - x)
+            note = f"exact integer comparison; sharper geometric bound {sharper!r}"
+        rhs_sum = m * x_j
+        largest_rhs = m ** (-(j - 1)) if j >= 1 else float(m)
+        holds_largest = p_j <= m_j
+        p_j *= p
+        m_j *= m
+        results.append(
+            InequalityResult("matching-sum-vs-largest-term", params, lhs_sum, rhs_sum, holds_sum, note)
+        )
+        results.append(
+            InequalityResult(
+                "matching-largest-term-vs-power",
+                params,
+                rhs_sum,
+                largest_rhs,
+                holds_largest,
+                "exact integer comparison",
+            )
+        )
     return results
 
 
@@ -184,7 +188,7 @@ def matching_jump_bound(m: int, h: int, j: int) -> list[InequalityResult]:
         raise ValueError(f"the bound needs 2h <= m, got 2h={2 * h} > m={m}")
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    results = _matching_sum_links(m, h, j)
+    results = _matching_sum_links(m, h, range(j, j + 1))
     results.append(matching_ratio_link(m, j))
     return results
 
@@ -207,13 +211,9 @@ def _partial_factorial_sum(j: int, count: int) -> Fraction:
 _DIVERSITY_TRUNC = 30
 
 
-def diversity_bound(mu: int, phi: int, j: int) -> list[InequalityResult]:
-    """Chain for the population-diversity potential: the finite selection sum,
-    its extension to the infinite factorial series, the closed bound e/j!, and
-    the reindexing identity over the finite range."""
-    if mu < 1 or phi < 0 or j < 1:
-        raise ValueError(f"need mu >= 1, phi >= 0, j >= 1, got mu={mu}, phi={phi}, j={j}")
-    params = {"mu": mu, "phi": phi, "j": j}
+def _diversity_terms(phi: int, j: int) -> tuple:
+    """The links of the diversity chain at (phi, j) before the common factor 1/mu:
+    (name, lhs, rhs, holds, note) with exact rational sides. None of it depends on mu."""
     finite = _partial_factorial_sum(j, phi + 1)
     terms = max(_DIVERSITY_TRUNC, phi + 1)
     tail_start = j + terms
@@ -223,33 +223,50 @@ def diversity_bound(mu: int, phi: int, j: int) -> list[InequalityResult]:
     reversed_sum = sum(
         (Fraction(1, math.factorial(phi - k + j)) for k in range(phi + 1)), Fraction(0)
     )
-    one_over_mu = Fraction(1, mu)
-    return [
-        InequalityResult.from_exact(
+    return (
+        (
             "diversity-finite-vs-infinite",
-            params,
-            finite * one_over_mu,
-            infinite_upper * one_over_mu,
-            holds=finite <= infinite_upper,
-            note=f"truncated after {terms} terms with certified remainder",
+            finite,
+            infinite_upper,
+            finite <= infinite_upper,
+            f"truncated after {terms} terms with certified remainder",
         ),
-        InequalityResult.from_exact(
+        (
             "diversity-infinite-vs-closed-form",
-            params,
-            infinite_upper * one_over_mu,
-            closed * one_over_mu,
-            holds=infinite_upper <= closed,
-            note="compared against a certified lower bound on e/j!",
+            infinite_upper,
+            closed,
+            infinite_upper <= closed,
+            "compared against a certified lower bound on e/j!",
         ),
-        InequalityResult.from_exact(
-            "diversity-reindexing-identity",
+        ("diversity-reindexing-identity", reversed_sum, finite, reversed_sum == finite, "exact rational equality"),
+    )
+
+
+def _diversity_links(terms: tuple, mu: int, phi: int, j: int) -> list[InequalityResult]:
+    """The diversity chain at (mu, phi, j) from _diversity_terms(phi, j). Each side
+    is the exact rational num/den divided by mu, and num / (den * mu) is its
+    correctly rounded float, as float(Fraction(num, den) / mu) is."""
+    params = {"mu": mu, "phi": phi, "j": j}
+    return [
+        InequalityResult(
+            name,
             params,
-            reversed_sum * one_over_mu,
-            finite * one_over_mu,
-            holds=reversed_sum == finite,
-            note="exact rational equality",
-        ),
+            lhs.numerator / (lhs.denominator * mu),
+            rhs.numerator / (rhs.denominator * mu),
+            holds,
+            note,
+        )
+        for name, lhs, rhs, holds, note in terms
     ]
+
+
+def diversity_bound(mu: int, phi: int, j: int) -> list[InequalityResult]:
+    """Chain for the population-diversity potential: the finite selection sum,
+    its extension to the infinite factorial series, the closed bound e/j!, and
+    the reindexing identity over the finite range."""
+    if mu < 1 or phi < 0 or j < 1:
+        raise ValueError(f"need mu >= 1, phi >= 0, j >= 1, got mu={mu}, phi={phi}, j={j}")
+    return _diversity_links(_diversity_terms(phi, j), mu, phi, j)
 
 
 #: 1 - 1/(2e), the self-loop constant of the offspring-population bound
@@ -399,35 +416,85 @@ class SweepGrid:
     j_max: int = 64
 
 
-def sweep_mutation(grid: SweepGrid = SweepGrid()) -> Iterator[InequalityResult]:
-    """All mutation-chain links for 1 <= j <= n <= n_max."""
-    for n in range(1, grid.n_max + 1):
+def _outer_loop(suite: str, grid: SweepGrid) -> tuple[Sequence[int], int]:
+    """The values of a sweep's outermost loop on `grid`, and how many of them make one slab."""
+    if suite == "mutation":
+        return range(1, grid.n_max + 1), 10
+    if suite == "matching":
+        return range(2, grid.m_max + 1), 1
+    if suite == "diversity":
+        return range(0, grid.phi_max + 1), 1
+    if suite == "comma-lambda":
+        return log_spaced_integers(2, grid.n_max), 1
+    raise ValueError(f"unknown sweep {suite!r}; known: {', '.join(SWEEPS)}")
+
+
+def _slab(suite: str, grid: SweepGrid, slab: Optional[int]) -> Sequence[int]:
+    """The outer-loop values of slab number `slab`, or all of them for None."""
+    values, size = _outer_loop(suite, grid)
+    return values if slab is None else values[slab * size : (slab + 1) * size]
+
+
+def slab_count(suite: str, grid: SweepGrid) -> int:
+    """Number of slabs of SWEEPS[suite] on `grid`."""
+    values, size = _outer_loop(suite, grid)
+    return -(-len(values) // size)
+
+
+#: per sweep, the grid fields it reads and the range (None: unbounded) in which
+#: each lets it check at least one link and reach none that its chain refuses
+_GRID_RANGES = {
+    "mutation": {"n_max": (1, MUTATION_N_LIMIT)},
+    "matching": {"m_max": (2, None), "j_max": (0, None)},
+    "diversity": {"phi_max": (0, None), "mu_max": (1, None), "j_max": (1, None)},
+    "comma-lambda": {"n_max": (2, None), "lambda_max": (1, None), "j_max": (0, None)},
+}
+
+
+def check_grid(suite: str, grid: SweepGrid) -> None:
+    """Raise ValueError, naming the grid field, when SWEEPS[suite] would check no
+    link on `grid` or would reach a link outside its chain's domain. The sweeps
+    themselves accept any grid and yield nothing for an empty one."""
+    for name, (lo, hi) in _GRID_RANGES[suite].items():
+        value = getattr(grid, name)
+        if value < lo:
+            raise ValueError(f"the {suite} sweep checks no links unless {name} >= {lo}, got {name}={value}")
+        if hi is not None and value > hi:
+            raise ValueError(f"the {suite} sweep needs {name} <= {hi}, got {name}={value}")
+
+
+def sweep_mutation(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None) -> Iterator[InequalityResult]:
+    """All mutation-chain links for 1 <= j <= n <= n_max; a slab holds a block of n."""
+    for n in _slab("mutation", grid, slab):
         for j in range(1, n + 1):
             yield from mutation_tail_chain(n, j)
 
 
-def sweep_matching(grid: SweepGrid = SweepGrid()) -> Iterator[InequalityResult]:
-    """All matching-chain links for 2 <= m <= m_max, 1 <= h <= m/2, 0 <= j <= j_max.
+def sweep_matching(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None) -> Iterator[InequalityResult]:
+    """All matching-chain links for 2 <= m <= m_max, 1 <= h <= m/2, 0 <= j <= j_max;
+    a slab holds one m.
 
     The ratio link does not depend on h and is emitted once per (m, j)."""
-    for m in range(2, grid.m_max + 1):
-        for j in range(0, grid.j_max + 1):
+    j_values = range(0, grid.j_max + 1)
+    for m in _slab("matching", grid, slab):
+        for j in j_values:
             yield matching_ratio_link(m, j)
         for h in range(1, m // 2 + 1):
-            for j in range(0, grid.j_max + 1):
-                yield from _matching_sum_links(m, h, j)
+            yield from _matching_sum_links(m, h, j_values)
 
 
 #: the diversity sweep stops at this tail index whatever the grid's j_max
 _DIVERSITY_J_CAP = 20
 
 
-def sweep_diversity(grid: SweepGrid = SweepGrid()) -> Iterator[InequalityResult]:
-    """All diversity-chain links for 0 <= phi <= phi_max, 1 <= j <= min(j_max, 20), 1 <= mu <= mu_max."""
-    for phi in range(0, grid.phi_max + 1):
+def sweep_diversity(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None) -> Iterator[InequalityResult]:
+    """All diversity-chain links for 0 <= phi <= phi_max, 1 <= j <= min(j_max, 20),
+    1 <= mu <= mu_max; a slab holds one phi."""
+    for phi in _slab("diversity", grid, slab):
         for j in range(1, min(grid.j_max, _DIVERSITY_J_CAP) + 1):
+            terms = _diversity_terms(phi, j)
             for mu in range(1, grid.mu_max + 1):
-                yield from diversity_bound(mu, phi, j)
+                yield from _diversity_links(terms, mu, phi, j)
 
 
 def log_spaced_integers(lo: int, hi: int, per_decade: int = 8) -> list[int]:
@@ -439,10 +506,11 @@ def log_spaced_integers(lo: int, hi: int, per_decade: int = 8) -> list[int]:
     return [int(v) for v in grid if lo <= v <= hi]
 
 
-def sweep_comma_lambda(grid: SweepGrid = SweepGrid()) -> Iterator[InequalityResult]:
-    """Comma-lambda chain over log-sampled 2 <= n <= n_max and full lambda/j grids."""
+def sweep_comma_lambda(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None) -> Iterator[InequalityResult]:
+    """Comma-lambda chain over log-sampled 2 <= n <= n_max and full lambda/j grids;
+    a slab holds one n."""
     lambdas = log_spaced_integers(1, grid.lambda_max)
-    for n in log_spaced_integers(2, grid.n_max):
+    for n in _slab("comma-lambda", grid, slab):
         for lam in lambdas:
             for j in range(0, min(grid.j_max, n) + 1):
                 yield from comma_lambda_bounds(n, lam, j)
@@ -454,3 +522,7 @@ SWEEPS = {
     "diversity": sweep_diversity,
     "comma-lambda": sweep_comma_lambda,
 }
+"""Each sweep takes the grid and an optional slab number. SWEEPS[suite](grid) is
+the in-order concatenation of SWEEPS[suite](grid, slab=k) for k in
+range(slab_count(suite, grid)): slabs cut the sweep's outermost loop, so they can
+be computed apart and joined in order."""

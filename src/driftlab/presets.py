@@ -58,6 +58,9 @@ class ExperimentConfig:
                 raise ValueError(f"horizon must be an integer, {AUTO!r} or {WINDOW!r}")
         elif self.horizon < 1:
             raise ValueError(f"horizon must be at least one step, got {self.horizon}")
+        # checked here, not only by derive_constants, so scaling stops before its first ell runs
+        if not all(0 < ell < math.inf for ell in self.ell_values):
+            raise ValueError(f"ell_values must be positive and finite, got {self.ell_values}")
 
     def process(self) -> Process:
         return make_process(self.process_kind, **self.process_params)

@@ -9,6 +9,8 @@ formatting; no timestamps or host details, which keeps reruns byte-identical.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 from typing import Iterable
 
 
@@ -22,14 +24,71 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, provenance: dict, columns: list[str], rows: Iterable, trailer: str = "") -> None:
+#: float texts format_rows keeps for reuse; repeats sit close together in a sweep
+_FLOATS_KEPT = 4096
+#: rows per format_rows call in write_csv, which bounds the text held at once
+_ROWS_PER_BATCH = 4096
+
+
+def format_rows(rows: Iterable) -> str:
+    """CSV text of `rows`: one LF-terminated line per row, its cells as format_cell
+    gives them, quoted as csv.writer's QUOTE_MINIMAL quotes them.
+
+    A line is joined directly unless a cell holds a comma, a quote or a line
+    break, or the row is one empty cell; no row driftlab writes does. Such a
+    row goes through csv.writer, so the quoting never differs from the csv
+    module's.
+    """
+    floats: dict = {}  # a sweep repeats a float many times, and repr is the costly step
+    lines = []
+    for row in rows:
+        cells = []
+        for value in row:
+            kind = type(value)
+            if kind is float:
+                text = floats.get(value)
+                if text is None:
+                    if len(floats) == _FLOATS_KEPT:
+                        floats.clear()
+                    text = floats[value] = format_cell(value)
+            elif kind is str:
+                text = value
+            elif kind is bool:
+                text = "true" if value else "false"
+            else:
+                text = format_cell(value)
+            cells.append(text)
+        line = ",".join(cells)
+        if (
+            line
+            and line.count(",") == len(cells) - 1
+            and '"' not in line
+            and "\n" not in line
+            and "\r" not in line
+        ):
+            lines.append(line)
+        else:
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow(cells)
+            lines.append(out.getvalue()[:-1])
+    lines.append("")
+    return "\n".join(lines)
+
+
+def write_csv(
+    path: str, provenance: dict, columns: list[str], rows: Iterable, trailer: str = "", blocks: Iterable[str] = ()
+) -> None:
+    """Write provenance lines, the header, `rows`, then `blocks` (CSV text that
+    format_rows made elsewhere, such as in pool workers) and the trailer."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in provenance.items():
             fh.write(f"# {key}={format_cell(value)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+        fh.write(format_rows([columns]))
+        rows = iter(rows)
+        while batch := list(itertools.islice(rows, _ROWS_PER_BATCH)):
+            fh.write(format_rows(batch))
+        for block in blocks:
+            fh.write(block)
         if trailer:
             fh.write(trailer if trailer.endswith("\n") else trailer + "\n")
 

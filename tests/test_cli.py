@@ -176,10 +176,33 @@ def test_bounds_small_and_empty(tmp_path):
     _, header, rows, _ = read_csv(out)
     assert header == ["name", "parameters", "lhs", "rhs", "margin", "holds"]
     assert rows and all(r["holds"] == "true" for r in rows)
+    # a grid on which the suite checks no link is refused before any output
     empty = tmp_path / "empty.csv"
-    assert main(["bounds", "--suite", "mutation", "--n-max", "0", "--out", str(empty)]) == 0
-    _, header2, rows2, _ = read_csv(empty)
-    assert header2 == header and rows2 == []
+    assert main(["bounds", "--suite", "mutation", "--n-max", "0", "--out", str(empty)]) == 2
+    assert not empty.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--lambda-max", "0"], "lambda_max"),
+        (["--j-max", "-1"], "j_max"),
+        (["--suite", "matching", "--m-max", "1"], "m_max"),
+        (["--suite", "diversity", "--mu-max", "0"], "mu_max"),
+        (["--suite", "diversity", "--phi-max", "-1"], "phi_max"),
+        (["--suite", "diversity", "--j-max", "0"], "j_max"),
+        (["--suite", "comma-lambda", "--n-max", "1"], "n_max"),
+        # above 10^4 the mutation chain is undefined; the sweep would fail after ~5e7 links
+        (["--suite", "mutation", "--n-max", "10001"], "n_max"),
+        (["--n-max", "20000"], "n_max"),
+    ],
+)
+def test_bounds_refuses_vacuous_or_impossible_grids(flags, field, tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", *flags, "--out", str(out)]) == 2
+    assert field in _single_error_line(capsys)
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_config_errors_exit_two(tmp_path, capsys):
@@ -217,6 +240,26 @@ def _single_error_line(capsys) -> str:
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     return lines[0]
+
+
+def test_non_finite_inputs_exit_two(tmp_path, capsys):
+    nan_eps = tmp_path / "nan-eps.ini"
+    nan_eps.write_text("[process]\nkind = counterexample\nn = 10\n[window]\nb = 10\n[conditions]\neps = nan\n")
+    assert main(["check", "--config", str(nan_eps)]) == 2
+    assert "eps" in _single_error_line(capsys)
+    inf_ell = tmp_path / "inf-ell.ini"
+    inf_ell.write_text(
+        "[process]\nkind = geometric-walk\neps = 0.2\ndelta = 1\n"
+        "[conditions]\neps = 0.2\ndelta = 1\n[run]\nell_values = inf\n"
+    )
+    assert main(["scaling", "--config", str(inf_ell)]) == 2
+    assert "ell_values" in _single_error_line(capsys)
+    valid = {"--eps": "0.2", "--delta": "1", "--ell": "30"}
+    for flag, value in [("--eps", "nan"), ("--delta", "inf"), ("--r", "inf"), ("--ell", "-inf"),
+                        ("--prob-target", "nan")]:
+        argv = [f"{key}={text}" for key, text in (valid | {flag: value}).items()]
+        assert main(["constants", *argv]) == 2, flag
+        assert value in _single_error_line(capsys), flag
 
 
 def test_horizon_below_one_step_exits_two(capsys):

@@ -136,3 +136,10 @@ def test_run_trials_worker_count_does_not_change_results():
     serial = dl.run_trials(process, win, 180, 12_000, master_seed=13, workers=1)
     parallel = dl.run_trials(process, win, 180, 12_000, master_seed=13, workers=3)
     assert serial == parallel
+
+
+def test_ordered_map_keeps_task_order_with_more_workers_than_cores():
+    # later tasks are cheaper, so they finish first; results still come in task order
+    tasks = list(range(3000, 0, -100))
+    assert list(dl.core.ordered_map(math.factorial, tasks, workers=3)) == [math.factorial(n) for n in tasks]
+    assert list(dl.core.ordered_map(math.factorial, tasks, workers=1)) == [math.factorial(n) for n in tasks]

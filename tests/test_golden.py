@@ -68,6 +68,25 @@ GOLDEN = {
         ["bounds", "--suite", "all", *SMOKE_GRID],
         "c21497c945266aaf42ad293c9a812b7882413d82d1702acf780bc32c37bc0288",
     ),
+    # the CSV does not depend on the worker count
+    "bounds-smoke-grid-one-worker": (
+        ["bounds", "--suite", "all", *SMOKE_GRID, "--threads", "1"],
+        "c21497c945266aaf42ad293c9a812b7882413d82d1702acf780bc32c37bc0288",
+    ),
+    "bounds-smoke-grid-two-workers": (
+        ["bounds", "--suite", "all", *SMOKE_GRID, "--threads", "2"],
+        "c21497c945266aaf42ad293c9a812b7882413d82d1702acf780bc32c37bc0288",
+    ),
+    # n = 1125, 1500 and 2000 lie above EXACT_LIMIT and take the log-gamma branch
+    "bounds-comma-lambda-log-gamma": (
+        ["bounds", "--suite", "comma-lambda", "--n-max", "2000", "--lambda-max", "4", "--j-max", "8"],
+        "e841409db6dc4219f666e6096217cfa5a1f6ef6bc4572945c1af85a4a384a9dc",
+    ),
+    # 40 sum links have q^k >= 2^1000 and take the geometric-series branch
+    "bounds-matching-huge-powers": (
+        ["bounds", "--suite", "matching", "--m-max", "80", "--j-max", "2"],
+        "6f2d01687553612248c7c333a47fd0aa8caeed24bbf8e7191d87535c698f1db6",
+    ),
 }
 
 

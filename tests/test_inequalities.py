@@ -9,9 +9,11 @@ import driftlab as dl
 from driftlab.inequalities import (
     E_HI,
     E_LO,
+    SWEEPS,
     SweepGrid,
     log_spaced_integers,
     matching_ratio_link,
+    slab_count,
     sweep_comma_lambda,
     sweep_diversity,
     sweep_matching,
@@ -143,6 +145,14 @@ class TestDiversityChain:
                 assert links[2].holds
                 assert links[2].lhs == links[2].rhs
 
+    def test_sides_are_the_rounded_exact_rationals(self):
+        # each side is float(exact sum / mu), rounded once from the exact rational
+        for mu, phi, j in [(1, 0, 1), (3, 7, 5), (7, 12, 20), (20, 50, 9)]:
+            finite = sum(Fraction(1, math.factorial(k + j)) for k in range(phi + 1))
+            first, _, reindex = dl.diversity_bound(mu, phi, j)
+            assert first.lhs == float(finite / mu)
+            assert reindex.lhs == reindex.rhs == float(finite / mu)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             dl.diversity_bound(0, 3, 2)
@@ -246,6 +256,33 @@ class TestSweeps:
     def test_comma_lambda_sweep_small(self):
         results = list(sweep_comma_lambda(SweepGrid(n_max=128, lambda_max=8, j_max=16)))
         assert results and all(r.holds for r in results)
+
+    @pytest.mark.parametrize("suite", sorted(SWEEPS))
+    def test_sweep_is_its_slabs_in_order(self, suite):
+        grid = SweepGrid(n_max=37, m_max=12, mu_max=3, phi_max=4, lambda_max=9, j_max=7)
+        whole = list(SWEEPS[suite](grid))
+        count = slab_count(suite, grid)
+        slabs = [link for k in range(count) for link in SWEEPS[suite](grid, slab=k)]
+        assert count > 1 and whole and slabs == whole
+        assert list(SWEEPS[suite](grid, slab=count)) == []
+
+    def test_sweeps_equal_their_chain_functions(self):
+        grid = SweepGrid(m_max=11, mu_max=3, phi_max=4, j_max=7)
+        matching = []
+        for m in range(2, grid.m_max + 1):
+            matching += [matching_ratio_link(m, j) for j in range(grid.j_max + 1)]
+            for h in range(1, m // 2 + 1):
+                for j in range(grid.j_max + 1):
+                    matching += dl.matching_jump_bound(m, h, j)[:2]
+        assert list(sweep_matching(grid)) == matching
+        diversity = [
+            link
+            for phi in range(grid.phi_max + 1)
+            for j in range(1, grid.j_max + 1)
+            for mu in range(1, grid.mu_max + 1)
+            for link in dl.diversity_bound(mu, phi, j)
+        ]
+        assert list(sweep_diversity(grid)) == diversity
 
     def test_empty_ranges_yield_nothing(self):
         assert list(sweep_mutation(SweepGrid(n_max=0))) == []
