@@ -21,7 +21,6 @@ from .reporting import (
     condition_summary,
     constants_trace,
     format_cell,
-    format_rows,
     write_csv,
 )
 from .theorem import derive_constants, hajek_escape_bound
@@ -136,29 +135,18 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _bounds_slab(task) -> tuple[str, int, int]:
-    """(CSV text, or "" without --out; links; failures) of one slab of a sweep.
-
-    The links stream into the formatter one by one. Links of one chain share
-    their parameters dict, so its text is built once per chain."""
-    suite, grid, slab, with_text = task
-    links = failures = 0
-
-    def rows():
-        nonlocal links, failures
-        params, text = None, ""
-        for result in SWEEPS[suite](grid, slab=slab):
-            links += 1
-            failures += not result.holds
-            if not with_text:
-                continue
-            if result.parameters is not params:
-                params = result.parameters
-                text = ";".join([f"{k}={format_cell(v)}" for k, v in params.items()])
-            yield (result.name, text, result.lhs, result.rhs, result.margin, result.holds)
-
-    text = format_rows(rows())
-    return text, links, failures
+def _bounds_slab(task) -> list[tuple]:
+    """The CSV rows of one slab of a sweep. Links of one chain share their
+    parameters dict, so its text is built once per chain."""
+    suite, grid, slab = task
+    rows = []
+    params, text = None, ""
+    for result in SWEEPS[suite](grid, slab=slab):
+        if result.parameters is not params:
+            params = result.parameters
+            text = ";".join([f"{k}={format_cell(v)}" for k, v in params.items()])
+        rows.append((result.name, text, result.lhs, result.rhs, result.margin, result.holds))
+    return rows
 
 
 def cmd_bounds(args) -> int:
@@ -166,26 +154,24 @@ def cmd_bounds(args) -> int:
     grid = SweepGrid(**{f.name: getattr(args, f.name) for f in fields(SweepGrid)})
     for suite in suites:
         check_grid(suite, grid)
-    tasks = [
-        (suite, grid, slab, bool(args.out)) for suite in suites for slab in range(slab_count(suite, grid))
-    ]
+    tasks = [(suite, grid, slab) for suite in suites for slab in range(slab_count(suite, grid))]
     failures = 0
-    rows = 0
+    links = 0
 
-    def texts():
-        nonlocal failures, rows
-        for text, links, failed in ordered_map(_bounds_slab, tasks, args.threads):
-            rows += links
-            failures += failed
-            yield text
+    def emit():
+        nonlocal failures, links
+        for rows in ordered_map(_bounds_slab, tasks, args.threads):
+            links += len(rows)
+            failures += sum(not row[-1] for row in rows)
+            yield from rows
 
     if args.out:
         provenance = {"command": "bounds", "suite": args.suite, **asdict(grid)}
-        write_csv(args.out, provenance, ["name", "parameters", "lhs", "rhs", "margin", "holds"], (), blocks=texts())
+        write_csv(args.out, provenance, ["name", "parameters", "lhs", "rhs", "margin", "holds"], emit())
     else:
-        for _ in texts():
+        for _ in emit():
             pass
-    print(f"bounds suite {args.suite}: {rows} links checked, {failures} failures")
+    print(f"bounds suite {args.suite}: {links} links checked, {failures} failures")
     return 1 if failures else 0
 
 
@@ -303,7 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SWEEPS) + ["all"], default="all")
     for f in fields(SweepGrid):
         p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default, dest=f.name)
-    p.add_argument("--threads", type=int, default=default_workers(), help="worker processes for sweep slabs")
+    # One process by default: the calling process formats every row, so workers
+    # only share the sweeps (two cut the time by about a quarter), and a
+    # profiler or tracer in the calling process sees every link.
+    p.add_argument("--threads", type=int, default=1, help="worker processes for the sweeps (default 1)")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_bounds)
 

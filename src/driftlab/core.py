@@ -150,9 +150,9 @@ def ordered_map(fn, tasks: Iterable, workers: int) -> Iterator:
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    # The platform's default start method (fork on Linux) spares each worker the
-    # ~0.9 s import of numpy and scipy; the executor forks all its workers before
-    # it starts its own thread, and driftlab starts none.
+    # On Linux before Python 3.14 the default start method is fork, which spares
+    # each worker the ~0.9 s import of numpy and scipy; from 3.14 it is
+    # forkserver, and each worker imports them again.
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         try:

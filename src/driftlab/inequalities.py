@@ -416,51 +416,55 @@ class SweepGrid:
     j_max: int = 64
 
 
-def _outer_loop(suite: str, grid: SweepGrid) -> tuple[Sequence[int], int]:
-    """The values of a sweep's outermost loop on `grid`, and how many of them make one slab."""
+def _outer_loop(suite: str, grid: SweepGrid) -> tuple[str, Sequence[int], int]:
+    """The grid field that bounds a sweep's outermost loop, the values the loop takes
+    on `grid`, and how many of them make one slab."""
     if suite == "mutation":
-        return range(1, grid.n_max + 1), 10
+        return "n_max", range(1, grid.n_max + 1), 10
     if suite == "matching":
-        return range(2, grid.m_max + 1), 1
+        return "m_max", range(2, grid.m_max + 1), 1
     if suite == "diversity":
-        return range(0, grid.phi_max + 1), 1
+        return "phi_max", range(0, grid.phi_max + 1), 1
     if suite == "comma-lambda":
-        return log_spaced_integers(2, grid.n_max), 1
+        return "n_max", log_spaced_integers(2, grid.n_max), 1
     raise ValueError(f"unknown sweep {suite!r}; known: {', '.join(SWEEPS)}")
 
 
 def _slab(suite: str, grid: SweepGrid, slab: Optional[int]) -> Sequence[int]:
     """The outer-loop values of slab number `slab`, or all of them for None."""
-    values, size = _outer_loop(suite, grid)
+    _, values, size = _outer_loop(suite, grid)
     return values if slab is None else values[slab * size : (slab + 1) * size]
 
 
 def slab_count(suite: str, grid: SweepGrid) -> int:
     """Number of slabs of SWEEPS[suite] on `grid`."""
-    values, size = _outer_loop(suite, grid)
+    _, values, size = _outer_loop(suite, grid)
     return -(-len(values) // size)
 
 
-#: per sweep, the grid fields it reads and the range (None: unbounded) in which
-#: each lets it check at least one link and reach none that its chain refuses
-_GRID_RANGES = {
-    "mutation": {"n_max": (1, MUTATION_N_LIMIT)},
-    "matching": {"m_max": (2, None), "j_max": (0, None)},
-    "diversity": {"phi_max": (0, None), "mu_max": (1, None), "j_max": (1, None)},
-    "comma-lambda": {"n_max": (2, None), "lambda_max": (1, None), "j_max": (0, None)},
+#: per sweep, the least value of each grid field bounding an inner loop for
+#: which that loop is not empty
+_INNER_MINIMA = {
+    "mutation": {},
+    "matching": {"j_max": 0},
+    "diversity": {"mu_max": 1, "j_max": 1},
+    "comma-lambda": {"lambda_max": 1, "j_max": 0},
 }
 
 
 def check_grid(suite: str, grid: SweepGrid) -> None:
     """Raise ValueError, naming the grid field, when SWEEPS[suite] would check no
-    link on `grid` or would reach a link outside its chain's domain. The sweeps
-    themselves accept any grid and yield nothing for an empty one."""
-    for name, (lo, hi) in _GRID_RANGES[suite].items():
+    link on `grid` or would reach a mutation link beyond MUTATION_N_LIMIT. The
+    sweeps themselves accept any grid and yield nothing for an empty one."""
+    field, values, _ = _outer_loop(suite, grid)
+    if not values:
+        raise ValueError(f"the {suite} sweep checks no links at {field}={getattr(grid, field)}")
+    for name, lo in _INNER_MINIMA[suite].items():
         value = getattr(grid, name)
         if value < lo:
             raise ValueError(f"the {suite} sweep checks no links unless {name} >= {lo}, got {name}={value}")
-        if hi is not None and value > hi:
-            raise ValueError(f"the {suite} sweep needs {name} <= {hi}, got {name}={value}")
+    if suite == "mutation" and grid.n_max > MUTATION_N_LIMIT:
+        raise ValueError(f"the mutation sweep needs n_max <= {MUTATION_N_LIMIT}, got n_max={grid.n_max}")
 
 
 def sweep_mutation(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None) -> Iterator[InequalityResult]:

@@ -15,71 +15,60 @@ from typing import Iterable
 
 
 def format_cell(value) -> str:
+    if isinstance(value, float):
+        return str(int(value)) if value.is_integer() and abs(value) < 1e15 else repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return str(int(value)) if value.is_integer() and abs(value) < 1e15 else repr(value)
     return str(value)
 
 
-#: float texts format_rows keeps for reuse; repeats sit close together in a sweep
-_FLOATS_KEPT = 4096
 #: rows per format_rows call in write_csv, which bounds the text held at once
-_ROWS_PER_BATCH = 4096
+_ROWS_PER_BATCH = 1024
 
 
 def format_rows(rows: Iterable) -> str:
     """CSV text of `rows`: one LF-terminated line per row, its cells as format_cell
     gives them, quoted as csv.writer's QUOTE_MINIMAL quotes them.
 
-    A line is joined directly unless a cell holds a comma, a quote or a line
-    break, or the row is one empty cell; no row driftlab writes does. Such a
-    row goes through csv.writer, so the quoting never differs from the csv
-    module's.
+    The lines are joined directly, and the joined text is kept when no cell holds
+    a comma, a quote or a line break and no row is empty or one empty cell, as
+    holds for every row driftlab writes. Otherwise csv.writer writes the rows,
+    so the quoting never differs from the csv module's.
     """
-    floats: dict = {}  # a sweep repeats a float many times, and repr is the costly step
-    lines = []
+    floats: dict = {}  # float texts: a batch repeats many floats, and repr is the costly step
+    cells = []
     for row in rows:
-        cells = []
+        texts = []
         for value in row:
             kind = type(value)
-            if kind is float:
+            if kind is str:
+                text = value
+            elif kind is float:
                 text = floats.get(value)
                 if text is None:
-                    if len(floats) == _FLOATS_KEPT:
-                        floats.clear()
                     text = floats[value] = format_cell(value)
-            elif kind is str:
-                text = value
-            elif kind is bool:
-                text = "true" if value else "false"
             else:
                 text = format_cell(value)
-            cells.append(text)
-        line = ",".join(cells)
-        if (
-            line
-            and line.count(",") == len(cells) - 1
-            and '"' not in line
-            and "\n" not in line
-            and "\r" not in line
-        ):
-            lines.append(line)
-        else:
-            out = io.StringIO()
-            csv.writer(out, lineterminator="\n").writerow(cells)
-            lines.append(out.getvalue()[:-1])
-    lines.append("")
-    return "\n".join(lines)
+            texts.append(text)
+        cells.append(texts)
+    lines = [",".join(texts) for texts in cells]
+    text = "\n".join(lines + [""])
+    if (
+        all(lines)
+        and text.count(",") == sum(map(len, cells)) - len(cells)
+        and text.count("\n") == len(cells)
+        and '"' not in text
+        and "\r" not in text
+    ):
+        return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(cells)
+    return out.getvalue()
 
 
-def write_csv(
-    path: str, provenance: dict, columns: list[str], rows: Iterable, trailer: str = "", blocks: Iterable[str] = ()
-) -> None:
-    """Write provenance lines, the header, `rows`, then `blocks` (CSV text that
-    format_rows made elsewhere, such as in pool workers) and the trailer."""
+def write_csv(path: str, provenance: dict, columns: list[str], rows: Iterable, trailer: str = "") -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in provenance.items():
             fh.write(f"# {key}={format_cell(value)}\n")
@@ -87,8 +76,6 @@ def write_csv(
         rows = iter(rows)
         while batch := list(itertools.islice(rows, _ROWS_PER_BATCH)):
             fh.write(format_rows(batch))
-        for block in blocks:
-            fh.write(block)
         if trailer:
             fh.write(trailer if trailer.endswith("\n") else trailer + "\n")
 

@@ -28,5 +28,7 @@ cells = st.one_of(texts, st.integers(), st.booleans(), st.none(), floats)
 @given(st.lists(st.lists(cells, max_size=6), max_size=12))
 @example([[""]])
 @example([[None], [], ["", ""], [","], ['"'], ["\r"], ["\n"]])
+# equal floats share one text: 0.0 and -0.0 both print as 0, and nan never equals itself
+@example([[0.0, -0.0, float("nan"), float("nan"), 1.0, True, 1], [-0.0, 1.0, 0.5, 0.5]])
 def test_format_rows_equals_csv_writer_over_format_cell(rows):
     assert format_rows(rows) == csv_module_text(rows)
