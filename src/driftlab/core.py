@@ -151,8 +151,8 @@ def ordered_map(fn, tasks: Iterable, workers: int) -> Iterator:
         yield from map(fn, tasks)
         return
     # On Linux before Python 3.14 the default start method is fork, which spares
-    # each worker the ~0.9 s import of numpy and scipy; from 3.14 it is
-    # forkserver, and each worker imports them again.
+    # each worker the ~0.5 s import of numpy and scipy.special (-X importtime on
+    # a 2-CPU host); from 3.14 it is forkserver, and each worker imports them again.
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         try:
@@ -191,4 +191,7 @@ def estimate_hitting_probability(
 
 
 def default_workers() -> int:
+    """The CPUs this process may run on (its affinity mask, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

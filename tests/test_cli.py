@@ -1,6 +1,10 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -336,3 +340,11 @@ def test_scaling_reports_unresolved_horizon(tmp_path, capsys):
     assert rows[0]["note"] == "unresolved: horizon exceeds max_steps"
     assert rows[0]["horizon"] == "" and float(rows[0]["certified_horizon"]) > 1000
     assert "warning: budget too small" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter: other tests import scipy.stats into this one
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, driftlab, driftlab.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 from helpers import hit_probability_within, replay_potentials
@@ -143,3 +144,17 @@ def test_ordered_map_keeps_task_order_with_more_workers_than_cores():
     tasks = list(range(3000, 0, -100))
     assert list(dl.core.ordered_map(math.factorial, tasks, workers=3)) == [math.factorial(n) for n in tasks]
     assert list(dl.core.ordered_map(math.factorial, tasks, workers=1)) == [math.factorial(n) for n in tasks]
+
+
+def test_default_workers_honours_the_cpu_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert dl.core.default_workers() == 1
+
+
+def test_default_workers_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert dl.core.default_workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert dl.core.default_workers() == 1

@@ -1,8 +1,12 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
+from driftlab import stats as dstats  # dstats.stdtrit is the quantile mean_t_interval uses
 from driftlab.stats import Z95, mean_t_interval, wilson_interval
 
 
@@ -48,16 +52,32 @@ def test_wilson_rejects_bad_input():
         wilson_interval(5, 4)
 
 
+# every n up to 5000 (the needle preset's drift check keeps 843 samples) and a few large n
+T_INTERVAL_SIZES = [*range(2, 5001), 10_000, 65_537, 100_001, 1_000_000]
+
+
 def test_mean_t_interval_against_scipy():
     from scipy import stats as sstats
 
-    rng = np.random.default_rng(3)
-    x = rng.normal(2.0, 1.5, size=40)
-    mean, lo, hi = mean_t_interval(x)
-    ref_lo, ref_hi = sstats.t.interval(0.95, len(x) - 1, loc=x.mean(), scale=sstats.sem(x))
-    assert mean == pytest.approx(x.mean())
-    assert lo == pytest.approx(ref_lo)
-    assert hi == pytest.approx(ref_hi)
+    x = np.random.default_rng(3).normal(2.0, 1.5, size=max(T_INTERVAL_SIZES))
+    for n in T_INTERVAL_SIZES:
+        mean, lo, hi = mean_t_interval(x[:n])
+        se = float(x[:n].std(ddof=1)) / math.sqrt(n)
+        half = float(sstats.t.ppf(0.975, n - 1)) * se
+        assert (mean, lo, hi) == (float(x[:n].mean()), mean - half, mean + half), n
+
+
+@pytest.mark.parametrize("df", [1, 2, 5, 30, 842, 100_000])
+def test_t_quantile_against_mpmath(df):
+    # P(T <= t) = 1 - I_{df/(df+t^2)}(df/2, 1/2) / 2 for t > 0; solve P(T <= t) = 0.975
+    with mpmath.workdps(40):
+        def upper_tail(t):
+            tail = mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, df / (df + t * t), regularized=True) / 2
+            return tail - mpmath.mpf("0.025")
+
+        exact = mpmath.findroot(upper_tail, mpmath.mpf(float(dstats.stdtrit(df, 0.975))))
+        assert abs(upper_tail(exact)) < mpmath.mpf(10) ** -35
+        assert float(abs(dstats.stdtrit(df, 0.975) / exact - 1)) <= 1e-15
 
 
 def test_mean_t_interval_needs_two_samples():
