@@ -92,13 +92,7 @@ def _run_trial(process, window: DriftWindow, max_steps: int, master_seed: int, i
             f"initial potential {x0} is below the start threshold b={window.b}; "
             "the window does not match the process configuration"
         )
-    hit_time = None
-    for t in range(1, max_steps + 1):
-        state = process.step(state, rng)
-        if process.potential(state) <= window.a:
-            hit_time = t
-            break
-    return TrialOutcome(index, x0, hit_time)
+    return TrialOutcome(index, x0, process.hitting_time(state, rng, window.a, max_steps))
 
 
 def _run_chunk(args) -> list[TrialOutcome]:

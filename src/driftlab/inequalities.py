@@ -38,6 +38,12 @@ class InequalityResult:
     holds: bool
     note: str = ""
 
+    # Written by hand, so dataclass keeps it: the generated __init__ of a frozen
+    # class sets each field through object.__setattr__, at twice the cost per
+    # link. Fields, replace, repr, == and frozen assignment are unchanged.
+    def __init__(self, name: str, parameters: dict, lhs: float, rhs: float, holds: bool, note: str = ""):
+        self.__dict__.update(name=name, parameters=parameters, lhs=lhs, rhs=rhs, holds=holds, note=note)
+
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs

@@ -5,11 +5,19 @@ Every process is immutable after construction and steps via pure functions of
 (state, generator), so trials parallelize safely. State-independent processes
 expose an exact jump table; the evolutionary algorithms have state-dependent
 step laws and are checked empirically instead.
+
+A trial's generator is private to the trial and dropped when it ends, so
+`hitting_time` may draw its doubles in blocks, ahead of need: what matters is
+that the doubles it uses are the ones the `step` loop would use, in the same
+order. The walk, the needle and the counterexample chain replay numpy's own
+geometric and binomial algorithms on such blocks; every other process steps.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
+import itertools
 import math
 from abc import ABC, abstractmethod
 
@@ -18,6 +26,26 @@ import numpy as np
 from .jumps import JumpDistribution
 
 _LN8 = math.log(8.0)
+#: steps (walk) or doubles (needle) in a trial's first block; each further
+#: block is twice as long up to the cap, so short trials draw little ahead
+#: and long ones hold a bounded block
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 1 << 14
+#: the largest double Generator.random returns
+_MAX_UNIFORM = 1.0 - 2.0**-53
+
+
+def _block_sizes():
+    size = _FIRST_BLOCK
+    while size < _MAX_BLOCK:
+        yield size
+        size *= 2
+    yield from itertools.repeat(_MAX_BLOCK)
+
+
+def _uniforms(rng: np.random.Generator):
+    """rng.random() again and again, as one iterator over blocks of rng.random(size)."""
+    return itertools.chain.from_iterable(rng.random(size).tolist() for size in _block_sizes())
 
 
 class Process(ABC):
@@ -42,6 +70,15 @@ class Process(ABC):
     def step(self, state, rng: np.random.Generator):
         ...
 
+    def hitting_time(self, state, rng: np.random.Generator, a: float, max_steps: int) -> int | None:
+        """First t in 1..max_steps at which the potential after t steps from
+        `state` is <= a, or None when there is none; max_steps >= 1."""
+        for t in range(1, max_steps + 1):
+            state = self.step(state, rng)
+            if self.potential(state) <= a:
+                return t
+        return None
+
     def jump_table(self) -> JumpDistribution | None:
         """Exact step distribution when the law is state-independent, else None."""
         return None
@@ -57,6 +94,8 @@ class ConstantWalk(Process):
     name = "constant"
 
     def __init__(self, step_size: float, start: float):
+        if not (math.isfinite(step_size) and math.isfinite(start)):
+            raise ValueError(f"need a finite step_size and start, got step_size={step_size}, start={start}")
         self.step_size = float(step_size)
         self.start = float(start)
 
@@ -110,6 +149,23 @@ class CounterexampleChain(Process):
             return state + self.up_jump
         return state - 1
 
+    def hitting_time(self, state, rng, a, max_steps):
+        if not 0 < state <= self.n:
+            return 1 if self.potential(state) <= a else None
+        # Until an up-jump the chain steps down by one, one double per step, so
+        # the path to its first state <= a or out of ]0, n] is known in advance.
+        path = [state]
+        while len(path) <= max_steps:
+            path.append(path[-1] - 1)
+            if self.potential(path[-1]) <= a or not 0 < path[-1]:
+                break
+        jumps = np.flatnonzero(rng.random(len(path) - 1) < self.up_prob)
+        if jumps.size:
+            t = int(jumps[0])
+            # the jump lands above n, where the chain freezes
+            return t + 1 if self.potential(path[t] + self.up_jump) <= a else None
+        return len(path) - 1 if self.potential(path[-1]) <= a else None
+
     def jump_table(self):
         """Exact transition law on the live region ]0, n]."""
         return JumpDistribution(
@@ -135,8 +191,10 @@ class GeometricDriftWalk(Process):
     family_param = "start"
 
     def __init__(self, eps: float, delta: float, start: float = 0.0):
-        if eps <= 0 or delta <= 0:
-            raise ValueError(f"need eps > 0 and delta > 0, got eps={eps}, delta={delta}")
+        if not (0 < eps < math.inf and 0 < delta < math.inf):
+            raise ValueError(f"need finite eps > 0 and delta > 0, got eps={eps}, delta={delta}")
+        if not math.isfinite(start):
+            raise ValueError(f"need a finite start, got {start}")
         c_sum = delta
         c_diff = eps * delta * delta / (1.0 + delta)
         if c_diff > c_sum:
@@ -165,6 +223,48 @@ class GeometricDriftWalk(Process):
             return state + magnitude
         return state - magnitude
 
+    def hitting_time(self, state, rng, a, max_steps):
+        # numpy draws a geometric with p >= 1/3 by searching its cdf with one
+        # double, and by inversion of an exponential below that
+        if self._p_geom < 1.0 / 3.0:
+            return super().hitting_time(state, rng, a, max_steps)
+        cdf = self._search_cdf
+        position = float(state)
+        t = 0
+        for size in _block_sizes():
+            size = min(size, max_steps - t)
+            u = rng.random(2 * size)
+            magnitude = np.searchsorted(cdf, u[0::2], side="left") + 1.0
+            path = np.empty(size + 1)
+            path[0] = position
+            path[1:] = np.where(u[1::2] < self._p_up, magnitude, -magnitude)
+            # cumsum adds left to right, one step at a time, as the step loop does
+            np.cumsum(path, out=path)
+            hit = int(np.argmax(path[1:] <= a))
+            if path[hit + 1] <= a:
+                return t + hit + 1
+            position = path[-1]
+            t += size
+            if t == max_steps:
+                return None
+
+    @functools.cached_property
+    def _search_cdf(self) -> np.ndarray:
+        """The partial sums numpy's random_geometric_search compares its double
+        with, in its float arithmetic; a double u draws the first X with u <= sum X."""
+        q = 1.0 - self._p_geom
+        prod = total = self._p_geom
+        sums = [total]
+        # until every double random() returns is covered, or the sum stalls: from
+        # there on numpy would search forever
+        while total < _MAX_UNIFORM:
+            prod *= q
+            if total + prod == total:
+                break
+            total += prod
+            sums.append(total)
+        return np.array(sums)
+
     def exact_abs_tail(self, j: int) -> float:
         """Closed-form P(|step| >= j)."""
         if j <= 0:
@@ -189,6 +289,40 @@ class GeometricDriftWalk(Process):
         values = np.concatenate([-j[::-1], j])
         probs = np.concatenate([self.c_minus * weights[::-1], self.c_plus * weights])
         return JumpDistribution(values, probs)
+
+
+class _InversionTables(dict):
+    """k -> (px, bound) of numpy's random_binomial_inversion for Binomial(k, p),
+    each built on first use: px[X] = P(X) in numpy's float arithmetic, and a
+    draw past bound starts over with a fresh double."""
+
+    def __init__(self, p: float):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, k: int) -> tuple[tuple[float, ...], int]:
+        p = self.p
+        q = 1.0 - p
+        kp = k * p
+        bound = int(min(k, kp + 10.0 * math.sqrt(kp * q + 1)))
+        px = [math.exp(k * math.log(q))]
+        for x in range(1, bound + 1):
+            px.append(((k - x + 1) * p * px[-1]) / (x * q))
+        table = self[k] = (tuple(px), bound)
+        return table
+
+
+def _inversion_tail(u: float, px: tuple, bound: int, draw) -> int:
+    """The X numpy's random_binomial_inversion returns for a first double u > px[0]."""
+    x = 0
+    while u > px[x]:
+        x += 1
+        if x > bound:
+            x = 0
+            u = draw()
+        else:
+            u -= px[x - 1]
+    return x
 
 
 class NeedleOneOneEA(Process):
@@ -223,12 +357,47 @@ class NeedleOneOneEA(Process):
     def absorbed(self, state) -> bool:
         return state == 0
 
+    @functools.cached_property
+    def _inversion_tables(self) -> _InversionTables:
+        return _InversionTables(self.mutation_rate)
+
     def step(self, state, rng):
         if state == 0:
             return 0
         down = rng.binomial(state, self.mutation_rate)
         up = rng.binomial(self.n - state, self.mutation_rate)
         return state - down + up
+
+    def hitting_time(self, state, rng, a, max_steps):
+        p = self.mutation_rate
+        # numpy draws Binomial(k, p) by inversion when p <= 1/2 and k p <= 30
+        if not (p <= 0.5 and p * self.n <= 30.0):
+            return super().hitting_time(state, rng, a, max_steps)
+        # every potential is >= 0, and once at 0 the chain stays there
+        if not self.potential(0) <= a:
+            return None
+        if state == 0:
+            return 1
+        n = self.n
+        tables = self._inversion_tables
+        draw = _uniforms(rng).__next__
+        d = state
+        for t in range(1, max_steps + 1):
+            # down ~ Binomial(d, p), then up ~ Binomial(n - d, p); numpy returns
+            # Binomial(0, p) = 0 without a draw. Most draws stop at X = 0.
+            k = n - d
+            px, bound = tables[d]
+            u = draw()
+            if u > px[0]:
+                d -= _inversion_tail(u, px, bound, draw)
+            if k:
+                px, bound = tables[k]
+                u = draw()
+                if u > px[0]:
+                    d += _inversion_tail(u, px, bound, draw)
+            if d <= a:
+                return t
+        return None
 
 
 class OneCommaLambdaEA(Process):

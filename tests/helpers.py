@@ -10,11 +10,15 @@ import numpy as np
 from driftlab.rng import generator, trial_seed
 
 
-def replay_potentials(process, master_seed, index, steps):
+def replay_potentials(process, master_seed, index, steps, state=None):
     """Potentials of trial `index` over `steps` steps, drawn from the trial's own
-    generator as the trial loop draws them but without its stopping rule."""
+    generator as the trial loop draws them but without its stopping rule.
+
+    With `state` given, the path starts there and no initial state is drawn.
+    """
     rng = generator(trial_seed(master_seed, index))
-    state = process.initial_state(rng)
+    if state is None:
+        state = process.initial_state(rng)
     path = [process.potential(state)]
     for _ in range(steps):
         state = process.step(state, rng)

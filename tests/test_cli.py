@@ -264,6 +264,21 @@ def test_non_finite_inputs_exit_two(tmp_path, capsys):
         argv = [f"{key}={text}" for key, text in (valid | {flag: value}).items()]
         assert main(["constants", *argv]) == 2, flag
         assert value in _single_error_line(capsys), flag
+    processes = {
+        "geometric-walk": {"eps": "0.2", "delta": "1", "start": "10"},
+        "constant": {"step_size": "-1", "start": "10"},
+    }
+    for kind, key, value in [("geometric-walk", "eps", "nan"), ("geometric-walk", "delta", "inf"),
+                             ("geometric-walk", "delta", "nan"), ("geometric-walk", "start", "inf"),
+                             ("constant", "step_size", "nan"), ("constant", "start", "inf")]:
+        params = processes[kind] | {key: value}
+        config = tmp_path / f"{kind}-{key}-{value}.ini"
+        config.write_text(f"[process]\nkind = {kind}\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+                          + "[window]\nb = 10\n[conditions]\neps = 0.2\n")
+        for command in ("simulate", "check"):
+            assert main([command, "--config", str(config)]) == 2, (kind, key, value, command)
+            line = _single_error_line(capsys)
+            assert key in line and value in line, (kind, key, value, command)
 
 
 def test_horizon_below_one_step_exits_two(capsys):

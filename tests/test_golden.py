@@ -12,6 +12,21 @@ import pytest
 
 from driftlab.cli import main
 
+#: simulate configs whose trials hit, written next to example.ini; each
+#: budget reaches the 2e6 trial-steps at which run_trials starts its pool
+CONFIGS = {
+    "needle-hits.ini": "[experiment]\nname = needle-n20-hits\n[process]\nkind = needle\nn = 20\n"
+                       "[window]\na = 2\nb = 5\n[budget]\ntrials = 100\nmax_steps = 20000\nmaster_seed = 2\n"
+                       "[run]\nhorizon = 20000\n",
+    "walk-delta1-hits.ini": "[experiment]\nname = geometric-walk-delta1-hits\n[process]\nkind = geometric-walk\n"
+                            "eps = 0.2\ndelta = 1\nstart = 10\n[window]\nb = 10\n"
+                            "[budget]\ntrials = 200\nmax_steps = 10000\nmaster_seed = 11\n[run]\nhorizon = 10000\n",
+    # delta = 0.3 puts numpy's geometric on its inversion branch
+    "walk-delta0.3-hits.ini": "[experiment]\nname = geometric-walk-delta0.3-hits\n[process]\nkind = geometric-walk\n"
+                              "eps = 0.2\ndelta = 0.3\nstart = 10\n[window]\nb = 10\n"
+                              "[budget]\ntrials = 200\nmax_steps = 10000\nmaster_seed = 11\n[run]\nhorizon = 10000\n",
+}
+
 SMOKE_GRID = ["--n-max", "30", "--m-max", "30", "--mu-max", "5", "--phi-max", "10",
               "--lambda-max", "8", "--j-max", "16"]
 
@@ -87,6 +102,31 @@ GOLDEN = {
         ["bounds", "--suite", "matching", "--m-max", "80", "--j-max", "2"],
         "6f2d01687553612248c7c333a47fd0aa8caeed24bbf8e7191d87535c698f1db6",
     ),
+    # hits, on one worker and on the pool, give the same CSV
+    "simulate-needle-hits-threads-1": (
+        ["simulate", "--config", "needle-hits.ini", "--threads", "1"],
+        "b07ca318c21c7977fef2764e79f5f9f64eed21b1440e3e7ea7ccc78e1f2aa4fb",
+    ),
+    "simulate-needle-hits-threads-2": (
+        ["simulate", "--config", "needle-hits.ini", "--threads", "2"],
+        "b07ca318c21c7977fef2764e79f5f9f64eed21b1440e3e7ea7ccc78e1f2aa4fb",
+    ),
+    "simulate-walk-delta1-hits-threads-1": (
+        ["simulate", "--config", "walk-delta1-hits.ini", "--threads", "1"],
+        "2fc0419c2e95ebe9b86b6220e033b05811f1151867e0390381059b852fb01dae",
+    ),
+    "simulate-walk-delta1-hits-threads-2": (
+        ["simulate", "--config", "walk-delta1-hits.ini", "--threads", "2"],
+        "2fc0419c2e95ebe9b86b6220e033b05811f1151867e0390381059b852fb01dae",
+    ),
+    "simulate-walk-delta0.3-hits-threads-1": (
+        ["simulate", "--config", "walk-delta0.3-hits.ini", "--threads", "1"],
+        "163dc021455dc66641d2e97d6d8e2560aa8900b93f2eb110389f06960e05c87b",
+    ),
+    "simulate-walk-delta0.3-hits-threads-2": (
+        ["simulate", "--config", "walk-delta0.3-hits.ini", "--threads", "2"],
+        "163dc021455dc66641d2e97d6d8e2560aa8900b93f2eb110389f06960e05c87b",
+    ),
 }
 
 
@@ -99,6 +139,8 @@ def test_csv_digest(name, tmp_path, capsys, monkeypatch):
     # example.ini is the example config file of README's configuration section
     example = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
     (tmp_path / "example.ini").write_text(example)
+    for file, text in CONFIGS.items():
+        (tmp_path / file).write_text(text)
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out.csv"
     # --jump-table takes the path itself; every other command writes --out

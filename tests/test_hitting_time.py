@@ -1,0 +1,145 @@
+"""Each process's hitting_time against its own step loop.
+
+The walk, the needle and the counterexample chain draw their doubles in blocks
+and replay numpy's geometric and binomial algorithms on them. Every hit time
+must equal the first passage of the path that `step` draws from the same
+generator, so these tests fail if a numpy upgrade changes those algorithms.
+"""
+
+import pytest
+
+import driftlab as dl
+from driftlab.processes import _FIRST_BLOCK
+from driftlab.rng import generator, trial_seed
+from helpers import replay_potentials
+
+SEEDS = range(200)
+
+
+def first_passage(path, a, max_steps):
+    return next((t for t, x in enumerate(path[1 : max_steps + 1], 1) if x <= a), None)
+
+
+def assert_hit_times_match(process, a, max_steps, state=None, seeds=SEEDS, master_seed=0):
+    """hitting_time equals the step loop's first passage for every seed, also
+    when the budget ends exactly at the hit or one step before it. Returns the
+    hit times, so a caller can check that its case happened."""
+    hits = []
+    for index in seeds:
+        path = replay_potentials(process, master_seed, index, max_steps, state)
+        expected = first_passage(path, a, max_steps)
+        budgets = {max_steps: expected}
+        if expected is not None:
+            budgets[expected] = expected
+            if expected > 1:
+                budgets[expected - 1] = None
+        for budget, hit in budgets.items():
+            rng = generator(trial_seed(master_seed, index))
+            start = process.initial_state(rng) if state is None else state
+            assert process.hitting_time(start, rng, a, budget) == hit, (index, budget)
+        hits.append(expected)
+    return hits
+
+
+# budgets one step either side of the first block and of the first two blocks
+WALK_BUDGETS = [1, _FIRST_BLOCK - 1, _FIRST_BLOCK, _FIRST_BLOCK + 1, 3 * _FIRST_BLOCK - 1,
+                3 * _FIRST_BLOCK, 3 * _FIRST_BLOCK + 1]
+
+
+class TestGeometricDriftWalk:
+    @pytest.mark.parametrize("max_steps", WALK_BUDGETS)
+    def test_budgets_around_the_blocks(self, max_steps):
+        hits = assert_hit_times_match(dl.GeometricDriftWalk(0.2, 1.0, start=6.0), 0.0, max_steps)
+        assert any(hits) or max_steps < 6
+
+    def test_long_budget_with_hits_and_misses(self):
+        hits = assert_hit_times_match(dl.GeometricDriftWalk(0.2, 1.0, start=10.0), 0.0, 2000)
+        assert None in hits and any(h > 3 * _FIRST_BLOCK for h in hits if h)
+
+    def test_hit_on_the_first_step(self):
+        hits = assert_hit_times_match(dl.GeometricDriftWalk(0.2, 1.0, start=0.5), 0.0, 50)
+        assert 1 in hits
+
+    @pytest.mark.parametrize("delta", [0.5, 3.0])
+    def test_other_deltas_on_numpy_search_branch(self, delta):
+        # p = delta / (1 + delta) is exactly 1/3 at delta = 0.5, the branch's edge
+        hits = assert_hit_times_match(dl.GeometricDriftWalk(0.3, delta, start=4.0), 0.5, 300)
+        assert any(hits)
+
+    def test_fractional_start_and_target(self):
+        assert_hit_times_match(dl.GeometricDriftWalk(0.2, 1.0, start=0.1), -2.7, 300)
+
+    @pytest.mark.parametrize("delta", [0.3, 0.49])
+    def test_delta_below_one_half_takes_the_step_loop(self, delta):
+        # numpy draws a geometric with p < 1/3 by inversion
+        hits = assert_hit_times_match(dl.GeometricDriftWalk(0.2, delta, start=5.0), 0.0, 300)
+        assert any(hits)
+
+
+class TestNeedleOneOneEA:
+    # the needle draws one or two doubles per step, so a block of doubles ends
+    # near _FIRST_BLOCK / 2 steps
+    @pytest.mark.parametrize("max_steps", [1, _FIRST_BLOCK // 2 - 1, _FIRST_BLOCK // 2, _FIRST_BLOCK // 2 + 1,
+                                           _FIRST_BLOCK - 1, _FIRST_BLOCK, _FIRST_BLOCK + 1])
+    def test_budgets_around_the_blocks(self, max_steps):
+        assert_hit_times_match(dl.NeedleOneOneEA(10), 3.0, max_steps)
+
+    def test_from_the_initial_state(self):
+        hits = assert_hit_times_match(dl.NeedleOneOneEA(20), 4.0, 1000)
+        assert None in hits and any(hits)
+
+    def test_at_distance_n_only_down_flips_are_drawn(self):
+        hits = assert_hit_times_match(dl.NeedleOneOneEA(12), 11.0, 200, state=12)
+        assert 1 in hits
+
+    def test_at_half_distance_the_two_counts_are_equal(self):
+        hits = assert_hit_times_match(dl.NeedleOneOneEA(16), 5.0, 400, state=8)
+        assert any(hits)
+
+    def test_reaching_the_optimum(self):
+        hits = assert_hit_times_match(dl.NeedleOneOneEA(6), 0.0, 400, state=3)
+        assert any(hits)
+
+    def test_start_at_the_optimum(self):
+        assert assert_hit_times_match(dl.NeedleOneOneEA(6), 0.0, 10, state=0, seeds=range(5)) == [1] * 5
+
+    def test_target_below_zero_is_never_hit(self):
+        assert set(assert_hit_times_match(dl.NeedleOneOneEA(6), -1.0, 50, state=1)) == {None}
+
+    def test_high_mutation_rate_on_numpy_inversion_branch(self):
+        assert_hit_times_match(dl.NeedleOneOneEA(10, mutation_rate=0.3), 2.0, 200)
+
+    def test_rate_past_inversion_takes_the_step_loop(self):
+        # near d = 100, k p is about 40 > 30, where numpy draws binomials by BTPE
+        hits = assert_hit_times_match(dl.NeedleOneOneEA(200, mutation_rate=0.4), 90.0, 100, seeds=range(50))
+        assert any(hits)
+        # n p = 31 is just past the branch, and at d = n the first draw is BTPE's
+        hits = assert_hit_times_match(dl.NeedleOneOneEA(62, mutation_rate=0.5), 28.0, 100, state=62, seeds=range(50))
+        assert any(hits)
+
+
+class TestCounterexampleChain:
+    @pytest.mark.parametrize("max_steps", [1, 2, 3, 10])
+    def test_budgets(self, max_steps):
+        # at n = 2 the up-jump has probability e^-2, so jumps are frequent
+        hits = assert_hit_times_match(dl.CounterexampleChain(2), 0.0, max_steps)
+        assert None in hits
+
+    def test_target_inside_the_chain(self):
+        hits = assert_hit_times_match(dl.CounterexampleChain(3), 1.5, 20)
+        assert 2 in hits and None in hits
+
+    def test_target_below_zero(self):
+        assert set(assert_hit_times_match(dl.CounterexampleChain(2), -1.0, 10)) == {None}
+
+    def test_frozen_states(self):
+        chain = dl.CounterexampleChain(4)
+        assert assert_hit_times_match(chain, 0.0, 5, state=0, seeds=range(5)) == [1] * 5
+        assert assert_hit_times_match(chain, 0.0, 5, state=-2, seeds=range(5)) == [1] * 5
+        assert assert_hit_times_match(chain, 0.0, 5, state=5, seeds=range(5)) == [None] * 5
+
+    def test_target_at_the_jump(self):
+        chain = dl.CounterexampleChain(2)
+        # a jump from 2 lands at up_jump + 2
+        assert set(assert_hit_times_match(chain, float(chain.up_jump + 1), 5, state=2)) == {1, None}
+        assert set(assert_hit_times_match(chain, float(chain.up_jump + 2), 5, state=2)) == {1}

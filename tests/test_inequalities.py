@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -233,6 +234,23 @@ class TestExpectedSelections:
             dl.pea_prime_expected_selections([1.0, 2.0])
         with pytest.raises(ValueError):
             dl.pea_prime_expected_selections([1.0, 0.0])
+
+
+class TestInequalityResult:
+    def test_keeps_the_frozen_dataclass_behaviour(self):
+        link = dl.InequalityResult("a", {"n": 2}, 1.0, 2.0, True)
+        assert [f.name for f in dataclasses.fields(link)] == ["name", "parameters", "lhs", "rhs", "holds", "note"]
+        assert link.note == "" and link.margin == 1.0
+        assert link == dl.InequalityResult("a", {"n": 2}, 1.0, 2.0, True, "")
+        assert link != dl.InequalityResult("a", {"n": 2}, 1.0, 2.0, True, "other")
+        assert repr(link) == "InequalityResult(name='a', parameters={'n': 2}, lhs=1.0, rhs=2.0, holds=True, note='')"
+        changed = dataclasses.replace(link, rhs=0.5, holds=False)
+        assert changed == dl.InequalityResult("a", {"n": 2}, 1.0, 0.5, False) and link.rhs == 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            link.lhs = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del link.note
+        assert dl.InequalityResult(name="b", parameters={}, lhs=0.0, rhs=0.0, holds=True, note="x").note == "x"
 
 
 class TestSweeps:
