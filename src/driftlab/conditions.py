@@ -6,9 +6,14 @@ The one-sided form is strictly weaker; the counterexample chain passes it while
 failing the two-sided form, which is exactly the difference the laboratory
 exists to exhibit.
 
-Conditioning domains differ by condition: drift samples come from steps taken
-at potentials strictly inside the window (a < X < b), tail samples from every
-step taken above the target threshold (a < X).
+Both conditions are conditional on the current state, and their domains
+differ: drift is required in every state strictly inside the window
+(a < X < b), the tail bound in every state above the target threshold (a < X).
+A process with exact step laws (`Process.step_law`) is checked exactly in every
+such state by `check_conditions_exact`; a process whose law does not depend on
+its state goes through the same check with its one law. Only processes without
+an exact law (PEA and PEA', whose state is a multiset) are checked empirically,
+from steps pooled over free-running trajectories.
 """
 
 from __future__ import annotations
@@ -97,6 +102,13 @@ class ConditionReport:
     drift_ci: Optional[tuple[float, float]] = None
     n_drift_samples: Optional[int] = None
     n_tail_samples: Optional[int] = None
+    #: exact mode with per-state laws: the potential of the state with the least drift
+    drift_state: Optional[float] = None
+    #: exact mode: the (state, j) whose tail comes closest to its bound, and that
+    #: closeness log(tail) - log(bound); the state is None for a single law
+    tail_state: Optional[float] = None
+    tail_j: Optional[float] = None
+    tail_log_margin: Optional[float] = None
 
     def tail_failures(self) -> list[TailCheck]:
         return [t for t in self.tails if t.verdict == "fail"]
@@ -117,39 +129,85 @@ def _require_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def check_conditions_exact(
-    jump: JumpDistribution, params: ConditionParams, variant: str = TWO_SIDED
-) -> ConditionReport:
-    """Check both conditions exactly from a normalized jump table.
+def step_laws(process, window):
+    """What check_conditions_exact checks `process` with on `window`.
 
-    Drift is the exact expectation; tails are exact suffix sums compared
-    strictly against r/(1+delta)^j in log space. Checked indices are the grid
-    0..j_max plus every support magnitude beyond it, so isolated huge jumps are
-    never missed.
+    None when the process has no exact step law; its one law when that does not
+    depend on the state; otherwise an iterator over (x, law out of the state)
+    for every state whose potential x lies above window.a, which builds each
+    law only when the check reaches it.
+    """
+    states = process.states()
+    if states is None:
+        return process.step_law(None)
+    return ((x, process.step_law(s)) for s in states if (x := process.potential(s)) > window.a)
+
+
+def check_conditions_exact(
+    laws, params: ConditionParams, variant: str = TWO_SIDED, window=None
+) -> ConditionReport:
+    """Check both conditions exactly from step laws.
+
+    `laws` is one JumpDistribution, the law of every state, or (x, law) pairs:
+    the law of the step out of each state whose potential x lies above
+    window.a. Drift is the exact expectation, required in every state with
+    x < window.b. Tails are exact suffix sums, required in every state and
+    compared strictly against r/(1+delta)^j in log space. Checked indices are
+    the grid 0..j_max plus every support magnitude beyond it, so isolated huge
+    jumps are never missed; each index's row holds the largest tail over the
+    states. The report names the state with the least drift and the (state, j)
+    whose tail comes closest to its bound.
     """
     _require_variant(variant)
-    total = float(np.sum(jump.probs))
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"jump table is not normalized: total probability {total!r}")
-    drift = jump.drift()
+    if isinstance(laws, JumpDistribution):
+        pairs = [(None, laws)]
+    else:
+        if window is None:
+            raise ValueError("per-state step laws need the window they are checked on")
+        pairs = list(laws)
+        if any(not x > window.a for x, _ in pairs):
+            raise ValueError(f"per-state step laws must lie above the target threshold a={window.a}")
+    drift, drift_state = math.inf, None
+    for x, law in pairs:
+        total = float(np.sum(law.probs))
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(f"jump table is not normalized: total probability {total!r}")
+        if (x is None or x < window.b) and (law_drift := law.drift()) < drift:
+            drift, drift_state = law_drift, x
+    if drift == math.inf:
+        raise ValueError(f"no state of the process lies strictly inside the window ({window.a}, {window.b})")
     drift_ok = drift >= params.eps or math.isclose(drift, params.eps, rel_tol=FLOAT_SLACK)
-    drift_verdict = "pass" if drift_ok else "fail"
     indices = sorted(
         set(range(params.j_max + 1))
-        | {float(m) for m in jump.support_magnitudes() if m > params.j_max}
+        | {float(m) for _, law in pairs for m in law.support_magnitudes() if m > params.j_max}
     )
     tails = []
+    # (log-margin, state, j) of the tail closest to its bound
+    worst = (None, None, None)
     for j in indices:
-        tail = jump.tail_abs(j) if variant == TWO_SIDED else jump.tail_down(j)
-        ok = tail <= 0.0 or math.log(tail) <= params.log_bound(j) + FLOAT_SLACK
-        tails.append(TailCheck(float(j), tail, params.bound(j), "pass" if ok else "fail"))
+        log_bound = params.log_bound(j)
+        largest, ok = 0.0, True
+        for x, law in pairs:
+            tail = law.tail_abs(j) if variant == TWO_SIDED else law.tail_down(j)
+            if tail <= 0.0:
+                continue
+            log_tail = math.log(tail)
+            ok = ok and log_tail <= log_bound + FLOAT_SLACK
+            if worst[0] is None or log_tail - log_bound > worst[0]:
+                worst = (log_tail - log_bound, x, float(j))
+            largest = max(largest, tail)
+        tails.append(TailCheck(float(j), largest, params.bound(j), "pass" if ok else "fail"))
     return ConditionReport(
         variant=variant,
         mode="exact",
         params=params,
         drift=drift,
-        drift_verdict=drift_verdict,
+        drift_verdict="pass" if drift_ok else "fail",
         tails=tuple(tails),
+        drift_state=drift_state,
+        tail_log_margin=worst[0],
+        tail_state=worst[1],
+        tail_j=worst[2],
     )
 
 

@@ -1,9 +1,10 @@
 """Seeded simulation of stochastic processes over a drift window.
 
-A trial starts at a potential at or above the window's start threshold b and
-runs until the potential first drops to the target threshold a or the step
-budget is exhausted. Trials are pure functions of (process, window, seed), so
-they can be distributed across workers without affecting results.
+A trial starts at a potential at or above the window's start threshold b (a
+random start below b is drawn again) and runs until the potential first drops
+to the target threshold a or the step budget is exhausted. Trials are pure
+functions of (process, window, seed), so they can be distributed across
+workers without affecting results.
 """
 
 from __future__ import annotations
@@ -82,17 +83,28 @@ class HittingEstimate:
             raise ValueError("estimate must satisfy 0 <= ci_low <= point <= ci_high <= 1")
 
 
+#: initial states a trial draws at most before it gives up on a start at or above b
+START_ATTEMPTS = 1000
+
+
 def _run_trial(process, window: DriftWindow, max_steps: int, master_seed: int, index: int) -> TrialOutcome:
-    """Simulate trial `index` until the potential first reaches <= window.a."""
+    """Simulate trial `index` until the potential first reaches <= window.a.
+
+    The start is drawn from the initial law conditioned on potential >= b: a
+    start below b is drawn again from the trial's own generator, at most
+    START_ATTEMPTS times in all. A trial whose first start lies at or above b
+    draws nothing extra.
+    """
     rng = generator(trial_seed(master_seed, index))
-    state = process.initial_state(rng)
-    x0 = process.potential(state)
-    if x0 < window.b:
-        raise ValueError(
-            f"initial potential {x0} is below the start threshold b={window.b}; "
-            "the window does not match the process configuration"
-        )
-    return TrialOutcome(index, x0, process.hitting_time(state, rng, window.a, max_steps))
+    for _ in range(START_ATTEMPTS):
+        state = process.initial_state(rng)
+        x0 = process.potential(state)
+        if x0 >= window.b:
+            return TrialOutcome(index, x0, process.hitting_time(state, rng, window.a, max_steps))
+    raise ValueError(
+        f"initial potential {x0} is below the start threshold b={window.b}; "
+        "the window does not match the process configuration"
+    )
 
 
 def _run_chunk(args) -> list[TrialOutcome]:
@@ -111,9 +123,9 @@ def run_trials(
     """Run independent trials with per-index seeds; output is ordered by index.
 
     The worker count never changes the outcomes: trial i always uses
-    trial_seed(master_seed, i). Rejects max_steps < 1 and processes whose
-    initial potential lies below the start threshold b (a misconfigured
-    experiment, not a hit).
+    trial_seed(master_seed, i). Rejects max_steps < 1 and processes that start
+    below the start threshold b in START_ATTEMPTS draws in a row, such as a
+    deterministic start below b (a misconfigured experiment, not a hit).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")

@@ -189,7 +189,7 @@ PRESETS: dict[str, ExperimentConfig] = {
             eps=0.25,
             trials=24,
             max_steps=12_000,
-            description="empirical two-sided condition check on the n=50 plateau EA inside (10, 16)",
+            description="exact two-sided condition check in every state of the n=50 plateau EA inside (10, 16)",
         ),
         ExperimentConfig(
             name="geometric-walk-scaling",

@@ -2,9 +2,12 @@
 walk, and evolutionary algorithms lumped to their potential chains.
 
 Every process is immutable after construction and steps via pure functions of
-(state, generator), so trials parallelize safely. State-independent processes
-expose an exact jump table; the evolutionary algorithms have state-dependent
-step laws and are checked empirically instead.
+(state, generator), so trials parallelize safely. `step_law(state)` gives the
+exact law of the potential's step out of a state: the walk, the counterexample
+chain and the constant walk have one law for every state, and the needle and
+(1,λ) EA lumped chains have one per state of their finite state space
+(`states()`), built only when asked for. PEA and PEA′, whose state is a
+multiset of counts, have no exact law and are checked empirically.
 
 A trial's generator is private to the trial and dropped when it ends, so
 `hitting_time` may draw its doubles in blocks, ahead of need: what matters is
@@ -79,8 +82,15 @@ class Process(ABC):
                 return t
         return None
 
-    def jump_table(self) -> JumpDistribution | None:
-        """Exact step distribution when the law is state-independent, else None."""
+    def step_law(self, state) -> JumpDistribution | None:
+        """Exact law of the potential's step out of `state`, or None when the
+        process has none. A process whose law does not depend on the state
+        returns that one law for any state, None included."""
+        return None
+
+    def states(self) -> range | None:
+        """Every state, in increasing potential, when step_law depends on the
+        state; None when it does not or when there is no exact law."""
         return None
 
     def absorbed(self, state) -> bool:
@@ -108,7 +118,7 @@ class ConstantWalk(Process):
     def step(self, state, rng):
         return state + self.step_size
 
-    def jump_table(self):
+    def step_law(self, state=None):
         return JumpDistribution(np.array([self.step_size]), np.array([1.0]))
 
 
@@ -166,8 +176,8 @@ class CounterexampleChain(Process):
             return t + 1 if self.potential(path[t] + self.up_jump) <= a else None
         return len(path) - 1 if self.potential(path[-1]) <= a else None
 
-    def jump_table(self):
-        """Exact transition law on the live region ]0, n]."""
+    def step_law(self, state=None):
+        """Exact transition law on the live region ]0, n], where a check's window lies."""
         return JumpDistribution(
             np.array([-1.0, float(self.up_jump)]),
             np.array([1.0 - self.up_prob, self.up_prob]),
@@ -265,24 +275,19 @@ class GeometricDriftWalk(Process):
             sums.append(total)
         return np.array(sums)
 
-    def exact_abs_tail(self, j: int) -> float:
-        """Closed-form P(|step| >= j)."""
-        if j <= 0:
-            return 1.0
-        return (self.c_plus + self.c_minus) * (1.0 + self.delta) ** (-(j - 1)) / self.delta
-
-    def jump_table(self, mass_tol: float = 1e-16) -> JumpDistribution:
-        """Table truncated once the omitted mass drops below mass_tol.
+    def step_law(self, state=None) -> JumpDistribution:
+        """Table truncated once the omitted mass drops below 1e-16.
 
         The cap also covers the exponential-moment tail at gamma = ln(1+delta/2),
         which converges slower than the probability mass, so table-based moment
-        sums stay accurate to roughly mass_tol as well.
+        sums stay accurate to roughly 1e-16 as well.
         """
         gamma_rate = math.log1p(self.delta) - math.log1p(self.delta / 2.0)
+        log_tol = math.log(1e-16)
         j_cap = max(
             64,
-            math.ceil(-math.log(mass_tol) / math.log1p(self.delta)) + 1,
-            math.ceil(-math.log(mass_tol) / gamma_rate) + 1,
+            math.ceil(-log_tol / math.log1p(self.delta)) + 1,
+            math.ceil(-log_tol / gamma_rate) + 1,
         )
         j = np.arange(1, j_cap + 1, dtype=float)
         weights = (1.0 + self.delta) ** (-j)
@@ -325,20 +330,44 @@ def _inversion_tail(u: float, px: tuple, bound: int, draw) -> int:
     return x
 
 
-class NeedleOneOneEA(Process):
-    """(1+1) EA on a single-optimum plateau, lumped to the Hamming distance chain.
+def _binomial_pmf(k: int, p: float) -> np.ndarray:
+    """P(Binomial(k, p) = i) for i = 0..k.
 
-    All non-optimal points share one fitness value, so every offspring is
-    accepted and the distance d to the optimum evolves as
-
-        d' = d - Binomial(d, rate) + Binomial(n - d, rate),
-
-    the exact image of standard bit mutation under exchangeability of bit
-    positions. The optimum itself is kept once reached. Runs start from a
-    uniform random bitstring, i.e. d0 ~ Binomial(n, 1/2).
+    The ratio recurrence runs outwards from a mode, whose term starts at 1, and
+    the terms are normalized at the end: nothing overflows at any k, and each
+    term keeps its relative accuracy until it underflows below the smallest
+    double.
     """
+    mode = min(k, math.floor((k + 1) * p))
+    odds = p / (1.0 - p)
+    i = np.arange(k + 1, dtype=float)
+    pmf = np.ones(k + 1)
+    # away from the mode, P(i+1)/P(i) = (k-i) p / ((i+1) q) and
+    # P(i-1)/P(i) = i q / ((k-i+1) p) are at most 1
+    pmf[mode + 1:] = np.cumprod((k - i[mode:k]) / (i[mode:k] + 1.0) * odds)
+    pmf[:mode] = np.cumprod(i[mode:0:-1] / ((k - i[mode:0:-1] + 1.0) * odds))[::-1]
+    return pmf / pmf.sum()
 
-    name = "needle"
+
+def _mutation_step(n: int, d: int, p: float) -> tuple[int, np.ndarray]:
+    """(lo, probs) with probs[i] = P(Binomial(n-d, p) - Binomial(d, p) = lo + i):
+    the change of the distance d to a fixed bit string of length n under standard
+    bit mutation at rate p. Terms that underflow to 0 at either end are cut off."""
+    up, down = _binomial_pmf(n - d, p), _binomial_pmf(d, p)
+    u0, u1 = _support(up)
+    w0, w1 = _support(down)
+    return u0 - w1, np.convolve(up[u0:u1 + 1], down[w0:w1 + 1][::-1])
+
+
+def _support(pmf: np.ndarray) -> tuple[int, int]:
+    nonzero = np.flatnonzero(pmf)
+    return int(nonzero[0]), int(nonzero[-1])
+
+
+class _MutationChain(Process):
+    """A bit-string EA under standard bit mutation, lumped to a count d in 0..n
+    of bits that differ from a target string; the potential is d. Runs start
+    from a uniform random bitstring, i.e. d0 ~ Binomial(n, 1/2)."""
 
     def __init__(self, n: int, mutation_rate: float | None = None):
         if n < 2:
@@ -354,8 +383,32 @@ class NeedleOneOneEA(Process):
     def potential(self, state) -> float:
         return float(state)
 
+    def states(self) -> range:
+        return range(self.n + 1)
+
+
+class NeedleOneOneEA(_MutationChain):
+    """(1+1) EA on a single-optimum plateau, lumped to the Hamming distance chain.
+
+    All non-optimal points share one fitness value, so every offspring is
+    accepted and the distance d to the optimum evolves as
+
+        d' = d - Binomial(d, rate) + Binomial(n - d, rate),
+
+    the exact image of standard bit mutation under exchangeability of bit
+    positions. The optimum itself is kept once reached.
+    """
+
+    name = "needle"
+
     def absorbed(self, state) -> bool:
         return state == 0
+
+    def step_law(self, state) -> JumpDistribution:
+        if state == 0:
+            return JumpDistribution(np.array([0.0]), np.array([1.0]))
+        lo, probs = _mutation_step(self.n, state, self.mutation_rate)
+        return JumpDistribution(np.arange(lo, lo + probs.size, dtype=float), probs)
 
     @functools.cached_property
     def _inversion_tables(self) -> _InversionTables:
@@ -400,7 +453,7 @@ class NeedleOneOneEA(Process):
         return None
 
 
-class OneCommaLambdaEA(Process):
+class OneCommaLambdaEA(_MutationChain):
     """(1,λ) EA on a one-count objective, lumped to the zero-bit count chain.
 
     Each generation draws λ offspring by standard bit mutation and promotes the
@@ -411,21 +464,10 @@ class OneCommaLambdaEA(Process):
     name = "one-comma-lambda"
 
     def __init__(self, n: int, lambda_offspring: int, mutation_rate: float | None = None):
-        if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
+        super().__init__(n, mutation_rate)
         if lambda_offspring < 1:
             raise ValueError(f"lambda_offspring must be >= 1, got {lambda_offspring}")
-        self.n = int(n)
         self.lambda_offspring = int(lambda_offspring)
-        self.mutation_rate = 1.0 / self.n if mutation_rate is None else float(mutation_rate)
-        if not 0.0 < self.mutation_rate < 1.0:
-            raise ValueError(f"mutation_rate must be in (0, 1), got {self.mutation_rate}")
-
-    def initial_state(self, rng):
-        return int(rng.binomial(self.n, 0.5))
-
-    def potential(self, state) -> float:
-        return float(state)
 
     def step(self, state, rng):
         return self.generation(state, rng)[0]
@@ -444,10 +486,20 @@ class OneCommaLambdaEA(Process):
                 best = candidate
         return int(best), saw_copy
 
-    def copy_probability(self) -> float:
-        """P(at least one offspring is an unmutated copy of the parent)."""
-        p_copy = (1.0 - self.mutation_rate) ** self.n
-        return 1.0 - (1.0 - p_copy) ** self.lambda_offspring
+    def step_law(self, state) -> JumpDistribution:
+        """One offspring's count is Y = d - Binomial(d, p) + Binomial(n-d, p), and
+        the best of λ has P(best >= k) = S_k^λ with S_k = P(Y >= k). Its pmf
+        S_k^λ - S_{k+1}^λ is taken as P(Y = k) * sum_{i<λ} S_k^i S_{k+1}^{λ-1-i},
+        which has no cancellation."""
+        lo, probs = _mutation_step(self.n, state, self.mutation_rate)
+        tail = np.cumsum(probs[::-1])[::-1]
+        beyond = np.append(tail[1:], 0.0)
+        # powers = sum_{i<m} tail^i beyond^(m-1-i), built up from m = 1
+        powers, beyond_power = np.ones_like(tail), np.ones_like(tail)
+        for _ in range(self.lambda_offspring - 1):
+            beyond_power = beyond_power * beyond
+            powers = tail * powers + beyond_power
+        return JumpDistribution(np.arange(lo, lo + probs.size, dtype=float), probs * powers)
 
 
 def pea_prime_selection(fitnesses) -> np.ndarray:

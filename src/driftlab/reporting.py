@@ -104,8 +104,13 @@ def condition_summary(report) -> str:
             f"  drift: {report.drift:.6g} (95% CI [{lo:.6g}, {hi:.6g}]) "
             f"from {report.n_drift_samples} samples -> {report.drift_verdict}"
         )
-    else:
+    elif report.drift_state is None:
         lines.append(f"  drift: {report.drift:.6g} (exact) -> {report.drift_verdict}")
+    else:
+        lines.append(
+            f"  drift: {report.drift:.6g} (exact, least at state {format_cell(report.drift_state)}, "
+            f"margin {report.drift - report.params.eps:.6g} over eps) -> {report.drift_verdict}"
+        )
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
     for t in report.tails:
         counts[t.verdict] += 1
@@ -113,6 +118,12 @@ def condition_summary(report) -> str:
         f"  tails: {counts['pass']} pass, {counts['fail']} fail, "
         f"{counts['inconclusive']} inconclusive over {len(report.tails)} indices"
     )
+    if report.tail_j is not None:
+        state = "" if report.tail_state is None else f" at state {format_cell(report.tail_state)}"
+        lines.append(
+            f"  closest tail: j={format_cell(report.tail_j)}{state}, "
+            f"log(tail/bound) = {report.tail_log_margin:.6g}"
+        )
     for t in report.tails:
         if t.verdict == "fail":
             lines.append(f"    FAIL at j={format_cell(t.j)}: tail {t.tail:.6g} > bound {t.bound:.6g}")

@@ -2,12 +2,23 @@
 
 These deliberately avoid the library's own code paths: hit probabilities come
 from dynamic programming over the step distribution, expectations from direct
-summation, and high-precision reference values from mpmath.
+summation, step laws of the bit-string EAs from enumerating every flip mask in
+exact rational arithmetic, and high-precision reference values from mpmath.
 """
+
+import itertools
+import math
 
 import numpy as np
 
 from driftlab.rng import generator, trial_seed
+
+#: a check of PEA', which has no exact step law, so the check harvests steps
+PEA_PRIME_CHECK_INI = (
+    "[experiment]\nname = pea-prime-check\ncommand = check\n[process]\nkind = pea-prime\nn = 30\nmu = 2\n"
+    "[window]\na = 2\nb = 14.5\n[conditions]\neps = 0.01\ndelta = 1\nr = 2\nj_max = 16\n"
+    "[budget]\ntrials = 40\nmax_steps = 400\nmaster_seed = 6\n"
+)
 
 
 def replay_potentials(process, master_seed, index, steps, state=None):
@@ -127,3 +138,59 @@ def config_file_text(config):
     if config.ell_values:
         lines.append("ell_values = " + ",".join(repr(v) for v in config.ell_values))
     return "\n".join(lines) + "\n"
+
+
+def bit_mutation_law(n, d, p):
+    """{d': P} for one offspring of standard bit mutation at rate p (a Fraction):
+    the parent differs from a target string in its first d bits, every one of
+    the 2^n flip masks is weighted p^|mask| (1-p)^(n-|mask|) exactly, and d' is
+    the number of bits in which the offspring differs from the target."""
+    weights = [p**flips * (1 - p) ** (n - flips) for flips in range(n + 1)]
+    parent = (1 << d) - 1
+    law = {}
+    for mask in range(1 << n):
+        child = bin(parent ^ mask).count("1")
+        law[child] = law.get(child, 0) + weights[bin(mask).count("1")]
+    return law
+
+
+def needle_step_oracle(n, d, p):
+    """{step: P} of the (1+1) EA on the needle at distance d: the offspring
+    replaces the parent unless it is worse, and every point but the optimum
+    (distance 0) has the same fitness."""
+    law = {}
+    for child, prob in bit_mutation_law(n, d, p).items():
+        fitness, parent_fitness = int(child == 0), int(d == 0)
+        step = child - d if fitness >= parent_fitness else 0
+        law[step] = law.get(step, 0) + prob
+    return law
+
+
+def comma_lambda_step_oracle(n, d, lam, p):
+    """{step: P} of the (1,lambda) EA at zero-bit count d: every lambda-tuple of
+    independent offspring, the parent replaced by the tuple's best (fewest zero
+    bits)."""
+    offspring = list(bit_mutation_law(n, d, p).items())
+    law = {}
+    for group in itertools.product(offspring, repeat=lam):
+        best = min(child for child, _ in group)
+        law[best - d] = law.get(best - d, 0) + math.prod(prob for _, prob in group)
+    return law
+
+
+def needle_step_exact(n, d):
+    """({step: numerator}, n^n): the needle's step law at distance d > 0 with
+    rate 1/n in integers. With U ~ Bin(n-d, 1/n) up and W ~ Bin(d, 1/n) down,
+    n^n P(U - W = k) is the sum over w of C(n-d, k+w) C(d, w) (n-1)^(n-k-2w),
+    taken by Horner's rule in (n-1)^2."""
+    up = [math.comb(n - d, u) for u in range(n - d + 1)]
+    down = [math.comb(d, w) for w in range(d + 1)]
+    square = (n - 1) ** 2
+    law = {}
+    for k in range(-d, n - d + 1):
+        w_lo, w_hi = max(0, -k), min(d, n - d - k)
+        acc = 0
+        for w in range(w_lo, w_hi + 1):
+            acc = acc * square + up[k + w] * down[w]
+        law[k] = acc * (n - 1) ** (n - k - 2 * w_hi)
+    return law, n**n

@@ -120,7 +120,7 @@ def test_criterion_4_mgf_bound_suite():
         # r = 2 certifies the two-sided condition whenever delta <= 1; the
         # walk's exact tail needs r = 1 + delta beyond that
         r = max(2.0, 1.0 + delta)
-        check = dl.mgf_bound_check(walk.jump_table(), delta=delta, r=r)
+        check = dl.mgf_bound_check(walk.step_law(None), delta=delta, r=r)
         assert check.verdict, (delta, eps)
         assert check.estimate == pytest.approx(2.0 + delta, rel=1e-9)
         # the criterion's literal inequality at r = 2 holds for every delta

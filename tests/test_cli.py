@@ -10,7 +10,7 @@ import pytest
 
 from driftlab.cli import main
 from driftlab.presets import PRESETS, load_config
-from helpers import config_file_text
+from helpers import PEA_PRIME_CHECK_INI, config_file_text
 
 
 def read_csv(path):
@@ -91,8 +91,18 @@ def test_check_exit_codes():
     assert main(["check", "--preset", "geometric-walk-twosided"]) == 0
 
 
-def test_check_needle_preset_passes_empirically():
-    assert main(["check", "--preset", "needle-n50-twosided"]) == 0
+def test_check_needle_preset_passes_exactly(tmp_path, capsys):
+    out = tmp_path / "needle.csv"
+    assert main(["check", "--preset", "needle-n50-twosided", "--out", str(out)]) == 0
+    provenance, _, rows, _ = read_csv(out)
+    assert provenance["mode"] == "exact" and provenance["overall"] == "pass"
+    assert provenance["drift_state"] == "15"
+    assert (provenance["tail_state"], provenance["tail_j"]) == ("50", "1")
+    assert float(provenance["tail_log_margin"]) == pytest.approx(-0.4528, abs=1e-4)
+    assert all(row["verdict"] == "pass" and row["count"] == "" for row in rows)
+    stdout = capsys.readouterr().out
+    assert "every window state; trials and max_steps were not used" in stdout
+    assert "least at state 15" in stdout and "j=1 at state 50" in stdout
 
 
 def test_geometric_walk_preset_sees_no_hits_at_desk_budget(tmp_path):
@@ -333,11 +343,38 @@ def test_scaling_error_paths_exit_two(tmp_path, capsys):
     assert "12.5" in _single_error_line(capsys)
 
 
-def test_check_sample_floor_names_both_counts(capsys):
-    assert main(["check", "--preset", "needle-n50-twosided", "--trials", "1"]) == 2
+def test_check_sample_floor_names_both_counts(tmp_path, capsys):
+    # PEA' has no exact law, so its check harvests steps
+    cfg = tmp_path / "pea-prime-check.ini"
+    cfg.write_text(PEA_PRIME_CHECK_INI)
+    assert main(["check", "--config", str(cfg), "--trials", "1"]) == 2
     message = _single_error_line(capsys)
-    assert "17 drift" in message and "12000 tail" in message
+    assert "59 drift" in message and "400 tail" in message
     assert "raise trials or max_steps" in message
+
+
+def test_random_starts_below_b_are_drawn_again(tmp_path, capsys):
+    # n = 20 puts about 0.6% of needle starts below b = 5; trial 2 of seed 7 starts at 4
+    cfg = tmp_path / "low.ini"
+    cfg.write_text(
+        "[experiment]\nname = needle-low-starts\n[process]\nkind = needle\nn = 20\n"
+        "[window]\na = 4\nb = 5\n[budget]\ntrials = 100\nmax_steps = 20000\nmaster_seed = 7\n"
+        "[run]\nhorizon = 20000\n"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"low-{threads}.csv"
+        assert main(["simulate", "--config", str(cfg), "--threads", threads, "--out", str(out)]) == 0
+        _, _, rows, _ = read_csv(out)
+        assert len(rows) == 100 and all(float(row["x0"]) >= 5 for row in rows)
+        digests.add(out.read_bytes())
+    assert len(digests) == 1
+    # a deterministic start below b never gets above it
+    walk = tmp_path / "walk.ini"
+    walk.write_text("[process]\nkind = geometric-walk\neps = 0.2\ndelta = 1\nstart = 3\n"
+                    "[window]\nb = 5\n[run]\nhorizon = 10\n")
+    assert main(["simulate", "--config", str(walk)]) == 2
+    assert "initial potential 3.0 is below the start threshold b=5.0" in _single_error_line(capsys)
 
 
 def test_scaling_reports_unresolved_horizon(tmp_path, capsys):

@@ -10,7 +10,7 @@ from driftlab.rng import generator
 
 @pytest.fixture(scope="module")
 def counterexample_table():
-    return dl.CounterexampleChain(10).jump_table()
+    return dl.CounterexampleChain(10).step_law(None)
 
 
 @pytest.fixture(scope="module")
@@ -45,19 +45,19 @@ class TestExactChecks:
 
     def test_geometric_walk_passes_two_sided(self, walk):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=2.0)
-        report = dl.check_conditions_exact(walk.jump_table(), params, TWO_SIDED)
+        report = dl.check_conditions_exact(walk.step_law(None), params, TWO_SIDED)
         assert report.passed()
         assert all(t.verdict == "pass" for t in report.tails)
 
     def test_j_zero_always_passes_with_r_at_least_one(self, walk):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=1.0)
-        report = dl.check_conditions_exact(walk.jump_table(), params, TWO_SIDED)
+        report = dl.check_conditions_exact(walk.step_law(None), params, TWO_SIDED)
         assert report.tails[0].j == 0.0
         assert report.tails[0].verdict == "pass"
 
     def test_one_sided_implied_by_two_sided(self, counterexample_table, walk):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=2.0)
-        for table in (counterexample_table, walk.jump_table()):
+        for table in (counterexample_table, walk.step_law(None)):
             two = dl.check_conditions_exact(table, params, TWO_SIDED)
             one = dl.check_conditions_exact(table, params, ONE_SIDED)
             one_by_j = {t.j: t.verdict for t in one.tails}
@@ -102,9 +102,9 @@ class TestEmpiricalChecks:
 
     def test_agrees_with_exact_mode_where_margins_are_wide(self, walk):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=2.0, j_max=32)
-        exact = dl.check_conditions_exact(walk.jump_table(), params, TWO_SIDED)
+        exact = dl.check_conditions_exact(walk.step_law(None), params, TWO_SIDED)
         rng = generator(2024)
-        samples = walk.jump_table().sample(rng, 1_000_000)
+        samples = walk.step_law(None).sample(rng, 1_000_000)
         emp = dl.check_conditions_empirical(samples, samples, params, TWO_SIDED)
         exact_by_j = {t.j: t for t in exact.tails}
         for t in emp.tails:
@@ -118,7 +118,7 @@ class TestEmpiricalChecks:
                 assert t.verdict == ref.verdict
 
     def test_counterexample_large_jump_fails_when_observed(self):
-        table = dl.CounterexampleChain(10).jump_table()
+        table = dl.CounterexampleChain(10).step_law(None)
         rng = generator(8)  # seed with at least one up-jump among 1e5 draws
         samples = table.sample(rng, 100_000)
         n_jumps = int((samples > 1).sum())
@@ -172,3 +172,70 @@ class TestHarvesting:
             dl.ConditionParams(eps=0.1, delta=1.0, r=0.5)
         with pytest.raises(ValueError):
             dl.ConditionParams(eps=0.1, delta=1.0, r=2.0, j_max=0)
+
+
+class TestPerStateChecks:
+    params = dl.ConditionParams(eps=0.25, delta=1.0, r=2.0)
+    window = dl.DriftWindow(10.0, 16.0)
+
+    def test_needle_checked_in_every_window_state(self):
+        laws = dl.step_laws(dl.NeedleOneOneEA(50), self.window)
+        report = dl.check_conditions_exact(laws, self.params, TWO_SIDED, self.window)
+        assert report.mode == "exact" and report.passed()
+        # drift (n - 2d)/n falls with d, so state 15 is the least inside (10, 16)
+        assert report.drift_state == 15.0
+        assert report.drift == pytest.approx(0.4, rel=1e-12)
+        # at d = n every flip moves down, so |step| >= 1 unless nothing flips
+        assert (report.tail_state, report.tail_j) == (50.0, 1.0)
+        assert report.tail_log_margin == pytest.approx(math.log(1 - 0.98**50), rel=1e-12)
+        assert report.tails[1].tail == pytest.approx(1 - 0.98**50, rel=1e-12)
+
+    def test_a_state_cannot_hide_behind_the_average(self):
+        good = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.25, 0.75]))
+        bad = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        pairs = [(11.0, good), (12.0, bad), (13.0, good), (14.0, good)]
+        # the average drift over the four states is 0.375 >= eps, but state 12 has none
+        report = dl.check_conditions_exact(pairs, self.params, TWO_SIDED, self.window)
+        assert report.drift_verdict == "fail" and report.drift_state == 12.0
+
+    def test_drift_only_inside_the_window_tails_above_it(self):
+        weak = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        good = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.25, 0.75]))
+        heavy = dl.JumpDistribution(np.array([-40.0, 1.0]), np.array([0.01, 0.99]))
+        # state 16 is not inside (10, 16): its weak drift is not required, its tails are
+        report = dl.check_conditions_exact([(11.0, good), (16.0, weak)], self.params, TWO_SIDED, self.window)
+        assert report.passed() and report.drift_state == 11.0
+        report = dl.check_conditions_exact([(11.0, good), (16.0, heavy)], self.params, TWO_SIDED, self.window)
+        assert report.overall() == "fail" and report.tail_state == 16.0
+        assert {t.j for t in report.tail_failures()} >= {40.0}
+
+    def test_one_law_in_every_state_gives_the_single_law_rows(self, counterexample_table):
+        params = dl.ConditionParams(eps=1.0, delta=1.0, r=2.0)
+        window = dl.DriftWindow(0.0, 10.0)
+        single = dl.check_conditions_exact(counterexample_table, params, TWO_SIDED)
+        pairs = [(float(x), counterexample_table) for x in range(1, 11)]
+        per_state = dl.check_conditions_exact(pairs, params, TWO_SIDED, window)
+        assert per_state.tails == single.tails
+        assert per_state.overall() == single.overall() == "fail"
+        assert single.drift_state is None and single.tail_state is None
+        assert per_state.tail_j == single.tail_j == 44053.0
+
+    def test_bad_per_state_input_rejected(self):
+        law = dl.JumpDistribution(np.array([1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="window"):
+            dl.check_conditions_exact([(11.0, law)], self.params)
+        with pytest.raises(ValueError, match="above the target threshold"):
+            dl.check_conditions_exact([(10.0, law)], self.params, TWO_SIDED, self.window)
+        with pytest.raises(ValueError, match="strictly inside"):
+            dl.check_conditions_exact([(16.0, law)], self.params, TWO_SIDED, self.window)
+
+    def test_laws_are_built_only_by_the_check(self, monkeypatch):
+        built = []
+        original = dl.NeedleOneOneEA.step_law
+        monkeypatch.setattr(dl.NeedleOneOneEA, "step_law", lambda self, s: built.append(s) or original(self, s))
+        process = dl.NeedleOneOneEA(20)
+        dl.run_trials(process, dl.DriftWindow(2.0, 5.0), 20, 100, master_seed=1)
+        laws = dl.step_laws(process, dl.DriftWindow(2.0, 5.0))
+        assert built == []
+        dl.check_conditions_exact(laws, self.params, TWO_SIDED, dl.DriftWindow(2.0, 5.0))
+        assert built == list(range(3, 21))

@@ -1,8 +1,9 @@
 """Byte-identity of the CLI's CSVs.
 
 Each CSV below is pinned by its sha256. A change that declares a new
-random-stream layout (ROADMAP item 5) updates these digests in the same
-change; any other change must leave them as they are.
+random-stream layout (ROADMAP item 5) or another output change updates these
+digests in the same change and says why in CHANGES.md; any other change must
+leave them as they are.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from driftlab.cli import main
+from helpers import PEA_PRIME_CHECK_INI
 
 #: simulate configs whose trials hit, written next to example.ini; each
 #: budget reaches the 2e6 trial-steps at which run_trials starts its pool
@@ -25,6 +27,8 @@ CONFIGS = {
     "walk-delta0.3-hits.ini": "[experiment]\nname = geometric-walk-delta0.3-hits\n[process]\nkind = geometric-walk\n"
                               "eps = 0.2\ndelta = 0.3\nstart = 10\n[window]\nb = 10\n"
                               "[budget]\ntrials = 200\nmax_steps = 10000\nmaster_seed = 11\n[run]\nhorizon = 10000\n",
+    # PEA' has no exact step law, so its check harvests steps: the empirical path
+    "pea-prime-check.ini": PEA_PRIME_CHECK_INI,
 }
 
 SMOKE_GRID = ["--n-max", "30", "--m-max", "30", "--mu-max", "5", "--phi-max", "10",
@@ -55,9 +59,14 @@ GOLDEN = {
         ["check", "--preset", "geometric-walk-twosided"],
         "43231a6320d9e7f067ad8cef6f970e44379360d09d130581545a565448f4d7dc",
     ),
+    # exact in every window state from the needle's step laws (no harvested samples)
     "check-needle-n50-twosided": (
         ["check", "--preset", "needle-n50-twosided"],
-        "7b50ebeaf946c90e489bcec2f9696f3fda430c49069536d8232a5d1c02fd6657",
+        "0bba0b26f28fd485c4cdda747008154b3d45444e0a4902277fd3e5c893f53df6",
+    ),
+    "check-pea-prime-empirical": (
+        ["check", "--config", "pea-prime-check.ini"],
+        "c16a2a7b94918f7ae56100a76c66d3a8e80d494182bb1bb6203bf3d8a386d74b",
     ),
     "jump-table-counterexample-twosided": (
         ["check", "--preset", "counterexample-twosided", "--jump-table"],

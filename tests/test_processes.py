@@ -7,7 +7,7 @@ from scipy import stats as sstats
 
 import driftlab as dl
 from driftlab.rng import generator
-from helpers import replay_potentials
+from helpers import geometric_step_pmf, replay_potentials
 
 
 class TestCounterexampleChain:
@@ -26,19 +26,19 @@ class TestCounterexampleChain:
 
     def test_drift_at_least_one_for_every_n(self):
         for n in range(2, 26):
-            table = dl.CounterexampleChain(n).jump_table()
+            table = dl.CounterexampleChain(n).step_law(None)
             expected = math.exp(-n) * math.ceil(2 * math.exp(n)) - (1 - math.exp(-n))
             assert table.drift() == pytest.approx(expected, rel=1e-12)
             assert table.drift() >= 1.0
 
     def test_one_sided_tail_is_unit_steps_only(self):
-        table = dl.CounterexampleChain(10).jump_table()
+        table = dl.CounterexampleChain(10).step_law(None)
         assert table.tail_down(1) == pytest.approx(1 - math.exp(-10), rel=1e-14)
         assert table.tail_down(2) == 0.0
         assert table.tail_down(50) == 0.0
 
     def test_two_sided_tail_concentrates_on_the_big_jump(self):
-        table = dl.CounterexampleChain(10).jump_table()
+        table = dl.CounterexampleChain(10).step_law(None)
         p = math.exp(-10)
         for j in (2, 100, 44053):
             assert table.tail_abs(j) == pytest.approx(p, rel=1e-14)
@@ -73,28 +73,29 @@ class TestGeometricDriftWalk:
     def test_table_is_normalized_with_exact_drift(self):
         for eps, delta in [(0.2, 1.0), (0.5, 0.3), (1.0, 2.5), (0.05, 0.1)]:
             walk = dl.GeometricDriftWalk(eps, delta)
-            table = walk.jump_table()
+            table = walk.step_law(None)
             assert abs(float(table.probs.sum()) - 1.0) < 1e-12
             assert table.drift() == pytest.approx(eps, rel=1e-9)
 
     @pytest.mark.parametrize("delta", [0.3, 1.0, 2.0])
     def test_closed_form_tail_matches_term_summation(self, delta):
         walk = dl.GeometricDriftWalk(0.1, delta)
+        pmf, j_cap = geometric_step_pmf(0.1, delta, j_cap=4000)
+        mags = np.abs(np.arange(-j_cap, j_cap + 1))
+        law = walk.step_law(None)
         for j in range(0, 61):
-            brute = sum(
-                (walk.c_plus + walk.c_minus) * (1.0 + delta) ** (-i)
-                for i in range(max(j, 1), max(j, 1) + 4000)
-            )
-            if j == 0:
-                brute = 1.0
-            assert walk.exact_abs_tail(j) == pytest.approx(brute, rel=1e-12)
-            assert walk.jump_table().tail_abs(j) == pytest.approx(brute, rel=1e-9)
+            brute = float(pmf[mags >= j].sum())
+            # closed form: P(|step| >= j) = (1+delta)^(1-j) for j >= 1
+            assert brute == pytest.approx(1.0 if j == 0 else (1.0 + delta) ** (1 - j), rel=1e-12)
+            assert law.tail_abs(j) == pytest.approx(brute, rel=1e-9)
 
     def test_tail_condition_holds_exactly_with_r_one_plus_delta(self):
         walk = dl.GeometricDriftWalk(0.3, 0.7)
+        pmf, j_cap = geometric_step_pmf(0.3, 0.7, j_cap=4000)
+        mags = np.abs(np.arange(-j_cap, j_cap + 1))
         for j in range(0, 65):
             bound = walk.r / (1.0 + walk.delta) ** j
-            assert walk.exact_abs_tail(j) <= bound * (1 + 1e-12)
+            assert float(pmf[mags >= j].sum()) <= bound * (1 + 1e-12)
 
     def test_infeasible_drift_rejected_with_diagnostic(self):
         with pytest.raises(ValueError, match="geometric tails allow"):
@@ -124,10 +125,11 @@ class TestGeometricDriftWalk:
             observed.append(int((samples == v).sum()))
             weight = walk.c_plus if v > 0 else walk.c_minus
             expected.append(n * weight * (1 + walk.delta) ** (-abs(v)))
+        pmf, j_cap = geometric_step_pmf(walk.eps, walk.delta)
         observed.append(int((samples < -8).sum()))
-        expected.append(n * walk.exact_abs_tail(9) * walk.c_minus / (walk.c_plus + walk.c_minus))
+        expected.append(n * pmf[: j_cap - 8].sum())
         observed.append(int((samples > 8).sum()))
-        expected.append(n * walk.exact_abs_tail(9) * walk.c_plus / (walk.c_plus + walk.c_minus))
+        expected.append(n * pmf[j_cap + 9 :].sum())
         stat, p_value = sstats.chisquare(observed, expected)
         assert p_value > 1e-3
 
@@ -203,18 +205,20 @@ class TestOneCommaLambdaEA:
         n, lam = 100, 2
         process = dl.OneCommaLambdaEA(n, lam)
         closed = 1.0 - (1.0 - 0.99**100) ** 2
-        assert process.copy_probability() == pytest.approx(closed, rel=1e-12)
         rng = generator(11)
         hits = sum(process.generation(50, rng)[1] for _ in range(20_000))
         lo, hi = dl.wilson_interval(int(hits), 20_000)
         assert lo <= closed <= hi
 
     def test_copy_probability_floor(self):
-        # 1 - (1 - (1-1/n)^n)^lambda >= 1 - (1 - 1/(2e))^lambda for n >= 2
+        # an offspring that copies its parent keeps the count, so the best never
+        # worsens with probability at least 1 - (1 - (1-1/n)^n)^lambda, which is
+        # at least 1 - (1 - 1/(2e))^lambda for n >= 2
         for n in (2, 3, 10, 1000):
             for lam in (1, 2, 8, 64):
                 floor = 1.0 - (1.0 - 1.0 / (2.0 * math.e)) ** lam
-                assert dl.OneCommaLambdaEA(n, lam).copy_probability() >= floor - 1e-12
+                law = dl.OneCommaLambdaEA(n, lam).step_law(n // 2)
+                assert float(law.probs[law.values <= 0].sum()) >= floor - 1e-12
 
     def test_best_offspring_selected(self):
         process = dl.OneCommaLambdaEA(30, 8)

@@ -1,0 +1,95 @@
+"""Each process's exact step laws against independent oracles.
+
+The bit-string EAs' per-state laws are compared with enumerations of every
+flip mask in exact rational arithmetic, and at n = 1000 with exact integer
+sums; the state-independent laws with their closed forms.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+import driftlab as dl
+from helpers import comma_lambda_step_oracle, needle_step_exact, needle_step_oracle
+
+
+def as_dict(law):
+    return dict(zip(law.values.tolist(), law.probs.tolist()))
+
+
+def assert_law_matches(law, oracle, rel=1e-12):
+    """Every step the law or the oracle gives a probability agrees to `rel`; a
+    step the oracle rules out has probability exactly 0 in the law."""
+    lib = as_dict(law)
+    for step in set(lib) | {float(k) for k in oracle}:
+        exact = float(oracle.get(int(step), 0))
+        assert lib.get(step, 0.0) == pytest.approx(exact, rel=rel, abs=0.0), step
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_needle_law_matches_flip_mask_enumeration(n):
+    process = dl.NeedleOneOneEA(n)
+    for d in process.states():
+        assert_law_matches(process.step_law(d), needle_step_oracle(n, d, Fraction(1, n)))
+
+
+def test_needle_law_at_another_rate():
+    rate = 0.3
+    process = dl.NeedleOneOneEA(8, rate)
+    for d in process.states():
+        assert_law_matches(process.step_law(d), needle_step_oracle(8, d, Fraction(rate)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("lam", [1, 2, 3])
+def test_comma_lambda_law_matches_offspring_tuple_enumeration(n, lam):
+    process = dl.OneCommaLambdaEA(n, lam)
+    for d in process.states():
+        assert_law_matches(process.step_law(d), comma_lambda_step_oracle(n, d, lam, Fraction(1, n)))
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_large_n_laws_build_without_overflow(n):
+    for process in (dl.NeedleOneOneEA(n), dl.NeedleOneOneEA(n, 0.5), dl.OneCommaLambdaEA(n, 4)):
+        for d in (1, n // 2, n - 1, n):
+            law = process.step_law(d)
+            assert abs(float(law.probs.sum()) - 1.0) < 1e-12
+            assert all(math.isfinite(p) for p in law.probs.tolist())
+
+
+@pytest.mark.parametrize("d", [1, 375, 999])
+def test_n1000_laws_match_exact_sums(d):
+    n = 1000
+    exact, denominator = needle_step_exact(n, d)
+    # the best of two offspring: P(best - d >= k) = S_k^2 with S_k = P(step >= k)
+    tails, running = {}, 0
+    for k in sorted(exact, reverse=True):
+        running += exact[k]
+        tails[k] = running
+    best_of_two = {k: tails[k] ** 2 - tails.get(k + 1, 0) ** 2 for k in exact}
+    cases = (
+        (dl.NeedleOneOneEA(n).step_law(d), exact, denominator),
+        (dl.OneCommaLambdaEA(n, 2).step_law(d), best_of_two, denominator**2),
+    )
+    for law, numerators, scale in cases:
+        lib = as_dict(law)
+        checked = 0
+        for k, numerator in numerators.items():
+            value = numerator / scale  # int / int is correctly rounded
+            if value >= 1e-300:
+                assert lib.get(float(k), 0.0) == pytest.approx(value, rel=1e-12), k
+                checked += 1
+        assert checked >= 90
+
+
+def test_state_independent_laws_ignore_the_state():
+    for process in (dl.CounterexampleChain(10), dl.GeometricDriftWalk(0.2, 1.0), dl.ConstantWalk(-1.0, 5.0)):
+        assert process.states() is None
+        assert as_dict(process.step_law(None)) == as_dict(process.step_law(3))
+
+
+def test_pea_has_no_exact_law():
+    for process in (dl.pea(10, 2), dl.pea_prime(10, 2)):
+        assert process.states() is None
+        assert process.step_law(None) is None
