@@ -28,19 +28,15 @@ from .theorem import derive_constants, hajek_escape_bound
 from .inequalities import SWEEPS, SweepGrid, check_grid, slab_count
 
 
-class ConfigError(Exception):
-    """Configuration problem; maps to exit code 2."""
-
-
 def _resolve_config(args) -> ExperimentConfig:
     if args.preset and args.config:
-        raise ConfigError("give either --preset or --config, not both")
+        raise ValueError("give either --preset or --config, not both")
     if args.preset:
         config = get_preset(args.preset)
     elif args.config:
         config = load_config(args.config)
     else:
-        raise ConfigError("one of --preset or --config is required")
+        raise ValueError("one of --preset or --config is required")
     # the override flags' dests are the ExperimentConfig fields they set
     overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     return replace(config, **{name: value for name, value in overrides.items() if value is not None})
@@ -53,7 +49,7 @@ def cmd_simulate(args) -> int:
     certified = None if constants is None else constants.horizon
     if horizon is None:
         certified_note = "" if certified is None else f" (certified horizon {certified!r})"
-        raise ConfigError(
+        raise ValueError(
             f"horizon {config.horizon}{certified_note} at ell={format_cell(window.ell)} "
             f"exceeds max_steps={config.max_steps}"
         )
@@ -89,7 +85,7 @@ def cmd_check(args) -> int:
     laws = step_laws(process, window)
     if args.jump_table:
         if not isinstance(laws, JumpDistribution):
-            raise ConfigError(
+            raise ValueError(
                 f"process {config.process_kind!r} has no state-independent step law; "
                 "no exact jump table to export"
             )
@@ -186,7 +182,7 @@ def cmd_bounds(args) -> int:
 def cmd_scaling(args) -> int:
     config = _resolve_config(args)
     if not config.ell_values:
-        raise ConfigError("scaling needs ell_values (a comma-separated list in the config)")
+        raise ValueError("scaling needs ell_values (a comma-separated list in the config)")
     rows = []
     failures = 0
     unresolved = []
@@ -194,11 +190,8 @@ def cmd_scaling(args) -> int:
         process, window = config.family_member(ell)
         horizon, constants = config.resolve_horizon(ell)
         constants = constants or config.constants(ell)
-        laws = step_laws(process, window)
-        report = None
-        if laws is not None:
-            report = check_conditions_exact(laws, config.condition_params(), "two_sided", window)
-        condition_note = "empirical" if report is None else f"two-sided condition: {report.overall().upper()}"
+        # every kind with a scaling family has one exact law for all its states
+        report = check_conditions_exact(step_laws(process, window), config.condition_params(), "two_sided", window)
         row = {
             "ell": ell,
             "horizon": horizon,
@@ -209,7 +202,7 @@ def cmd_scaling(args) -> int:
             "ci_low": None,
             "ci_high": None,
             "escape_bound": None,
-            "condition": condition_note,
+            "condition": f"two-sided condition: {report.overall().upper()}",
             "note": "",
         }
         rows.append(row)
@@ -227,7 +220,7 @@ def cmd_scaling(args) -> int:
             ci_high=estimate.ci_high,
             escape_bound=bound,
         )
-        if report is not None and report.overall() == "pass" and estimate.point > bound:
+        if report.overall() == "pass" and estimate.point > bound:
             failures += 1
             row["note"] = "empirical probability exceeds the certified bound"
     if args.out:
@@ -318,9 +311,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

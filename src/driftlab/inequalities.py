@@ -25,6 +25,8 @@ E_HI = E_LO + Fraction(2, math.factorial(31))
 EXACT_LIMIT = 1000
 #: the largest n of the mutation chain
 MUTATION_N_LIMIT = 10_000
+#: grid points per decade of the log-sampled sweep axes
+_PER_DECADE = 8
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,6 @@ class InequalityResult:
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
-
-    @staticmethod
-    def from_exact(name, parameters, lhs, rhs, holds=None, note="") -> "InequalityResult":
-        if holds is None:
-            holds = lhs <= rhs
-        return InequalityResult(name, parameters, float(lhs), float(rhs), bool(holds), note)
 
 
 def _log_binom(n: int, j: int) -> float:
@@ -168,12 +164,12 @@ def matching_ratio_link(m: int, j: int) -> InequalityResult:
     else:
         lhs_frac = min(Fraction(1), E_HI / m ** (j - 3))
     rhs_frac = Fraction(22, 2**j)
-    return InequalityResult.from_exact(
+    return InequalityResult(
         "matching-ratio-vs-geometric",
         params,
-        lhs_frac,
-        rhs_frac,
-        holds=lhs_frac <= rhs_frac,
+        float(lhs_frac),
+        float(rhs_frac),
+        lhs_frac <= rhs_frac,
         note="rational comparison with certified upper bound on e",
     )
 
@@ -379,24 +375,24 @@ def pea_prime_expected_selections(fitnesses, mu: Optional[int] = None) -> Select
     expected += [(mu - 1) * s + Fraction(1, mu) for s in shares[1:]]
     note = "" if premise_ok else "premise-fail: " + "; ".join(premise_notes)
     links = [
-        InequalityResult.from_exact(
+        InequalityResult(
             "pea-prime-expected-selections",
             {"mu": mu, "i": i + 1},
-            e,
-            Fraction(2),
-            holds=e <= 2,
+            float(e),
+            2.0,
+            e <= 2,
             note=note,
         )
         for i, e in enumerate(expected)
     ]
     total = sum(expected)
     links.append(
-        InequalityResult.from_exact(
+        InequalityResult(
             "selection-count-conservation",
             {"mu": mu},
-            total,
-            Fraction(mu),
-            holds=total == mu,
+            float(total),
+            float(mu),
+            total == mu,
             note="exact rational equality" if total == mu else "conservation violated",
         )
     )
@@ -507,11 +503,11 @@ def sweep_diversity(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None) -
                 yield from _diversity_links(terms, mu, phi, j)
 
 
-def log_spaced_integers(lo: int, hi: int, per_decade: int = 8) -> list[int]:
+def log_spaced_integers(lo: int, hi: int) -> list[int]:
     """Distinct integers covering [lo, hi] roughly uniformly in log space."""
     if lo > hi:
         return []
-    count = max(2, int(per_decade * math.log10(max(hi / lo, 10.0))) + 1)
+    count = max(2, int(_PER_DECADE * math.log10(max(hi / lo, 10.0))) + 1)
     grid = np.unique(np.round(np.geomspace(lo, hi, count)).astype(int))
     return [int(v) for v in grid if lo <= v <= hi]
 

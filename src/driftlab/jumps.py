@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,12 +21,15 @@ class JumpDistribution:
 
     values: np.ndarray
     probs: np.ndarray
+    #: |values|, which the tail and moment methods read
+    magnitudes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "magnitudes", np.abs(values))
         if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
             raise ValueError("values and probs must be matching non-empty 1-d arrays")
         if np.any(np.diff(values) <= 0):
@@ -46,7 +49,7 @@ class JumpDistribution:
         """P(|step| >= j)."""
         if j <= 0:
             return 1.0
-        return float(self.probs[np.abs(self.values) >= j].sum())
+        return float(self.probs[self.magnitudes >= j].sum())
 
     def tail_down(self, j: float) -> float:
         """P(step <= -j), the one-sided tail toward the target."""
@@ -55,12 +58,11 @@ class JumpDistribution:
     def abs_mgf(self, gamma: float) -> float:
         """E(exp(gamma * |step|)); may overflow to inf for heavy upper tails."""
         with np.errstate(over="ignore"):
-            return float(np.dot(np.exp(gamma * np.abs(self.values)), self.probs))
+            return float(np.dot(np.exp(gamma * self.magnitudes), self.probs))
 
     def support_magnitudes(self) -> np.ndarray:
         """Sorted distinct |step| values with positive probability."""
-        mags = np.abs(self.values[self.probs > 0])
-        return np.unique(mags)
+        return np.unique(self.magnitudes[self.probs > 0])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.choice(self.values, size=size, p=self.probs)

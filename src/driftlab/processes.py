@@ -65,9 +65,9 @@ class Process(ABC):
     def initial_state(self, rng: np.random.Generator):
         ...
 
-    @abstractmethod
     def potential(self, state) -> float:
-        ...
+        """The state itself, for every process whose state is its potential."""
+        return float(state)
 
     @abstractmethod
     def step(self, state, rng: np.random.Generator):
@@ -112,9 +112,6 @@ class ConstantWalk(Process):
     def initial_state(self, rng):
         return self.start
 
-    def potential(self, state) -> float:
-        return float(state)
-
     def step(self, state, rng):
         return state + self.step_size
 
@@ -146,21 +143,18 @@ class CounterexampleChain(Process):
     def initial_state(self, rng):
         return self.n
 
-    def potential(self, state) -> float:
-        return float(state)
-
     def absorbed(self, state) -> bool:
         return not 0 < state <= self.n
 
     def step(self, state, rng):
-        if not 0 < state <= self.n:
+        if self.absorbed(state):
             return state
         if rng.random() < self.up_prob:
             return state + self.up_jump
         return state - 1
 
     def hitting_time(self, state, rng, a, max_steps):
-        if not 0 < state <= self.n:
+        if self.absorbed(state):
             return 1 if self.potential(state) <= a else None
         # Until an up-jump the chain steps down by one, one double per step, so
         # the path to its first state <= a or out of ]0, n] is known in advance.
@@ -223,9 +217,6 @@ class GeometricDriftWalk(Process):
 
     def initial_state(self, rng):
         return self.start
-
-    def potential(self, state) -> float:
-        return float(state)
 
     def step(self, state, rng):
         magnitude = rng.geometric(self._p_geom)
@@ -364,10 +355,9 @@ def _support(pmf: np.ndarray) -> tuple[int, int]:
     return int(nonzero[0]), int(nonzero[-1])
 
 
-class _MutationChain(Process):
-    """A bit-string EA under standard bit mutation, lumped to a count d in 0..n
-    of bits that differ from a target string; the potential is d. Runs start
-    from a uniform random bitstring, i.e. d0 ~ Binomial(n, 1/2)."""
+class _BitMutation(Process):
+    """A process on bit strings of length n under standard bit mutation, which
+    flips each bit independently at mutation_rate (default 1/n)."""
 
     def __init__(self, n: int, mutation_rate: float | None = None):
         if n < 2:
@@ -377,11 +367,21 @@ class _MutationChain(Process):
         if not 0.0 < self.mutation_rate < 1.0:
             raise ValueError(f"mutation_rate must be in (0, 1), got {self.mutation_rate}")
 
+    def _mutate(self, count: int, rng) -> int:
+        """The new count of marked bits after mutation: Binomial(count, rate)
+        drawn first are unmarked, then Binomial(n - count, rate) are marked."""
+        down = rng.binomial(count, self.mutation_rate)
+        up = rng.binomial(self.n - count, self.mutation_rate)
+        return count - down + up
+
+
+class _MutationChain(_BitMutation):
+    """A bit-string EA under standard bit mutation, lumped to a count d in 0..n
+    of bits that differ from a target string; the potential is d. Runs start
+    from a uniform random bitstring, i.e. d0 ~ Binomial(n, 1/2)."""
+
     def initial_state(self, rng):
         return int(rng.binomial(self.n, 0.5))
-
-    def potential(self, state) -> float:
-        return float(state)
 
     def states(self) -> range:
         return range(self.n + 1)
@@ -417,9 +417,7 @@ class NeedleOneOneEA(_MutationChain):
     def step(self, state, rng):
         if state == 0:
             return 0
-        down = rng.binomial(state, self.mutation_rate)
-        up = rng.binomial(self.n - state, self.mutation_rate)
-        return state - down + up
+        return self._mutate(state, rng)
 
     def hitting_time(self, state, rng, a, max_steps):
         p = self.mutation_rate
@@ -529,7 +527,7 @@ def _discount_best(f: np.ndarray, f_tot: float) -> np.ndarray:
     return q
 
 
-class FitnessProportionalEA(Process):
+class FitnessProportionalEA(_BitMutation):
     """Generational μ-population EA with proportional selection on a one-count
     objective, lumped to the sorted vector of per-individual one-counts.
 
@@ -545,16 +543,11 @@ class FitnessProportionalEA(Process):
     potential_scale = "log8"
 
     def __init__(self, n: int, mu: int, force_best_mutation: bool, mutation_rate: float | None = None):
-        if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
+        super().__init__(n, mutation_rate)
         if mu < 2:
             raise ValueError(f"mu must be >= 2, got {mu}")
-        self.n = int(n)
         self.mu = int(mu)
         self.force_best_mutation = bool(force_best_mutation)
-        self.mutation_rate = 1.0 / self.n if mutation_rate is None else float(mutation_rate)
-        if not 0.0 < self.mutation_rate < 1.0:
-            raise ValueError(f"mutation_rate must be in (0, 1), got {self.mutation_rate}")
         self.name = "pea-prime" if force_best_mutation else "pea"
 
     def initial_state(self, rng):
@@ -575,11 +568,6 @@ class FitnessProportionalEA(Process):
         if not self.force_best_mutation:
             return f / f_tot
         return _discount_best(f, f_tot)
-
-    def _mutate(self, count: int, rng) -> int:
-        down = rng.binomial(count, self.mutation_rate)
-        up = rng.binomial(self.n - count, self.mutation_rate)
-        return count - down + up
 
     def generation(self, state, rng) -> tuple[tuple, np.ndarray]:
         """One generation; returns the sorted offspring counts and how often each

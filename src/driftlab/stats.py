@@ -10,7 +10,7 @@ from scipy.special import stdtrit
 Z95 = NormalDist().inv_cdf(0.975)
 
 
-def wilson_interval(hits: int, trials: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion.
 
     Chosen over the Wald interval because the experiments here live at
@@ -21,10 +21,10 @@ def wilson_interval(hits: int, trials: int, z: float = Z95) -> tuple[float, floa
     if not 0 <= hits <= trials:
         raise ValueError(f"hits must lie in [0, trials], got {hits}/{trials}")
     p = hits / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
+    half = (Z95 / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     # the interval always contains the point estimate; pin the exact endpoints
     lo = 0.0 if hits == 0 else max(0.0, center - half)
     hi = 1.0 if hits == trials else min(1.0, center + half)

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-import numpy as np
-
-from .conditions import TWO_SIDED, ConditionParams, check_conditions_empirical, check_conditions_exact
+from .conditions import TWO_SIDED, ConditionParams, check_conditions_exact
 from .jumps import JumpDistribution
 
 _LN2 = math.log(2.0)
+
+
+def _moment_constants(delta: float, r: float) -> tuple[float, float]:
+    """(gamma, d_bound) = (ln(1 + delta/2), r*(4 + delta + 2/delta))."""
+    return math.log1p(delta / 2.0), r * (4.0 + delta + 2.0 / delta)
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,10 @@ def derive_constants(
         raise ValueError(f"ell must be positive and finite, got {ell}")
     if not 0.0 < prob_target < 1.0:
         raise ValueError(f"prob_target must lie in (0, 1), got {prob_target}")
-    gamma = math.log1p(delta / 2.0)
-    tail_sum = r * (4.0 + delta + 2.0 / delta)
-    c_bound = tail_sum / (gamma * gamma)
+    gamma, d_bound = _moment_constants(delta, r)
+    c_bound = d_bound / (gamma * gamma)
     lam = min(gamma, eps / (2.0 * c_bound))
     p_ell = 2.0 / (lam * eps)
-    d_bound = tail_sum
     ln_horizon = math.log(prob_target) + lam * ell - math.log(d_bound) - math.log(p_ell)
     log2_horizon = ln_horizon / _LN2
     horizon = math.exp(ln_horizon) if ln_horizon < 709.0 else math.inf
@@ -212,48 +213,25 @@ class MgfCheck:
     estimate: float
     bound: float
     verdict: bool
-    std_error: Optional[float] = None
 
 
-def mgf_bound_check(
-    jump_or_samples: Union[JumpDistribution, np.ndarray],
-    delta: float,
-    r: float,
-    j_max: int = 64,
-) -> MgfCheck:
-    """Estimate E(e^{gamma |step|}) at gamma = ln(1 + delta/2) and compare it
-    against r*(4 + delta + 2/delta).
+def mgf_bound_check(law: JumpDistribution, delta: float, r: float, j_max: int = 64) -> MgfCheck:
+    """Compute E(e^{gamma |step|}) exactly from a step law at gamma = ln(1 + delta/2)
+    and compare it against r*(4 + delta + 2/delta).
 
-    The comparison is only asserted under the two-sided tail condition, so
-    inputs whose two-sided check fails for (delta, r) are rejected. For sample
-    inputs the check tolerates inconclusive tail indices (no observations) but
-    not failures, and the returned std_error lets callers widen the verdict by
-    a few standard errors.
+    The comparison is only asserted under the two-sided tail condition, so a
+    law whose two-sided check fails for (delta, r) is rejected.
     """
     # drift plays no role here; any positive eps makes the params valid
     params = ConditionParams(eps=1.0, delta=delta, r=r, j_max=j_max)
-    gamma = math.log1p(delta / 2.0)
-    bound = r * (4.0 + delta + 2.0 / delta)
-    if isinstance(jump_or_samples, JumpDistribution):
-        report = check_conditions_exact(jump_or_samples, params, TWO_SIDED)
-        if report.tail_failures():
-            worst = report.tail_failures()[0]
-            raise ValueError(
-                f"two-sided tail condition fails at j={worst.j} "
-                f"(tail {worst.tail!r} > bound {worst.bound!r}); "
-                "the exponential-moment bound is not asserted in that case"
-            )
-        estimate = jump_or_samples.abs_mgf(gamma)
-        return MgfCheck(gamma, estimate, bound, estimate <= bound)
-    samples = np.asarray(jump_or_samples, dtype=float)
-    report = check_conditions_empirical(samples, samples, params, TWO_SIDED)
+    gamma, bound = _moment_constants(delta, r)
+    report = check_conditions_exact(law, params, TWO_SIDED)
     if report.tail_failures():
         worst = report.tail_failures()[0]
         raise ValueError(
-            f"two-sided tail condition fails empirically at j={worst.j}; "
+            f"two-sided tail condition fails at j={worst.j} "
+            f"(tail {worst.tail!r} > bound {worst.bound!r}); "
             "the exponential-moment bound is not asserted in that case"
         )
-    values = np.exp(gamma * np.abs(samples))
-    estimate = float(values.mean())
-    std_error = float(values.std(ddof=1)) / math.sqrt(values.size)
-    return MgfCheck(gamma, estimate, bound, estimate <= bound, std_error)
+    estimate = law.abs_mgf(gamma)
+    return MgfCheck(gamma, estimate, bound, estimate <= bound)

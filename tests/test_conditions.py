@@ -66,12 +66,8 @@ class TestExactChecks:
                     assert one_by_j[t.j] == "pass"
 
     def test_non_normalized_table_rejected(self):
-        bad = dl.JumpDistribution.__new__(dl.JumpDistribution)
-        object.__setattr__(bad, "values", np.array([-1.0, 1.0]))
-        object.__setattr__(bad, "probs", np.array([0.6, 0.5]))
-        params = dl.ConditionParams(eps=0.1, delta=1.0, r=2.0)
         with pytest.raises(ValueError, match="not normalized"):
-            dl.check_conditions_exact(bad, params)
+            dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.6, 0.5]))
 
     def test_drift_failure_detected(self):
         table = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import driftlab as dl
+from driftlab.processes import _FACTORIES
 from helpers import comma_lambda_step_oracle, needle_step_exact, needle_step_oracle
 
 
@@ -84,7 +85,16 @@ def test_n1000_laws_match_exact_sums(d):
 
 
 def test_state_independent_laws_ignore_the_state():
-    for process in (dl.CounterexampleChain(10), dl.GeometricDriftWalk(0.2, 1.0), dl.ConstantWalk(-1.0, 5.0)):
+    processes = {
+        "counterexample": dl.CounterexampleChain(10),
+        "geometric-walk": dl.GeometricDriftWalk(0.2, 1.0),
+        "constant": dl.ConstantWalk(-1.0, 5.0),
+    }
+    # `scaling` checks each member of a family from its one exact law, so every
+    # registered kind with a family parameter must be among these
+    families = {kind for kind, factory in _FACTORIES.items() if getattr(factory, "family_param", None)}
+    assert families <= set(processes)
+    for process in processes.values():
         assert process.states() is None
         assert as_dict(process.step_law(None)) == as_dict(process.step_law(3))
 
