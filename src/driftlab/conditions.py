@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .jumps import JumpDistribution
-from .rng import generator, trial_seed
+from .rng import trial_generators
 from .stats import mean_t_interval, wilson_interval
 
 TWO_SIDED = "two_sided"
@@ -294,8 +294,7 @@ def harvest_step_samples(
     drift_samples: list[float] = []
     tail_samples: list[float] = []
     a, b = window.a, window.b
-    for trial in range(trials):
-        rng = generator(trial_seed(master_seed, trial))
+    for _, rng in trial_generators(master_seed, 0, trials):
         state = process.initial_state(rng)
         for _ in range(steps_per_trial):
             if process.absorbed(state):

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .rng import MASK64, generator, trial_seed
+from .rng import MASK64, trial_generators
 from .stats import wilson_interval
 
 
@@ -83,19 +83,25 @@ class HittingEstimate:
             raise ValueError("estimate must satisfy 0 <= ci_low <= point <= ci_high <= 1")
 
 
+#: trial-steps below which run_trials stays serial. With one-pass seeding a
+#: counterexample-n15 trial (15 steps) costs about 8 µs in-process on a 2-vCPU
+#: host, 2.3 µs of it seeding, so this is about a second of serial work on such
+#: trials; re-measure it before changing it.
+SERIAL_TRIAL_STEPS = 2_000_000
+
 #: initial states a trial draws at most before it gives up on a start at or above b
 START_ATTEMPTS = 1000
 
 
-def _run_trial(process, window: DriftWindow, max_steps: int, master_seed: int, index: int) -> TrialOutcome:
-    """Simulate trial `index` until the potential first reaches <= window.a.
+def _run_trial(process, window: DriftWindow, max_steps: int, rng, index: int) -> TrialOutcome:
+    """Simulate trial `index`, whose generator is `rng`, until the potential
+    first reaches <= window.a.
 
     The start is drawn from the initial law conditioned on potential >= b: a
     start below b is drawn again from the trial's own generator, at most
     START_ATTEMPTS times in all. A trial whose first start lies at or above b
     draws nothing extra.
     """
-    rng = generator(trial_seed(master_seed, index))
     for _ in range(START_ATTEMPTS):
         state = process.initial_state(rng)
         x0 = process.potential(state)
@@ -109,7 +115,7 @@ def _run_trial(process, window: DriftWindow, max_steps: int, master_seed: int, i
 
 def _run_chunk(args) -> list[TrialOutcome]:
     process, window, max_steps, master_seed, lo, hi = args
-    return [_run_trial(process, window, max_steps, master_seed, i) for i in range(lo, hi)]
+    return [_run_trial(process, window, max_steps, rng, i) for i, rng in trial_generators(master_seed, lo, hi)]
 
 
 def run_trials(
@@ -132,8 +138,7 @@ def run_trials(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     workers = max(1, int(workers))
-    # Parallel dispatch only pays off for substantial work; small jobs stay serial.
-    if workers == 1 or trials < 4 * workers or trials * max_steps < 2_000_000:
+    if workers == 1 or trials < 4 * workers or trials * max_steps < SERIAL_TRIAL_STEPS:
         return _run_chunk((process, window, max_steps, master_seed, 0, trials))
     n_chunks = min(trials, 4 * workers)
     bounds = [round(k * trials / n_chunks) for k in range(n_chunks + 1)]

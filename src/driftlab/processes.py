@@ -9,11 +9,13 @@ chain and the constant walk have one law for every state, and the needle and
 (`states()`), built only when asked for. PEA and PEA′, whose state is a
 multiset of counts, have no exact law and are checked empirically.
 
-A trial's generator is private to the trial and dropped when it ends, so
-`hitting_time` may draw its doubles in blocks, ahead of need: what matters is
-that the doubles it uses are the ones the `step` loop would use, in the same
-order. The walk, the needle and the counterexample chain replay numpy's own
-geometric and binomial algorithms on such blocks; every other process steps.
+A trial's generator belongs to the trial alone, and the trial loop re-seeds
+the same generator for the next trial, so a process must not keep it past its
+trial. `hitting_time` may draw its doubles in blocks, ahead of need: what
+matters is that the doubles it uses are the ones the `step` loop would use, in
+the same order. The walk, the needle and the counterexample chain replay
+numpy's own geometric and binomial algorithms on such blocks; every other
+process steps.
 """
 
 from __future__ import annotations
@@ -156,19 +158,17 @@ class CounterexampleChain(Process):
     def hitting_time(self, state, rng, a, max_steps):
         if self.absorbed(state):
             return 1 if self.potential(state) <= a else None
-        # Until an up-jump the chain steps down by one, one double per step, so
-        # the path to its first state <= a or out of ]0, n] is known in advance.
-        path = [state]
-        while len(path) <= max_steps:
-            path.append(path[-1] - 1)
-            if self.potential(path[-1]) <= a or not 0 < path[-1]:
-                break
-        jumps = np.flatnonzero(rng.random(len(path) - 1) < self.up_prob)
-        if jumps.size:
-            t = int(jumps[0])
+        # Until an up-jump the chain steps down by one, one double per step: k
+        # steps reach state - k, which is <= a from k = ceil(state - a) =
+        # state - floor(a) on, and leaves ]0, n] at k = state. Clamping a to
+        # [0, state] stops at the exit when a < 0 and keeps the floor finite.
+        steps = min(max_steps, max(1, state - math.floor(min(max(a, 0.0), state))))
+        jumps = rng.random(steps) < self.up_prob
+        t = int(jumps.argmax())
+        if jumps[t]:
             # the jump lands above n, where the chain freezes
-            return t + 1 if self.potential(path[t] + self.up_jump) <= a else None
-        return len(path) - 1 if self.potential(path[-1]) <= a else None
+            return t + 1 if self.potential(state - t + self.up_jump) <= a else None
+        return steps if self.potential(state - steps) <= a else None
 
     def step_law(self, state=None):
         """Exact transition law on the live region ]0, n], where a check's window lies."""

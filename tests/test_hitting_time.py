@@ -6,11 +6,13 @@ must equal the first passage of the path that `step` draws from the same
 generator, so these tests fail if a numpy upgrade changes those algorithms.
 """
 
+import math
+
 import pytest
 
 import driftlab as dl
 from driftlab.processes import _FIRST_BLOCK
-from driftlab.rng import generator, trial_seed
+from driftlab.rng import SEED_BLOCK, generator, trial_seed
 from helpers import replay_potentials
 
 SEEDS = range(200)
@@ -143,3 +145,26 @@ class TestCounterexampleChain:
         # a jump from 2 lands at up_jump + 2
         assert set(assert_hit_times_match(chain, float(chain.up_jump + 1), 5, state=2)) == {1, None}
         assert set(assert_hit_times_match(chain, float(chain.up_jump + 2), 5, state=2)) == {1}
+
+    @pytest.mark.parametrize("n, a, max_steps", [
+        (6, 2.5, 20),    # fractional target: the hit is at state 2
+        (6, 6.0, 20),    # target at the start: one double, hit or jump
+        (6, 9.5, 20),    # target above the start: still one double
+        (6, -0.5, 20),   # target below 0: the chain leaves at 0 unhit
+        (8, 0.0, 5),     # budget below n
+        (8, 3.0, 1),     # a one-step budget
+        # 25 - a rounds down to 24.0 in floats, yet the chain first reaches a at 0
+        (25, math.nextafter(1.0, 0.0), 30),
+    ])
+    def test_closed_form_step_count(self, n, a, max_steps):
+        assert_hit_times_match(dl.CounterexampleChain(n), a, max_steps, seeds=range(400))
+
+    def test_pool_chunks_off_the_seed_blocks_equal_the_serial_run(self):
+        # 4 * workers chunks of about a block and a bit each, so every chunk
+        # starts off a block boundary and spans two blocks; the budget engages
+        # the pool, and the chain at n = 2 stops within two steps anyway
+        process, window = dl.CounterexampleChain(2), dl.DriftWindow(0.0, 2.0)
+        trials = 8 * SEED_BLOCK + 13
+        max_steps = dl.core.SERIAL_TRIAL_STEPS // trials + 1
+        serial = dl.run_trials(process, window, trials, max_steps, master_seed=5)
+        assert dl.run_trials(process, window, trials, max_steps, master_seed=5, workers=2) == serial

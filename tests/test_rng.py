@@ -1,4 +1,7 @@
-from driftlab.rng import generator, splitmix64, trial_seed
+import numpy as np
+import pytest
+
+from driftlab.rng import SEED_BLOCK, generator, pcg64_states, splitmix64, trial_generators, trial_seed
 
 # Reference outputs of the splitmix64 stream seeded with 0, as produced by the
 # original public-domain C implementation.
@@ -40,11 +43,67 @@ def test_generator_deterministic():
 
 
 def test_seed_validation():
-    import pytest
-
     with pytest.raises(ValueError):
         trial_seed(-1, 0)
     with pytest.raises(ValueError):
         trial_seed(2**64, 0)
     with pytest.raises(ValueError):
         trial_seed(0, -1)
+
+
+MASTERS = [0, 1, 2**32 - 1, 2**63 - 1, 2**64 - 1]
+# lo off a block boundary, a single trial, and lengths either side of one block
+RANGES = [(3, 3 + SEED_BLOCK + 1), (SEED_BLOCK + 5, SEED_BLOCK + 6), (0, SEED_BLOCK - 1), (0, SEED_BLOCK),
+          (7, 7 + SEED_BLOCK)]
+
+
+@pytest.mark.parametrize("master", MASTERS)
+@pytest.mark.parametrize("lo, hi", RANGES)
+def test_trial_generators_match_numpy_seeding(master, lo, hi):
+    indices = []
+    for i, rng in trial_generators(master, lo, hi):
+        indices.append(i)
+        assert rng.bit_generator.state == np.random.PCG64(trial_seed(master, i)).state, (master, i)
+    assert indices == list(range(lo, hi))
+
+
+def test_pcg64_states_match_numpy_for_one_word_seeds():
+    # a seed below 2**32 is a single uint32 word of SeedSequence entropy
+    seeds = [0, 1, 2, 12345, 2**31, 2**32 - 1]
+    states = pcg64_states(np.array(seeds, dtype=np.uint64))
+    for seed, (state, inc) in zip(seeds, states):
+        reference = np.random.PCG64(seed).state["state"]
+        assert (state, inc) == (reference["state"], reference["inc"]), seed
+
+
+def test_pcg64_state_pinned():
+    # a literal, not numpy's output: if numpy's SeedSequence changes, the comparisons
+    # with numpy above fail and this one holds, which tells the two apart
+    seed = trial_seed(0, 0)
+    assert pcg64_states(np.array([seed], dtype=np.uint64)) == [
+        (0xA378AA27D8CDEC7069BBA7A8C50D424A, 0x8D0047D30F713D5111E023502642D953)
+    ]
+
+
+def test_trial_generators_validate_like_trial_seed():
+    for master, lo in [(-1, 0), (2**64, 0), (0, -1)]:
+        with pytest.raises(ValueError) as expected:
+            trial_seed(master, lo)
+        with pytest.raises(ValueError) as got:
+            list(trial_generators(master, lo, lo + 2))
+        assert str(got.value) == str(expected.value)
+
+
+def test_trial_generators_leave_no_buffered_state():
+    # three bounded int32 draws take one and a half uint64s, buffering a uint32
+    # that trial i + 1 must not see
+    master = 99
+
+    def draws(rng):
+        return [int(rng.integers(0, 10, dtype=np.int32)) for _ in range(3)]
+
+    for i, rng in trial_generators(master, 0, 6):
+        fresh = generator(trial_seed(master, i))
+        assert draws(rng) == draws(fresh)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert rng.random(3).tolist() == fresh.random(3).tolist()
