@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .core import (
     DriftWindow,
     HittingEstimate,
-    SimulationBudget,
     estimate_hitting_probability,
     run_trials,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "OneCommaLambdaEA",
     "Process",
     "SelectionAudit",
-    "SimulationBudget",
     "SweepGrid",
     "TailCheck",
     "TheoremConstants",

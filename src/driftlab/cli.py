@@ -53,7 +53,9 @@ def cmd_simulate(args) -> int:
             f"horizon {config.horizon}{certified_note} at ell={format_cell(window.ell)} "
             f"exceeds max_steps={config.max_steps}"
         )
-    estimate = estimate_hitting_probability(config.process(), window, config.budget(), horizon, args.threads)
+    estimate = estimate_hitting_probability(
+        config.process(), window, config.trials, horizon, config.master_seed, args.threads
+    )
     provenance = config.provenance()
     provenance["resolved_horizon"] = horizon
     if certified is not None:
@@ -210,7 +212,9 @@ def cmd_scaling(args) -> int:
             unresolved.append(ell)
             row["note"] = "unresolved: horizon exceeds max_steps"
             continue
-        estimate = estimate_hitting_probability(process, window, config.budget(), horizon, args.threads)
+        estimate = estimate_hitting_probability(
+            process, window, config.trials, horizon, config.master_seed, args.threads
+        )
         bound = hajek_escape_bound(constants.lam, ell, horizon, constants.d_bound, constants.p_ell)
         row.update(
             hits=estimate.hits,
@@ -265,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Drift-analysis laboratory: simulate, check conditions, derive constants, sweep bounds.",
     )
     parser.add_argument("--version", action="version", version=f"driftlab {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run trials and report the hitting probability")
     _add_common(p, with_horizon=True)

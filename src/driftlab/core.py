@@ -13,9 +13,9 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .rng import MASK64, trial_generators
+from .rng import check_seed_args, trial_generators
 from .stats import wilson_interval
 
 
@@ -35,25 +35,7 @@ class DriftWindow:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
-class SimulationBudget:
-    """Trial count, per-trial step cap, and the master seed all trials derive from."""
-
-    trials: int
-    max_steps: int
-    master_seed: int
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be positive, got {self.max_steps}")
-        if not 0 <= self.master_seed <= MASK64:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     """Per-trial record used for aggregation and CSV rows."""
 
     index: int
@@ -129,14 +111,16 @@ def run_trials(
     """Run independent trials with per-index seeds; output is ordered by index.
 
     The worker count never changes the outcomes: trial i always uses
-    trial_seed(master_seed, i). Rejects max_steps < 1 and processes that start
-    below the start threshold b in START_ATTEMPTS draws in a row, such as a
-    deterministic start below b (a misconfigured experiment, not a hit).
+    trial_seed(master_seed, i). Rejects trials < 1, max_steps < 1 and a
+    master_seed outside [0, 2**64) before any work starts, and processes that
+    start below the start threshold b in START_ATTEMPTS draws in a row, such as
+    a deterministic start below b (a misconfigured experiment, not a hit).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    check_seed_args(master_seed, 0)
     workers = max(1, int(workers))
     if workers == 1 or trials < 4 * workers or trials * max_steps < SERIAL_TRIAL_STEPS:
         return _run_chunk((process, window, max_steps, master_seed, 0, trials))
@@ -181,24 +165,20 @@ def ordered_map(fn, tasks: Iterable, workers: int) -> Iterator:
 def estimate_hitting_probability(
     process,
     window: DriftWindow,
-    budget: SimulationBudget,
+    trials: int,
     horizon: int,
+    master_seed: int,
     workers: int = 1,
 ) -> HittingEstimate:
-    """Estimate P(hit the target within `horizon` steps) over budget.trials trials.
+    """Estimate P(hit the target within `horizon` steps) over `trials` trials.
 
-    Each trial is simulated for exactly `horizon` steps (hitting later than the
-    horizon cannot be observed and does not count), so horizon must not exceed
-    budget.max_steps.
+    Each trial is simulated for exactly `horizon` steps: hitting later than the
+    horizon cannot be observed and does not count. run_trials checks the inputs.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if horizon > budget.max_steps:
-        raise ValueError(f"horizon {horizon} exceeds budget.max_steps {budget.max_steps}")
-    outcomes = run_trials(process, window, budget.trials, horizon, budget.master_seed, workers)
+    outcomes = run_trials(process, window, trials, horizon, master_seed, workers)
     hits = sum(1 for o in outcomes if o.hit_time is not None)
-    lo, hi = wilson_interval(hits, budget.trials)
-    return HittingEstimate(hits, budget.trials, hits / budget.trials, lo, hi, tuple(outcomes))
+    lo, hi = wilson_interval(hits, trials)
+    return HittingEstimate(hits, trials, hits / trials, lo, hi, tuple(outcomes))
 
 
 def default_workers() -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +29,7 @@ MUTATION_N_LIMIT = 10_000
 _PER_DECADE = 8
 
 
-@dataclass(frozen=True)
-class InequalityResult:
+class InequalityResult(NamedTuple):
     """One link lhs <= rhs of a chain, with its margin and verification note."""
 
     name: str
@@ -39,12 +38,6 @@ class InequalityResult:
     rhs: float
     holds: bool
     note: str = ""
-
-    # Written by hand, so dataclass keeps it: the generated __init__ of a frozen
-    # class sets each field through object.__setattr__, at twice the cost per
-    # link. Fields, replace, repr, == and frozen assignment are unchanged.
-    def __init__(self, name: str, parameters: dict, lhs: float, rhs: float, holds: bool, note: str = ""):
-        self.__dict__.update(name=name, parameters=parameters, lhs=lhs, rhs=rhs, holds=holds, note=note)
 
     @property
     def margin(self) -> float:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, Union, get_type_hints
 
-from .core import DriftWindow, SimulationBudget
+from .core import DriftWindow
 from .conditions import ConditionParams, VARIANTS
 from .processes import Process, family_param, make_process, param_types
 from .theorem import TheoremConstants, derive_constants
@@ -67,9 +67,6 @@ class ExperimentConfig:
 
     def window(self) -> DriftWindow:
         return DriftWindow(self.window_a, self.window_b)
-
-    def budget(self) -> SimulationBudget:
-        return SimulationBudget(self.trials, self.max_steps, self.master_seed)
 
     def condition_params(self) -> ConditionParams:
         return ConditionParams(self.eps, self.delta, self.r, self.j_max)

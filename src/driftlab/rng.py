@@ -39,7 +39,7 @@ def splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
-def _check_seed_args(master_seed: int, index: int) -> None:
+def check_seed_args(master_seed: int, index: int) -> None:
     if not 0 <= master_seed <= MASK64:
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
     if index < 0:
@@ -53,7 +53,7 @@ def trial_seed(master_seed: int, index: int) -> int:
     master_seed, so any subset of trials can be computed on any worker in any
     order without changing results.
     """
-    _check_seed_args(master_seed, index)
+    check_seed_args(master_seed, index)
     return splitmix64((master_seed + index * _GOLDEN) & MASK64)
 
 
@@ -123,7 +123,7 @@ def trial_generators(master_seed: int, lo: int, hi: int):
     Every rng is the same Generator, re-seeded for each trial, so a caller must
     be done with it before it asks for the next trial's.
     """
-    _check_seed_args(master_seed, lo)
+    check_seed_args(master_seed, lo)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     for start in range(lo, hi, SEED_BLOCK):

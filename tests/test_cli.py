@@ -85,6 +85,16 @@ def test_simulate_preset_writes_self_describing_csv(tmp_path):
     assert rows2[0]["hit_time"] == "5"
 
 
+def test_command_provenance_names_the_subcommand_that_ran(tmp_path):
+    out = tmp_path / "out.csv"
+    assert PRESETS["counterexample-twosided"].command == "check"
+    assert main(["simulate", "--preset", "counterexample-twosided", "--trials", "20", "--out", str(out)]) == 0
+    assert read_csv(out)[0]["command"] == "simulate"
+    assert PRESETS["counterexample-n15"].command == "simulate"
+    assert main(["check", "--preset", "counterexample-n15", "--out", str(out)]) == 1
+    assert read_csv(out)[0]["command"] == "check"
+
+
 def test_check_exit_codes():
     assert main(["check", "--preset", "counterexample-onesided"]) == 0
     assert main(["check", "--preset", "counterexample-twosided"]) == 1

@@ -16,13 +16,19 @@ def test_window_invariants():
         dl.DriftWindow(7.0, 2.0)
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        dl.SimulationBudget(0, 10, 1)
-    with pytest.raises(ValueError):
-        dl.SimulationBudget(10, 0, 1)
-    with pytest.raises(ValueError):
-        dl.SimulationBudget(10, 10, -1)
+def test_budget_validation(monkeypatch):
+    win = dl.DriftWindow(0.0, 5.0)
+    walk = dl.ConstantWalk(-1.0, 5.0)
+    for trials, max_steps, seed in [(0, 10, 1), (10, 0, 1), (10, 10, -1), (10, 10, 2**64)]:
+        with pytest.raises(ValueError):
+            dl.run_trials(walk, win, trials, max_steps, master_seed=seed)
+    # a pool-sized budget rejects a bad seed before it starts the pool
+    def no_pool(*args):
+        raise AssertionError("the worker pool started")
+
+    monkeypatch.setattr(dl.core, "ordered_map", no_pool)
+    with pytest.raises(ValueError, match="master_seed"):
+        dl.run_trials(walk, win, 8, dl.core.SERIAL_TRIAL_STEPS, master_seed=-1, workers=2)
 
 
 def test_constant_zero_step_truncates():
@@ -73,11 +79,10 @@ def test_stopping_correctness_no_early_crossing():
 
 def test_estimator_deterministic_walks():
     win = dl.DriftWindow(0.0, 5.0)
-    budget = dl.SimulationBudget(100, 1000, master_seed=11)
-    est = dl.estimate_hitting_probability(dl.ConstantWalk(-1.0, 5.0), win, budget, horizon=5)
+    est = dl.estimate_hitting_probability(dl.ConstantWalk(-1.0, 5.0), win, 100, horizon=5, master_seed=11)
     assert est.point == 1.0 and est.hits == 100
     assert [o.hit_time for o in est.outcomes] == [5] * 100
-    est = dl.estimate_hitting_probability(dl.ConstantWalk(1.0, 5.0), win, budget, horizon=1000)
+    est = dl.estimate_hitting_probability(dl.ConstantWalk(1.0, 5.0), win, 100, horizon=1000, master_seed=11)
     assert est.point == 0.0 and est.hits == 0
 
 
@@ -85,8 +90,7 @@ def test_estimator_counterexample_matches_closed_form():
     n = 15
     process = dl.CounterexampleChain(n)
     win = dl.DriftWindow(0.0, float(n))
-    budget = dl.SimulationBudget(2000, 100, master_seed=5)
-    est = dl.estimate_hitting_probability(process, win, budget, horizon=n)
+    est = dl.estimate_hitting_probability(process, win, 2000, horizon=n, master_seed=5)
     oracle = (1.0 - math.exp(-n)) ** n
     assert est.point >= 0.999
     assert est.ci_low <= oracle <= est.ci_high or est.point == 1.0
@@ -94,11 +98,8 @@ def test_estimator_counterexample_matches_closed_form():
 
 def test_estimator_validation():
     win = dl.DriftWindow(0.0, 5.0)
-    budget = dl.SimulationBudget(10, 100, master_seed=1)
     with pytest.raises(ValueError):
-        dl.estimate_hitting_probability(dl.ConstantWalk(-1.0, 5.0), win, budget, horizon=0)
-    with pytest.raises(ValueError):
-        dl.estimate_hitting_probability(dl.ConstantWalk(-1.0, 5.0), win, budget, horizon=101)
+        dl.estimate_hitting_probability(dl.ConstantWalk(-1.0, 5.0), win, 10, horizon=0, master_seed=1)
 
 
 def test_monotone_horizon_on_shared_seed_set():
@@ -106,8 +107,7 @@ def test_monotone_horizon_on_shared_seed_set():
     win = dl.DriftWindow(0.0, 5.0)
     points = []
     for horizon in (1, 2, 5, 10, 50):
-        budget = dl.SimulationBudget(300, 50, master_seed=99)
-        points.append(dl.estimate_hitting_probability(process, win, budget, horizon).point)
+        points.append(dl.estimate_hitting_probability(process, win, 300, horizon, master_seed=99).point)
     assert points == sorted(points)
 
 
@@ -116,8 +116,7 @@ def test_empirical_hit_probability_matches_dp_oracle():
     exact = hit_probability_within(eps, delta, ell, horizon)
     process = dl.GeometricDriftWalk(eps, delta, start=float(ell))
     win = dl.DriftWindow(0.0, float(ell))
-    budget = dl.SimulationBudget(4000, 100, master_seed=20260809)
-    est = dl.estimate_hitting_probability(process, win, budget, horizon=horizon)
+    est = dl.estimate_hitting_probability(process, win, 4000, horizon=horizon, master_seed=20260809)
     assert est.ci_low <= exact <= est.ci_high
 
 

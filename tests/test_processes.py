@@ -109,8 +109,7 @@ class TestGeometricDriftWalk:
         # eps = (1+delta)/delta makes c_minus zero
         walk = dl.GeometricDriftWalk(2.0, 1.0, start=5.0)
         assert walk.c_minus == pytest.approx(0.0, abs=1e-15)
-        budget = dl.SimulationBudget(200, 100, master_seed=4)
-        est = dl.estimate_hitting_probability(walk, dl.DriftWindow(0.0, 5.0), budget, horizon=50)
+        est = dl.estimate_hitting_probability(walk, dl.DriftWindow(0.0, 5.0), 200, horizon=50, master_seed=4)
         assert est.hits == 0
 
     def test_sampler_matches_exact_table_chi_square(self):
