@@ -40,7 +40,6 @@ from .processes import (
 )
 from .theorem import (
     LemmaInput,
-    MgfCheck,
     TheoremConstants,
     derive_constants,
     hajek_escape_bound,
@@ -49,7 +48,6 @@ from .theorem import (
 )
 from .inequalities import (
     InequalityResult,
-    SelectionAudit,
     SweepGrid,
     comma_lambda_bounds,
     diversity_bound,
@@ -75,11 +73,9 @@ __all__ = [
     "InequalityResult",
     "JumpDistribution",
     "LemmaInput",
-    "MgfCheck",
     "NeedleOneOneEA",
     "OneCommaLambdaEA",
     "Process",
-    "SelectionAudit",
     "SweepGrid",
     "TailCheck",
     "TheoremConstants",

@@ -124,7 +124,7 @@ def cmd_check(args) -> int:
     if args.out:
         write_csv(args.out, provenance, condition_report_columns(), condition_report_rows(report))
     print(condition_summary(report))
-    return 0 if report.passed() else 1
+    return 0 if report.overall() == "pass" else 1
 
 
 def cmd_constants(args) -> int:

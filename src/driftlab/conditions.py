@@ -103,7 +103,6 @@ class ConditionReport:
     tails: tuple[TailCheck, ...]
     drift_ci: Optional[tuple[float, float]] = None
     n_drift_samples: Optional[int] = None
-    n_tail_samples: Optional[int] = None
     #: exact mode with per-state laws: the potential of the state with the least drift
     drift_state: Optional[float] = None
     #: exact mode: the (state, j) whose tail comes closest to its bound, and that
@@ -121,9 +120,6 @@ class ConditionReport:
         if self.drift_verdict == "pass":
             return "pass"
         return "inconclusive"
-
-    def passed(self) -> bool:
-        return self.overall() == "pass"
 
 
 def _require_variant(variant: str) -> None:
@@ -271,7 +267,6 @@ def check_conditions_empirical(
         tails=tuple(tails),
         drift_ci=(lo, hi),
         n_drift_samples=int(drift_arr.size),
-        n_tail_samples=int(tail_arr.size),
     )
 
 

@@ -326,31 +326,21 @@ def comma_lambda_bounds(n: int, lambda_offspring: int, j: int) -> list[Inequalit
     return results
 
 
-@dataclass(frozen=True)
-class SelectionAudit:
-    """Expected selection counts E(S_i) of the reweighted proportional EA."""
-
-    expected: tuple[float, ...]
-    premise_ok: bool
-    premise_notes: tuple[str, ...]
-    links: tuple[InequalityResult, ...]
-    sum_is_population_size: bool
-
-
-def pea_prime_expected_selections(fitnesses, mu: Optional[int] = None) -> SelectionAudit:
-    """Closed-form E(S_i) for the always-mutate-best selection scheme.
+def pea_prime_expected_selections(fitnesses) -> list[InequalityResult]:
+    """Links E(S_i) <= 2 of the always-mutate-best selection scheme, one per
+    individual, then the link that the counts sum to mu = len(fitnesses).
 
     E(S_1) = 1 + (mu-1) f_1/f_tot - (mu-1)/mu and
-    E(S_i) = (mu-1) f_i/f_tot + 1/mu for i >= 2; the counts always sum to mu
-    exactly. The bound E(S_i) <= 2 is asserted under the premises
-    f_i/f_tot <= 2/mu for all i and f_1/f_tot >= 1/mu; premise violations are
-    reported as "premise-fail" on the links, distinct from a failed inequality.
+    E(S_i) = (mu-1) f_i/f_tot + 1/mu for i >= 2, in exact rationals; the counts
+    always sum to mu exactly. The bound E(S_i) <= 2 is asserted under the
+    premises f_i/f_tot <= 2/mu for all i and f_1/f_tot >= 1/mu; premise
+    violations are reported as a "premise-fail" note on the per-individual
+    links, distinct from a failed inequality.
     """
     f = [Fraction(float(v)) for v in fitnesses]
-    if mu is None:
-        mu = len(f)
-    if mu != len(f) or mu < 2:
-        raise ValueError(f"need a fitness vector of length mu >= 2, got {len(f)} entries")
+    mu = len(f)
+    if mu < 2:
+        raise ValueError(f"need a fitness vector of length mu >= 2, got {mu} entries")
     if any(v <= 0 for v in f):
         raise ValueError("fitnesses must be positive")
     if any(f[i] < f[i + 1] for i in range(mu - 1)):
@@ -363,10 +353,9 @@ def pea_prime_expected_selections(fitnesses, mu: Optional[int] = None) -> Select
     for i, s in enumerate(shares):
         if s > Fraction(2, mu):
             premise_notes.append(f"f_{i + 1}/f_tot = {float(s)!r} > 2/mu")
-    premise_ok = not premise_notes
     expected = [Fraction(1) + (mu - 1) * shares[0] - Fraction(mu - 1, mu)]
     expected += [(mu - 1) * s + Fraction(1, mu) for s in shares[1:]]
-    note = "" if premise_ok else "premise-fail: " + "; ".join(premise_notes)
+    note = "premise-fail: " + "; ".join(premise_notes) if premise_notes else ""
     links = [
         InequalityResult(
             "pea-prime-expected-selections",
@@ -389,13 +378,7 @@ def pea_prime_expected_selections(fitnesses, mu: Optional[int] = None) -> Select
             note="exact rational equality" if total == mu else "conservation violated",
         )
     )
-    return SelectionAudit(
-        expected=tuple(float(e) for e in expected),
-        premise_ok=premise_ok,
-        premise_notes=tuple(premise_notes),
-        links=tuple(links),
-        sum_is_population_size=total == mu,
-    )
+    return links
 
 
 @dataclass(frozen=True)

@@ -64,9 +64,6 @@ class JumpDistribution:
         """Sorted distinct |step| values with positive probability."""
         return np.unique(self.magnitudes[self.probs > 0])
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(self.values, size=size, p=self.probs)
-
     def csv_rows(self):
         """Rows (j, P(step = +j), P(step = -j)) over the support magnitudes."""
         up = {float(v): float(p) for v, p in zip(self.values, self.probs) if v > 0}

@@ -15,6 +15,7 @@ from typing import Optional, Union, get_type_hints
 from .core import DriftWindow
 from .conditions import ConditionParams, VARIANTS
 from .processes import Process, family_param, make_process, param_types
+from .rng import check_seed_args
 from .theorem import TheoremConstants, derive_constants
 
 DEFAULT_SEED = 20260809
@@ -58,6 +59,11 @@ class ExperimentConfig:
                 raise ValueError(f"horizon must be an integer, {AUTO!r} or {WINDOW!r}")
         elif self.horizon < 1:
             raise ValueError(f"horizon must be at least one step, got {self.horizon}")
+        if self.trials < 1 or self.max_steps < 1:
+            raise ValueError(
+                f"trials and max_steps must be at least 1, got trials={self.trials}, max_steps={self.max_steps}"
+            )
+        check_seed_args(self.master_seed, 0)
         # checked here, not only by derive_constants, so scaling stops before its first ell runs
         if not all(0 < ell < math.inf for ell in self.ell_values):
             raise ValueError(f"ell_values must be positive and finite, got {self.ell_values}")

@@ -504,15 +504,15 @@ def pea_prime_selection(fitnesses) -> np.ndarray:
     """Selection distribution that discounts the best individual by 1/μ and
     spreads that mass evenly over the rest.
 
-    Requires positive fitnesses sorted non-increasingly. The best individual's
-    share f_1/f_tot is at least 1/μ (the maximum is at least the mean), so all
-    entries are non-negative and the vector sums to one.
+    Requires positive finite fitnesses sorted non-increasingly. The best
+    individual's share f_1/f_tot is at least 1/μ (the maximum is at least the
+    mean), so all entries are non-negative and the vector sums to one.
     """
     f = np.asarray(fitnesses, dtype=float)
     if f.ndim != 1 or f.size < 2:
         raise ValueError("need a 1-d fitness vector with at least two entries")
-    if np.any(f <= 0):
-        raise ValueError("fitnesses must be positive")
+    if not np.all((f > 0) & (f < np.inf)):
+        raise ValueError("fitnesses must be positive and finite")
     if np.any(np.diff(f) > 0):
         raise ValueError("fitnesses must be sorted non-increasingly")
     return _discount_best(f, float(f.sum()))

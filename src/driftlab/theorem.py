@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .conditions import TWO_SIDED, ConditionParams, check_conditions_exact
+from .inequalities import InequalityResult
 from .jumps import JumpDistribution
 
 _LN2 = math.log(2.0)
@@ -205,25 +206,15 @@ def lemma_tail_bound(inp: LemmaInput) -> float:
     return total + inp.remainder_bound
 
 
-@dataclass(frozen=True)
-class MgfCheck:
-    """Result of comparing E(e^{gamma |step|}) against r*(4 + delta + 2/delta)."""
-
-    gamma: float
-    estimate: float
-    bound: float
-    verdict: bool
-
-
-def mgf_bound_check(law: JumpDistribution, delta: float, r: float, j_max: int = 64) -> MgfCheck:
-    """Compute E(e^{gamma |step|}) exactly from a step law at gamma = ln(1 + delta/2)
-    and compare it against r*(4 + delta + 2/delta).
+def mgf_bound_check(law: JumpDistribution, delta: float, r: float) -> InequalityResult:
+    """The link E(e^{gamma |step|}) <= r*(4 + delta + 2/delta) at gamma = ln(1 + delta/2),
+    with the moment computed exactly from a step law.
 
     The comparison is only asserted under the two-sided tail condition, so a
     law whose two-sided check fails for (delta, r) is rejected.
     """
     # drift plays no role here; any positive eps makes the params valid
-    params = ConditionParams(eps=1.0, delta=delta, r=r, j_max=j_max)
+    params = ConditionParams(eps=1.0, delta=delta, r=r)
     gamma, bound = _moment_constants(delta, r)
     report = check_conditions_exact(law, params, TWO_SIDED)
     if report.tail_failures():
@@ -233,5 +224,7 @@ def mgf_bound_check(law: JumpDistribution, delta: float, r: float, j_max: int = 
             f"(tail {worst.tail!r} > bound {worst.bound!r}); "
             "the exponential-moment bound is not asserted in that case"
         )
-    estimate = law.abs_mgf(gamma)
-    return MgfCheck(gamma, estimate, bound, estimate <= bound)
+    moment = law.abs_mgf(gamma)
+    return InequalityResult(
+        "mgf-vs-moment-bound", {"delta": delta, "r": r, "gamma": gamma}, moment, bound, moment <= bound
+    )

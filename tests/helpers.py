@@ -77,6 +77,11 @@ def brute_expectation(values, probs, f):
     return float(sum(p * f(v) for v, p in zip(values, probs)))
 
 
+def sample_steps(law, rng, size):
+    """`size` independent steps drawn from a JumpDistribution."""
+    return rng.choice(law.values, size=size, p=law.probs)
+
+
 def random_discrete_distribution(rng, x_min, span=20, max_support=20):
     """Random integer-valued distribution on [x_min, x_min + span - 1]."""
     size = rng.integers(1, max_support + 1)

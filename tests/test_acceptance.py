@@ -120,11 +120,11 @@ def test_criterion_4_mgf_bound_suite():
         # r = 2 certifies the two-sided condition whenever delta <= 1; the
         # walk's exact tail needs r = 1 + delta beyond that
         r = max(2.0, 1.0 + delta)
-        check = dl.mgf_bound_check(walk.step_law(None), delta=delta, r=r)
-        assert check.verdict, (delta, eps)
-        assert check.estimate == pytest.approx(2.0 + delta, rel=1e-9)
+        link = dl.mgf_bound_check(walk.step_law(None), delta=delta, r=r)
+        assert link.holds, (delta, eps)
+        assert link.lhs == pytest.approx(2.0 + delta, rel=1e-9)
         # the criterion's literal inequality at r = 2 holds for every delta
-        assert check.estimate <= 2.0 * (4.0 + delta + 2.0 / delta)
+        assert link.lhs <= 2.0 * (4.0 + delta + 2.0 / delta)
         checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -177,10 +177,10 @@ def test_criterion_7_pea_prime_behavior():
         assert abs(float(q.sum()) - 1.0) <= 1e-12
         assert (q >= -1e-15).all()
         # (b) expected counts bounded by 2 and conserving mu exactly
-        audit = dl.pea_prime_expected_selections(fitnesses)
-        assert audit.premise_ok
-        assert audit.sum_is_population_size
-        assert all(e <= 2.0 + 1e-12 for e in audit.expected)
+        links = dl.pea_prime_expected_selections(fitnesses)
+        assert not any(link.note.startswith("premise-fail") for link in links)
+        assert links[-1].holds
+        assert all(link.lhs <= 2.0 + 1e-12 for link in links[:-1])
 
     # (c) Monte Carlo selection counts over 10^6 generations, mu=2, n=50
     process = dl.pea_prime(50, 2)

@@ -308,6 +308,33 @@ def test_horizon_below_one_step_exits_two(capsys):
     assert "-3" in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["check", "--preset", "counterexample-twosided", "--seed", "-1"], "master_seed"),
+        (["check", "--preset", "needle-n50-twosided", "--seed", str(2**64)], "master_seed"),
+        (["check", "--preset", "needle-n50-twosided", "--trials", "-5"], "trials=-5"),
+        (["check", "--preset", "geometric-walk-twosided", "--trials", "0"], "trials=0"),
+    ],
+    ids=["seed-negative", "seed-2^64", "trials-negative", "trials-zero"],
+)
+def test_out_of_range_budget_exits_two(argv, words, tmp_path, capsys):
+    # checked when the config is resolved, so a check that never simulates rejects it too
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert words in _single_error_line(capsys)
+    assert not out.exists()
+
+
+def test_out_of_range_max_steps_in_config_exits_two(tmp_path, capsys):
+    config = tmp_path / "x.ini"
+    config.write_text("[process]\nkind = needle\nn = 50\n[window]\na = 10\nb = 16\n[budget]\nmax_steps = 0\n")
+    out = tmp_path / "out.csv"
+    assert main(["check", "--config", str(config), "--out", str(out)]) == 2
+    assert "max_steps=0" in _single_error_line(capsys)
+    assert not out.exists()
+
+
 def test_malformed_config_files_exit_two(tmp_path, capsys):
     needle = "[process]\nkind = needle\nn = 10\n"
     cases = {

@@ -6,6 +6,7 @@ import pytest
 import driftlab as dl
 from driftlab.conditions import ONE_SIDED, TWO_SIDED
 from driftlab.rng import generator
+from helpers import sample_steps
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ class TestExactChecks:
         report = dl.check_conditions_exact(counterexample_table, params, ONE_SIDED)
         assert report.drift_verdict == "pass"
         assert not report.tail_failures()
-        assert report.passed()
+        assert report.overall() == "pass"
         # j = 1: 1 - e^-10 <= 2/2 = 1 ; j >= 2: zero one-sided tail
         by_j = {t.j: t for t in report.tails}
         assert by_j[1.0].tail == pytest.approx(1 - math.exp(-10), rel=1e-12)
@@ -46,7 +47,7 @@ class TestExactChecks:
     def test_geometric_walk_passes_two_sided(self, walk):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=2.0)
         report = dl.check_conditions_exact(walk.step_law(None), params, TWO_SIDED)
-        assert report.passed()
+        assert report.overall() == "pass"
         assert all(t.verdict == "pass" for t in report.tails)
 
     def test_j_zero_always_passes_with_r_at_least_one(self, walk):
@@ -100,7 +101,7 @@ class TestEmpiricalChecks:
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=2.0, j_max=32)
         exact = dl.check_conditions_exact(walk.step_law(None), params, TWO_SIDED)
         rng = generator(2024)
-        samples = walk.step_law(None).sample(rng, 1_000_000)
+        samples = sample_steps(walk.step_law(None), rng, 1_000_000)
         emp = dl.check_conditions_empirical(samples, samples, params, TWO_SIDED)
         exact_by_j = {t.j: t for t in exact.tails}
         for t in emp.tails:
@@ -116,7 +117,7 @@ class TestEmpiricalChecks:
     def test_counterexample_large_jump_fails_when_observed(self):
         table = dl.CounterexampleChain(10).step_law(None)
         rng = generator(8)  # seed with at least one up-jump among 1e5 draws
-        samples = table.sample(rng, 100_000)
+        samples = sample_steps(table, rng, 100_000)
         n_jumps = int((samples > 1).sum())
         assert n_jumps >= 1  # expected count is about 4.5
         params = dl.ConditionParams(eps=1.0, delta=1.0, r=2.0)
@@ -177,7 +178,7 @@ class TestPerStateChecks:
     def test_needle_checked_in_every_window_state(self):
         laws = dl.step_laws(dl.NeedleOneOneEA(50), self.window)
         report = dl.check_conditions_exact(laws, self.params, TWO_SIDED, self.window)
-        assert report.mode == "exact" and report.passed()
+        assert report.mode == "exact" and report.overall() == "pass"
         # drift (n - 2d)/n falls with d, so state 15 is the least inside (10, 16)
         assert report.drift_state == 15.0
         assert report.drift == pytest.approx(0.4, rel=1e-12)
@@ -200,7 +201,7 @@ class TestPerStateChecks:
         heavy = dl.JumpDistribution(np.array([-40.0, 1.0]), np.array([0.01, 0.99]))
         # state 16 is not inside (10, 16): its weak drift is not required, its tails are
         report = dl.check_conditions_exact([(11.0, good), (16.0, weak)], self.params, TWO_SIDED, self.window)
-        assert report.passed() and report.drift_state == 11.0
+        assert report.overall() == "pass" and report.drift_state == 11.0
         report = dl.check_conditions_exact([(11.0, good), (16.0, heavy)], self.params, TWO_SIDED, self.window)
         assert report.overall() == "fail" and report.tail_state == 16.0
         assert {t.j for t in report.tail_failures()} >= {40.0}

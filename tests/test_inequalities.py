@@ -192,26 +192,38 @@ class TestCommaLambdaChain:
             dl.comma_lambda_bounds(10, 1, 11)
 
 
+def premise_ok(links):
+    return not any(link.note.startswith("premise-fail") for link in links)
+
+
 class TestExpectedSelections:
     def test_uniform_fitnesses(self):
-        audit = dl.pea_prime_expected_selections([2.0, 2.0, 2.0])
-        assert audit.expected == pytest.approx((1.0, 1.0, 1.0))
-        assert audit.premise_ok
-        assert audit.sum_is_population_size
-        assert all(l.holds for l in audit.links)
+        links = dl.pea_prime_expected_selections([2.0, 2.0, 2.0])
+        assert [l.name for l in links] == ["pea-prime-expected-selections"] * 3 + ["selection-count-conservation"]
+        assert [l.parameters for l in links] == [{"mu": 3, "i": 1}, {"mu": 3, "i": 2}, {"mu": 3, "i": 3}, {"mu": 3}]
+        assert [l.lhs for l in links[:-1]] == pytest.approx([1.0, 1.0, 1.0])
+        assert all(l.rhs == 2.0 for l in links[:-1])
+        assert premise_ok(links)
+        assert links[-1].holds and (links[-1].lhs, links[-1].rhs) == (3.0, 3.0)
+        assert links[-1].note == "exact rational equality"
+        assert all(l.holds for l in links)
 
     def test_worked_example_mu2(self):
-        audit = dl.pea_prime_expected_selections([1.2, 0.8])
-        assert audit.expected[0] == pytest.approx(1.1, rel=1e-12)
-        assert audit.expected[1] == pytest.approx(0.9, rel=1e-12)
-        assert audit.sum_is_population_size
+        links = dl.pea_prime_expected_selections([1.2, 0.8])
+        assert links[0].lhs == pytest.approx(1.1, rel=1e-12)
+        assert links[1].lhs == pytest.approx(0.9, rel=1e-12)
+        assert links[-1].holds
 
     def test_premise_failure_is_distinct(self):
-        audit = dl.pea_prime_expected_selections([10.0, 1.0, 1.0])
-        assert not audit.premise_ok
-        assert any("premise-fail" in l.note for l in audit.links)
+        links = dl.pea_prime_expected_selections([10.0, 1.0, 1.0])
+        assert not premise_ok(links)
+        # every per-individual link carries the note, and it names the failing share
+        assert all(l.note.startswith("premise-fail: f_1/f_tot = ") for l in links[:-1])
+        assert all("> 2/mu" in l.note for l in links[:-1])
+        # E(S_1) = 1 + 2 * 10/12 - 2/3 = 2: the link holds; only its note marks the failed premise
+        assert links[0].lhs == 2.0 and links[0].holds
         # conservation holds regardless of the premises
-        assert audit.sum_is_population_size
+        assert links[-1].holds and not links[-1].note.startswith("premise-fail")
 
     @given(
         st.integers(min_value=2, max_value=10),
@@ -221,10 +233,11 @@ class TestExpectedSelections:
     def test_bounds_hold_under_premises(self, mu, rnd):
         # values in [1/2, 1] guarantee every share is at most 2/mu
         values = sorted((0.5 + 0.5 * rnd.random() for _ in range(mu)), reverse=True)
-        audit = dl.pea_prime_expected_selections(values)
-        assert audit.premise_ok
-        assert audit.sum_is_population_size
-        assert all(e <= 2.0 + 1e-12 for e in audit.expected)
+        links = dl.pea_prime_expected_selections(values)
+        assert len(links) == mu + 1
+        assert premise_ok(links)
+        assert links[-1].holds
+        assert all(l.lhs <= 2.0 + 1e-12 and l.holds for l in links[:-1])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -266,6 +266,11 @@ class TestPeaSelection:
         with pytest.raises(ValueError):
             dl.pea_prime_selection([1.0])  # too short
 
+    @pytest.mark.parametrize("fitnesses", [[math.nan, 1.0], [2.0, math.nan], [math.inf, 1.0], [1.0, -math.inf]])
+    def test_rejects_non_finite_fitnesses(self, fitnesses):
+        with pytest.raises(ValueError, match="finite"):
+            dl.pea_prime_selection(fitnesses)
+
 
 class TestFitnessProportionalEA:
     def test_log_potential_matches_direct_computation(self):

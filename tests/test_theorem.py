@@ -189,24 +189,29 @@ class TestHajekEscapeBound:
 class TestMgfBoundCheck:
     def test_point_mass_at_zero(self):
         table = dl.JumpDistribution(np.array([0.0]), np.array([1.0]))
-        check = dl.mgf_bound_check(table, delta=1.0, r=2.0)
-        assert check.estimate == pytest.approx(1.0, rel=1e-14)
-        assert check.verdict
+        link = dl.mgf_bound_check(table, delta=1.0, r=2.0)
+        assert isinstance(link, dl.InequalityResult)
+        assert link.name == "mgf-vs-moment-bound"
+        assert link.parameters == {"delta": 1.0, "r": 2.0, "gamma": math.log1p(0.5)}
+        assert link.lhs == pytest.approx(1.0, rel=1e-14)
+        assert link.holds
 
     def test_geometric_walk_exact_value(self):
         # closed form: E(e^{gamma |step|}) = 2 + delta at gamma = ln(1 + delta/2)
         for delta in (0.5, 1.0):
             walk = dl.GeometricDriftWalk(0.1, delta)
-            check = dl.mgf_bound_check(walk.step_law(None), delta=delta, r=1.0 + delta)
-            assert check.estimate == pytest.approx(2.0 + delta, rel=1e-10)
-            assert check.bound == pytest.approx((1 + delta) * (4 + delta + 2 / delta), rel=1e-12)
-            assert check.verdict
+            link = dl.mgf_bound_check(walk.step_law(None), delta=delta, r=1.0 + delta)
+            assert link.lhs == pytest.approx(2.0 + delta, rel=1e-10)
+            assert link.rhs == pytest.approx((1 + delta) * (4 + delta + 2 / delta), rel=1e-12)
+            assert link.parameters["gamma"] == pytest.approx(math.log1p(delta / 2), rel=1e-15)
+            assert link.margin == link.rhs - link.lhs
+            assert link.holds
 
     def test_geometric_walk_below_fourteen(self):
         walk = dl.GeometricDriftWalk(0.2, 1.0)
-        check = dl.mgf_bound_check(walk.step_law(None), delta=1.0, r=2.0)
-        assert check.estimate <= 14.0
-        assert check.verdict
+        link = dl.mgf_bound_check(walk.step_law(None), delta=1.0, r=2.0)
+        assert link.lhs <= 14.0
+        assert link.holds
 
     def test_rejects_condition_failures(self):
         table = dl.CounterexampleChain(10).step_law(None)
