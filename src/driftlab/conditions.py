@@ -176,13 +176,17 @@ def check_conditions_exact(
         set(range(params.j_max + 1))
         | {float(m) for _, law in pairs for m in law.support_magnitudes() if m > params.j_max}
     )
+    # past its reach a law's tail is exactly 0.0, which the loop skips anyway
+    reaches = [_tail_reach(law, variant) for _, law in pairs]
     tails = []
     # (log-margin, state, j) of the tail closest to its bound
     worst = (None, None, None)
     for j in indices:
         log_bound = params.log_bound(j)
         largest, ok = 0.0, True
-        for x, law in pairs:
+        for (x, law), reach in zip(pairs, reaches):
+            if j > reach:
+                continue
             tail = law.tail_abs(j) if variant == TWO_SIDED else law.tail_down(j)
             if tail <= 0.0:
                 continue
@@ -204,6 +208,14 @@ def check_conditions_exact(
         tail_state=worst[1],
         tail_j=worst[2],
     )
+
+
+def _tail_reach(law: JumpDistribution, variant: str) -> float:
+    """The largest j whose tail can be positive: the largest |step|, or for the
+    one-sided variant the largest down-step, among steps of positive probability."""
+    support = law.values[law.probs > 0]
+    lowest, highest = float(support[0]), float(support[-1])
+    return max(-lowest, highest) if variant == TWO_SIDED else -lowest
 
 
 def check_conditions_empirical(
@@ -238,9 +250,10 @@ def check_conditions_empirical(
 
     magnitudes = np.abs(tail_arr) if variant == TWO_SIDED else -tail_arr
     n = magnitudes.size
+    # a set, not np.unique, whose first call imports numpy.ma
     indices = sorted(
         set(range(params.j_max + 1))
-        | {float(m) for m in np.unique(magnitudes) if m > params.j_max}
+        | {m for m in set(magnitudes.tolist()) if m > params.j_max}
     )
     tails = []
     for j in indices:

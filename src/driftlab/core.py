@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -145,9 +144,13 @@ def ordered_map(fn, tasks: Iterable, workers: int) -> Iterator:
     if workers <= 1:
         yield from map(fn, tasks)
         return
+    # Imported here: concurrent.futures.process brings in multiprocessing,
+    # socket and logging, which serial commands never need.
+    from concurrent.futures import ProcessPoolExecutor
+
     # On Linux before Python 3.14 the default start method is fork, which spares
-    # each worker the ~0.5 s import of numpy and scipy.special (-X importtime on
-    # a 2-CPU host); from 3.14 it is forkserver, and each worker imports them again.
+    # each worker the import of numpy and driftlab (about 0.14 s with -X importtime
+    # on a 2-CPU host); from 3.14 it is forkserver, and each worker imports them again.
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         try:

@@ -484,8 +484,9 @@ def log_spaced_integers(lo: int, hi: int) -> list[int]:
     if lo > hi:
         return []
     count = max(2, int(_PER_DECADE * math.log10(max(hi / lo, 10.0))) + 1)
-    grid = np.unique(np.round(np.geomspace(lo, hi, count)).astype(int))
-    return [int(v) for v in grid if lo <= v <= hi]
+    # not np.unique, whose first call imports numpy.ma
+    grid = sorted(set(np.round(np.geomspace(lo, hi, count)).astype(int).tolist()))
+    return [v for v in grid if lo <= v <= hi]
 
 
 def sweep_comma_lambda(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None) -> Iterator[InequalityResult]:

@@ -4,7 +4,6 @@ import math
 from statistics import NormalDist
 
 import numpy as np
-from scipy.special import stdtrit
 
 #: two-sided 95% normal quantile used by the Wilson score interval
 Z95 = NormalDist().inv_cdf(0.975)
@@ -31,11 +30,24 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
+def t_quantile_975(df: int) -> float:
+    """The 0.975 quantile of Student's t distribution with df degrees of freedom.
+
+    It is scipy.special.stdtrit, the function scipy.stats.t.ppf evaluates, so
+    the quantile is scipy's without importing scipy.stats. scipy.special is
+    imported here, on first use, and not with this module: it takes longer to
+    import than numpy and driftlab together, and only the empirical condition
+    check reaches this function.
+    """
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, 0.975))
+
+
 def mean_t_interval(samples) -> tuple[float, float, float]:
     """Sample mean with a two-sided 95% t-interval: (mean, low, high).
 
-    The quantile is scipy.special.stdtrit, the function scipy.stats.t.ppf
-    evaluates, so the interval is scipy's without importing scipy.stats.
+    The quantile is t_quantile_975(n - 1), so the interval is scipy's.
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
@@ -43,5 +55,5 @@ def mean_t_interval(samples) -> tuple[float, float, float]:
         raise ValueError("need at least two samples for a t-interval")
     mean = float(x.mean())
     se = float(x.std(ddof=1)) / math.sqrt(n)
-    half = float(stdtrit(n - 1, 0.975)) * se
+    half = t_quantile_975(n - 1) * se
     return mean, mean - half, mean + half

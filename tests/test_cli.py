@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from driftlab.cli import main
 from driftlab.presets import PRESETS, load_config
 from helpers import PEA_PRIME_CHECK_INI, config_file_text
+from test_golden import GOLDEN
 
 
 def read_csv(path):
@@ -431,9 +433,36 @@ def test_scaling_reports_unresolved_horizon(tmp_path, capsys):
     assert "warning: budget too small" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # a fresh interpreter: other tests import scipy.stats into this one
+#: modules a cold CLI start does not need: scipy is for the empirical check
+#: only, the pool's modules for a parallel run only, and numpy.ma (which
+#: np.unique imports on its first call) for nothing
+COLD_START_UNNEEDED = ("scipy", "concurrent.futures.process", "multiprocessing", "numpy.ma")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # a fresh interpreter: other tests import scipy and the pool into this one
+    (tmp_path / "pea-prime-check.ini").write_text(PEA_PRIME_CHECK_INI)
+    code = (
+        "import hashlib, json, sys\n"
+        "import driftlab.cli\n"
+        "def loaded(*names):\n    return [name for name in names if name in sys.modules]\n"
+        f"seen = {{'import': loaded(*{COLD_START_UNNEEDED!r})}}\n"
+        "driftlab.cli.main(['check', '--preset', 'needle-n50-twosided', '--out', 'needle.csv'])\n"
+        "driftlab.cli.main(['simulate', '--preset', 'counterexample-n15', '--out', 'simulate.csv'])\n"
+        "driftlab.cli.main(['bounds', '--suite', 'comma-lambda', '--n-max', '30', '--j-max', '4', '--out', 'b.csv'])\n"
+        "seen['exact check, simulate and bounds'] = loaded('scipy', 'numpy.ma')\n"
+        "driftlab.cli.main(['check', '--config', 'pea-prime-check.ini', '--out', 'pea.csv'])\n"
+        "seen['empirical check'] = loaded('scipy.special')\n"
+        "seen['digest'] = hashlib.sha256(open('pea.csv', 'rb').read()).hexdigest()\n"
+        "print(json.dumps(seen))\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    code = "import sys, driftlab, driftlab.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
+    )
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["exact check, simulate and bounds"] == []
+    # the positive control: the empirical check loads scipy.special, and its CSV is the golden one
+    assert seen["empirical check"] == ["scipy.special"]
+    assert seen["digest"] == GOLDEN["check-pea-prime-empirical"][1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import driftlab as dl
-from driftlab.conditions import ONE_SIDED, TWO_SIDED
+from driftlab.conditions import ONE_SIDED, TWO_SIDED, _tail_reach
 from driftlab.rng import generator
 from helpers import sample_steps
 
@@ -65,6 +65,24 @@ class TestExactChecks:
             for t in two.tails:
                 if t.verdict == "pass":
                     assert one_by_j[t.j] == "pass"
+
+    @pytest.mark.parametrize(
+        "values,probs",
+        [
+            ([-3.0, -1.0, 0.0, 2.0, 5.0], [0.0, 0.2, 0.3, 0.5, 0.0]),
+            ([1.0, 2.5], [0.5, 0.5]),
+            ([-4.0, -0.5], [0.75, 0.25]),
+            ([0.0], [1.0]),
+            ([-7.0, 0.0, 7.0], [1e-300, 0.5, 0.5 - 1e-300]),
+        ],
+    )
+    def test_a_tail_is_zero_exactly_past_its_reach(self, values, probs):
+        # the check skips a law once j passes its reach, so that must be where its tail becomes 0.0
+        law = dl.JumpDistribution(values, probs)
+        for variant, tail in ((TWO_SIDED, law.tail_abs), (ONE_SIDED, law.tail_down)):
+            reach = _tail_reach(law, variant)
+            for j in [*np.arange(0.0, 9.0, 0.25), reach, np.nextafter(reach, math.inf)]:
+                assert (tail(j) == 0.0) == (j > reach), (variant, j)
 
     def test_non_normalized_table_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):

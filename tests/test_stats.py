@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
-from driftlab import stats as dstats  # dstats.stdtrit is the quantile mean_t_interval uses
-from driftlab.stats import Z95, mean_t_interval, wilson_interval
+from driftlab.stats import Z95, mean_t_interval, t_quantile_975, wilson_interval
 
 
 def score_interval_by_root_finding(hits, trials, z=Z95):
@@ -69,15 +68,21 @@ def test_mean_t_interval_against_scipy():
 
 @pytest.mark.parametrize("df", [1, 2, 5, 30, 842, 100_000])
 def test_t_quantile_against_mpmath(df):
-    # P(T <= t) = 1 - I_{df/(df+t^2)}(df/2, 1/2) / 2 for t > 0; solve P(T <= t) = 0.975
+    # t_quantile_975 is the quantile mean_t_interval uses; scipy's t.ppf is one oracle
+    from scipy import stats as sstats
+
+    quantile = t_quantile_975(df)
+    assert quantile == float(sstats.t.ppf(0.975, df))
+    # and mpmath the other: P(T <= t) = 1 - I_{df/(df+t^2)}(df/2, 1/2) / 2 for
+    # t > 0; solve P(T <= t) = 0.975
     with mpmath.workdps(40):
         def upper_tail(t):
             tail = mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, df / (df + t * t), regularized=True) / 2
             return tail - mpmath.mpf("0.025")
 
-        exact = mpmath.findroot(upper_tail, mpmath.mpf(float(dstats.stdtrit(df, 0.975))))
+        exact = mpmath.findroot(upper_tail, mpmath.mpf(quantile))
         assert abs(upper_tail(exact)) < mpmath.mpf(10) ** -35
-        assert float(abs(dstats.stdtrit(df, 0.975) / exact - 1)) <= 1e-15
+        assert float(abs(quantile / exact - 1)) <= 1e-15
 
 
 def test_mean_t_interval_needs_two_samples():
