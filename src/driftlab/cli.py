@@ -85,18 +85,17 @@ def cmd_check(args) -> int:
     window = config.window()
     params = config.condition_params()
     laws = step_laws(process, window)
+    provenance = config.provenance()
+    if laws is not None:
+        # only the empirical check simulates trials
+        del provenance["trials"], provenance["max_steps"]
     if args.jump_table:
         if not isinstance(laws, JumpDistribution):
             raise ValueError(
                 f"process {config.process_kind!r} has no state-independent step law; "
                 "no exact jump table to export"
             )
-        write_csv(
-            args.jump_table,
-            config.provenance(),
-            ["j", "p_up", "p_down"],
-            laws.csv_rows(),
-        )
+        write_csv(args.jump_table, provenance, ["j", "p_up", "p_down"], laws.csv_rows())
     if laws is not None:
         report = check_conditions_exact(laws, params, config.variant, window)
         where = "the one step law" if report.drift_state is None else "the step law of every window state"
@@ -106,7 +105,6 @@ def cmd_check(args) -> int:
             process, window, config.trials, config.max_steps, config.master_seed
         )
         report = check_conditions_empirical(drift_samples, tail_samples, params, config.variant)
-    provenance = config.provenance()
     if process.potential_scale != "identity":
         provenance["potential_scale"] = process.potential_scale
         print(f"note: potentials for {config.process_kind!r} are on the {process.potential_scale} scale")

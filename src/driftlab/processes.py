@@ -15,7 +15,12 @@ trial. `hitting_time` may draw its doubles in blocks, ahead of need: what
 matters is that the doubles it uses are the ones the `step` loop would use, in
 the same order. The walk, the needle and the counterexample chain replay
 numpy's own geometric and binomial algorithms on such blocks; every other
-process steps.
+process steps. A long needle trial advances whole blocks of generations
+through `_NeedleAutomaton`, whose states are lists indexed by cells of [0, 1)
+cut at the exact thresholds of numpy's binomial inversion. What the automaton
+does not hold goes to its sink, and the step loop replays that block.
+Each process builds an automaton lazily, once per (n, p, floor(a)), and only
+once a trial has stepped about as long as the build takes.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import functools
 import inspect
 import itertools
 import math
+import operator
+import struct
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -31,7 +38,7 @@ import numpy as np
 from .jumps import JumpDistribution
 
 _LN8 = math.log(8.0)
-#: steps (walk) or doubles (needle) in a trial's first block; each further
+#: steps (walk) or generations (needle) in a trial's first block; each further
 #: block is twice as long up to the cap, so short trials draw little ahead
 #: and long ones hold a bounded block
 _FIRST_BLOCK = 64
@@ -46,11 +53,6 @@ def _block_sizes():
         yield size
         size *= 2
     yield from itertools.repeat(_MAX_BLOCK)
-
-
-def _uniforms(rng: np.random.Generator):
-    """rng.random() again and again, as one iterator over blocks of rng.random(size)."""
-    return itertools.chain.from_iterable(rng.random(size).tolist() for size in _block_sizes())
 
 
 class Process(ABC):
@@ -321,6 +323,142 @@ def _inversion_tail(u: float, px: tuple, bound: int, draw) -> int:
     return x
 
 
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<q")
+#: bit pattern of 1.0; the bit patterns of non-negative doubles order as the doubles do
+_ONE_BITS = _BITS.unpack(_DOUBLE.pack(1.0))[0]
+
+
+def _inversion_thresholds(px: tuple, bound: int, cap: int) -> list[float]:
+    """[T(1), ..., T(cap)]: T(x) is the least double u from which
+    random_binomial_inversion, with u as its first double, returns X >= x or
+    starts over, which counts as X >= every x; 1.0 when no double below 1 does.
+
+    Float subtraction is monotone, so X(u) is non-decreasing in u and a
+    bisection on the bit patterns of doubles, bracketed from the float sum of
+    px[:x], finds T(x) exactly by replaying _inversion_tail.
+    """
+    no_double = iter(()).__next__
+
+    def reaches(bits):
+        try:
+            return _inversion_tail(_DOUBLE.unpack(_BITS.pack(bits))[0], px, bound, no_double) >= x
+        except StopIteration:  # it would start over with a fresh double
+            return True
+
+    thresholds = []
+    below = 0  # a bit pattern whose double returns X < x: 0.0 returns 0
+    total = 0.0
+    for x in range(1, cap + 1):
+        total += px[x - 1] if x <= bound + 1 else 0.0
+        guess = max(_BITS.unpack(_DOUBLE.pack(min(total, 1.0)))[0], below + 1)
+        at = _least_true(reaches, below, _ONE_BITS, guess)
+        thresholds.append(_DOUBLE.unpack(_BITS.pack(at))[0])
+        below = at - 1
+    return thresholds
+
+
+def _least_true(pred, lo: int, hi: int, guess: int) -> int:
+    """The least i in (lo, hi] with pred(i), where pred is monotone, false at lo
+    and taken as true at hi: gallop from guess in lo < guess <= hi, then bisect."""
+    step = 1
+    if guess == hi or pred(guess):
+        hi = guess
+        while hi - step > lo and pred(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(lo, hi - step)
+    else:
+        lo = guess
+        while lo + step < hi and not pred(lo + step):
+            lo += step
+            step *= 2
+        hi = min(hi, lo + step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+#: a needle automaton caps its draws where P(Binomial(n - 1, p) >= cap) is at most
+#: this, so a block of _MAX_BLOCK generations reaches the cap with at most about 1% chance
+_CAP_TAIL = 3e-7
+#: the most list entries (states times cells, 8 bytes each) an automaton may have
+_MAX_AUTOMATON_ENTRIES = 1 << 21
+#: generations a trial steps per automaton entry before it builds the automaton:
+#: an entry costs about 60 ns to build, and a generation saves about 0.25 us
+_STEPS_PER_ENTRY = 0.25
+#: automata by (n, p, floor_a), built in the process that first needs one; the
+#: oldest goes once _MAX_AUTOMATA are held
+_AUTOMATA: dict = {}
+_MAX_AUTOMATA = 4
+
+
+def _draw_cap(px: tuple) -> int:
+    """The least c with P(X >= c) <= _CAP_TAIL for X drawn from the inversion table px."""
+    tail = 0.0
+    for c in range(len(px) - 1, -1, -1):
+        tail += px[c]
+        if tail > _CAP_TAIL:
+            return c + 1
+    return 0
+
+
+class _NeedleAutomaton:
+    """The needle's generations as a finite automaton over cells of [0, 1).
+
+    A generation at distance d < n draws Bin(d, p) from one double, then
+    Bin(n - d, p) from the next. The thresholds of every count the automaton
+    draws cut [0, 1) into cells, and on each cell every draw returns one X. A
+    phase-A state d is about to draw the down count and a phase-B state
+    (d - X, n - d) the up count; each is a list indexed by cell whose entries
+    are the next states, and a phase-A list ends with its d. A hit (d <= floor_a),
+    d = n (whose generation draws one double), a draw of `cap` or more and a
+    start-over go to the sink, which maps every cell to itself.
+    """
+
+    def __init__(self, n: int, p: float, floor_a: int):
+        tables = _InversionTables(p)
+        cap = _draw_cap(tables[n - 1][0])
+        live = range(floor_a + 1, n)
+        thresholds = {k: _inversion_thresholds(*tables[k], cap) for k in {*live, *(n - d for d in live)}}
+        boundaries = sorted({t for ts in thresholds.values() for t in ts if t < 1.0})
+        lowers = [0.0, *boundaries]
+        # counts[k][c]: the X that Bin(k, p) returns on cell c, or cap for any more
+        counts = {k: np.searchsorted(ts, lowers, side="right").tolist() for k, ts in thresholds.items()}
+        self.boundaries = np.array(boundaries)
+        self.sink = sink = []
+        sink.extend([sink] * len(lowers))
+        phase_a = {d: [] for d in live}
+        for d, row in phase_a.items():
+            after_down = [sink] * (cap + 1)
+            for x in set(counts[d]) - {cap}:
+                after_up = [phase_a.get(d - x + y, sink) for y in range(cap)] + [sink]
+                after_down[x] = list(map(after_up.__getitem__, counts[n - d]))
+            row.extend(map(after_down.__getitem__, counts[d]))
+            row.append(d)
+        self.starts = [phase_a.get(d, sink) for d in range(n + 1)]
+
+    def advance(self, d: int, u: np.ndarray) -> int | None:
+        """The distance after len(u) // 2 generations from d on the doubles u,
+        or None when they reach the sink."""
+        cells = np.searchsorted(self.boundaries, u, side="right").tolist()
+        end = functools.reduce(operator.getitem, cells, self.starts[d])
+        return None if end is self.sink else end[-1]
+
+
+def _needle_automaton(key: tuple) -> _NeedleAutomaton:
+    """The automaton for key = (n, p, floor_a), built and kept on first use."""
+    if key not in _AUTOMATA:
+        if len(_AUTOMATA) == _MAX_AUTOMATA:
+            del _AUTOMATA[next(iter(_AUTOMATA))]
+        _AUTOMATA[key] = _NeedleAutomaton(*key)
+    return _AUTOMATA[key]
+
+
 def _binomial_pmf(k: int, p: float) -> np.ndarray:
     """P(Binomial(k, p) = i) for i = 0..k.
 
@@ -430,25 +568,63 @@ class NeedleOneOneEA(_MutationChain):
         if state == 0:
             return 1
         n = self.n
+        floor_a = math.floor(a) if a < n else n
+        key = (n, p, floor_a)
+        automaton = _AUTOMATA.get(key)
+        build_at = math.inf if automaton else self._automaton_build_at(floor_a)
+        d, t = state, 0
+        for size in _block_sizes():
+            u = rng.random(2 * min(size, max_steps - t))
+            if t >= build_at:
+                automaton, build_at = _needle_automaton(key), math.inf
+            end = None if automaton is None else automaton.advance(d, u)
+            if end is None:
+                d, t = self._replay(d, t, u.tolist(), rng, a, max_steps)
+                if d <= a:
+                    return t
+            else:
+                d, t = end, t + u.size // 2
+            if t == max_steps:
+                return None
+
+    def _automaton_build_at(self, floor_a: int) -> float:
+        """The generation of a trial from which its automaton pays for its
+        build, or math.inf when the automaton would be too large or empty."""
+        n = self.n
+        cap = _draw_cap(self._inversion_tables[n - 1][0])
+        # a bound on the automaton's list entries: states times cells
+        entries = (n - 1 - floor_a) * (cap + 2) * ((n - 1) * cap + 2)
+        if floor_a >= n - 1 or entries > _MAX_AUTOMATON_ENTRIES:
+            return math.inf
+        return entries * _STEPS_PER_ENTRY
+
+    def _replay(self, d, t, block, rng, a, max_steps):
+        """(d, t) after stepping generations from distance d after t generations
+        on the doubles of `block`, and on rng.random() past its end, until the
+        block is used up, the target is hit or the budget ends."""
+        n = self.n
         tables = self._inversion_tables
-        draw = _uniforms(rng).__next__
-        d = state
-        for t in range(1, max_steps + 1):
-            # down ~ Binomial(d, p), then up ~ Binomial(n - d, p); numpy returns
-            # Binomial(0, p) = 0 without a draw. Most draws stop at X = 0.
-            k = n - d
-            px, bound = tables[d]
-            u = draw()
-            if u > px[0]:
-                d -= _inversion_tail(u, px, bound, draw)
-            if k:
-                px, bound = tables[k]
+        doubles = iter(block)
+        left = doubles.__length_hint__
+        draw = itertools.chain(doubles, iter(rng.random, None)).__next__
+        # a generation draws two doubles, or one at d = n, or more to start over
+        while (count := min((left() + 1) // 2, max_steps - t)) > 0:
+            for t in range(t + 1, t + count + 1):
+                # down ~ Binomial(d, p), then up ~ Binomial(n - d, p); numpy returns
+                # Binomial(0, p) = 0 without a draw. Most draws stop at X = 0.
+                k = n - d
+                px, bound = tables[d]
                 u = draw()
                 if u > px[0]:
-                    d += _inversion_tail(u, px, bound, draw)
-            if d <= a:
-                return t
-        return None
+                    d -= _inversion_tail(u, px, bound, draw)
+                if k:
+                    px, bound = tables[k]
+                    u = draw()
+                    if u > px[0]:
+                        d += _inversion_tail(u, px, bound, draw)
+                if d <= a:
+                    return d, t
+        return d, t
 
 
 class OneCommaLambdaEA(_MutationChain):

@@ -20,6 +20,11 @@ CONFIGS = {
     "needle-hits.ini": "[experiment]\nname = needle-n20-hits\n[process]\nkind = needle\nn = 20\n"
                        "[window]\na = 2\nb = 5\n[budget]\ntrials = 100\nmax_steps = 20000\nmaster_seed = 2\n"
                        "[run]\nhorizon = 20000\n",
+    # hits near 5e4 generations, past the ramp of growing blocks: most trials
+    # hit inside a full block that the needle's automaton advanced to its sink
+    "needle-late-hits.ini": "[experiment]\nname = needle-n50-late-hits\n[process]\nkind = needle\nn = 50\n"
+                            "[window]\na = 11\nb = 20\n[budget]\ntrials = 20\nmax_steps = 100000\nmaster_seed = 3\n"
+                            "[run]\nhorizon = 100000\n",
     "walk-delta1-hits.ini": "[experiment]\nname = geometric-walk-delta1-hits\n[process]\nkind = geometric-walk\n"
                             "eps = 0.2\ndelta = 1\nstart = 10\n[window]\nb = 10\n"
                             "[budget]\ntrials = 200\nmax_steps = 10000\nmaster_seed = 11\n[run]\nhorizon = 10000\n",
@@ -49,20 +54,21 @@ GOLDEN = {
     ),
     "check-counterexample-onesided": (
         ["check", "--preset", "counterexample-onesided"],
-        "7d67aa44faa6b26c55e891c1ac6afbeb8b7273a89cdb5ef311e4831acc00af07",
+        "925dcf09205702d517f3a971a7c7182f16753ba887e0c3fd8ecb71feb378b76a",
     ),
     "check-counterexample-twosided": (
         ["check", "--preset", "counterexample-twosided"],
-        "acfb2ce4cac80b25d1438ef01215bc169de6f275664077bfa4222817f72fb9b4",
+        "bfdf06f15cffac6a367e476d86005f7f4515f83b7e0c117553a1d6842bb39b56",
     ),
     "check-geometric-walk-twosided": (
         ["check", "--preset", "geometric-walk-twosided"],
-        "43231a6320d9e7f067ad8cef6f970e44379360d09d130581545a565448f4d7dc",
+        "b498203d188a51b80f3b0ee749046b7bfb77f4f6459ff07106a13bfeffa7572f",
     ),
-    # exact in every window state from the needle's step laws (no harvested samples)
+    # exact in every window state from the needle's step laws (no harvested samples);
+    # an exact check's CSV omits trials and max_steps, which it does not use
     "check-needle-n50-twosided": (
         ["check", "--preset", "needle-n50-twosided"],
-        "0bba0b26f28fd485c4cdda747008154b3d45444e0a4902277fd3e5c893f53df6",
+        "44c7f00261a7c78b636c5818f07dd5d8791c9f196722e6dc8bda70a96c21acae",
     ),
     "check-pea-prime-empirical": (
         ["check", "--config", "pea-prime-check.ini"],
@@ -70,7 +76,7 @@ GOLDEN = {
     ),
     "jump-table-counterexample-twosided": (
         ["check", "--preset", "counterexample-twosided", "--jump-table"],
-        "43fe870f5ba409f4d977e0c0ec6ff9e4ca83e23aeafb97d5815b671a738c122f",
+        "ba24f0b071d770417ab79b3e6f7afdbe727b396c95e7e7bf2a4872741f133465",
     ),
     "scaling-geometric-walk": (
         ["scaling", "--preset", "geometric-walk-scaling", "--trials", "300"],
@@ -119,6 +125,14 @@ GOLDEN = {
     "simulate-needle-hits-threads-2": (
         ["simulate", "--config", "needle-hits.ini", "--threads", "2"],
         "b07ca318c21c7977fef2764e79f5f9f64eed21b1440e3e7ea7ccc78e1f2aa4fb",
+    ),
+    "simulate-needle-late-hits-threads-1": (
+        ["simulate", "--config", "needle-late-hits.ini", "--threads", "1"],
+        "a9cda33688d38d6893ef5939346812b5b9b83ea61ed4973d4688772fc3463680",
+    ),
+    "simulate-needle-late-hits-threads-2": (
+        ["simulate", "--config", "needle-late-hits.ini", "--threads", "2"],
+        "a9cda33688d38d6893ef5939346812b5b9b83ea61ed4973d4688772fc3463680",
     ),
     "simulate-walk-delta1-hits-threads-1": (
         ["simulate", "--config", "walk-delta1-hits.ini", "--threads", "1"],

@@ -79,8 +79,8 @@ class TestGeometricDriftWalk:
 
 
 class TestNeedleOneOneEA:
-    # the needle draws one or two doubles per step, so a block of doubles ends
-    # near _FIRST_BLOCK / 2 steps
+    # the needle's first block is _FIRST_BLOCK generations, of one or two
+    # doubles each
     @pytest.mark.parametrize("max_steps", [1, _FIRST_BLOCK // 2 - 1, _FIRST_BLOCK // 2, _FIRST_BLOCK // 2 + 1,
                                            _FIRST_BLOCK - 1, _FIRST_BLOCK, _FIRST_BLOCK + 1])
     def test_budgets_around_the_blocks(self, max_steps):
