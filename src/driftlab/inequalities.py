@@ -20,11 +20,14 @@ import numpy as np
 # remainder after 30 terms is below 2/31!.
 E_LO = sum(Fraction(1, math.factorial(i)) for i in range(31))
 E_HI = E_LO + Fraction(2, math.factorial(31))
+_E_HI_NUM, _E_HI_DEN = E_HI.numerator, E_HI.denominator
 
 #: exact integer threshold below which links are decided in int/Fraction arithmetic
 EXACT_LIMIT = 1000
 #: the largest n of the mutation chain
 MUTATION_N_LIMIT = 10_000
+#: q^k from which the matching sum link's left side is x^j/(1 - x), clear of float overflow
+_FLOAT_POWER_LIMIT = 2**1000
 #: grid points per decade of the log-sampled sweep axes
 _PER_DECADE = 8
 
@@ -100,31 +103,46 @@ def _safe_exp(x: float) -> float:
 
 
 def _matching_sum_links(m: int, h: int, j_values: range) -> list[InequalityResult]:
-    """Sum link sum_{i=j}^{m-j} x^i <= m x^j (x = 2h/m^2) and the simplification
-    m x^j <= m^{-(j-1)} for each j of `j_values`; the sum is empty for j > m/2 and
-    then trivially 0. The exact powers (2h)^j and m^j are carried across j."""
+    """Sum link sum_{i=j}^{m-j} x^i <= m x^j (x = p/q, p = 2h, q = m^2) and the
+    simplification m x^j <= m^{-(j-1)} for each j of `j_values`; the sum is empty
+    for j > m/2 and then trivially 0.
+
+    With k = m - 2j the sum is x^j S(k)/q^k, S(k) = (q^(k+1) - p^(k+1))/(q - p).
+    The exact q^k and S(k) are carried from the largest j down by
+    q^(k+2) = q^2 q^k and S(k+2) = q^2 S(k) + q p^(k+1) + p^(k+2), and the exact
+    powers p^j and m^j from the least j up."""
     p, q = 2 * h, m * m
     x = p / q
+    sums = []  # (S(k), q^k) of the non-empty sums, the least j last
+    top = min(j_values.stop - 1, m // 2)
+    if top >= j_values.start:
+        k = m - 2 * top
+        q_k, p_k1 = q**k, p ** (k + 1)
+        s_k = (q_k * q - p_k1) // (q - p)
+        sums.append((s_k, q_k))
+        q2, p2 = q * q, p * p
+        for _ in range(top - j_values.start):
+            s_k = q2 * s_k + (q + p) * p_k1
+            q_k *= q2
+            p_k1 *= p2
+            sums.append((s_k, q_k))
     results = []
     p_j, m_j = p ** j_values.start, m ** j_values.start
     for j in j_values:
         params = {"m": m, "h": h, "j": j}
         x_j = x**j
-        upper = m - j
-        if j > upper:
+        if j <= top:
+            s_k, q_k = sums.pop()
+            holds_sum = s_k <= m * q_k
+            lhs_sum = x_j * float(s_k) / float(q_k) if q_k < _FLOAT_POWER_LIMIT else x_j / (1 - x)
+            sharper = x_j / (1.0 - x)
+            note = f"exact integer comparison; sharper geometric bound {sharper!r}"
+        else:
             lhs_sum = 0.0
             holds_sum = True
             note = "empty summation range, sum is 0"
-        else:
-            k = upper - j
-            q_k = q**k
-            sum_num = (q_k * q - p ** (k + 1)) // (q - p)
-            holds_sum = sum_num <= m * q_k
-            lhs_sum = x_j * float(sum_num) / float(q_k) if q_k < 2**1000 else x_j / (1 - x)
-            sharper = x_j / (1.0 - x)
-            note = f"exact integer comparison; sharper geometric bound {sharper!r}"
         rhs_sum = m * x_j
-        largest_rhs = m ** (-(j - 1)) if j >= 1 else float(m)
+        largest_rhs = float(m) ** (1 - j)
         holds_largest = p_j <= m_j
         p_j *= p
         m_j *= m
@@ -146,23 +164,26 @@ def _matching_sum_links(m: int, h: int, j_values: range) -> list[InequalityResul
 
 def matching_ratio_link(m: int, j: int) -> InequalityResult:
     """Relevant-step ratio link min(1, e m^{3-j}) <= 22 (1/2)^j, valid for every
-    j >= 0 once m >= 2; tightest at m = 2 where it reduces to 8e <= 22."""
+    j >= 0 once m >= 2; tightest at m = 2 where it reduces to 8e <= 22.
+
+    The left side is num/den with e at E_HI, decided against 22/2^j by integer
+    cross-multiplication; each side is the correctly rounded int/int quotient."""
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    params = {"m": m, "j": j}
     if j <= 3:
-        lhs_frac = min(Fraction(1), E_HI * m ** (3 - j))
+        num, den = _E_HI_NUM * m ** (3 - j), _E_HI_DEN
     else:
-        lhs_frac = min(Fraction(1), E_HI / m ** (j - 3))
-    rhs_frac = Fraction(22, 2**j)
+        num, den = _E_HI_NUM, _E_HI_DEN * m ** (j - 3)
+    if num >= den:
+        num = den = 1
     return InequalityResult(
         "matching-ratio-vs-geometric",
-        params,
-        float(lhs_frac),
-        float(rhs_frac),
-        lhs_frac <= rhs_frac,
+        {"m": m, "j": j},
+        num / den,
+        22 / 2**j,
+        num << j <= 22 * den,
         note="rational comparison with certified upper bound on e",
     )
 

@@ -1,9 +1,10 @@
 """CSV emission with embedded provenance and plain-text summary blocks.
 
-Every CSV starts with '# key=value' comment lines holding the full resolved
-configuration (master seed included), so any row can be reproduced from the
-file alone. Output is UTF-8 with LF line endings and deterministic number
-formatting; no timestamps or host details, which keeps reruns byte-identical.
+Every CSV starts with '# key=value' comment lines holding the resolved
+configuration that the command reads (the master seed included wherever it
+draws randomness), so any row can be reproduced from the file alone. Output
+is UTF-8 with LF line endings and deterministic number formatting; no
+timestamps or host details, which keeps reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import Iterable
 
 
 def format_cell(value) -> str:
+    if type(value) is int:  # not a bool, whose type is bool
+        return str(value)
     if isinstance(value, float):
         return str(int(value)) if value.is_integer() and abs(value) < 1e15 else repr(value)
     if value is None:
@@ -28,54 +31,94 @@ def format_cell(value) -> str:
 _ROWS_PER_BATCH = 1024
 
 
-def format_rows(rows: Iterable) -> str:
-    """CSV text of `rows`: one LF-terminated line per row, its cells as format_cell
-    gives them, quoted as csv.writer's QUOTE_MINIMAL quotes them.
+class _FloatTexts(dict):
+    """format_cell texts of floats, each made on first use: a CSV repeats many
+    floats, and repr is the costly step. Keys must be floats; an int or a bool
+    would share the text of the float it equals."""
 
-    The lines are joined directly, and the joined text is kept when no cell holds
-    a comma, a quote or a line break and no row is empty or one empty cell, as
-    holds for every row driftlab writes. Otherwise csv.writer writes the rows,
-    so the quoting never differs from the csv module's.
-    """
-    floats: dict = {}  # float texts: a batch repeats many floats, and repr is the costly step
-    cells = []
-    for row in rows:
-        texts = []
-        for value in row:
-            kind = type(value)
-            if kind is str:
-                text = value
-            elif kind is float:
-                text = floats.get(value)
-                if text is None:
-                    text = floats[value] = format_cell(value)
-            else:
-                text = format_cell(value)
-            texts.append(text)
-        cells.append(texts)
-    lines = [",".join(texts) for texts in cells]
+    def __missing__(self, value):
+        text = self[value] = format_cell(value)
+        return text
+
+
+def _csv_text(lines: list[str], cells: int, rows: Iterable) -> str:
+    """The LF-terminated `lines`, each the cell texts of one of `rows` joined by
+    commas, `cells` cells in all, when that is how csv.writer's QUOTE_MINIMAL
+    writes them: no cell holds a comma, a quote or a line break and no row is
+    empty or one empty cell, as holds for every row driftlab writes. Otherwise
+    csv.writer writes `rows`, which is read only then, so the quoting never
+    differs from the csv module's."""
     text = "\n".join(lines + [""])
     if (
         all(lines)
-        and text.count(",") == sum(map(len, cells)) - len(cells)
-        and text.count("\n") == len(cells)
+        and text.count(",") == cells - len(lines)
+        and text.count("\n") == len(lines)
         and '"' not in text
         and "\r" not in text
     ):
         return text
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(cells)
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
+def format_rows(rows: Iterable) -> str:
+    """CSV text of `rows`: one LF-terminated line per row, its cells as format_cell
+    gives them, quoted as csv.writer's QUOTE_MINIMAL quotes them."""
+    floats = _FloatTexts()
+    cells = [
+        [value if type(value) is str else floats[value] if type(value) is float else format_cell(value)
+         for value in row]
+        for row in rows
+    ]
+    return _csv_text([",".join(texts) for texts in cells], sum(map(len, cells)), cells)
+
+
+def _parameters_text(parameters: dict) -> str:
+    return ";".join([f"{key}={format_cell(value)}" for key, value in parameters.items()])
+
+
+_HOLDS_TEXT = {holds: format_cell(holds) for holds in (True, False)}
+
+
+def format_links(results: Iterable) -> tuple[str, int, int]:
+    """CSV text of inequality links (InequalityResult, whose lhs and rhs are
+    floats), the number of links and the number that fail. Each link is one line
+    of the cells name, parameters, lhs, rhs, margin and holds, quoted as
+    format_rows quotes them; parameters is the link's `key=value` pairs joined by
+    ';', made once per run of links sharing one dict, as the links of a chain do."""
+    results = list(results)
+    floats = _FloatTexts()
+    lines = []
+    failures = 0
+    params, params_text = None, ""
+    for name, parameters, lhs, rhs, holds, _ in results:
+        if parameters is not params:
+            params, params_text = parameters, _parameters_text(parameters)
+        lines.append(f"{name},{params_text},{floats[lhs]},{floats[rhs]},{floats[rhs - lhs]},{_HOLDS_TEXT[holds]}")
+        if not holds:
+            failures += 1
+    rows = (
+        [r.name, _parameters_text(r.parameters), *map(format_cell, (r.lhs, r.rhs, r.margin, r.holds))]
+        for r in results
+    )
+    return _csv_text(lines, 6 * len(lines), rows), len(results), failures
+
+
 def write_csv(path: str, provenance: dict, columns: list[str], rows: Iterable, trailer: str = "") -> None:
+    """Write the provenance as '# key=value' lines, the header `columns`, then
+    `rows`: a row is a sequence of cells, and a str is a block of CSV lines that
+    is already formatted (as format_rows or format_links give it)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in provenance.items():
             fh.write(f"# {key}={format_cell(value)}\n")
         fh.write(format_rows([columns]))
-        rows = iter(rows)
-        while batch := list(itertools.islice(rows, _ROWS_PER_BATCH)):
-            fh.write(format_rows(batch))
+        for is_text, items in itertools.groupby(rows, key=lambda item: isinstance(item, str)):
+            if is_text:
+                fh.writelines(items)
+            else:
+                while batch := list(itertools.islice(items, _ROWS_PER_BATCH)):
+                    fh.write(format_rows(batch))
         if trailer:
             fh.write(trailer if trailer.endswith("\n") else trailer + "\n")
 

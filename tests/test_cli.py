@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from driftlab.cli import main
+from driftlab.inequalities import SWEEPS, InequalityResult
 from driftlab.presets import PRESETS, load_config
 from helpers import PEA_PRIME_CHECK_INI, config_file_text
 from test_golden import GOLDEN
@@ -117,6 +118,26 @@ def test_check_needle_preset_passes_exactly(tmp_path, capsys):
     assert "least at state 15" in stdout and "j=1 at state 50" in stdout
 
 
+SIMULATION_KEYS = {"trials", "max_steps", "master_seed", "horizon", "prob_target"}
+
+
+@pytest.mark.parametrize("argv", [["--out"], ["--jump-table"]])
+def test_exact_check_provenance_omits_the_simulation_keys(argv, tmp_path):
+    out = tmp_path / "check.csv"
+    assert main(["check", "--preset", "counterexample-onesided", *argv, str(out)]) == 0
+    provenance, _, _, _ = read_csv(out)
+    assert provenance["process"] == "counterexample" and not SIMULATION_KEYS & set(provenance)
+
+
+def test_empirical_check_provenance_keeps_the_simulation_keys(tmp_path):
+    cfg = tmp_path / "pea-prime.ini"
+    cfg.write_text(PEA_PRIME_CHECK_INI)
+    out = tmp_path / "check.csv"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    provenance, _, _, _ = read_csv(out)
+    assert provenance["mode"] == "empirical" and SIMULATION_KEYS <= set(provenance)
+
+
 def test_geometric_walk_preset_sees_no_hits_at_desk_budget(tmp_path):
     out = tmp_path / "walk.csv"
     assert main(["simulate", "--preset", "geometric-walk-l30", "--out", str(out)]) == 0
@@ -206,6 +227,19 @@ def test_bounds_small_and_empty(tmp_path):
     empty = tmp_path / "empty.csv"
     assert main(["bounds", "--suite", "mutation", "--n-max", "0", "--out", str(empty)]) == 2
     assert not empty.exists()
+
+
+def test_bounds_reports_a_failing_link(tmp_path, capsys, monkeypatch):
+    def failing_sweep(grid, slab=None):
+        yield InequalityResult("always-fails", {"n": 1}, 2.0, 1.0, False)
+
+    monkeypatch.setitem(SWEEPS, "mutation", failing_sweep)
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--suite", "mutation", "--n-max", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "bounds suite mutation: 1 links checked, 1 failures\n"
+    _, _, rows, _ = read_csv(out)
+    assert rows == [{"name": "always-fails", "parameters": "n=1", "lhs": "2", "rhs": "1", "margin": "-1",
+                     "holds": "false"}]
 
 
 @pytest.mark.parametrize(

@@ -54,21 +54,21 @@ GOLDEN = {
     ),
     "check-counterexample-onesided": (
         ["check", "--preset", "counterexample-onesided"],
-        "925dcf09205702d517f3a971a7c7182f16753ba887e0c3fd8ecb71feb378b76a",
+        "0f0e7b492d2b62a105b9bba83dd720132b6e6b76f8d2e74bfe3c53c43a7e5fa6",
     ),
     "check-counterexample-twosided": (
         ["check", "--preset", "counterexample-twosided"],
-        "bfdf06f15cffac6a367e476d86005f7f4515f83b7e0c117553a1d6842bb39b56",
+        "2b96bfb5ef5b49b11541f13d3699a185725f5661ca385f66ddbe5788a20a6904",
     ),
     "check-geometric-walk-twosided": (
         ["check", "--preset", "geometric-walk-twosided"],
-        "b498203d188a51b80f3b0ee749046b7bfb77f4f6459ff07106a13bfeffa7572f",
+        "80c008a984ca04a97ff1d24d872a65d70009cf82f34224f952d7a7e86bdf9466",
     ),
     # exact in every window state from the needle's step laws (no harvested samples);
-    # an exact check's CSV omits trials and max_steps, which it does not use
+    # an exact check's CSV omits the budget and run keys, which it does not use
     "check-needle-n50-twosided": (
         ["check", "--preset", "needle-n50-twosided"],
-        "44c7f00261a7c78b636c5818f07dd5d8791c9f196722e6dc8bda70a96c21acae",
+        "109beb46aca59667d0cd4fd4b54518251b90503e09e711f8114faa56d0332c87",
     ),
     "check-pea-prime-empirical": (
         ["check", "--config", "pea-prime-check.ini"],
@@ -76,7 +76,7 @@ GOLDEN = {
     ),
     "jump-table-counterexample-twosided": (
         ["check", "--preset", "counterexample-twosided", "--jump-table"],
-        "ba24f0b071d770417ab79b3e6f7afdbe727b396c95e7e7bf2a4872741f133465",
+        "d509a788f47f7230e3ec80667dbfb18c98f720ff81ad3c549bb9121a0e30396c",
     ),
     "scaling-geometric-walk": (
         ["scaling", "--preset", "geometric-walk-scaling", "--trials", "300"],

@@ -11,6 +11,7 @@ from driftlab.inequalities import (
     E_LO,
     SWEEPS,
     SweepGrid,
+    _matching_sum_links,
     log_spaced_integers,
     matching_ratio_link,
     slab_count,
@@ -117,6 +118,51 @@ class TestMatchingChain:
     def test_sharper_geometric_margin_reported(self):
         links = dl.matching_jump_bound(20, 4, 3)
         assert "sharper geometric bound" in links[0].note
+
+    def test_sum_links_match_a_fraction_sum(self):
+        # every m <= 40 at j <= 25, empty ranges included; m = 78..81 at j <= 2 reach
+        # q^k >= 2^1000, where the left side is the geometric bound x^j / (1 - x)
+        cases = [(m, range(26)) for m in range(2, 41)] + [(m, range(3)) for m in range(78, 82)]
+        branches = {"empty": 0, "float": 0, "geometric": 0}
+        for m, j_values in cases:
+            q = m * m
+            for h in range(1, m // 2 + 1):
+                x = Fraction(2 * h, q)
+                powers = [x**i for i in range(m + 1)]
+                x_float = 2 * h / q
+                links = _matching_sum_links(m, h, j_values)
+                assert len(links) == 2 * len(j_values)
+                for j, sum_link, largest_link in zip(j_values, links[::2], links[1::2]):
+                    total = sum(powers[j : m - j + 1], Fraction(0))
+                    x_j = x_float**j
+                    k = m - 2 * j
+                    if k < 0:
+                        branch, lhs = "empty", 0.0
+                    else:
+                        numerator = total * q**k / x**j
+                        assert numerator.denominator == 1
+                        if q**k < 2**1000:
+                            branch, lhs = "float", x_j * float(numerator.numerator) / float(q**k)
+                        else:
+                            branch, lhs = "geometric", x_j / (1 - x_float)
+                    branches[branch] += 1
+                    assert sum_link.lhs.hex() == lhs.hex()
+                    assert sum_link.rhs.hex() == (m * x_j).hex()
+                    assert sum_link.holds is (total <= m * x**j)
+                    assert largest_link.lhs == sum_link.rhs
+                    assert largest_link.rhs == pytest.approx(float(Fraction(m) ** (1 - j)), rel=1e-15)
+                    assert largest_link.holds is (m * x**j <= Fraction(m) ** (1 - j))
+        assert all(branches.values()), branches
+
+    def test_ratio_link_matches_the_fraction_form(self):
+        # 22/2^j underflows to 0 near j = 1080; j runs past it
+        for m in range(2, 61):
+            for j in range(1101):
+                lhs = min(Fraction(1), E_HI * Fraction(m) ** (3 - j))
+                rhs = Fraction(22, 2**j)
+                link = matching_ratio_link(m, j)
+                assert (link.lhs.hex(), link.rhs.hex(), link.holds) == (float(lhs).hex(), float(rhs).hex(), lhs <= rhs)
+        assert matching_ratio_link(2, 1100).rhs == 0.0 and matching_ratio_link(2, 1100).holds
 
 
 class TestDiversityChain:

@@ -1,9 +1,12 @@
 import csv
 import io
 
+import pytest
 from hypothesis import example, given, strategies as st
 
-from driftlab.reporting import format_cell, format_rows
+from driftlab.cli import _bounds_slab
+from driftlab.inequalities import SWEEPS, InequalityResult, SweepGrid, slab_count
+from driftlab.reporting import format_cell, format_links, format_rows, write_csv
 
 
 def csv_module_text(rows) -> str:
@@ -32,3 +35,48 @@ cells = st.one_of(texts, st.integers(), st.booleans(), st.none(), floats)
 @example([[0.0, -0.0, float("nan"), float("nan"), 1.0, True, 1], [-0.0, 1.0, 0.5, 0.5]])
 def test_format_rows_equals_csv_writer_over_format_cell(rows):
     assert format_rows(rows) == csv_module_text(rows)
+
+
+def link_rows(results) -> list[tuple]:
+    """The rows of inequality links as bounds wrote them before format_links."""
+    return [
+        (r.name, ";".join(f"{k}={format_cell(v)}" for k, v in r.parameters.items()), r.lhs, r.rhs, r.margin, r.holds)
+        for r in results
+    ]
+
+
+@pytest.mark.parametrize("suite", sorted(SWEEPS))
+def test_bounds_slab_text_equals_csv_writer_over_link_rows(suite):
+    grid = SweepGrid(n_max=40, m_max=14, mu_max=3, phi_max=4, lambda_max=9, j_max=9)
+    for slab in range(slab_count(suite, grid)):
+        results = list(SWEEPS[suite](grid, slab=slab))
+        failures = sum(not r.holds for r in results)
+        assert _bounds_slab((suite, grid, slab)) == (csv_module_text(link_rows(results)), len(results), failures)
+
+
+names = st.one_of(st.sampled_from(["matching-sum-vs-largest-term", ""]), texts)
+links = st.builds(
+    InequalityResult,
+    names,
+    st.dictionaries(st.sampled_from(["n", "j", "a,b", 'q"']), cells, max_size=3),
+    floats,
+    floats,
+    st.booleans(),
+)
+
+
+@given(st.lists(links, max_size=8))
+@example([InequalityResult("a,b", {"n": 1}, 1.0, 0.5, False), InequalityResult("c", {"x": '"'}, 0.0, -0.0, True)])
+def test_format_links_equals_csv_writer_over_link_rows(results):
+    # a name or parameter with a comma, a quote or a line break falls back to csv.writer
+    failures = sum(not r.holds for r in results)
+    assert format_links(iter(results)) == (csv_module_text(link_rows(results)), len(results), failures)
+
+
+def test_write_csv_writes_text_blocks_as_they_are(tmp_path):
+    out = tmp_path / "mixed.csv"
+    rows = [(1, 0.5), "block,1\nblock,2\n", (None, True), ("a,b", 2.0), "block,3\n"]
+    write_csv(str(out), {"command": "test"}, ["x", "y"], iter(rows), trailer="# done")
+    assert out.read_text() == (
+        "# command=test\nx,y\n1,0.5\nblock,1\nblock,2\n,true\n\"a,b\",2\nblock,3\n# done\n"
+    )
