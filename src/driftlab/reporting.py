@@ -27,7 +27,7 @@ def format_cell(value) -> str:
     return str(value)
 
 
-#: rows per format_rows call in write_csv, which bounds the text held at once
+#: rows or texts per write in write_csv, which bounds the text held at once
 _ROWS_PER_BATCH = 1024
 
 
@@ -41,25 +41,19 @@ class _FloatTexts(dict):
         return text
 
 
-def _csv_text(lines: list[str], cells: int, rows: Iterable) -> str:
-    """The LF-terminated `lines`, each the cell texts of one of `rows` joined by
-    commas, `cells` cells in all, when that is how csv.writer's QUOTE_MINIMAL
-    writes them: no cell holds a comma, a quote or a line break and no row is
-    empty or one empty cell, as holds for every row driftlab writes. Otherwise
-    csv.writer writes `rows`, which is read only then, so the quoting never
-    differs from the csv module's."""
-    text = "\n".join(lines + [""])
-    if (
-        all(lines)
-        and text.count(",") == cells - len(lines)
-        and text.count("\n") == len(lines)
+def _writes_plain(text: str, rows: int, cells: int) -> bool:
+    """Whether csv.writer's QUOTE_MINIMAL writes `rows` rows of `cells` cells in
+    all as `text`, their cell texts joined by commas in LF-terminated lines: it
+    does when no cell holds a comma, a quote or a line break and no row is empty
+    or one empty cell, as holds for every row driftlab writes."""
+    return (
+        text.count(",") == cells - rows
+        and text.count("\n") == rows
+        and not text.startswith("\n")
+        and "\n\n" not in text
         and '"' not in text
         and "\r" not in text
-    ):
-        return text
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    )
 
 
 def format_rows(rows: Iterable) -> str:
@@ -71,7 +65,12 @@ def format_rows(rows: Iterable) -> str:
          for value in row]
         for row in rows
     ]
-    return _csv_text([",".join(texts) for texts in cells], sum(map(len, cells)), cells)
+    text = "\n".join([",".join(texts) for texts in cells] + [""])
+    if _writes_plain(text, len(cells), sum(map(len, cells))):
+        return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(cells)
+    return out.getvalue()
 
 
 def _parameters_text(parameters: dict) -> str:
@@ -81,44 +80,37 @@ def _parameters_text(parameters: dict) -> str:
 _HOLDS_TEXT = {holds: format_cell(holds) for holds in (True, False)}
 
 
-def format_links(results: Iterable) -> tuple[str, int, int]:
-    """CSV text of inequality links (InequalityResult, whose lhs and rhs are
-    floats), the number of links and the number that fail. Each link is one line
-    of the cells name, parameters, lhs, rhs, margin and holds, quoted as
-    format_rows quotes them; parameters is the link's `key=value` pairs joined by
-    ';', made once per run of links sharing one dict, as the links of a chain do."""
-    results = list(results)
+def format_links(results: list) -> list[str]:
+    """The CSV lines of inequality links (InequalityResult, whose lhs and rhs are
+    floats), one LF-terminated line per link of the cells name, parameters, lhs,
+    rhs, margin and holds, quoted as format_rows quotes them. Parameters is the
+    link's `key=value` pairs joined by ';', made once per run of links sharing
+    one dict, as the links of a chain do."""
     floats = _FloatTexts()
     lines = []
-    failures = 0
     params, params_text = None, ""
     for name, parameters, lhs, rhs, holds, _ in results:
         if parameters is not params:
             params, params_text = parameters, _parameters_text(parameters)
-        lines.append(f"{name},{params_text},{floats[lhs]},{floats[rhs]},{floats[rhs - lhs]},{_HOLDS_TEXT[holds]}")
-        if not holds:
-            failures += 1
-    rows = (
-        [r.name, _parameters_text(r.parameters), *map(format_cell, (r.lhs, r.rhs, r.margin, r.holds))]
-        for r in results
-    )
-    return _csv_text(lines, 6 * len(lines), rows), len(results), failures
+        lines.append(f"{name},{params_text},{floats[lhs]},{floats[rhs]},{floats[rhs - lhs]},{_HOLDS_TEXT[holds]}\n")
+    if _writes_plain("".join(lines), len(lines), 6 * len(lines)):
+        return lines
+    return [
+        format_rows([(r.name, _parameters_text(r.parameters), r.lhs, r.rhs, r.margin, r.holds)]) for r in results
+    ]
 
 
 def write_csv(path: str, provenance: dict, columns: list[str], rows: Iterable, trailer: str = "") -> None:
     """Write the provenance as '# key=value' lines, the header `columns`, then
-    `rows`: a row is a sequence of cells, and a str is a block of CSV lines that
-    is already formatted (as format_rows or format_links give it)."""
+    `rows`: a row is a sequence of cells, and a str is CSV text that is already
+    formatted (as format_rows gives a block of rows, or format_links a line)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in provenance.items():
             fh.write(f"# {key}={format_cell(value)}\n")
         fh.write(format_rows([columns]))
-        for is_text, items in itertools.groupby(rows, key=lambda item: isinstance(item, str)):
-            if is_text:
-                fh.writelines(items)
-            else:
-                while batch := list(itertools.islice(items, _ROWS_PER_BATCH)):
-                    fh.write(format_rows(batch))
+        for kind, items in itertools.groupby(rows, key=type):
+            while batch := list(itertools.islice(items, _ROWS_PER_BATCH)):
+                fh.write("".join(batch) if kind is str else format_rows(batch))
         if trailer:
             fh.write(trailer if trailer.endswith("\n") else trailer + "\n")
 
