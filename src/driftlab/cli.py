@@ -22,6 +22,7 @@ from .reporting import (
     constants_trace,
     format_cell,
     format_links,
+    format_trials,
     write_csv,
 )
 from .jumps import JumpDistribution
@@ -70,7 +71,7 @@ def cmd_simulate(args) -> int:
             args.out,
             provenance,
             ["trial", "hit_time", "truncated", "x0"],
-            ((o.index, o.hit_time, o.truncated, o.start_potential) for o in estimate.outcomes),
+            format_trials(estimate.outcomes),
             trailer=summary,
         )
     print(

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .rng import check_seed_args, trial_generators
+from .rng import check_seed_args, trial_generators, trial_uniforms
 from .stats import wilson_interval
 
 
@@ -64,14 +64,25 @@ class HittingEstimate:
             raise ValueError("estimate must satisfy 0 <= ci_low <= point <= ci_high <= 1")
 
 
-#: trial-steps below which run_trials stays serial. With one-pass seeding a
-#: counterexample-n15 trial (15 steps) costs about 8 µs in-process on a 2-vCPU
-#: host, 2.3 µs of it seeding, so this is about a second of serial work on such
-#: trials; re-measure it before changing it.
+#: trial-steps below which run_trials stays serial. A counterexample-n15 trial
+#: (15 steps) costs about 1.4 µs in-process on a 2-vCPU host, its doubles read a
+#: block of trials at a time, so this is about 0.2 s of serial work on such
+#: trials, and more on a process that seeds a generator per trial; re-measure
+#: it before changing it.
 SERIAL_TRIAL_STEPS = 2_000_000
 
 #: initial states a trial draws at most before it gives up on a start at or above b
 START_ATTEMPTS = 1000
+
+#: doubles read at once on the batch path; bounds the block of trials held at once
+BATCH_DOUBLES = 1 << 16
+
+
+def _start_error(x0: float, window: DriftWindow) -> ValueError:
+    return ValueError(
+        f"initial potential {x0} is below the start threshold b={window.b}; "
+        "the window does not match the process configuration"
+    )
 
 
 def _run_trial(process, window: DriftWindow, max_steps: int, rng, index: int) -> TrialOutcome:
@@ -88,14 +99,31 @@ def _run_trial(process, window: DriftWindow, max_steps: int, rng, index: int) ->
         x0 = process.potential(state)
         if x0 >= window.b:
             return TrialOutcome(index, x0, process.hitting_time(state, rng, window.a, max_steps))
-    raise ValueError(
-        f"initial potential {x0} is below the start threshold b={window.b}; "
-        "the window does not match the process configuration"
-    )
+    raise _start_error(x0, window)
+
+
+def _run_batch(process, window: DriftWindow, max_steps: int, master_seed: int, lo: int, hi: int):
+    """Trials [lo, hi) of a process with a batched hitting-time hook. Its start
+    draws nothing, so it is resolved once, and each trial's doubles are read a
+    block of trials at a time."""
+    state = process.initial_state(None)
+    x0 = process.potential(state)
+    if x0 < window.b:
+        raise _start_error(x0, window)
+    k = process.batch_doubles(state, window.a, max_steps)
+    block = max(1, BATCH_DOUBLES // max(1, k))
+    outcomes = []
+    for start in range(lo, hi, block):
+        stop = min(start + block, hi)
+        hits = process.batch_hitting_times(state, trial_uniforms(master_seed, start, stop, k), window.a)
+        outcomes += [TrialOutcome(i, x0, hit) for i, hit in zip(range(start, stop), hits)]
+    return outcomes
 
 
 def _run_chunk(args) -> list[TrialOutcome]:
     process, window, max_steps, master_seed, lo, hi = args
+    if hasattr(process, "batch_hitting_times"):
+        return _run_batch(*args)
     return [_run_trial(process, window, max_steps, rng, i) for i, rng in trial_generators(master_seed, lo, hi)]
 
 

@@ -135,8 +135,7 @@ def _matching_sum_links(m: int, h: int, j_values: range) -> list[InequalityResul
             s_k, q_k = sums.pop()
             holds_sum = s_k <= m * q_k
             lhs_sum = x_j * float(s_k) / float(q_k) if q_k < _FLOAT_POWER_LIMIT else x_j / (1 - x)
-            sharper = x_j / (1.0 - x)
-            note = f"exact integer comparison; sharper geometric bound {sharper!r}"
+            note = "exact integer comparison; sharper geometric bound x^j/(1-x)"
         else:
             lhs_sum = 0.0
             holds_sum = True

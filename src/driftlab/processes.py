@@ -13,14 +13,17 @@ A trial's generator belongs to the trial alone, and the trial loop re-seeds
 the same generator for the next trial, so a process must not keep it past its
 trial. `hitting_time` may draw its doubles in blocks, ahead of need: what
 matters is that the doubles it uses are the ones the `step` loop would use, in
-the same order. The walk, the needle and the counterexample chain replay
-numpy's own geometric and binomial algorithms on such blocks; every other
-process steps. A long needle trial advances whole blocks of generations
-through `_NeedleAutomaton`, whose states are lists indexed by cells of [0, 1)
-cut at the exact thresholds of numpy's binomial inversion. What the automaton
-does not hold goes to its sink, and the step loop replays that block.
-Each process builds an automaton lazily, once per (n, p, floor(a)), and only
-once a trial has stepped about as long as the build takes.
+the same order. The walk and the needle replay numpy's own geometric and
+binomial algorithms on such blocks. The counterexample chain, whose start
+draws nothing, has a batched hook instead (`batch_doubles`,
+`batch_hitting_times`) that takes the doubles of a block of trials at once
+from `rng.trial_uniforms`; every other process steps. A long needle trial
+advances whole blocks of generations through `_NeedleAutomaton`, whose states
+are lists indexed by cells of [0, 1) cut at the exact thresholds of numpy's
+binomial inversion. What the automaton does not hold goes to its sink, and
+the step loop replays that block. Each process builds an automaton lazily,
+once per (n, p, floor(a)), and only once a trial has stepped about as long as
+the build takes.
 """
 
 from __future__ import annotations
@@ -157,20 +160,35 @@ class CounterexampleChain(Process):
             return state + self.up_jump
         return state - 1
 
-    def hitting_time(self, state, rng, a, max_steps):
+    def batch_doubles(self, state, a: float, max_steps: int) -> int:
+        """Doubles each trial from `state` is given: enough to walk down to the
+        target or out of ]0, n], at most max_steps; none where the chain is
+        frozen. A trial uses them up to its first up-jump.
+
+        Until an up-jump the chain steps down by one, one double per step: k
+        steps reach state - k, which is <= a from k = ceil(state - a) =
+        state - floor(a) on, and leaves ]0, n] at k = state. Clamping a to
+        [0, state] stops at the exit when a < 0 and keeps the floor finite.
+        """
         if self.absorbed(state):
-            return 1 if self.potential(state) <= a else None
-        # Until an up-jump the chain steps down by one, one double per step: k
-        # steps reach state - k, which is <= a from k = ceil(state - a) =
-        # state - floor(a) on, and leaves ]0, n] at k = state. Clamping a to
-        # [0, state] stops at the exit when a < 0 and keeps the floor finite.
-        steps = min(max_steps, max(1, state - math.floor(min(max(a, 0.0), state))))
-        jumps = rng.random(steps) < self.up_prob
-        t = int(jumps.argmax())
-        if jumps[t]:
-            # the jump lands above n, where the chain freezes
-            return t + 1 if self.potential(state - t + self.up_jump) <= a else None
-        return steps if self.potential(state - steps) <= a else None
+            return 0
+        return min(max_steps, max(1, state - math.floor(min(max(a, 0.0), state))))
+
+    def batch_hitting_times(self, state, uniforms: np.ndarray, a: float) -> list[int | None]:
+        """hitting_time from `state` for each row of `uniforms`, a trial's first
+        batch_doubles(state, a, max_steps) doubles, with that max_steps."""
+        if self.absorbed(state):
+            return [1 if self.potential(state) <= a else None] * len(uniforms)
+        steps = uniforms.shape[1]
+        jumps = uniforms < self.up_prob
+        t = jumps.argmax(axis=1)
+        jumped = jumps[np.arange(len(t)), t]
+        # a jump lands above n, where the chain freezes; with no jump the chain
+        # walks down to state - steps. Its states stay below 2**53, so their
+        # comparison with a as doubles is the potential's.
+        landed = np.where(jumped, state - t + self.up_jump, state - steps)
+        times = np.where(landed <= a, np.where(jumped, t + 1, steps), 0)
+        return [time or None for time in times.tolist()]
 
     def step_law(self, state=None):
         """Exact transition law on the live region ]0, n], where a check's window lies."""

@@ -77,7 +77,7 @@ def _parameters_text(parameters: dict) -> str:
     return ";".join([f"{key}={format_cell(value)}" for key, value in parameters.items()])
 
 
-_HOLDS_TEXT = {holds: format_cell(holds) for holds in (True, False)}
+_BOOL_TEXT = {value: format_cell(value) for value in (True, False)}
 
 
 def format_links(results: list) -> list[str]:
@@ -92,12 +92,26 @@ def format_links(results: list) -> list[str]:
     for name, parameters, lhs, rhs, holds, _ in results:
         if parameters is not params:
             params, params_text = parameters, _parameters_text(parameters)
-        lines.append(f"{name},{params_text},{floats[lhs]},{floats[rhs]},{floats[rhs - lhs]},{_HOLDS_TEXT[holds]}\n")
+        lines.append(f"{name},{params_text},{floats[lhs]},{floats[rhs]},{floats[rhs - lhs]},{_BOOL_TEXT[holds]}\n")
     if _writes_plain("".join(lines), len(lines), 6 * len(lines)):
         return lines
     return [
         format_rows([(r.name, _parameters_text(r.parameters), r.lhs, r.rhs, r.margin, r.holds)]) for r in results
     ]
+
+
+def format_trials(outcomes: list) -> list[str]:
+    """The CSV lines of trial outcomes (TrialOutcome, whose start potential is a
+    float), one LF-terminated line per trial of the cells index, hit time,
+    truncated and start potential, quoted as format_rows quotes them."""
+    floats = _FloatTexts()
+    lines = [
+        f"{index},{'' if hit is None else hit},{_BOOL_TEXT[hit is None]},{floats[x0]}\n"
+        for index, x0, hit in outcomes
+    ]
+    if _writes_plain("".join(lines), len(lines), 4 * len(lines)):
+        return lines
+    return [format_rows([(index, hit, hit is None, x0)]) for index, x0, hit in outcomes]
 
 
 def write_csv(path: str, provenance: dict, columns: list[str], rows: Iterable, trailer: str = "") -> None:

@@ -2,9 +2,11 @@
 
 Trial i of a run draws from `generator(trial_seed(master_seed, i))`. Building
 that generator costs numpy a `SeedSequence`, its pool hashing and a fresh
-`PCG64` per trial, so `trial_generators` hashes the seeds of a block of trials
-at once in numpy arrays and sets each trial's PCG64 state on one reused
-generator: the states, and so the streams, are numpy's own.
+`PCG64` per trial, so `pcg64_states` replays that seeding for a block of
+trials at once in numpy arrays. `trial_generators` sets each trial's PCG64
+state on one reused generator, and `trial_uniforms` keeps no generator: it
+steps every trial's PCG64 in uint64 arrays and returns their first doubles.
+Either way the states, and so the streams, are numpy's own.
 """
 
 import numpy as np
@@ -26,9 +28,11 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-# PCG64's 128-bit LCG multiplier
+# PCG64's 128-bit LCG multiplier, as uint64 words, and the 32-bit limbs of its low word
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M_HI, _M_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & MASK64)
+_M_LO0, _M_LO1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_LOW32, _32, _ONE = np.uint64(_MASK32), np.uint64(32), np.uint64(1)
 
 
 def splitmix64(state: int) -> int:
@@ -86,14 +90,31 @@ def _hasher(init: int, mult: int):
     return hash_
 
 
-def pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) of `np.random.PCG64(seed)` for each seed of a uint64 array.
+def _lcg_step(state_hi, state_lo, inc_hi, inc_lo):
+    """PCG64's LCG step, state * _PCG_MULT + inc mod 2**128, on uint64 arrays of
+    the high and low words of each 128-bit value. The high word of the low words'
+    product comes from their 32-bit limbs, and the carry of the low words' sum
+    from its wrapping below inc_lo."""
+    lo0, lo1 = state_lo & _LOW32, state_lo >> _32
+    cross0, cross1 = lo0 * _M_LO1, lo1 * _M_LO0
+    mid = (lo0 * _M_LO0 >> _32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    high = lo1 * _M_LO1 + (cross0 >> _32) + (cross1 >> _32) + (mid >> _32)
+    new_lo = state_lo * _M_LO + inc_lo
+    new_hi = high + state_lo * _M_HI + state_hi * _M_LO + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The words (state_hi, state_lo, inc_hi, inc_lo), as uint64 arrays, of
+    `np.random.PCG64(seed)`'s 128-bit state and increment for each seed of a
+    uint64 array.
 
     Replays numpy's SeedSequence: the seed's two 32-bit words are hashed into
     a 4-word pool (a seed below 2**32 is one word, which hashes as a high word
     of 0 because the pool is longer), the pool words are mixed pairwise, and
-    `generate_state(4, uint64)` is drawn from it. PCG64 then seeds its 128-bit
-    LCG from those words as `pcg64_set_seed` does.
+    `generate_state(4, uint64)` is drawn from it. PCG64 then seeds its LCG from
+    those words as `pcg64_set_seed` does: inc = initseq << 1 | 1, and the state
+    is one step on from inc + initstate.
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
     zeros = np.zeros(len(seeds), dtype=np.uint32)
@@ -108,12 +129,11 @@ def pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     output = _hasher(_INIT_B, _MULT_B)
     halves = [output(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
     # the four uint64 words, low half first
-    words = [(halves[2 * k + 1] << np.uint64(32) | halves[2 * k]).tolist() for k in range(4)]
-    states = []
-    for initstate_hi, initstate_lo, initseq_hi, initseq_lo in zip(*words):
-        inc = ((initseq_hi << 64 | initseq_lo) << 1 | 1) & _MASK128
-        states.append((((inc + (initstate_hi << 64 | initstate_lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+    initstate_hi, initstate_lo, initseq_hi, initseq_lo = [halves[2 * k + 1] << _32 | halves[2 * k] for k in range(4)]
+    inc_hi, inc_lo = initseq_hi << _ONE | initseq_lo >> np.uint64(63), initseq_lo << _ONE | _ONE
+    state_lo = inc_lo + initstate_lo
+    state_hi = inc_hi + initstate_hi + (state_lo < inc_lo)
+    return (*_lcg_step(state_hi, state_lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
 def trial_generators(master_seed: int, lo: int, hi: int):
@@ -127,12 +147,32 @@ def trial_generators(master_seed: int, lo: int, hi: int):
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     for start in range(lo, hi, SEED_BLOCK):
-        stop = min(start + SEED_BLOCK, hi)
-        for i, (state, inc) in enumerate(pcg64_states(_trial_seeds(master_seed, start, stop)), start):
+        words = [w.tolist() for w in pcg64_states(_trial_seeds(master_seed, start, min(start + SEED_BLOCK, hi)))]
+        for i, (state_hi, state_lo, inc_hi, inc_lo) in enumerate(zip(*words), start):
             bit_generator.state = {
                 "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
+                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
                 "has_uint32": 0,
                 "uinteger": 0,
             }
             yield i, rng
+
+
+def trial_uniforms(master_seed: int, lo: int, hi: int, k: int) -> np.ndarray:
+    """The first k doubles of each trial i in [lo, hi): a (hi - lo, k) float64
+    array whose row i - lo equals `generator(trial_seed(master_seed, i)).random(k)`
+    bit for bit.
+
+    Every trial's PCG64 is stepped at once in uint64 arrays. Each step's output
+    is XSL-RR, the xor of the state's two words rotated right by its top 6
+    bits, and the double is its top 53 bits times 2**-53, as numpy makes it.
+    """
+    check_seed_args(master_seed, lo)
+    state_hi, state_lo, inc_hi, inc_lo = pcg64_states(_trial_seeds(master_seed, lo, hi))
+    out = np.empty((k, hi - lo))
+    for column in out:
+        state_hi, state_lo = _lcg_step(state_hi, state_lo, inc_hi, inc_lo)
+        xored, rot = state_hi ^ state_lo, state_hi >> np.uint64(58)
+        bits = xored >> rot | xored << (np.uint64(64) - rot & np.uint64(63))
+        np.multiply(bits >> np.uint64(11), 2.0**-53, out=column)
+    return out.T

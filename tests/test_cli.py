@@ -448,6 +448,11 @@ def test_random_starts_below_b_are_drawn_again(tmp_path, capsys):
                     "[window]\nb = 5\n[run]\nhorizon = 10\n")
     assert main(["simulate", "--config", str(walk)]) == 2
     assert "initial potential 3.0 is below the start threshold b=5.0" in _single_error_line(capsys)
+    # the counterexample chain takes the batch path, which resolves its start once
+    chain = tmp_path / "chain.ini"
+    chain.write_text("[process]\nkind = counterexample\nn = 6\n[window]\nb = 7\n[run]\nhorizon = 10\n")
+    assert main(["simulate", "--config", str(chain)]) == 2
+    assert "initial potential 6.0 is below the start threshold b=7.0" in _single_error_line(capsys)
 
 
 def test_scaling_reports_unresolved_horizon(tmp_path, capsys):

@@ -1,18 +1,20 @@
 """Each process's hitting_time against its own step loop.
 
-The walk, the needle and the counterexample chain draw their doubles in blocks
-and replay numpy's geometric and binomial algorithms on them. Every hit time
+The walk and the needle draw their doubles in blocks and replay numpy's
+geometric and binomial algorithms on them, and the counterexample chain reads
+a block of trials' doubles at once through its batched hook. Every hit time
 must equal the first passage of the path that `step` draws from the same
 generator, so these tests fail if a numpy upgrade changes those algorithms.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 import driftlab as dl
 from driftlab.processes import _FIRST_BLOCK
-from driftlab.rng import SEED_BLOCK, generator, trial_seed
+from driftlab.rng import generator, trial_seed
 from helpers import replay_potentials
 
 SEEDS = range(200)
@@ -40,6 +42,22 @@ def assert_hit_times_match(process, a, max_steps, state=None, seeds=SEEDS, maste
             start = process.initial_state(rng) if state is None else state
             assert process.hitting_time(start, rng, a, budget) == hit, (index, budget)
         hits.append(expected)
+    return hits
+
+
+def assert_batch_hit_times_match(process, a, max_steps, state=None, seeds=SEEDS, master_seed=0):
+    """assert_hit_times_match for a process with a batched hook: for each budget
+    there, batch_hitting_times over the trials' first batch_doubles doubles
+    equals every trial's first passage at that budget."""
+    start = process.initial_state(None) if state is None else state
+    paths = [replay_potentials(process, master_seed, index, max_steps, state) for index in seeds]
+    hits = [first_passage(path, a, max_steps) for path in paths]
+    budgets = {max_steps} | {hit for hit in hits if hit} | {hit - 1 for hit in hits if hit and hit > 1}
+    for budget in sorted(budgets):
+        k = process.batch_doubles(start, a, budget)
+        uniforms = np.array([generator(trial_seed(master_seed, index)).random(k) for index in seeds])
+        expected = [first_passage(path, a, budget) for path in paths]
+        assert process.batch_hitting_times(start, uniforms, a) == expected, budget
     return hits
 
 
@@ -124,27 +142,27 @@ class TestCounterexampleChain:
     @pytest.mark.parametrize("max_steps", [1, 2, 3, 10])
     def test_budgets(self, max_steps):
         # at n = 2 the up-jump has probability e^-2, so jumps are frequent
-        hits = assert_hit_times_match(dl.CounterexampleChain(2), 0.0, max_steps)
+        hits = assert_batch_hit_times_match(dl.CounterexampleChain(2), 0.0, max_steps)
         assert None in hits
 
     def test_target_inside_the_chain(self):
-        hits = assert_hit_times_match(dl.CounterexampleChain(3), 1.5, 20)
+        hits = assert_batch_hit_times_match(dl.CounterexampleChain(3), 1.5, 20)
         assert 2 in hits and None in hits
 
     def test_target_below_zero(self):
-        assert set(assert_hit_times_match(dl.CounterexampleChain(2), -1.0, 10)) == {None}
+        assert set(assert_batch_hit_times_match(dl.CounterexampleChain(2), -1.0, 10)) == {None}
 
     def test_frozen_states(self):
         chain = dl.CounterexampleChain(4)
-        assert assert_hit_times_match(chain, 0.0, 5, state=0, seeds=range(5)) == [1] * 5
-        assert assert_hit_times_match(chain, 0.0, 5, state=-2, seeds=range(5)) == [1] * 5
-        assert assert_hit_times_match(chain, 0.0, 5, state=5, seeds=range(5)) == [None] * 5
+        assert assert_batch_hit_times_match(chain, 0.0, 5, state=0, seeds=range(5)) == [1] * 5
+        assert assert_batch_hit_times_match(chain, 0.0, 5, state=-2, seeds=range(5)) == [1] * 5
+        assert assert_batch_hit_times_match(chain, 0.0, 5, state=5, seeds=range(5)) == [None] * 5
 
     def test_target_at_the_jump(self):
         chain = dl.CounterexampleChain(2)
         # a jump from 2 lands at up_jump + 2
-        assert set(assert_hit_times_match(chain, float(chain.up_jump + 1), 5, state=2)) == {1, None}
-        assert set(assert_hit_times_match(chain, float(chain.up_jump + 2), 5, state=2)) == {1}
+        assert set(assert_batch_hit_times_match(chain, float(chain.up_jump + 1), 5, state=2)) == {1, None}
+        assert set(assert_batch_hit_times_match(chain, float(chain.up_jump + 2), 5, state=2)) == {1}
 
     @pytest.mark.parametrize("n, a, max_steps", [
         (6, 2.5, 20),    # fractional target: the hit is at state 2
@@ -157,14 +175,14 @@ class TestCounterexampleChain:
         (25, math.nextafter(1.0, 0.0), 30),
     ])
     def test_closed_form_step_count(self, n, a, max_steps):
-        assert_hit_times_match(dl.CounterexampleChain(n), a, max_steps, seeds=range(400))
+        assert_batch_hit_times_match(dl.CounterexampleChain(n), a, max_steps, seeds=range(400))
 
     def test_pool_chunks_off_the_seed_blocks_equal_the_serial_run(self):
-        # 4 * workers chunks of about a block and a bit each, so every chunk
-        # starts off a block boundary and spans two blocks; the budget engages
-        # the pool, and the chain at n = 2 stops within two steps anyway
+        # the chain at n = 2 reads two doubles a trial, so the serial run spans
+        # three blocks of trials and each of the 4 * workers chunks starts off a
+        # block boundary; the budget engages the pool
         process, window = dl.CounterexampleChain(2), dl.DriftWindow(0.0, 2.0)
-        trials = 8 * SEED_BLOCK + 13
+        trials = 2 * (dl.core.BATCH_DOUBLES // 2) + 13
         max_steps = dl.core.SERIAL_TRIAL_STEPS // trials + 1
         serial = dl.run_trials(process, window, trials, max_steps, master_seed=5)
         assert dl.run_trials(process, window, trials, max_steps, master_seed=5, workers=2) == serial

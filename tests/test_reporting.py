@@ -4,9 +4,10 @@ import io
 import pytest
 from hypothesis import example, given, strategies as st
 
+import driftlab as dl
 from driftlab.cli import _bounds_slab
 from driftlab.inequalities import SWEEPS, InequalityResult, SweepGrid, slab_count
-from driftlab.reporting import format_cell, format_links, format_rows, write_csv
+from driftlab.reporting import format_cell, format_links, format_rows, format_trials, write_csv
 
 
 def csv_module_text(rows) -> str:
@@ -76,6 +77,21 @@ links = st.builds(
 def test_format_links_equals_csv_writer_over_link_rows(results):
     # a name or parameter with a comma, a quote or a line break falls back to csv.writer
     assert format_links(results) == one_line_per_row(results)
+
+
+def test_format_trials_equals_format_rows_over_outcome_rows():
+    # the chain at n = 2 hits 0 or jumps away and misses, and the walk starts
+    # at a fractional potential
+    chain, walk = dl.CounterexampleChain(2), dl.GeometricDriftWalk(0.2, 1.0, start=2.5)
+    runs = [
+        dl.run_trials(chain, dl.DriftWindow(0.0, 2.0), 60, 5, 1),
+        dl.run_trials(walk, dl.DriftWindow(0.0, 2.5), 60, 30, 1),
+    ]
+    assert {o.hit_time for o in runs[0]} == {2, None}
+    assert None in {o.hit_time for o in runs[1]} and max(o.hit_time or 0 for o in runs[1]) >= 10
+    for outcomes in runs:
+        rows = [(o.index, o.hit_time, o.truncated, o.start_potential) for o in outcomes]
+        assert "".join(format_trials(outcomes)) == format_rows(rows) == csv_module_text(rows)
 
 
 def test_write_csv_writes_text_blocks_as_they_are(tmp_path):
