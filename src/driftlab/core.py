@@ -9,6 +9,7 @@ workers without affecting results.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -64,12 +65,16 @@ class HittingEstimate:
             raise ValueError("estimate must satisfy 0 <= ci_low <= point <= ci_high <= 1")
 
 
-#: trial-steps below which run_trials stays serial. A counterexample-n15 trial
-#: (15 steps) costs about 1.4 µs in-process on a 2-vCPU host, its doubles read a
-#: block of trials at a time, so this is about 0.2 s of serial work on such
-#: trials, and more on a process that seeds a generator per trial; re-measure
-#: it before changing it.
+#: trial-steps below which run_trials stays serial on the stepped path, where a
+#: trial seeds its own generator; simulate-long's 2.2M long needle and walk
+#: trial-steps go to the pool. Re-measure it before changing it.
 SERIAL_TRIAL_STEPS = 2_000_000
+#: the same cutoff on the batched path (a process with batch_hitting_times),
+#: which never pools: a worker's trial outcome costs about 3.8 µs to pickle and
+#: unpickle, more than the 1.4-1.7 µs a counterexample trial of n <= 25 steps
+#: costs serially, so two workers took 1.5-2.4 times as long as one from 10^5
+#: to 10^6 trials at n = 10 and at n = 25 (2-vCPU host)
+SERIAL_BATCH_STEPS = math.inf
 
 #: initial states a trial draws at most before it gives up on a start at or above b
 START_ATTEMPTS = 1000
@@ -149,7 +154,8 @@ def run_trials(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     check_seed_args(master_seed, 0)
     workers = max(1, int(workers))
-    if workers == 1 or trials < 4 * workers or trials * max_steps < SERIAL_TRIAL_STEPS:
+    serial_steps = SERIAL_BATCH_STEPS if hasattr(process, "batch_hitting_times") else SERIAL_TRIAL_STEPS
+    if workers == 1 or trials < 4 * workers or trials * max_steps < serial_steps:
         return _run_chunk((process, window, max_steps, master_seed, 0, trials))
     n_chunks = min(trials, 4 * workers)
     bounds = [round(k * trials / n_chunks) for k in range(n_chunks + 1)]

@@ -23,11 +23,14 @@ are lists indexed by cells of [0, 1) cut at the exact thresholds of numpy's
 binomial inversion. What the automaton does not hold goes to its sink, and
 the step loop replays that block. Each process builds an automaton lazily,
 once per (n, p, floor(a)), and only once a trial has stepped about as long as
-the build takes.
+the build takes. The automaton's cell and the walk's magnitude come from a
+`_BucketSearch`: one table lookup per double, exact on numpy's doubles, in
+place of a binary search.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import inspect
 import itertools
@@ -56,6 +59,41 @@ def _block_sizes():
         yield size
         size *= 2
     yield from itertools.repeat(_MAX_BLOCK)
+
+
+#: a bucket table has about this many buckets per edge, rounded up to a power of
+#: two, and at most 2**_MAX_BUCKET_BITS (int32 entries, so at most 256 KB)
+_BUCKETS_PER_EDGE = 128
+_MAX_BUCKET_BITS = 16
+
+
+class _BucketSearch:
+    """np.searchsorted(edges, u, side) by one table lookup per double, exact for
+    every double u in [0, 1), so for every double Generator.random returns.
+
+    [0, 1) is cut into 2**B buckets of equal width. u · 2**B is exact, so its
+    integer part is u's bucket. The search is monotone in u, so where it agrees
+    at a bucket's first double and its last the bucket holds no edge, and the
+    table holds the search's one value there. Every other bucket holds -1, and
+    the few doubles that land in one are searched. This is Chen & Asau's (1974)
+    guide table, made exact on numpy's doubles.
+    """
+
+    def __init__(self, edges: np.ndarray, side: str):
+        self.edges = edges
+        self.side = side
+        bits = min(_MAX_BUCKET_BITS, (len(edges) * _BUCKETS_PER_EDGE - 1).bit_length())
+        self.scale = float(1 << bits)
+        grid = np.arange((1 << bits) + 1) / self.scale
+        first = np.searchsorted(edges, grid[:-1], side)
+        last = np.searchsorted(edges, np.nextafter(grid[1:], 0.0), side)
+        self.table = np.where(first == last, first, -1).astype(np.int32)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        found = self.table.take((u * self.scale).astype(np.intp))
+        searched = np.flatnonzero(found < 0)
+        found[searched] = np.searchsorted(self.edges, u[searched], self.side)
+        return found
 
 
 class Process(ABC):
@@ -249,13 +287,13 @@ class GeometricDriftWalk(Process):
         # double, and by inversion of an exponential below that
         if self._p_geom < 1.0 / 3.0:
             return super().hitting_time(state, rng, a, max_steps)
-        cdf = self._search_cdf
+        magnitudes = self._magnitude_search
         position = float(state)
         t = 0
         for size in _block_sizes():
             size = min(size, max_steps - t)
             u = rng.random(2 * size)
-            magnitude = np.searchsorted(cdf, u[0::2], side="left") + 1.0
+            magnitude = magnitudes(u[0::2]) + 1.0
             path = np.empty(size + 1)
             path[0] = position
             path[1:] = np.where(u[1::2] < self._p_up, magnitude, -magnitude)
@@ -285,6 +323,10 @@ class GeometricDriftWalk(Process):
             total += prod
             sums.append(total)
         return np.array(sums)
+
+    @functools.cached_property
+    def _magnitude_search(self) -> _BucketSearch:
+        return _BucketSearch(self._search_cdf, "left")
 
     def step_law(self, state=None) -> JumpDistribution:
         """Table truncated once the omitted mass drops below 1e-16.
@@ -448,6 +490,7 @@ class _NeedleAutomaton:
         # counts[k][c]: the X that Bin(k, p) returns on cell c, or cap for any more
         counts = {k: np.searchsorted(ts, lowers, side="right").tolist() for k, ts in thresholds.items()}
         self.boundaries = np.array(boundaries)
+        self._cells = _BucketSearch(self.boundaries, "right")
         self.sink = sink = []
         sink.extend([sink] * len(lowers))
         phase_a = {d: [] for d in live}
@@ -463,7 +506,7 @@ class _NeedleAutomaton:
     def advance(self, d: int, u: np.ndarray) -> int | None:
         """The distance after len(u) // 2 generations from d on the doubles u,
         or None when they reach the sink."""
-        cells = np.searchsorted(self.boundaries, u, side="right").tolist()
+        cells = self._cells(u).tolist()
         end = functools.reduce(operator.getitem, cells, self.starts[d])
         return None if end is self.sink else end[-1]
 
@@ -773,10 +816,11 @@ class FitnessProportionalEA(_BitMutation):
             selected[0] += 1
             offspring.append(self._mutate(state[0], rng))
             draws -= 1
-        cdf = np.cumsum(self.selection_weights(state))
+        # accumulate adds left to right as np.cumsum does, and bisect_left is
+        # searchsorted's side="left", on Python floats
+        cdf = list(itertools.accumulate(self.selection_weights(state).tolist()))
         for _ in range(draws):
-            idx = int(np.searchsorted(cdf, rng.random()))
-            idx = min(idx, self.mu - 1)
+            idx = min(bisect.bisect_left(cdf, rng.random()), self.mu - 1)
             selected[idx] += 1
             offspring.append(self._mutate(state[idx], rng))
         return tuple(sorted(offspring, reverse=True)), selected

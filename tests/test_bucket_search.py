@@ -1,0 +1,72 @@
+"""The bucket table of the long-trial kernels equals np.searchsorted on every
+double Generator.random can return."""
+
+import numpy as np
+import pytest
+
+import driftlab as dl
+from driftlab.processes import _MAX_UNIFORM, _BucketSearch, _NeedleAutomaton
+
+
+def probes(search: _BucketSearch) -> np.ndarray:
+    """Each edge and its neighbours, each bucket's first and last double, 0.0,
+    the largest double random() returns and 10^6 random doubles, within [0, 1)."""
+    edges = search.edges
+    starts = np.arange(int(search.scale)) / search.scale
+    u = np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        starts, np.nextafter(starts[1:], 0.0), [0.0, _MAX_UNIFORM],
+        np.random.default_rng(2024).random(1_000_000),
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def assert_equals_searchsorted(search: _BucketSearch) -> None:
+    u = probes(search)
+    assert search(u).tolist() == np.searchsorted(search.edges, u, search.side).tolist()
+    # a strided view, as the walk passes every other double of its block
+    assert search(u[1::2]).tolist() == np.searchsorted(search.edges, u[1::2], search.side).tolist()
+
+
+def crafted_edges() -> np.ndarray:
+    """Random edges, an edge at a bucket's first double, three edges in one
+    bucket, a repeated edge and 0.0, with 2**13 buckets for their 50 edges."""
+    width = 2.0**-13
+    edges = np.random.default_rng(7).random(42).tolist()
+    edges += [0.0, 1000 * width, (2000 + 0.25) * width, (2000 + 0.5) * width, (2000 + 0.75) * width]
+    edges += [edges[3], 1.0 - width, _MAX_UNIFORM]
+    return np.sort(np.array(edges))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_crafted_edges(side):
+    search = _BucketSearch(crafted_edges(), side)
+    assert search.scale == 2.0**13
+    # the bucket that starts at an edge holds -1 on the left and a value on the right
+    assert (search.table[1000] < 0) == (side == "left")
+    assert search.table[2000] < 0
+    assert_equals_searchsorted(search)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("edges", [[], [0.5], [0.0], [_MAX_UNIFORM]])
+def test_few_edges(side, edges):
+    assert_equals_searchsorted(_BucketSearch(np.array(edges, dtype=float), side))
+
+
+def test_needle_automaton_cells():
+    automaton = _NeedleAutomaton(50, 1 / 50, 0)
+    search = automaton._cells
+    assert search.edges is automaton.boundaries and search.side == "right"
+    # the automaton's 445 cell edges get 2^16 buckets of 4 bytes
+    assert len(search.edges) == 445 and search.scale == 2.0**16 and search.table.nbytes == 1 << 18
+    assert_equals_searchsorted(search)
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
+def test_walk_magnitudes(delta):
+    walk = dl.GeometricDriftWalk(0.2, delta)
+    search = walk._magnitude_search
+    assert search.edges is walk._search_cdf and search.side == "left"
+    assert search.scale <= 2.0**14
+    assert_equals_searchsorted(search)

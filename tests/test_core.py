@@ -138,6 +138,17 @@ def test_run_trials_worker_count_does_not_change_results():
     assert serial == parallel
 
 
+def test_batched_trials_stay_serial_whatever_the_budget(monkeypatch):
+    # the counterexample chain's batched path loses to the pool's transfer cost
+    def no_pool(*args):
+        raise AssertionError("the worker pool started")
+
+    monkeypatch.setattr(dl.core, "ordered_map", no_pool)
+    process, win = dl.CounterexampleChain(10), dl.DriftWindow(0.0, 10.0)
+    outcomes = dl.run_trials(process, win, 1000, dl.core.SERIAL_TRIAL_STEPS, master_seed=3, workers=2)
+    assert [o.index for o in outcomes] == list(range(1000))
+
+
 def test_ordered_map_keeps_task_order_with_more_workers_than_cores():
     # later tasks are cheaper, so they finish first; results still come in task order
     tasks = list(range(3000, 0, -100))

@@ -272,6 +272,35 @@ class TestPeaSelection:
             dl.pea_prime_selection(fitnesses)
 
 
+class FixedDraws:
+    """A stand-in for numpy's Generator whose random() always returns `u` and
+    whose binomials come from a seeded generator."""
+
+    def __init__(self, u, seed):
+        self.u = u
+        self.binomial = generator(seed).binomial
+
+    def random(self):
+        return self.u
+
+
+def numpy_generation(process, state, rng):
+    """FitnessProportionalEA.generation with its parent draw on numpy arrays."""
+    selected = np.zeros(process.mu, dtype=np.int64)
+    offspring = []
+    draws = process.mu
+    if process.force_best_mutation:
+        selected[0] += 1
+        offspring.append(process._mutate(state[0], rng))
+        draws -= 1
+    cdf = np.cumsum(process.selection_weights(state))
+    for _ in range(draws):
+        idx = min(int(np.searchsorted(cdf, rng.random())), process.mu - 1)
+        selected[idx] += 1
+        offspring.append(process._mutate(state[idx], rng))
+    return tuple(sorted(offspring, reverse=True)), selected
+
+
 class TestFitnessProportionalEA:
     def test_log_potential_matches_direct_computation(self):
         process = dl.pea(20, 2)
@@ -324,6 +353,33 @@ class TestFitnessProportionalEA:
         expected_s2 = 1 * state[1] / f_tot + 1 / 2
         assert total[0] / trials == pytest.approx(expected_s1, abs=0.01)
         assert total[1] / trials == pytest.approx(expected_s2, abs=0.01)
+
+    @pytest.mark.parametrize("mu", [2, 3, 8])
+    @pytest.mark.parametrize("make", [dl.pea, dl.pea_prime])
+    def test_parent_draw_equals_the_numpy_formulation(self, make, mu):
+        # the same generations as np.cumsum of the weights searched with
+        # np.searchsorted, draw for draw
+        process = make(30, mu)
+        rng, reference_rng = generator(41 + mu), generator(41 + mu)
+        state = reference = process.initial_state(rng)
+        assert reference == process.initial_state(reference_rng)
+        for _ in range(20_000):
+            state, selected = process.generation(state, rng)
+            reference, reference_selected = numpy_generation(process, reference, reference_rng)
+            assert state == reference and selected.tolist() == reference_selected.tolist()
+
+    @pytest.mark.parametrize("make", [dl.pea, dl.pea_prime])
+    @pytest.mark.parametrize("state", [(30, 30), (20, 10), (0, 0), (20, 10, 0), (7, 7, 7),
+                                       (25, 20, 20, 12, 9, 3, 1, 0)])
+    def test_parent_draw_at_a_cdf_value_equals_the_numpy_formulation(self, make, state):
+        # every parent draw gets a double at, just below or just above a
+        # partial sum of the weights, where the two searches could part
+        process = make(30, len(state))
+        for total in np.cumsum(process.selection_weights(state)).tolist():
+            for u in {math.nextafter(total, 0.0), total, math.nextafter(total, 1.0)} - {1.0}:
+                offspring, selected = process.generation(state, FixedDraws(u, seed=5))
+                reference, reference_selected = numpy_generation(process, state, FixedDraws(u, seed=5))
+                assert offspring == reference and selected.tolist() == reference_selected.tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
