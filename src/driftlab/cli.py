@@ -290,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SWEEPS) + ["all"], default="all")
     for f in fields(SweepGrid):
         p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default, dest=f.name)
-    # Workers check and format whole slabs: the default grid takes about 13 s on
-    # one process and 7 s on two (2-CPU host, same bytes). The default stays one
+    # Workers check and format whole slabs: the default grid takes about 9 s on
+    # one process and 6 s on two (2-CPU host, same bytes). The default stays one
     # process so that a profiler or tracer in the calling process sees every link.
     p.add_argument("--threads", type=int, default=1, help="worker processes for the sweeps (default 1)")
     p.add_argument("--out", help="CSV output path")

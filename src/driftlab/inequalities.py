@@ -20,6 +20,7 @@ import numpy as np
 # remainder after 30 terms is below 2/31!.
 E_LO = sum(Fraction(1, math.factorial(i)) for i in range(31))
 E_HI = E_LO + Fraction(2, math.factorial(31))
+_E_LO_NUM, _E_LO_DEN = E_LO.numerator, E_LO.denominator
 _E_HI_NUM, _E_HI_DEN = E_HI.numerator, E_HI.denominator
 
 #: exact integer threshold below which links are decided in int/Fraction arithmetic
@@ -47,25 +48,43 @@ class InequalityResult(NamedTuple):
         return self.rhs - self.lhs
 
 
-def _log_binom(n: int, j: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+def _mutation_comparisons(n: int, j_values: range) -> tuple[str, list[tuple[bool, bool, float, float, float]]]:
+    """The note of the mutation chain at n and, for each j of `j_values` (0 <= j <= n),
+    the verdicts of C(n,j) n^{-j} <= 1/j! and 1/j! <= 2 (1/2)^j and the three sides
+    C(n,j) n^{-j}, 1/j! and 2 (1/2)^j as floats.
+
+    Up to EXACT_LIMIT the verdicts are exact: C(n,j) j! = n!/(n-j)!, n^j, 2^j and
+    j! are carried from the least j up."""
+    exact = n <= EXACT_LIMIT
+    if exact:
+        j = j_values.start
+        falling, power, two_j, factorial = math.perm(n, j), n**j, 2**j, math.factorial(j)
+    lgamma_n, log_n, log_2 = math.lgamma(n + 1), math.log(n), math.log(2.0)
+    rows = []
+    for j in j_values:
+        lgamma_j = math.lgamma(j + 1)
+        log_ratio = lgamma_n - lgamma_j - math.lgamma(n - j + 1) - j * log_n
+        if exact:
+            holds1, holds2 = falling <= power, two_j <= 2 * factorial
+            falling, power, two_j, factorial = falling * (n - j), power * n, two_j * 2, factorial * (j + 1)
+        else:
+            holds1 = log_ratio <= -lgamma_j + 1e-9
+            holds2 = (j - 1) * log_2 <= lgamma_j + 1e-9
+        rows.append((holds1, holds2, math.exp(log_ratio), math.exp(-lgamma_j), math.exp((1 - j) * log_2)))
+    return "exact integer comparison" if exact else "log-gamma comparison", rows
 
 
-def _mutation_comparisons(n: int, j: int) -> tuple[bool, bool, str, float, float, float]:
-    """Verdicts of C(n,j) n^{-j} <= 1/j! and 1/j! <= 2 (1/2)^j for 0 <= j <= n,
-    their note, and the three sides C(n,j) n^{-j}, 1/j! and 2 (1/2)^j as floats."""
-    if n <= EXACT_LIMIT:
-        holds1 = math.comb(n, j) * math.factorial(j) <= n**j
-        holds2 = 2**j <= 2 * math.factorial(j)
-        note = "exact integer comparison"
-    else:
-        holds1 = _log_binom(n, j) - j * math.log(n) <= -math.lgamma(j + 1) + 1e-9
-        holds2 = (j - 1) * math.log(2.0) <= math.lgamma(j + 1) + 1e-9
-        note = "log-gamma comparison"
-    binomial = _safe_exp(_log_binom(n, j) - j * math.log(n))
-    inv_factorial = _safe_exp(-math.lgamma(j + 1))
-    geometric = _safe_exp((1 - j) * math.log(2.0))
-    return holds1, holds2, note, binomial, inv_factorial, geometric
+def _mutation_links(n: int, j_values: range) -> list[InequalityResult]:
+    """The mutation chain at n for each j of `j_values`."""
+    note, comparisons = _mutation_comparisons(n, j_values)
+    results = []
+    for j, (holds1, holds2, binomial, inv_factorial, geometric) in zip(j_values, comparisons):
+        params = {"n": n, "j": j}
+        results += (
+            InequalityResult("mutation-binomial-vs-factorial", params, binomial, inv_factorial, holds1, note),
+            InequalityResult("mutation-factorial-vs-geometric", params, inv_factorial, geometric, holds2, note),
+        )
+    return results
 
 
 def mutation_tail_chain(n: int, j: int) -> list[InequalityResult]:
@@ -73,91 +92,63 @@ def mutation_tail_chain(n: int, j: int) -> list[InequalityResult]:
     mutation tail bound. Both links hold with equality at j = 1."""
     if not 1 <= j <= n <= MUTATION_N_LIMIT:
         raise ValueError(f"need 1 <= j <= n <= 10^4, got n={n}, j={j}")
-    params = {"n": n, "j": j}
-    holds1, holds2, note, binomial, inv_factorial, geometric = _mutation_comparisons(n, j)
-    return [
-        InequalityResult(
-            "mutation-binomial-vs-factorial",
-            params,
-            binomial,
-            inv_factorial,
-            holds1,
-            note,
-        ),
-        InequalityResult(
-            "mutation-factorial-vs-geometric",
-            params,
-            inv_factorial,
-            geometric,
-            holds2,
-            note,
-        ),
-    ]
+    return _mutation_links(n, range(j, j + 1))
 
 
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _matching_sum_links(m: int, h: int, j_values: range) -> list[InequalityResult]:
+def _matching_sum_links(m: int, h_values: range, j_values: range) -> list[InequalityResult]:
     """Sum link sum_{i=j}^{m-j} x^i <= m x^j (x = p/q, p = 2h, q = m^2) and the
-    simplification m x^j <= m^{-(j-1)} for each j of `j_values`; the sum is empty
-    for j > m/2 and then trivially 0.
+    simplification m x^j <= m^{-(j-1)} for each h of `h_values` and j of
+    `j_values`; the sum is empty for j > m/2 and then trivially 0.
 
     With k = m - 2j the sum is x^j S(k)/q^k, S(k) = (q^(k+1) - p^(k+1))/(q - p).
     The exact q^k and S(k) are carried from the largest j down by
     q^(k+2) = q^2 q^k and S(k+2) = q^2 S(k) + q p^(k+1) + p^(k+2), and the exact
-    powers p^j and m^j from the least j up."""
-    p, q = 2 * h, m * m
-    x = p / q
-    sums = []  # (S(k), q^k) of the non-empty sums, the least j last
+    power p^j from the least j up; m^{-(j-1)} and the exact m^j are made once per j."""
+    q = m * m
+    powers = [(float(m) ** (1 - j), m**j) for j in j_values]
     top = min(j_values.stop - 1, m // 2)
-    if top >= j_values.start:
-        k = m - 2 * top
-        q_k, p_k1 = q**k, p ** (k + 1)
-        s_k = (q_k * q - p_k1) // (q - p)
-        sums.append((s_k, q_k))
-        q2, p2 = q * q, p * p
-        for _ in range(top - j_values.start):
-            s_k = q2 * s_k + (q + p) * p_k1
-            q_k *= q2
-            p_k1 *= p2
-            sums.append((s_k, q_k))
     results = []
-    p_j, m_j = p ** j_values.start, m ** j_values.start
-    for j in j_values:
-        params = {"m": m, "h": h, "j": j}
-        x_j = x**j
-        if j <= top:
-            s_k, q_k = sums.pop()
-            holds_sum = s_k <= m * q_k
-            lhs_sum = x_j * float(s_k) / float(q_k) if q_k < _FLOAT_POWER_LIMIT else x_j / (1 - x)
-            note = "exact integer comparison; sharper geometric bound x^j/(1-x)"
-        else:
-            lhs_sum = 0.0
-            holds_sum = True
-            note = "empty summation range, sum is 0"
-        rhs_sum = m * x_j
-        largest_rhs = float(m) ** (1 - j)
-        holds_largest = p_j <= m_j
-        p_j *= p
-        m_j *= m
-        results.append(
-            InequalityResult("matching-sum-vs-largest-term", params, lhs_sum, rhs_sum, holds_sum, note)
-        )
-        results.append(
-            InequalityResult(
-                "matching-largest-term-vs-power",
-                params,
-                rhs_sum,
-                largest_rhs,
-                holds_largest,
-                "exact integer comparison",
+    for h in h_values:
+        p = 2 * h
+        x = p / q
+        sums = []  # (S(k), q^k) of the non-empty sums, the least j last
+        if top >= j_values.start:
+            k = m - 2 * top
+            q_k, p_k1 = q**k, p ** (k + 1)
+            s_k = (q_k * q - p_k1) // (q - p)
+            sums.append((s_k, q_k))
+            q2, p2 = q * q, p * p
+            for _ in range(top - j_values.start):
+                s_k = q2 * s_k + (q + p) * p_k1
+                q_k *= q2
+                p_k1 *= p2
+                sums.append((s_k, q_k))
+        p_j = p**j_values.start
+        for j, (largest_rhs, m_j) in zip(j_values, powers):
+            params = {"m": m, "h": h, "j": j}
+            x_j = x**j
+            if j <= top:
+                s_k, q_k = sums.pop()
+                holds_sum = s_k <= m * q_k
+                lhs_sum = x_j * float(s_k) / float(q_k) if q_k < _FLOAT_POWER_LIMIT else x_j / (1 - x)
+                note = "exact integer comparison; sharper geometric bound x^j/(1-x)"
+            else:
+                lhs_sum = 0.0
+                holds_sum = True
+                note = "empty summation range, sum is 0"
+            rhs_sum = m * x_j
+            results += (
+                InequalityResult("matching-sum-vs-largest-term", params, lhs_sum, rhs_sum, holds_sum, note),
+                InequalityResult(
+                    "matching-largest-term-vs-power",
+                    params,
+                    rhs_sum,
+                    largest_rhs,
+                    p_j <= m_j,
+                    "exact integer comparison",
+                ),
             )
-        )
+            p_j *= p
     return results
 
 
@@ -203,76 +194,68 @@ def matching_jump_bound(m: int, h: int, j: int) -> list[InequalityResult]:
         raise ValueError(f"the bound needs 2h <= m, got 2h={2 * h} > m={m}")
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    results = _matching_sum_links(m, h, range(j, j + 1))
+    results = _matching_sum_links(m, range(h, h + 1), range(j, j + 1))
     results.append(matching_ratio_link(m, j))
     return results
-
-
-def _partial_factorial_sum(j: int, count: int) -> Fraction:
-    """sum_{k=0}^{count-1} 1/(k+j)! as an exact rational via integer Horner.
-
-    With top = j + count - 1 the numerator over top! nests as
-    1 + (j+1)(1 + (j+2)(... (1 + top))), built here factor by factor.
-    """
-    if count < 1:
-        return Fraction(0)
-    top = j + count - 1
-    acc = 1
-    for i in range(j + 1, top + 1):
-        acc = acc * i + 1
-    return Fraction(acc, math.factorial(top))
 
 
 _DIVERSITY_TRUNC = 30
 
 
-def _diversity_terms(phi: int, j: int) -> tuple:
-    """The links of the diversity chain at (phi, j) before the common factor 1/mu:
-    (name, lhs, rhs, holds, note) with exact rational sides. None of it depends on mu."""
-    finite = _partial_factorial_sum(j, phi + 1)
+def _diversity_links(phi: int, j: int, mus: range) -> list[InequalityResult]:
+    """The diversity chain at (mu, phi, j) for each mu of `mus`.
+
+    With top = j + phi, the finite sum_{k=0}^{phi} 1/(k+j)! is finite/top!, where
+    integer Horner nests finite = 1 + (j+1)(1 + (j+2)(... (1 + top))). Carried on
+    to last = j + terms - 1 it gives the series truncated after `terms` terms,
+    partial/last!, whose remainder is below 1/(last! last). The reindexed sum is
+    reindexed/top!, the falling products top!/i! summed from i = top down to j.
+    Links are decided by integer cross-multiplication, and a side num/den over mu
+    is num / (den * mu), the correctly rounded float of the exact rational. Only
+    the sides depend on mu."""
+    top = j + phi
     terms = max(_DIVERSITY_TRUNC, phi + 1)
-    tail_start = j + terms
-    remainder = Fraction(1, math.factorial(tail_start)) * Fraction(tail_start, tail_start - 1)
-    infinite_upper = _partial_factorial_sum(j, terms) + remainder
-    closed = E_LO / math.factorial(j)
-    reversed_sum = sum(
-        (Fraction(1, math.factorial(phi - k + j)) for k in range(phi + 1)), Fraction(0)
-    )
-    return (
-        (
-            "diversity-finite-vs-infinite",
-            finite,
-            infinite_upper,
-            finite <= infinite_upper,
-            f"truncated after {terms} terms with certified remainder",
-        ),
-        (
-            "diversity-infinite-vs-closed-form",
-            infinite_upper,
-            closed,
-            infinite_upper <= closed,
-            "compared against a certified lower bound on e/j!",
-        ),
-        ("diversity-reindexing-identity", reversed_sum, finite, reversed_sum == finite, "exact rational equality"),
-    )
-
-
-def _diversity_links(terms: tuple, mu: int, phi: int, j: int) -> list[InequalityResult]:
-    """The diversity chain at (mu, phi, j) from _diversity_terms(phi, j). Each side
-    is the exact rational num/den divided by mu, and num / (den * mu) is its
-    correctly rounded float, as float(Fraction(num, den) / mu) is."""
-    params = {"mu": mu, "phi": phi, "j": j}
-    return [
-        InequalityResult(
-            name,
-            params,
-            lhs.numerator / (lhs.denominator * mu),
-            rhs.numerator / (rhs.denominator * mu),
-            holds,
-            note,
+    last = j + terms - 1
+    finite = 1
+    for i in range(j + 1, top + 1):
+        finite = finite * i + 1
+    partial = finite
+    for i in range(top + 1, last + 1):
+        partial = partial * i + 1
+    reindexed = term = 1
+    for i in range(top, j, -1):
+        term *= i
+        reindexed += term
+    top_den = math.factorial(top)
+    upper, upper_den = partial * last + 1, math.factorial(last) * last
+    closed_den = _E_LO_DEN * math.factorial(j)
+    holds_infinite = finite * upper_den <= upper * top_den
+    holds_closed = upper * closed_den <= _E_LO_NUM * upper_den
+    note = f"truncated after {terms} terms with certified remainder"
+    results = []
+    for mu in mus:
+        params = {"mu": mu, "phi": phi, "j": j}
+        finite_side, upper_side = finite / (top_den * mu), upper / (upper_den * mu)
+        results += (
+            InequalityResult("diversity-finite-vs-infinite", params, finite_side, upper_side, holds_infinite, note),
+            InequalityResult(
+                "diversity-infinite-vs-closed-form",
+                params,
+                upper_side,
+                _E_LO_NUM / (closed_den * mu),
+                holds_closed,
+                "compared against a certified lower bound on e/j!",
+            ),
+            InequalityResult(
+                "diversity-reindexing-identity",
+                params,
+                reindexed / (top_den * mu),
+                finite_side,
+                reindexed == finite,
+                "exact rational equality",
+            ),
         )
-        for name, lhs, rhs, holds, note in terms
-    ]
+    return results
 
 
 def diversity_bound(mu: int, phi: int, j: int) -> list[InequalityResult]:
@@ -281,11 +264,48 @@ def diversity_bound(mu: int, phi: int, j: int) -> list[InequalityResult]:
     the reindexing identity over the finite range."""
     if mu < 1 or phi < 0 or j < 1:
         raise ValueError(f"need mu >= 1, phi >= 0, j >= 1, got mu={mu}, phi={phi}, j={j}")
-    return _diversity_links(_diversity_terms(phi, j), mu, phi, j)
+    return _diversity_links(phi, j, range(mu, mu + 1))
 
 
 #: 1 - 1/(2e), the self-loop constant of the offspring-population bound
 _SELF_LOOP_C = 1.0 - 0.5 * math.exp(-1.0)
+
+
+def _comma_lambda_links(n: int, lambdas: Sequence[int], j_values: range) -> list[InequalityResult]:
+    """The comma-lambda chain at n for each lambda of `lambdas` and j of `j_values`.
+    The mutation comparisons and the self-loop premise depend on n alone, and the
+    self-loop probability and its floor on (n, lambda)."""
+    note, comparisons = _mutation_comparisons(n, j_values)
+    # self-loop premise (1 - 1/n)^n >= 1/(2e)
+    stay = (1.0 - 1.0 / n) ** n
+    inv_2e = 0.5 * math.exp(-1.0)
+    if n <= EXACT_LIMIT:
+        holds3 = 2 * _E_LO_NUM * (n - 1) ** n >= _E_LO_DEN * n**n
+        note3 = "exact integer comparison with certified lower bound on e"
+    else:
+        holds3 = n * math.log1p(-1.0 / n) >= -math.log(2.0) - 1.0 + 1e-12 or stay >= inv_2e
+        note3 = "float comparison, margin is a factor approaching 2"
+    results = []
+    for lam in lambdas:
+        # self-loop probability lower bound 1 - (1 - (1-1/n)^n)^lambda >= 1 - c^lambda
+        p_loop = 1.0 - (1.0 - stay) ** lam
+        floor = 1.0 - _SELF_LOOP_C**lam
+        holds4 = floor <= p_loop
+        for j, (holds1, holds2, binomial, inv_factorial, geometric) in zip(j_values, comparisons):
+            params = {"n": n, "lambda": lam, "j": j}
+            # lambda cancels from both links, so they are the mutation chain's comparisons:
+            # union bound lambda C(n,j) n^-j <= lambda/j!, then lambda/j! <= 2 lambda (1/2)^j
+            lhs1, rhs1, rhs2 = lam * binomial, lam * inv_factorial, lam * geometric
+            # combined ratio link: (2 lambda 2^-j) / p_loop <= (2 lambda / (1 - c^lambda)) 2^-j
+            lhs5, rhs5 = rhs2 / p_loop, rhs2 / floor
+            results += (
+                InequalityResult("comma-lambda-union-vs-factorial", params, lhs1, rhs1, holds1, note),
+                InequalityResult("comma-lambda-factorial-vs-geometric", params, rhs1, rhs2, holds2, note),
+                InequalityResult("comma-lambda-self-loop-premise", params, inv_2e, stay, holds3, note3),
+                InequalityResult("comma-lambda-self-loop-floor", params, floor, p_loop, holds4),
+                InequalityResult("comma-lambda-ratio-chain", params, lhs5, rhs5, lhs5 <= rhs5),
+            )
+    return results
 
 
 def comma_lambda_bounds(n: int, lambda_offspring: int, j: int) -> list[InequalityResult]:
@@ -296,54 +316,7 @@ def comma_lambda_bounds(n: int, lambda_offspring: int, j: int) -> list[Inequalit
         raise ValueError(
             f"need n >= 2, lambda >= 1, 0 <= j <= n, got n={n}, lambda={lambda_offspring}, j={j}"
         )
-    lam = lambda_offspring
-    params = {"n": n, "lambda": lam, "j": j}
-    # lambda cancels from both links, so they are the mutation chain's comparisons:
-    # union bound lambda C(n,j) n^-j <= lambda/j!, then lambda/j! <= 2 lambda (1/2)^j
-    holds1, holds2, note, binomial, inv_factorial, geometric = _mutation_comparisons(n, j)
-    lhs1, rhs1, rhs2 = lam * binomial, lam * inv_factorial, lam * geometric
-    results = [
-        InequalityResult("comma-lambda-union-vs-factorial", params, lhs1, rhs1, holds1, note),
-        InequalityResult(
-            "comma-lambda-factorial-vs-geometric", params, rhs1, rhs2, holds2, note
-        ),
-    ]
-
-    # self-loop premise (1 - 1/n)^n >= 1/(2e)
-    stay = (1.0 - 1.0 / n) ** n
-    inv_2e = 0.5 * math.exp(-1.0)
-    if n <= EXACT_LIMIT:
-        holds3 = 2 * E_LO.numerator * (n - 1) ** n >= E_LO.denominator * n**n
-        note3 = "exact integer comparison with certified lower bound on e"
-    else:
-        holds3 = n * math.log1p(-1.0 / n) >= -math.log(2.0) - 1.0 + 1e-12 or stay >= inv_2e
-        note3 = "float comparison, margin is a factor approaching 2"
-    results.append(
-        InequalityResult(
-            "comma-lambda-self-loop-premise", params, inv_2e, stay, bool(holds3), note3
-        )
-    )
-
-    # self-loop probability lower bound 1 - (1 - (1-1/n)^n)^lambda >= 1 - c^lambda
-    p_loop = 1.0 - (1.0 - stay) ** lam
-    floor = 1.0 - _SELF_LOOP_C**lam
-    results.append(
-        InequalityResult(
-            "comma-lambda-self-loop-floor",
-            params,
-            floor,
-            p_loop,
-            floor <= p_loop,
-        )
-    )
-
-    # combined ratio link: (2 lambda 2^-j) / p_loop <= (2 lambda / (1 - c^lambda)) 2^-j
-    lhs5 = rhs2 / p_loop
-    rhs5 = rhs2 / floor
-    results.append(
-        InequalityResult("comma-lambda-ratio-chain", params, lhs5, rhs5, lhs5 <= rhs5)
-    )
-    return results
+    return _comma_lambda_links(n, [lambda_offspring], range(j, j + 1))
 
 
 def pea_prime_expected_selections(fitnesses) -> list[InequalityResult]:
@@ -468,8 +441,7 @@ def check_grid(suite: str, grid: SweepGrid) -> None:
 def sweep_mutation(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None) -> Iterator[InequalityResult]:
     """All mutation-chain links for 1 <= j <= n <= n_max; a slab holds a block of n."""
     for n in _slab("mutation", grid, slab):
-        for j in range(1, n + 1):
-            yield from mutation_tail_chain(n, j)
+        yield from _mutation_links(n, range(1, n + 1))
 
 
 def sweep_matching(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None) -> Iterator[InequalityResult]:
@@ -481,8 +453,7 @@ def sweep_matching(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None) ->
     for m in _slab("matching", grid, slab):
         for j in j_values:
             yield matching_ratio_link(m, j)
-        for h in range(1, m // 2 + 1):
-            yield from _matching_sum_links(m, h, j_values)
+        yield from _matching_sum_links(m, range(1, m // 2 + 1), j_values)
 
 
 #: the diversity sweep stops at this tail index whatever the grid's j_max
@@ -494,9 +465,7 @@ def sweep_diversity(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None) -
     1 <= mu <= mu_max; a slab holds one phi."""
     for phi in _slab("diversity", grid, slab):
         for j in range(1, min(grid.j_max, _DIVERSITY_J_CAP) + 1):
-            terms = _diversity_terms(phi, j)
-            for mu in range(1, grid.mu_max + 1):
-                yield from _diversity_links(terms, mu, phi, j)
+            yield from _diversity_links(phi, j, range(1, grid.mu_max + 1))
 
 
 def log_spaced_integers(lo: int, hi: int) -> list[int]:
@@ -514,9 +483,7 @@ def sweep_comma_lambda(grid: SweepGrid = SweepGrid(), slab: Optional[int] = None
     a slab holds one n."""
     lambdas = log_spaced_integers(1, grid.lambda_max)
     for n in _slab("comma-lambda", grid, slab):
-        for lam in lambdas:
-            for j in range(0, min(grid.j_max, n) + 1):
-                yield from comma_lambda_bounds(n, lam, j)
+        yield from _comma_lambda_links(n, lambdas, range(0, min(grid.j_max, n) + 1))
 
 
 SWEEPS = {

@@ -752,13 +752,7 @@ def pea_prime_selection(fitnesses) -> np.ndarray:
         raise ValueError("fitnesses must be positive and finite")
     if np.any(np.diff(f) > 0):
         raise ValueError("fitnesses must be sorted non-increasingly")
-    return _discount_best(f, float(f.sum()))
-
-
-def _discount_best(f: np.ndarray, f_tot: float) -> np.ndarray:
-    """Proportional shares f/f_tot with 1/μ taken from the first (best) entry
-    and spread evenly over the other μ-1."""
-    mu = f.size
+    f_tot, mu = float(f.sum()), f.size
     q = f / f_tot + 1.0 / (mu * (mu - 1))
     q[0] = f[0] / f_tot - 1.0 / mu
     return q
@@ -798,13 +792,21 @@ class FitnessProportionalEA(_BitMutation):
         return float(m + math.log(np.exp((counts - m) * _LN8).sum()) / _LN8)
 
     def selection_weights(self, state) -> np.ndarray:
-        f = np.asarray(state, dtype=float)
-        f_tot = float(f.sum())
+        return np.array(self._weights(state))
+
+    def _weights(self, state) -> list[float]:
+        """The selection weights as Python floats: uniform on an all-zero state,
+        else the shares c/f_tot, and for PEA′ pea_prime_selection's discount of
+        the best. The counts are integers, so f_tot is exact, and each weight has
+        the bits of numpy's elementwise formulation."""
+        mu = self.mu
+        f_tot = float(sum(state))
         if f_tot <= 0.0:
-            return np.full(self.mu, 1.0 / self.mu)
+            return [1.0 / mu] * mu
         if not self.force_best_mutation:
-            return f / f_tot
-        return _discount_best(f, f_tot)
+            return [c / f_tot for c in state]
+        spread = 1.0 / (mu * (mu - 1))
+        return [state[0] / f_tot - 1.0 / mu] + [c / f_tot + spread for c in state[1:]]
 
     def generation(self, state, rng) -> tuple[tuple, np.ndarray]:
         """One generation; returns the sorted offspring counts and how often each
@@ -818,7 +820,7 @@ class FitnessProportionalEA(_BitMutation):
             draws -= 1
         # accumulate adds left to right as np.cumsum does, and bisect_left is
         # searchsorted's side="left", on Python floats
-        cdf = list(itertools.accumulate(self.selection_weights(state).tolist()))
+        cdf = list(itertools.accumulate(self._weights(state)))
         for _ in range(draws):
             idx = min(bisect.bisect_left(cdf, rng.random()), self.mu - 1)
             selected[idx] += 1

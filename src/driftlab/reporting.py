@@ -19,7 +19,7 @@ def format_cell(value) -> str:
     if type(value) is int:  # not a bool, whose type is bool
         return str(value)
     if isinstance(value, float):
-        return str(int(value)) if value.is_integer() and abs(value) < 1e15 else repr(value)
+        return _float_text(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -31,13 +31,18 @@ def format_cell(value) -> str:
 _ROWS_PER_BATCH = 1024
 
 
+def _float_text(value: float) -> str:
+    """A float that is an integer below 10^15 prints as that integer, any other as its repr."""
+    return str(int(value)) if value.is_integer() and abs(value) < 1e15 else repr(value)
+
+
 class _FloatTexts(dict):
-    """format_cell texts of floats, each made on first use: a CSV repeats many
-    floats, and repr is the costly step. Keys must be floats; an int or a bool
-    would share the text of the float it equals."""
+    """Texts of floats, each made on first use: a CSV repeats many floats, and
+    repr is the costly step. Keys must be floats; an int or a bool would share
+    the text of the float it equals."""
 
     def __missing__(self, value):
-        text = self[value] = format_cell(value)
+        text = self[value] = _float_text(value)
         return text
 
 
@@ -74,10 +79,13 @@ def format_rows(rows: Iterable) -> str:
 
 
 def _parameters_text(parameters: dict) -> str:
-    return ";".join([f"{key}={format_cell(value)}" for key, value in parameters.items()])
+    # an int is its own text; a bool prints as true or false
+    return ";".join([f"{key}={value if type(value) is int else format_cell(value)}" for key, value in parameters.items()])
 
 
 _BOOL_TEXT = {value: format_cell(value) for value in (True, False)}
+#: the characters for which csv.writer's QUOTE_MINIMAL quotes a cell
+_QUOTED = ',"\r\n'
 
 
 def format_links(results: list) -> list[str]:
@@ -85,15 +93,20 @@ def format_links(results: list) -> list[str]:
     floats), one LF-terminated line per link of the cells name, parameters, lhs,
     rhs, margin and holds, quoted as format_rows quotes them. Parameters is the
     link's `key=value` pairs joined by ';', made once per run of links sharing
-    one dict, as the links of a chain do."""
+    one dict, as the links of a chain do. Float and bool cells never need quotes,
+    so only the distinct name and parameters texts are searched for the
+    characters that do."""
     floats = _FloatTexts()
     lines = []
+    texts = {result.name for result in results}
     params, params_text = None, ""
     for name, parameters, lhs, rhs, holds, _ in results:
         if parameters is not params:
             params, params_text = parameters, _parameters_text(parameters)
+            texts.add(params_text)
         lines.append(f"{name},{params_text},{floats[lhs]},{floats[rhs]},{floats[rhs - lhs]},{_BOOL_TEXT[holds]}\n")
-    if _writes_plain("".join(lines), len(lines), 6 * len(lines)):
+    joined = "".join(texts)
+    if not any(character in joined for character in _QUOTED):
         return lines
     return [
         format_rows([(r.name, _parameters_text(r.parameters), r.lhs, r.rhs, r.margin, r.holds)]) for r in results
@@ -103,15 +116,12 @@ def format_links(results: list) -> list[str]:
 def format_trials(outcomes: list) -> list[str]:
     """The CSV lines of trial outcomes (TrialOutcome, whose start potential is a
     float), one LF-terminated line per trial of the cells index, hit time,
-    truncated and start potential, quoted as format_rows quotes them."""
+    truncated and start potential, as format_rows writes them: none of these int,
+    bool and float cells needs quotes."""
     floats = _FloatTexts()
-    lines = [
-        f"{index},{'' if hit is None else hit},{_BOOL_TEXT[hit is None]},{floats[x0]}\n"
-        for index, x0, hit in outcomes
+    return [
+        f"{index},{'' if hit is None else hit},{_BOOL_TEXT[hit is None]},{floats[x0]}\n" for index, x0, hit in outcomes
     ]
-    if _writes_plain("".join(lines), len(lines), 4 * len(lines)):
-        return lines
-    return [format_rows([(index, hit, hit is None, x0)]) for index, x0, hit in outcomes]
 
 
 def write_csv(path: str, provenance: dict, columns: list[str], rows: Iterable, trailer: str = "") -> None:

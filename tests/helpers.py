@@ -9,9 +9,11 @@ the needle's binomial draws from a transliteration of numpy's C sampler.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from driftlab.inequalities import E_LO
 from driftlab.rng import generator, trial_seed
 
 #: a check of PEA', which has no exact step law, so the check harvests steps
@@ -136,6 +138,42 @@ def hit_probability_within(eps, delta, ell, horizon, upper=600, j_cap=200):
         nxt[-1] += full[jc + n_pos :].sum()
         dist = nxt
     return float(hit)
+
+
+def partial_factorial_sum(j, count):
+    """sum_{k=0}^{count-1} 1/(k+j)! as an exact rational via integer Horner.
+
+    With top = j + count - 1 the numerator over top! nests as
+    1 + (j+1)(1 + (j+2)(... (1 + top))), built here factor by factor.
+    """
+    if count < 1:
+        return Fraction(0)
+    top = j + count - 1
+    acc = 1
+    for i in range(j + 1, top + 1):
+        acc = acc * i + 1
+    return Fraction(acc, math.factorial(top))
+
+
+def diversity_fraction_links(phi, j, truncation=30):
+    """The diversity chain at (phi, j) before the common factor 1/mu, in Fractions:
+    (name, lhs, rhs, holds, note) per link. The series is cut after
+    max(truncation, phi + 1) terms, with the remainder bound (1/t!) t/(t-1) at the
+    first index t left out."""
+    finite = partial_factorial_sum(j, phi + 1)
+    terms = max(truncation, phi + 1)
+    tail_start = j + terms
+    remainder = Fraction(1, math.factorial(tail_start)) * Fraction(tail_start, tail_start - 1)
+    infinite_upper = partial_factorial_sum(j, terms) + remainder
+    closed = E_LO / math.factorial(j)
+    reversed_sum = sum((Fraction(1, math.factorial(phi - k + j)) for k in range(phi + 1)), Fraction(0))
+    return [
+        ("diversity-finite-vs-infinite", finite, infinite_upper, finite <= infinite_upper,
+         f"truncated after {terms} terms with certified remainder"),
+        ("diversity-infinite-vs-closed-form", infinite_upper, closed, infinite_upper <= closed,
+         "compared against a certified lower bound on e/j!"),
+        ("diversity-reindexing-identity", reversed_sum, finite, reversed_sum == finite, "exact rational equality"),
+    ]
 
 
 def brute_expectation(values, probs, f):

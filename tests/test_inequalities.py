@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import driftlab as dl
+from helpers import diversity_fraction_links
 from driftlab.inequalities import (
     E_HI,
     E_LO,
+    EXACT_LIMIT,
     SWEEPS,
     SweepGrid,
     _matching_sum_links,
@@ -130,7 +132,7 @@ class TestMatchingChain:
                 x = Fraction(2 * h, q)
                 powers = [x**i for i in range(m + 1)]
                 x_float = 2 * h / q
-                links = _matching_sum_links(m, h, j_values)
+                links = _matching_sum_links(m, range(h, h + 1), j_values)
                 assert len(links) == 2 * len(j_values)
                 for j, sum_link, largest_link in zip(j_values, links[::2], links[1::2]):
                     total = sum(powers[j : m - j + 1], Fraction(0))
@@ -199,6 +201,19 @@ class TestDiversityChain:
             assert first.lhs == float(finite / mu)
             assert reindex.lhs == reindex.rhs == float(finite / mu)
 
+    def test_links_equal_the_fraction_formulation(self):
+        # every phi <= 50 and j <= 20 of the sweep: each side is float(exact side / mu)
+        for phi in range(51):
+            for j in range(1, 21):
+                reference = diversity_fraction_links(phi, j)
+                for mu in (1, 2, 3, 7, 20):
+                    links = dl.diversity_bound(mu, phi, j)
+                    assert [(l.name, l.lhs.hex(), l.rhs.hex(), l.holds, l.note) for l in links] == [
+                        (name, float(lhs / mu).hex(), float(rhs / mu).hex(), holds, note)
+                        for name, lhs, rhs, holds, note in reference
+                    ]
+                    assert all(l.parameters == {"mu": mu, "phi": phi, "j": j} for l in links)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             dl.diversity_bound(0, 3, 2)
@@ -236,6 +251,11 @@ class TestCommaLambdaChain:
             dl.comma_lambda_bounds(10, 0, 0)
         with pytest.raises(ValueError):
             dl.comma_lambda_bounds(10, 1, 11)
+
+
+def link_bits(links):
+    """Links with their float sides as hex, so that every bit and the sign of zero compare."""
+    return [(l.name, l.parameters, l.lhs.hex(), l.rhs.hex(), l.holds, l.note) for l in links]
 
 
 def premise_ok(links):
@@ -344,14 +364,14 @@ class TestSweeps:
         assert list(SWEEPS[suite](grid, slab=count)) == []
 
     def test_sweeps_equal_their_chain_functions(self):
-        grid = SweepGrid(m_max=11, mu_max=3, phi_max=4, j_max=7)
+        grid = SweepGrid(n_max=12, m_max=11, mu_max=3, phi_max=4, j_max=7)
         matching = []
         for m in range(2, grid.m_max + 1):
             matching += [matching_ratio_link(m, j) for j in range(grid.j_max + 1)]
             for h in range(1, m // 2 + 1):
                 for j in range(grid.j_max + 1):
                     matching += dl.matching_jump_bound(m, h, j)[:2]
-        assert list(sweep_matching(grid)) == matching
+        assert link_bits(sweep_matching(grid)) == link_bits(matching)
         diversity = [
             link
             for phi in range(grid.phi_max + 1)
@@ -359,7 +379,24 @@ class TestSweeps:
             for mu in range(1, grid.mu_max + 1)
             for link in dl.diversity_bound(mu, phi, j)
         ]
-        assert list(sweep_diversity(grid)) == diversity
+        assert link_bits(sweep_diversity(grid)) == link_bits(diversity)
+        mutation = [
+            link for n in range(1, grid.n_max + 1) for j in range(1, n + 1) for link in dl.mutation_tail_chain(n, j)
+        ]
+        assert link_bits(sweep_mutation(grid)) == link_bits(mutation)
+        # the largest n is above EXACT_LIMIT, where the links are decided in log-gamma floats
+        wide = SweepGrid(n_max=1200, lambda_max=3, j_max=5)
+        ns = log_spaced_integers(2, wide.n_max)
+        assert ns[-2] <= EXACT_LIMIT < ns[-1]
+        comma_lambda = [
+            link
+            for n in ns
+            for lam in log_spaced_integers(1, wide.lambda_max)
+            for j in range(min(wide.j_max, n) + 1)
+            for link in dl.comma_lambda_bounds(n, lam, j)
+        ]
+        assert link_bits(sweep_comma_lambda(wide)) == link_bits(comma_lambda)
+        assert {link.note for link in comma_lambda} >= {"exact integer comparison", "log-gamma comparison"}
 
     def test_empty_ranges_yield_nothing(self):
         assert list(sweep_mutation(SweepGrid(n_max=0))) == []

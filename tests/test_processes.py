@@ -284,6 +284,22 @@ class FixedDraws:
         return self.u
 
 
+def numpy_weights(process, state):
+    """FitnessProportionalEA's selection weights on numpy arrays: uniform on an
+    all-zero state, else f/f_tot, and for PEA' the best discounted by 1/mu and
+    that mass spread evenly over the others."""
+    mu = process.mu
+    f = np.asarray(state, dtype=float)
+    f_tot = float(f.sum())
+    if f_tot <= 0.0:
+        return np.full(mu, 1.0 / mu)
+    if not process.force_best_mutation:
+        return f / f_tot
+    q = f / f_tot + 1.0 / (mu * (mu - 1))
+    q[0] = f[0] / f_tot - 1.0 / mu
+    return q
+
+
 def numpy_generation(process, state, rng):
     """FitnessProportionalEA.generation with its parent draw on numpy arrays."""
     selected = np.zeros(process.mu, dtype=np.int64)
@@ -293,7 +309,7 @@ def numpy_generation(process, state, rng):
         selected[0] += 1
         offspring.append(process._mutate(state[0], rng))
         draws -= 1
-    cdf = np.cumsum(process.selection_weights(state))
+    cdf = np.cumsum(numpy_weights(process, state))
     for _ in range(draws):
         idx = min(int(np.searchsorted(cdf, rng.random())), process.mu - 1)
         selected[idx] += 1
@@ -354,6 +370,23 @@ class TestFitnessProportionalEA:
         assert total[0] / trials == pytest.approx(expected_s1, abs=0.01)
         assert total[1] / trials == pytest.approx(expected_s2, abs=0.01)
 
+    @pytest.mark.parametrize("mu", [2, 3, 8, 12])
+    @pytest.mark.parametrize("make", [dl.pea, dl.pea_prime])
+    def test_weights_have_the_bits_of_the_numpy_formulation(self, make, mu):
+        process = make(30, mu)
+        rng = generator(7 + mu)
+        states = [(0,) * mu, (1,) + (0,) * (mu - 1), (30,) * mu, (30, 29) + (1,) * (mu - 2)]
+        state = process.initial_state(rng)
+        for _ in range(300):
+            states.append(state)
+            state = process.step(state, rng)
+        for state in states:
+            weights = process._weights(state)
+            reference = numpy_weights(process, state)
+            assert all(type(w) is float for w in weights)
+            assert [w.hex() for w in weights] == [w.hex() for w in reference.tolist()]
+            assert process.selection_weights(state).tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("mu", [2, 3, 8])
     @pytest.mark.parametrize("make", [dl.pea, dl.pea_prime])
     def test_parent_draw_equals_the_numpy_formulation(self, make, mu):
@@ -375,7 +408,7 @@ class TestFitnessProportionalEA:
         # every parent draw gets a double at, just below or just above a
         # partial sum of the weights, where the two searches could part
         process = make(30, len(state))
-        for total in np.cumsum(process.selection_weights(state)).tolist():
+        for total in np.cumsum(numpy_weights(process, state)).tolist():
             for u in {math.nextafter(total, 0.0), total, math.nextafter(total, 1.0)} - {1.0}:
                 offspring, selected = process.generation(state, FixedDraws(u, seed=5))
                 reference, reference_selected = numpy_generation(process, state, FixedDraws(u, seed=5))

@@ -74,8 +74,15 @@ links = st.builds(
 
 @given(st.lists(links, max_size=8))
 @example([InequalityResult("a,b", {"n": 1}, 1.0, 0.5, False), InequalityResult("c", {"x": '"'}, 0.0, -0.0, True)])
+@example([InequalityResult("a", {"n": 2, "flag": True}, 0.5, 1.0, True), InequalityResult("a", {"n": False}, 0.5, 1.0, True)])
+@example([InequalityResult("a", {"x": 0.25, "y": 3.0, "z": float("nan")}, 1e-300, 1e300, True)])
+@example([InequalityResult("a", {"n": 1}, 1.0, 2.0, True), InequalityResult("a", {"s": "p,q"}, 1.0, 2.0, True)])
+@example([InequalityResult("a", {"n": 1}, 1.0, 2.0, True), InequalityResult('say "hi"', {"n": 1}, 1.0, 2.0, True)])
+@example([InequalityResult("a", {}, 1.0, 2.0, True), InequalityResult("", {}, 0.0, 0.0, False)])
 def test_format_links_equals_csv_writer_over_link_rows(results):
-    # a name or parameter with a comma, a quote or a line break falls back to csv.writer
+    # a name or parameter with a comma, a quote or a line break falls back to
+    # csv.writer; a bool parameter prints as true/false, and float and bool
+    # cells never need quotes
     assert format_links(results) == one_line_per_row(results)
 
 
