@@ -9,9 +9,9 @@ workers without affecting results.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -48,17 +48,41 @@ class TrialOutcome(NamedTuple):
         return self.hit_time is None
 
 
+class TrialOutcomes(Sequence):
+    """The outcomes of trials first, first + 1, ... kept as two columns: their
+    start potentials and their hit times (None where the budget ran out). It
+    reads as a sequence of TrialOutcome and equals any sequence of equal ones;
+    its columns are all that it pickles."""
+
+    __slots__ = ("first", "starts", "hit_times")
+
+    def __init__(self, first: int, starts: list[float], hit_times: list[Optional[int]]):
+        self.first, self.starts, self.hit_times = first, starts, hit_times
+
+    def __len__(self) -> int:
+        return len(self.hit_times)
+
+    def __getitem__(self, i: int) -> TrialOutcome:
+        return TrialOutcome(self.first + range(len(self))[i], self.starts[i], self.hit_times[i])
+
+    def __iter__(self) -> Iterator[TrialOutcome]:
+        return map(TrialOutcome._make, zip(range(self.first, self.first + len(self)), self.starts, self.hit_times))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class HittingEstimate:
     """Fraction of trials that hit the target within the horizon, with 95% Wilson CI,
-    and the per-trial outcomes it counts."""
+    and the trial outcomes it counts."""
 
     hits: int
     trials: int
     point: float
     ci_low: float
     ci_high: float
-    outcomes: tuple[TrialOutcome, ...] = field(repr=False)
+    outcomes: TrialOutcomes = field(repr=False, hash=False)
 
     def __post_init__(self):
         if not 0.0 <= self.ci_low <= self.point <= self.ci_high <= 1.0:
@@ -69,12 +93,11 @@ class HittingEstimate:
 #: trial seeds its own generator; simulate-long's 2.2M long needle and walk
 #: trial-steps go to the pool. Re-measure it before changing it.
 SERIAL_TRIAL_STEPS = 2_000_000
-#: the same cutoff on the batched path (a process with batch_hitting_times),
-#: which never pools: a worker's trial outcome costs about 3.8 µs to pickle and
-#: unpickle, more than the 1.4-1.7 µs a counterexample trial of n <= 25 steps
-#: costs serially, so two workers took 1.5-2.4 times as long as one from 10^5
-#: to 10^6 trials at n = 10 and at n = 25 (2-vCPU host)
-SERIAL_BATCH_STEPS = math.inf
+#: the same cutoff on the batched path (a process with batch_hitting_times), in
+#: the doubles its trials read (trials * batch_doubles) whatever the budget: two
+#: workers broke even with one at 3-4M doubles at n = 10 and below 2M at n = 25
+#: (2-vCPU host), so simulate-short's 300k doubles stay serial
+SERIAL_BATCH_STEPS = 4_000_000
 
 #: initial states a trial draws at most before it gives up on a start at or above b
 START_ATTEMPTS = 1000
@@ -90,9 +113,9 @@ def _start_error(x0: float, window: DriftWindow) -> ValueError:
     )
 
 
-def _run_trial(process, window: DriftWindow, max_steps: int, rng, index: int) -> TrialOutcome:
-    """Simulate trial `index`, whose generator is `rng`, until the potential
-    first reaches <= window.a.
+def _run_trial(process, window: DriftWindow, max_steps: int, rng) -> tuple[float, Optional[int]]:
+    """The start potential and hit time of the trial whose generator is `rng`,
+    simulated until the potential first reaches <= window.a.
 
     The start is drawn from the initial law conditioned on potential >= b: a
     start below b is drawn again from the trial's own generator, at most
@@ -103,11 +126,11 @@ def _run_trial(process, window: DriftWindow, max_steps: int, rng, index: int) ->
         state = process.initial_state(rng)
         x0 = process.potential(state)
         if x0 >= window.b:
-            return TrialOutcome(index, x0, process.hitting_time(state, rng, window.a, max_steps))
+            return x0, process.hitting_time(state, rng, window.a, max_steps)
     raise _start_error(x0, window)
 
 
-def _run_batch(process, window: DriftWindow, max_steps: int, master_seed: int, lo: int, hi: int):
+def _run_batch(process, window: DriftWindow, max_steps: int, master_seed: int, lo: int, hi: int) -> TrialOutcomes:
     """Trials [lo, hi) of a process with a batched hitting-time hook. Its start
     draws nothing, so it is resolved once, and each trial's doubles are read a
     block of trials at a time."""
@@ -117,19 +140,19 @@ def _run_batch(process, window: DriftWindow, max_steps: int, master_seed: int, l
         raise _start_error(x0, window)
     k = process.batch_doubles(state, window.a, max_steps)
     block = max(1, BATCH_DOUBLES // max(1, k))
-    outcomes = []
+    hit_times = []
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
-        hits = process.batch_hitting_times(state, trial_uniforms(master_seed, start, stop, k), window.a)
-        outcomes += [TrialOutcome(i, x0, hit) for i, hit in zip(range(start, stop), hits)]
-    return outcomes
+        hit_times += process.batch_hitting_times(state, trial_uniforms(master_seed, start, stop, k), window.a)
+    return TrialOutcomes(lo, [x0] * (hi - lo), hit_times)
 
 
-def _run_chunk(args) -> list[TrialOutcome]:
+def _run_chunk(args) -> TrialOutcomes:
     process, window, max_steps, master_seed, lo, hi = args
     if hasattr(process, "batch_hitting_times"):
         return _run_batch(*args)
-    return [_run_trial(process, window, max_steps, rng, i) for i, rng in trial_generators(master_seed, lo, hi)]
+    trials = [_run_trial(process, window, max_steps, rng) for _, rng in trial_generators(master_seed, lo, hi)]
+    return TrialOutcomes(lo, *map(list, zip(*trials)))
 
 
 def run_trials(
@@ -139,7 +162,7 @@ def run_trials(
     max_steps: int,
     master_seed: int,
     workers: int = 1,
-) -> list[TrialOutcome]:
+) -> TrialOutcomes:
     """Run independent trials with per-index seeds; output is ordered by index.
 
     The worker count never changes the outcomes: trial i always uses
@@ -154,8 +177,10 @@ def run_trials(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     check_seed_args(master_seed, 0)
     workers = max(1, int(workers))
-    serial_steps = SERIAL_BATCH_STEPS if hasattr(process, "batch_hitting_times") else SERIAL_TRIAL_STEPS
-    if workers == 1 or trials < 4 * workers or trials * max_steps < serial_steps:
+    batched = hasattr(process, "batch_hitting_times")
+    per_trial = process.batch_doubles(process.initial_state(None), window.a, max_steps) if batched else max_steps
+    serial = trials * per_trial < (SERIAL_BATCH_STEPS if batched else SERIAL_TRIAL_STEPS)
+    if workers == 1 or trials < 4 * workers or serial:
         return _run_chunk((process, window, max_steps, master_seed, 0, trials))
     n_chunks = min(trials, 4 * workers)
     bounds = [round(k * trials / n_chunks) for k in range(n_chunks + 1)]
@@ -164,7 +189,11 @@ def run_trials(
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
-    return [outcome for chunk in ordered_map(_run_chunk, tasks, workers) for outcome in chunk]
+    starts, hit_times = [], []
+    for chunk in ordered_map(_run_chunk, tasks, workers):
+        starts += chunk.starts
+        hit_times += chunk.hit_times
+    return TrialOutcomes(0, starts, hit_times)
 
 
 def ordered_map(fn, tasks: Iterable, workers: int) -> Iterator:
@@ -213,9 +242,9 @@ def estimate_hitting_probability(
     horizon cannot be observed and does not count. run_trials checks the inputs.
     """
     outcomes = run_trials(process, window, trials, horizon, master_seed, workers)
-    hits = sum(1 for o in outcomes if o.hit_time is not None)
+    hits = trials - outcomes.hit_times.count(None)
     lo, hi = wilson_interval(hits, trials)
-    return HittingEstimate(hits, trials, hits / trials, lo, hi, tuple(outcomes))
+    return HittingEstimate(hits, trials, hits / trials, lo, hi, outcomes)
 
 
 def default_workers() -> int:

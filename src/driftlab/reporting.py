@@ -113,14 +113,15 @@ def format_links(results: list) -> list[str]:
     ]
 
 
-def format_trials(outcomes: list) -> list[str]:
-    """The CSV lines of trial outcomes (TrialOutcome, whose start potential is a
-    float), one LF-terminated line per trial of the cells index, hit time,
-    truncated and start potential, as format_rows writes them: none of these int,
-    bool and float cells needs quotes."""
-    floats = _FloatTexts()
+def format_trials(outcomes) -> list[str]:
+    """The CSV lines of a run's core.TrialOutcomes, read from its columns: one
+    LF-terminated line per trial of the cells index, hit time, truncated and
+    start potential (a float, each distinct one formatted once), as format_rows
+    writes them. None of these int, bool and float cells needs quotes."""
+    starts = map(_FloatTexts().__getitem__, outcomes.starts)
     return [
-        f"{index},{'' if hit is None else hit},{_BOOL_TEXT[hit is None]},{floats[x0]}\n" for index, x0, hit in outcomes
+        f"{index},,true,{x0}\n" if hit is None else f"{index},{hit},false,{x0}\n"
+        for index, x0, hit in zip(itertools.count(outcomes.first), starts, outcomes.hit_times)
     ]
 
 

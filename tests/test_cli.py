@@ -233,9 +233,10 @@ def test_bounds_reports_a_failing_link(tmp_path, capsys, monkeypatch):
     def failing_sweep(grid, slab=None):
         yield InequalityResult("always-fails", {"n": 1}, 2.0, 1.0, False)
 
+    # one process: pool workers would not see the patched sweep
     monkeypatch.setitem(SWEEPS, "mutation", failing_sweep)
     out = tmp_path / "bounds.csv"
-    assert main(["bounds", "--suite", "mutation", "--n-max", "5", "--out", str(out)]) == 1
+    assert main(["bounds", "--suite", "mutation", "--n-max", "5", "--threads", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().out == "bounds suite mutation: 1 links checked, 1 failures\n"
     _, _, rows, _ = read_csv(out)
     assert rows == [{"name": "always-fails", "parameters": "n=1", "lhs": "2", "rhs": "1", "margin": "-1",

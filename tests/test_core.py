@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 
 import pytest
 from helpers import hit_probability_within, replay_potentials
@@ -82,6 +83,8 @@ def test_estimator_deterministic_walks():
     est = dl.estimate_hitting_probability(dl.ConstantWalk(-1.0, 5.0), win, 100, horizon=5, master_seed=11)
     assert est.point == 1.0 and est.hits == 100
     assert [o.hit_time for o in est.outcomes] == [5] * 100
+    again = dl.estimate_hitting_probability(dl.ConstantWalk(-1.0, 5.0), win, 100, horizon=5, master_seed=11)
+    assert again == est and hash(again) == hash(est)
     est = dl.estimate_hitting_probability(dl.ConstantWalk(1.0, 5.0), win, 100, horizon=1000, master_seed=11)
     assert est.point == 0.0 and est.hits == 0
 
@@ -138,15 +141,62 @@ def test_run_trials_worker_count_does_not_change_results():
     assert serial == parallel
 
 
+class PoolStarted(Exception):
+    pass
+
+
 def test_batched_trials_stay_serial_whatever_the_budget(monkeypatch):
-    # the counterexample chain's batched path loses to the pool's transfer cost
+    # the batched path counts the doubles its trials read, which the chain's n
+    # caps however large the budget
     def no_pool(*args):
-        raise AssertionError("the worker pool started")
+        raise PoolStarted
 
     monkeypatch.setattr(dl.core, "ordered_map", no_pool)
     process, win = dl.CounterexampleChain(10), dl.DriftWindow(0.0, 10.0)
-    outcomes = dl.run_trials(process, win, 1000, dl.core.SERIAL_TRIAL_STEPS, master_seed=3, workers=2)
+    outcomes = dl.run_trials(process, win, 1000, 10**12, master_seed=3, workers=2)
     assert [o.index for o in outcomes] == list(range(1000))
+    # simulate-short: 20,000 trials of counterexample-n15, 300k doubles
+    chain15, win15 = dl.CounterexampleChain(15), dl.DriftWindow(0.0, 15.0)
+    assert len(dl.run_trials(chain15, win15, 20_000, 15, master_seed=3, workers=2)) == 20_000
+    # the pool starts once the trials' doubles reach the cutoff
+    trials = -(-dl.core.SERIAL_BATCH_STEPS // 10)
+    with pytest.raises(PoolStarted):
+        dl.run_trials(process, win, trials, 10**12, master_seed=3, workers=2)
+
+
+def test_trial_outcomes_read_as_a_sequence_of_trial_outcomes():
+    outcomes = dl.core.TrialOutcomes(7, [3.0, 2.5, 4.0], [None, 12, 1])
+    rows = [dl.core.TrialOutcome(7, 3.0, None), dl.core.TrialOutcome(8, 2.5, 12), dl.core.TrialOutcome(9, 4.0, 1)]
+    assert len(outcomes) == 3 and list(outcomes) == rows
+    assert [outcomes[i] for i in (0, 1, 2, -1, -2, -3)] == rows + rows[::-1]
+    assert type(outcomes[-1]) is dl.core.TrialOutcome and outcomes[0].truncated
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            outcomes[i]
+    assert outcomes == rows and rows == outcomes and outcomes == tuple(rows)
+    assert outcomes != rows[:2] and rows[:2] != outcomes and outcomes != rows[:2] + [rows[1]]
+    assert outcomes != dl.core.TrialOutcomes(6, [3.0, 2.5, 4.0], [None, 12, 1]) and outcomes != 3
+
+
+def test_trial_outcomes_pickle_as_their_columns():
+    outcomes = dl.core.TrialOutcomes(7, [3.0, 2.5], [None, 12])
+    loaded = pickle.loads(pickle.dumps(outcomes))
+    assert type(loaded) is dl.core.TrialOutcomes and loaded == outcomes
+    assert (loaded.first, loaded.starts, loaded.hit_times) == (7, [3.0, 2.5], [None, 12])
+
+
+def test_pooled_stepped_trials_equal_the_serial_run_across_chunks(monkeypatch):
+    # 37 trials make 8 chunks of 4 or 5 trials; from 3 above the target, against
+    # drift 0.2, the walk hits within 60 steps in some trials and not in others
+    monkeypatch.setattr(dl.core, "SERIAL_TRIAL_STEPS", 0)
+    pools, ordered_map = [], dl.core.ordered_map
+    monkeypatch.setattr(dl.core, "ordered_map", lambda *args: pools.append(args[2]) or ordered_map(*args))
+    process, win = dl.GeometricDriftWalk(0.2, 1.0, start=3.0), dl.DriftWindow(0.0, 3.0)
+    serial = dl.run_trials(process, win, 37, 60, master_seed=8)
+    pooled = dl.run_trials(process, win, 37, 60, master_seed=8, workers=2)
+    assert pools == [2] and pooled == serial and pooled.first == 0
+    assert [o.index for o in pooled] == list(range(37))
+    assert None in pooled.hit_times and any(hit is not None for hit in pooled.hit_times)
 
 
 def test_ordered_map_keeps_task_order_with_more_workers_than_cores():

@@ -180,14 +180,14 @@ class TestCounterexampleChain:
     def test_pool_chunks_off_the_seed_blocks_equal_the_serial_run(self, monkeypatch):
         # the chain at n = 2 reads two doubles a trial, so the serial run spans
         # three blocks of trials and each of the 4 * workers chunks starts off a
-        # block boundary; the batched path never pools on its own, so a finite
-        # cutoff that the budget passes engages the pool
-        monkeypatch.setattr(dl.core, "SERIAL_BATCH_STEPS", dl.core.SERIAL_TRIAL_STEPS)
+        # block boundary; a cutoff that the run's 2 * trials doubles reach
+        # engages the pool
         pools, ordered_map = [], dl.core.ordered_map
         monkeypatch.setattr(dl.core, "ordered_map", lambda *args: pools.append(args[2]) or ordered_map(*args))
         process, window = dl.CounterexampleChain(2), dl.DriftWindow(0.0, 2.0)
         trials = 2 * (dl.core.BATCH_DOUBLES // 2) + 13
-        max_steps = dl.core.SERIAL_TRIAL_STEPS // trials + 1
+        monkeypatch.setattr(dl.core, "SERIAL_BATCH_STEPS", 2 * trials)
+        max_steps = 30
         serial = dl.run_trials(process, window, trials, max_steps, master_seed=5)
         assert dl.run_trials(process, window, trials, max_steps, master_seed=5, workers=2) == serial
         assert pools == [2]
