@@ -11,9 +11,11 @@ differ: drift is required in every state strictly inside the window
 (a < X < b), the tail bound in every state above the target threshold (a < X).
 A process with exact step laws (`Process.step_law`) is checked exactly in every
 such state by `check_conditions_exact`; a process whose law does not depend on
-its state goes through the same check with its one law. Only processes without
-an exact law (PEA and PEA', whose state is a multiset) are checked empirically,
-from steps pooled over free-running trajectories.
+its state goes through the same check with its one law. All of a law's checked
+tails are one searchsorted into its tail table (`JumpDistribution.tails`), one
+sort and one suffix sum. Only processes without an exact law (PEA and PEA',
+whose state is a multiset) are checked empirically, from steps pooled over
+free-running trajectories.
 """
 
 from __future__ import annotations
@@ -149,8 +151,8 @@ def check_conditions_exact(
     `laws` is one JumpDistribution, the law of every state, or (x, law) pairs:
     the law of the step out of each state whose potential x lies above
     window.a. Drift is the exact expectation, required in every state with
-    x < window.b. Tails are exact suffix sums, required in every state and
-    compared strictly against r/(1+delta)^j in log space. Checked indices are
+    x < window.b. Tails are suffix sums of each law's tail table, required in
+    every state and compared strictly against r/(1+delta)^j in log space. Checked indices are
     the grid 0..j_max plus every support magnitude beyond it, so isolated huge
     jumps are never missed; each index's row holds the largest tail over the
     states. The report names the state with the least drift and the (state, j)
@@ -172,50 +174,34 @@ def check_conditions_exact(
     if drift == math.inf:
         raise ValueError(f"no state of the process lies strictly inside the window ({window.a}, {window.b})")
     drift_ok = drift >= params.eps or math.isclose(drift, params.eps, rel_tol=FLOAT_SLACK)
-    indices = sorted(
-        set(range(params.j_max + 1))
-        | {float(m) for _, law in pairs for m in law.support_magnitudes() if m > params.j_max}
-    )
-    # past its reach a law's tail is exactly 0.0, which the loop skips anyway
-    reaches = [_tail_reach(law, variant) for _, law in pairs]
-    tails = []
-    # (log-margin, state, j) of the tail closest to its bound
-    worst = (None, None, None)
-    for j in indices:
-        log_bound = params.log_bound(j)
-        largest, ok = 0.0, True
-        for (x, law), reach in zip(pairs, reaches):
-            if j > reach:
-                continue
-            tail = law.tail_abs(j) if variant == TWO_SIDED else law.tail_down(j)
-            if tail <= 0.0:
-                continue
-            log_tail = math.log(tail)
-            ok = ok and log_tail <= log_bound + FLOAT_SLACK
-            if worst[0] is None or log_tail - log_bound > worst[0]:
-                worst = (log_tail - log_bound, x, float(j))
-            largest = max(largest, tail)
-        tails.append(TailCheck(float(j), largest, params.bound(j), "pass" if ok else "fail"))
+    beyond = {m for _, law in pairs for m in law.support_magnitudes().tolist() if m > params.j_max}
+    js = np.array(sorted(set(range(params.j_max + 1)) | beyond), dtype=float)
+    # tails[state, index], one searchsorted into each law's tail table
+    tails = np.array([law.tails(js, variant == ONE_SIDED) for _, law in pairs])
+    largest = tails.max(axis=0)
+    log_bounds = math.log(params.r) - js * math.log1p(params.delta)
+    with np.errstate(divide="ignore"):
+        # log is monotone, so no state exceeds an index's bound when its largest tail does not
+        log_largest = np.log(largest)
+    binding = {}
+    # the first j, then the first state, whose tail comes closest to its bound
+    if largest[k := int(np.argmax(log_largest - log_bounds))] > 0.0:
+        j = float(js[k])
+        binding = dict(tail_log_margin=math.log(largest[k]) - params.log_bound(j), tail_j=j,
+                       tail_state=pairs[int(np.argmax(tails[:, k]))][0])
     return ConditionReport(
         variant=variant,
         mode="exact",
         params=params,
         drift=drift,
         drift_verdict="pass" if drift_ok else "fail",
-        tails=tuple(tails),
+        tails=tuple(
+            TailCheck(j, tail, params.bound(j), "pass" if ok else "fail")
+            for j, tail, ok in zip(js.tolist(), largest.tolist(), (log_largest <= log_bounds + FLOAT_SLACK).tolist())
+        ),
         drift_state=drift_state,
-        tail_log_margin=worst[0],
-        tail_state=worst[1],
-        tail_j=worst[2],
+        **binding,
     )
-
-
-def _tail_reach(law: JumpDistribution, variant: str) -> float:
-    """The largest j whose tail can be positive: the largest |step|, or for the
-    one-sided variant the largest down-step, among steps of positive probability."""
-    support = law.values[law.probs > 0]
-    lowest, highest = float(support[0]), float(support[-1])
-    return max(-lowest, highest) if variant == TWO_SIDED else -lowest
 
 
 def check_conditions_empirical(

@@ -13,6 +13,7 @@ import os
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, groupby, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .rng import check_seed_args, trial_generators, trial_uniforms
@@ -52,7 +53,9 @@ class TrialOutcomes(Sequence):
     """The outcomes of trials first, first + 1, ... kept as two columns: their
     start potentials and their hit times (None where the budget ran out). It
     reads as a sequence of TrialOutcome and equals any sequence of equal ones;
-    its columns are all that it pickles."""
+    its columns are all that it pickles, the start column run-length encoded
+    by object, so that an unpickled column repeats one float object per run,
+    as the column of a serial batched run repeats its one start."""
 
     __slots__ = ("first", "starts", "hit_times")
 
@@ -70,6 +73,14 @@ class TrialOutcomes(Sequence):
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __getstate__(self):
+        runs = [(run[0], len(run)) for run in (list(group) for _, group in groupby(self.starts, key=id))]
+        return self.first, runs, self.hit_times
+
+    def __setstate__(self, state):
+        first, runs, hit_times = state
+        self.__init__(first, list(chain.from_iterable(repeat(x, count) for x, count in runs)), hit_times)
 
 
 @dataclass(frozen=True)
@@ -189,10 +200,11 @@ def run_trials(
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
-    starts, hit_times = [], []
+    # filled in place, so the columns take no more room than a serial run's
+    starts, hit_times = [None] * trials, [None] * trials
     for chunk in ordered_map(_run_chunk, tasks, workers):
-        starts += chunk.starts
-        hit_times += chunk.hit_times
+        starts[chunk.first:chunk.first + len(chunk)] = chunk.starts
+        hit_times[chunk.first:chunk.first + len(chunk)] = chunk.hit_times
     return TrialOutcomes(0, starts, hit_times)
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: hit probabilities come
 from dynamic programming over the step distribution, expectations from direct
 summation, step laws of the bit-string EAs from enumerating every flip mask in
-exact rational arithmetic, high-precision reference values from mpmath, and
-the needle's binomial draws from a transliteration of numpy's C sampler.
+exact rational arithmetic, high-precision reference values from mpmath, the
+needle's binomial draws from a transliteration of numpy's C sampler, and exact
+condition checks from one masked sum per (state, tail index).
 """
 
 import itertools
@@ -13,7 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from driftlab.conditions import FLOAT_SLACK, TWO_SIDED, ConditionReport, TailCheck
 from driftlab.inequalities import E_LO
+from driftlab.jumps import JumpDistribution
 from driftlab.rng import generator, trial_seed
 
 #: a check of PEA', which has no exact step law, so the check harvests steps
@@ -303,3 +306,53 @@ def needle_step_exact(n, d):
             acc = acc * square + up[k + w] * down[w]
         law[k] = acc * (n - 1) ** (n - k - 2 * w_hi)
     return law, n**n
+
+
+def tail_reach(law, variant):
+    """The largest j whose tail can be positive: the largest |step|, or for the
+    one-sided variant the largest down-step, among steps of positive probability."""
+    support = law.values[law.probs > 0]
+    lowest, highest = float(support[0]), float(support[-1])
+    return max(-lowest, highest) if variant == TWO_SIDED else -lowest
+
+
+def reference_exact_check(laws, params, variant=TWO_SIDED, window=None):
+    """check_conditions_exact's report, from one masked sum over the law's own
+    values per (tail index, state) in a Python loop: P(|step| >= j) (1.0 at
+    j <= 0) or P(step <= -j). It takes valid input only. The closest (state, j)
+    is the first in the order j, then state, with the largest log-margin."""
+    pairs = [(None, laws)] if isinstance(laws, JumpDistribution) else list(laws)
+    drift, drift_state = math.inf, None
+    for x, law in pairs:
+        if (x is None or x < window.b) and (law_drift := law.drift()) < drift:
+            drift, drift_state = law_drift, x
+    drift_ok = drift >= params.eps or math.isclose(drift, params.eps, rel_tol=FLOAT_SLACK)
+    indices = sorted(
+        set(range(params.j_max + 1))
+        | {float(m) for _, law in pairs for m in np.abs(law.values[law.probs > 0]) if m > params.j_max}
+    )
+    reaches = [tail_reach(law, variant) for _, law in pairs]
+    tails = []
+    worst = (None, None, None)
+    for j in indices:
+        log_bound = params.log_bound(j)
+        largest, ok = 0.0, True
+        for (x, law), reach in zip(pairs, reaches):
+            if j > reach:
+                continue
+            if variant == TWO_SIDED:
+                tail = 1.0 if j <= 0 else float(law.probs[np.abs(law.values) >= j].sum())
+            else:
+                tail = float(law.probs[law.values <= -j].sum())
+            if tail <= 0.0:
+                continue
+            log_tail = math.log(tail)
+            ok = ok and log_tail <= log_bound + FLOAT_SLACK
+            if worst[0] is None or log_tail - log_bound > worst[0]:
+                worst = (log_tail - log_bound, x, float(j))
+            largest = max(largest, tail)
+        tails.append(TailCheck(float(j), largest, params.bound(j), "pass" if ok else "fail"))
+    return ConditionReport(
+        variant=variant, mode="exact", params=params, drift=drift, drift_verdict="pass" if drift_ok else "fail",
+        tails=tuple(tails), drift_state=drift_state, tail_log_margin=worst[0], tail_state=worst[1], tail_j=worst[2],
+    )

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import driftlab as dl
-from driftlab.conditions import ONE_SIDED, TWO_SIDED, _tail_reach
+from driftlab.conditions import ONE_SIDED, TWO_SIDED
 from driftlab.rng import generator
-from helpers import sample_steps
+from helpers import sample_steps, tail_reach
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +77,10 @@ class TestExactChecks:
         ],
     )
     def test_a_tail_is_zero_exactly_past_its_reach(self, values, probs):
-        # the check skips a law once j passes its reach, so that must be where its tail becomes 0.0
+        # the reference check skips a law once j passes its reach, so that must be where its tail becomes 0.0
         law = dl.JumpDistribution(values, probs)
         for variant, tail in ((TWO_SIDED, law.tail_abs), (ONE_SIDED, law.tail_down)):
-            reach = _tail_reach(law, variant)
+            reach = tail_reach(law, variant)
             for j in [*np.arange(0.0, 9.0, 0.25), reach, np.nextafter(reach, math.inf)]:
                 assert (tail(j) == 0.0) == (j > reach), (variant, j)
 

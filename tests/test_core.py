@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import tracemalloc
 
 import pytest
 from helpers import hit_probability_within, replay_potentials
@@ -183,6 +184,34 @@ def test_trial_outcomes_pickle_as_their_columns():
     loaded = pickle.loads(pickle.dumps(outcomes))
     assert type(loaded) is dl.core.TrialOutcomes and loaded == outcomes
     assert (loaded.first, loaded.starts, loaded.hit_times) == (7, [3.0, 2.5], [None, 12])
+
+
+def test_trial_outcomes_unpickle_one_start_object_per_run():
+    x0, other = 10.0, 2.5
+    outcomes = dl.core.TrialOutcomes(3, [x0] * 5 + [other, other, x0], [1, None, 2, 3, None, 4, 5, None])
+    loaded = pickle.loads(pickle.dumps(outcomes))
+    assert loaded == outcomes and loaded.starts == outcomes.starts and loaded.first == 3
+    assert len({id(x) for x in loaded.starts}) == 3
+
+
+def test_a_pooled_batched_run_holds_no_more_than_a_serial_one(monkeypatch):
+    # the pool's chunks unpickle their start column as one float object per run,
+    # so the joined column repeats a few objects, as the serial column repeats one
+    import concurrent.futures.process  # noqa: F401  the pool's import, kept out of the traced memory
+
+    monkeypatch.setattr(dl.core, "SERIAL_BATCH_STEPS", 0)
+    process, win = dl.CounterexampleChain(10), dl.DriftWindow(0.0, 10.0)
+    outcomes, held = {}, {}
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            outcomes[workers] = dl.run_trials(process, win, 200_000, 10, master_seed=1, workers=workers)
+            held[workers] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    serial, pooled = outcomes[1], outcomes[2]
+    assert (pooled.first, pooled.starts, pooled.hit_times) == (serial.first, serial.starts, serial.hit_times)
+    assert held[2] <= 1.2 * held[1], held
 
 
 def test_pooled_stepped_trials_equal_the_serial_run_across_chunks(monkeypatch):

@@ -62,13 +62,13 @@ GOLDEN = {
     ),
     "check-geometric-walk-twosided": (
         ["check", "--preset", "geometric-walk-twosided"],
-        "80c008a984ca04a97ff1d24d872a65d70009cf82f34224f952d7a7e86bdf9466",
+        "28ee2f2bda9f8e357b4e2943dba06df67f4144f5453cd0fe0781486b23e21f05",
     ),
     # exact in every window state from the needle's step laws (no harvested samples);
     # an exact check's CSV omits the budget and run keys, which it does not use
     "check-needle-n50-twosided": (
         ["check", "--preset", "needle-n50-twosided"],
-        "109beb46aca59667d0cd4fd4b54518251b90503e09e711f8114faa56d0332c87",
+        "0f8ac6e23d8b85c4b1cd65b3a639aa5647ccdb4c3bf147df7f24b792a814db9a",
     ),
     "check-pea-prime-empirical": (
         ["check", "--config", "pea-prime-check.ini"],
