@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict, fields, replace
 
 from . import __version__
-from .conditions import check_conditions_empirical, check_conditions_exact, harvest_step_samples, step_laws
+from .conditions import TWO_SIDED, check_conditions_empirical, check_conditions_exact, harvest_step_samples, step_laws
 from .core import default_workers, estimate_hitting_probability, ordered_map
 from .presets import PRESETS, ExperimentConfig, get_preset, load_config
 from .reporting import (
@@ -181,6 +181,8 @@ def cmd_scaling(args) -> int:
     config = _resolve_config(args)
     if not config.ell_values:
         raise ValueError("scaling needs ell_values (a comma-separated list in the config)")
+    if config.variant != TWO_SIDED:
+        raise ValueError(f"scaling checks only the two-sided condition, on which its bound rests; got {config.variant}")
     rows = []
     failures = 0
     unresolved = []
@@ -189,7 +191,7 @@ def cmd_scaling(args) -> int:
         horizon, constants = config.resolve_horizon(ell)
         constants = constants or config.constants(ell)
         # every kind with a scaling family has one exact law for all its states
-        report = check_conditions_exact(step_laws(process, window), config.condition_params(), "two_sided", window)
+        report = check_conditions_exact(step_laws(process, window), config.condition_params(), TWO_SIDED, window)
         row = {
             "ell": ell,
             "horizon": horizon,
@@ -248,12 +250,19 @@ def cmd_list_presets(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_horizon: bool = False) -> None:
+def _worker_count(text: str) -> int:
+    if (workers := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
+def _add_common(parser: argparse.ArgumentParser, with_horizon: bool = False,
+                threads_help: str = "worker processes for trials") -> None:
     parser.add_argument("--preset", help="name of a compiled-in experiment")
     parser.add_argument("--config", help="path to a sectioned key-value config file")
     parser.add_argument("--seed", type=int, dest="master_seed", help="override the master seed (unsigned 64-bit)")
     parser.add_argument("--trials", type=int, help="override the trial count")
-    parser.add_argument("--threads", type=int, default=default_workers(), help="worker processes for trials")
+    parser.add_argument("--threads", type=_worker_count, default=default_workers(), help=threads_help)
     parser.add_argument("--out", help="CSV output path")
     if with_horizon:
         parser.add_argument("--horizon", type=int, help="override the simulation horizon (steps)")
@@ -272,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("check", help="check the drift and jump-tail conditions")
-    _add_common(p)
+    _add_common(p, threads_help="unused: check runs no trials")
     p.add_argument("--jump-table", dest="jump_table",
                    help="also export the one step law of a state-independent process as CSV")
     p.set_defaults(func=cmd_check)
@@ -293,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Workers check and format whole slabs: the default grid takes about 9 s on
     # one process and 6 s on two (2-CPU host, same bytes). The default stays one
     # process so that a profiler or tracer in the calling process sees every link.
-    p.add_argument("--threads", type=int, default=1, help="worker processes for the sweeps (default 1)")
+    p.add_argument("--threads", type=_worker_count, default=1, help="worker processes for the sweeps (default 1)")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_bounds)
 

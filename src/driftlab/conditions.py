@@ -70,8 +70,8 @@ class ConditionParams:
         if self.j_max < 1:
             raise ValueError(f"j_max must be >= 1, got {self.j_max}")
 
-    def log_bound(self, j: float) -> float:
-        """log of r / (1+delta)^j."""
+    def log_bound(self, j):
+        """log of r / (1+delta)^j, at a float j or elementwise on an array of them."""
         return math.log(self.r) - j * math.log1p(self.delta)
 
     def bound(self, j: float) -> float:
@@ -179,7 +179,7 @@ def check_conditions_exact(
     # tails[state, index], one searchsorted into each law's tail table
     tails = np.array([law.tails(js, variant == ONE_SIDED) for _, law in pairs])
     largest = tails.max(axis=0)
-    log_bounds = math.log(params.r) - js * math.log1p(params.delta)
+    log_bounds = params.log_bound(js)
     with np.errstate(divide="ignore"):
         # log is monotone, so no state exceeds an index's bound when its largest tail does not
         log_largest = np.log(largest)

@@ -62,14 +62,6 @@ class JumpDistribution:
         tails = suffix[np.searchsorted(magnitudes, js)]
         return tails if one_sided else np.where(js <= 0, 1.0, tails)
 
-    def tail_abs(self, j: float) -> float:
-        """P(|step| >= j)."""
-        return float(self.tails(np.array([j], dtype=float))[0])
-
-    def tail_down(self, j: float) -> float:
-        """P(step <= -j), the one-sided tail toward the target."""
-        return float(self.tails(np.array([j], dtype=float), one_sided=True)[0])
-
     def abs_mgf(self, gamma: float) -> float:
         """E(exp(gamma * |step|)); may overflow to inf for heavy upper tails."""
         with np.errstate(over="ignore"):

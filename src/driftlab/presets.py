@@ -15,6 +15,7 @@ from typing import Optional, Union, get_type_hints
 from .core import DriftWindow
 from .conditions import ConditionParams, VARIANTS
 from .processes import Process, family_param, make_process, param_types
+from .reporting import format_cell
 from .rng import check_seed_args
 from .theorem import TheoremConstants, derive_constants
 
@@ -116,14 +117,10 @@ class ExperimentConfig:
                 info.update((f"process.{key}", v) for key, v in sorted(value.items()))
             elif f.name == "ell_values":
                 if value:
-                    info["ell_values"] = ",".join(_fmt_number(v) for v in value)
+                    info["ell_values"] = ",".join(map(format_cell, value))
             elif f.name != "description":
                 info[_PROVENANCE_KEYS.get(f.name, f.name)] = value
         return info
-
-
-def _fmt_number(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
 def _counterexample_simulate(n: int) -> ExperimentConfig:
@@ -148,8 +145,6 @@ def _counterexample_check(name: str, variant: str) -> ExperimentConfig:
         process_params={"n": 15},
         window_b=15.0,
         variant=variant,
-        trials=200,
-        max_steps=100,
         description=f"exact {variant.replace('_', '-')} condition check on the n=15 counterexample chain",
     )
 
@@ -179,7 +174,6 @@ PRESETS: dict[str, ExperimentConfig] = {
             process_params={"eps": 0.2, "delta": 1.0, "start": 30.0},
             window_b=30.0,
             eps=0.2,
-            trials=200,
             description="exact two-sided condition check on the geometric drift walk",
         ),
         ExperimentConfig(
@@ -190,8 +184,6 @@ PRESETS: dict[str, ExperimentConfig] = {
             window_a=10.0,
             window_b=16.0,
             eps=0.25,
-            trials=24,
-            max_steps=12_000,
             description="exact two-sided condition check in every state of the n=50 plateau EA inside (10, 16)",
         ),
         ExperimentConfig(

@@ -752,10 +752,14 @@ def pea_prime_selection(fitnesses) -> np.ndarray:
         raise ValueError("fitnesses must be positive and finite")
     if np.any(np.diff(f) > 0):
         raise ValueError("fitnesses must be sorted non-increasingly")
-    f_tot, mu = float(f.sum()), f.size
-    q = f / f_tot + 1.0 / (mu * (mu - 1))
-    q[0] = f[0] / f_tot - 1.0 / mu
-    return q
+    return np.array(_pea_prime_weights(f.tolist(), float(f.sum())))
+
+
+def _pea_prime_weights(fitnesses, f_tot: float) -> list[float]:
+    """PEA′ weights as Python floats: each share f/f_tot, the best's less 1/μ and
+    every other's plus 1/(μ(μ-1)), over the total f_tot that the caller sums."""
+    mu = len(fitnesses)
+    return [fitnesses[0] / f_tot - 1.0 / mu] + [f / f_tot + 1.0 / (mu * (mu - 1)) for f in fitnesses[1:]]
 
 
 class FitnessProportionalEA(_BitMutation):
@@ -796,17 +800,16 @@ class FitnessProportionalEA(_BitMutation):
 
     def _weights(self, state) -> list[float]:
         """The selection weights as Python floats: uniform on an all-zero state,
-        else the shares c/f_tot, and for PEA′ pea_prime_selection's discount of
-        the best. The counts are integers, so f_tot is exact, and each weight has
-        the bits of numpy's elementwise formulation."""
+        else the shares c/f_tot, and for PEA′ those of _pea_prime_weights. The
+        counts are integers, so f_tot is exact, and each weight has the bits of
+        numpy's elementwise formulation."""
         mu = self.mu
         f_tot = float(sum(state))
         if f_tot <= 0.0:
             return [1.0 / mu] * mu
         if not self.force_best_mutation:
             return [c / f_tot for c in state]
-        spread = 1.0 / (mu * (mu - 1))
-        return [state[0] / f_tot - 1.0 / mu] + [c / f_tot + spread for c in state[1:]]
+        return _pea_prime_weights(state, f_tot)
 
     def generation(self, state, rng) -> tuple[tuple, np.ndarray]:
         """One generation; returns the sorted offspring counts and how often each

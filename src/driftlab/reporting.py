@@ -5,6 +5,9 @@ configuration that the command reads (the master seed included wherever it
 draws randomness), so any row can be reproduced from the file alone. Output
 is UTF-8 with LF line endings and deterministic number formatting; no
 timestamps or host details, which keeps reruns byte-identical.
+
+format_rows writes rows with csv.writer over format_cell's texts; format_links
+(bounds) and format_trials (simulate) build the same lines in bulk by hand.
 """
 
 from __future__ import annotations
@@ -46,35 +49,11 @@ class _FloatTexts(dict):
         return text
 
 
-def _writes_plain(text: str, rows: int, cells: int) -> bool:
-    """Whether csv.writer's QUOTE_MINIMAL writes `rows` rows of `cells` cells in
-    all as `text`, their cell texts joined by commas in LF-terminated lines: it
-    does when no cell holds a comma, a quote or a line break and no row is empty
-    or one empty cell, as holds for every row driftlab writes."""
-    return (
-        text.count(",") == cells - rows
-        and text.count("\n") == rows
-        and not text.startswith("\n")
-        and "\n\n" not in text
-        and '"' not in text
-        and "\r" not in text
-    )
-
-
 def format_rows(rows: Iterable) -> str:
-    """CSV text of `rows`: one LF-terminated line per row, its cells as format_cell
-    gives them, quoted as csv.writer's QUOTE_MINIMAL quotes them."""
-    floats = _FloatTexts()
-    cells = [
-        [value if type(value) is str else floats[value] if type(value) is float else format_cell(value)
-         for value in row]
-        for row in rows
-    ]
-    text = "\n".join([",".join(texts) for texts in cells] + [""])
-    if _writes_plain(text, len(cells), sum(map(len, cells))):
-        return text
+    """CSV text of `rows`: csv.writer's LF-terminated lines of the cells as
+    format_cell gives them, quoted as its QUOTE_MINIMAL quotes them."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(cells)
+    csv.writer(out, lineterminator="\n").writerows([format_cell(value) for value in row] for row in rows)
     return out.getvalue()
 
 

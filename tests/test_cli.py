@@ -4,14 +4,15 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from driftlab.cli import main
+from driftlab.conditions import step_laws
 from driftlab.inequalities import SWEEPS, InequalityResult
-from driftlab.presets import PRESETS, load_config
+from driftlab.presets import PRESETS, ExperimentConfig, load_config
 from helpers import PEA_PRIME_CHECK_INI, config_file_text
 from test_golden import GOLDEN
 
@@ -127,6 +128,16 @@ def test_exact_check_provenance_omits_the_simulation_keys(argv, tmp_path):
     assert main(["check", "--preset", "counterexample-onesided", *argv, str(out)]) == 0
     provenance, _, _, _ = read_csv(out)
     assert provenance["process"] == "counterexample" and not SIMULATION_KEYS & set(provenance)
+
+
+def test_exact_check_presets_leave_the_simulation_keys_at_their_defaults():
+    # an exact check reads none of them, so a preset that set one would state a budget nothing uses
+    defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.name in SIMULATION_KEYS}
+    checks = [cfg for cfg in PRESETS.values() if cfg.command == "check"]
+    exact = [cfg for cfg in checks if step_laws(cfg.process(), cfg.window()) is not None]
+    assert len(exact) == 4
+    for cfg in exact:
+        assert {key: getattr(cfg, key) for key in defaults} == defaults, cfg.name
 
 
 def test_empirical_check_provenance_keeps_the_simulation_keys(tmp_path):
@@ -415,6 +426,47 @@ def test_scaling_error_paths_exit_two(tmp_path, capsys):
     fractional.write_text("[process]\nkind = counterexample\n[run]\nhorizon = window\nell_values = 10,12.5\n")
     assert main(["scaling", "--config", str(fractional), "--trials", "10"]) == 2
     assert "12.5" in _single_error_line(capsys)
+
+
+def test_scaling_refuses_a_variant_other_than_two_sided(tmp_path, capsys):
+    # the escape bound rests on the two-sided condition, which is the one scaling checks
+    cfg = tmp_path / "one-sided.ini"
+    cfg.write_text(
+        "[experiment]\ncommand = scaling\n[process]\nkind = counterexample\n"
+        "[run]\nhorizon = window\nvariant = one_sided\nell_values = 10,15\n"
+    )
+    out = tmp_path / "out.csv"
+    assert main(["scaling", "--config", str(cfg), "--trials", "10", "--out", str(out)]) == 2
+    assert "one_sided" in _single_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "counterexample-n10"],
+        ["check", "--preset", "counterexample-onesided"],
+        ["scaling", "--preset", "counterexample-scaling"],
+        ["bounds", "--suite", "mutation", "--n-max", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_threads_below_one_exit_two(argv, threads, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--threads", threads, "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"argument --threads: must be at least 1, got {threads}" in err
+    assert not out.exists()
+
+
+def test_check_help_says_it_ignores_threads(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    assert "unused: check runs no trials" in " ".join(capsys.readouterr().out.split())
 
 
 def test_check_sample_floor_names_both_counts(tmp_path, capsys):

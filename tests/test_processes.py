@@ -33,16 +33,17 @@ class TestCounterexampleChain:
 
     def test_one_sided_tail_is_unit_steps_only(self):
         table = dl.CounterexampleChain(10).step_law(None)
-        assert table.tail_down(1) == pytest.approx(1 - math.exp(-10), rel=1e-14)
-        assert table.tail_down(2) == 0.0
-        assert table.tail_down(50) == 0.0
+        down = table.tails(np.array([1.0, 2.0, 50.0]), one_sided=True)
+        assert down[0] == pytest.approx(1 - math.exp(-10), rel=1e-14)
+        assert down[1] == 0.0
+        assert down[2] == 0.0
 
     def test_two_sided_tail_concentrates_on_the_big_jump(self):
         table = dl.CounterexampleChain(10).step_law(None)
         p = math.exp(-10)
-        for j in (2, 100, 44053):
-            assert table.tail_abs(j) == pytest.approx(p, rel=1e-14)
-        assert table.tail_abs(44054) == 0.0
+        for tail in table.tails(np.array([2.0, 100.0, 44053.0])):
+            assert tail == pytest.approx(p, rel=1e-14)
+        assert table.tails(np.array([44054.0]))[0] == 0.0
 
     def test_trajectories_never_step_down_by_two(self):
         process = dl.CounterexampleChain(6)
@@ -82,12 +83,12 @@ class TestGeometricDriftWalk:
         walk = dl.GeometricDriftWalk(0.1, delta)
         pmf, j_cap = geometric_step_pmf(0.1, delta, j_cap=4000)
         mags = np.abs(np.arange(-j_cap, j_cap + 1))
-        law = walk.step_law(None)
+        tails = walk.step_law(None).tails(np.arange(61.0))
         for j in range(0, 61):
             brute = float(pmf[mags >= j].sum())
             # closed form: P(|step| >= j) = (1+delta)^(1-j) for j >= 1
             assert brute == pytest.approx(1.0 if j == 0 else (1.0 + delta) ** (1 - j), rel=1e-12)
-            assert law.tail_abs(j) == pytest.approx(brute, rel=1e-9)
+            assert tails[j] == pytest.approx(brute, rel=1e-9)
 
     def test_tail_condition_holds_exactly_with_r_one_plus_delta(self):
         walk = dl.GeometricDriftWalk(0.3, 0.7)
@@ -386,6 +387,8 @@ class TestFitnessProportionalEA:
             assert all(type(w) is float for w in weights)
             assert [w.hex() for w in weights] == [w.hex() for w in reference.tolist()]
             assert process.selection_weights(state).tobytes() == reference.tobytes()
+            if process.force_best_mutation and min(state) > 0:
+                assert dl.pea_prime_selection(state).tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("mu", [2, 3, 8])
     @pytest.mark.parametrize("make", [dl.pea, dl.pea_prime])
