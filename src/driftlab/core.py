@@ -52,10 +52,11 @@ class TrialOutcome(NamedTuple):
 class TrialOutcomes(Sequence):
     """The outcomes of trials first, first + 1, ... kept as two columns: their
     start potentials and their hit times (None where the budget ran out). It
-    reads as a sequence of TrialOutcome and equals any sequence of equal ones;
-    its columns are all that it pickles, the start column run-length encoded
-    by object, so that an unpickled column repeats one float object per run,
-    as the column of a serial batched run repeats its one start."""
+    reads as a sequence of TrialOutcome, a slice of it as a list of them, and
+    equals any sequence of equal ones; its columns are all that it pickles, the
+    start column run-length encoded by object, so that an unpickled column
+    repeats one float object per run, as the column of a serial batched run
+    repeats its one start."""
 
     __slots__ = ("first", "starts", "hit_times")
 
@@ -65,7 +66,9 @@ class TrialOutcomes(Sequence):
     def __len__(self) -> int:
         return len(self.hit_times)
 
-    def __getitem__(self, i: int) -> TrialOutcome:
+    def __getitem__(self, i: int | slice) -> TrialOutcome | list[TrialOutcome]:
+        if isinstance(i, slice):
+            return list(map(self.__getitem__, range(len(self))[i]))
         return TrialOutcome(self.first + range(len(self))[i], self.starts[i], self.hit_times[i])
 
     def __iter__(self) -> Iterator[TrialOutcome]:

@@ -21,9 +21,10 @@ from `rng.trial_uniforms`; every other process steps. A long needle trial
 advances whole blocks of generations through `_NeedleAutomaton`, whose states
 are lists indexed by cells of [0, 1) cut at the exact thresholds of numpy's
 binomial inversion. What the automaton does not hold goes to its sink, and
-the step loop replays that block. Each process builds an automaton lazily,
-once per (n, p, floor(a)), and only once a trial has stepped about as long as
-the build takes. The automaton's cell and the walk's magnitude come from a
+the step loop replays that block. Each process builds an automaton once per
+(n, p, floor(a)), before the first block of the first trial whose budget of
+generations would pay for the build; a trial with a smaller budget keeps the
+step loop. The automaton's cell and the walk's magnitude come from a
 `_BucketSearch`: one table lookup per double, exact on numpy's doubles, in
 place of a binary search.
 """
@@ -77,17 +78,30 @@ class _BucketSearch:
     table holds the search's one value there. Every other bucket holds -1, and
     the few doubles that land in one are searched. This is Chen & Asau's (1974)
     guide table, made exact on numpy's doubles.
+
+    The table comes from the edges, which lie in [0, 1], with no search. An
+    edge counts in the search of every double from bucket `counted` on and of
+    none below bucket `clear`; where the two differ, the edge splits bucket
+    `clear`. On the right an edge counts from itself on, so one at a bucket's
+    first double splits nothing; on the left it counts past itself, so one at
+    a bucket's last double splits nothing.
     """
 
     def __init__(self, edges: np.ndarray, side: str):
         self.edges = edges
         self.side = side
         bits = min(_MAX_BUCKET_BITS, (len(edges) * _BUCKETS_PER_EDGE - 1).bit_length())
-        self.scale = float(1 << bits)
-        grid = np.arange((1 << bits) + 1) / self.scale
-        first = np.searchsorted(edges, grid[:-1], side)
-        last = np.searchsorted(edges, np.nextafter(grid[1:], 0.0), side)
-        self.table = np.where(first == last, first, -1).astype(np.int32)
+        size = 1 << bits
+        self.scale = float(size)
+        scaled = edges * self.scale  # exact: the scale is a power of two
+        if side == "right":
+            counted, clear = np.ceil(scaled), np.floor(scaled)
+        else:
+            counted, clear = np.floor(scaled) + 1.0, np.floor(np.nextafter(edges, np.inf) * self.scale)
+        counts = np.bincount(np.minimum(counted, size).astype(np.intp), minlength=size + 1)
+        self.table = np.cumsum(counts[:size], dtype=np.int32)
+        split = clear[(counted > clear) & (clear < size)]
+        self.table[split.astype(np.intp)] = -1
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         found = self.table.take((u * self.scale).astype(np.intp))
@@ -448,8 +462,13 @@ def _least_true(pred, lo: int, hi: int, guess: int) -> int:
 _CAP_TAIL = 3e-7
 #: the most list entries (states times cells, 8 bytes each) an automaton may have
 _MAX_AUTOMATON_ENTRIES = 1 << 21
-#: generations a trial steps per automaton entry before it builds the automaton:
-#: an entry costs about 60 ns to build, and a generation saves about 0.25 us
+#: generations of budget per automaton entry from which a trial builds the
+#: automaton before its first block. On a 2-vCPU host a build took 7-8 ms for
+#: n = 50's bound of 289k entries and about 50 ms for n = 133's 2.09M, 23-25 ns
+#: an entry, and a generation on the automaton saved 0.21 us, so a trial that
+#: runs its whole budget breaks even at about 0.12 generations an entry. The
+#: margin covers trials that hit early: such a trial wastes at most one build
+#: per process and key, at most about 50 ms at the 2**21-entry cap.
 _STEPS_PER_ENTRY = 0.25
 #: automata by (n, p, floor_a), built in the process that first needs one; the
 #: oldest goes once _MAX_AUTOMATA are held
@@ -632,12 +651,11 @@ class NeedleOneOneEA(_MutationChain):
         floor_a = math.floor(a) if a < n else n
         key = (n, p, floor_a)
         automaton = _AUTOMATA.get(key)
-        build_at = math.inf if automaton else self._automaton_build_at(floor_a)
+        if automaton is None and max_steps >= self._automaton_build_at(floor_a):
+            automaton = _needle_automaton(key)
         d, t = state, 0
         for size in _block_sizes():
             u = rng.random(2 * min(size, max_steps - t))
-            if t >= build_at:
-                automaton, build_at = _needle_automaton(key), math.inf
             end = None if automaton is None else automaton.advance(d, u)
             if end is None:
                 d, t = self._replay(d, t, u.tolist(), rng, a, max_steps)
@@ -649,8 +667,8 @@ class NeedleOneOneEA(_MutationChain):
                 return None
 
     def _automaton_build_at(self, floor_a: int) -> float:
-        """The generation of a trial from which its automaton pays for its
-        build, or math.inf when the automaton would be too large or empty."""
+        """The least budget of generations with which a trial builds its
+        automaton, or math.inf when the automaton would be too large or empty."""
         n = self.n
         cap = _draw_cap(self._inversion_tables[n - 1][0])
         # a bound on the automaton's list entries: states times cells

@@ -48,10 +48,37 @@ def test_crafted_edges(side):
     assert_equals_searchsorted(search)
 
 
+def searched_table(search: _BucketSearch) -> np.ndarray:
+    """The table by its definition: the search at each bucket's first double
+    where it equals the search at the bucket's last double, -1 elsewhere."""
+    grid = np.arange(int(search.scale) + 1) / search.scale
+    first = np.searchsorted(search.edges, grid[:-1], search.side)
+    last = np.searchsorted(search.edges, np.nextafter(grid[1:], 0.0), search.side)
+    return np.where(first == last, first, -1)
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("edges", [[], [0.5], [0.0], [_MAX_UNIFORM]])
+def test_the_table_equals_its_definition(side):
+    """Random edge sets, with edges at 0.0, at the largest double random()
+    returns, at 1.0 and on buckets' first and last doubles mixed in."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        edges = rng.random(int(rng.integers(0, 80)))
+        width = 1.0 / _BucketSearch(edges, side).scale
+        starts = rng.integers(0, int(1 / width), 4) * width
+        special = [0.0, _MAX_UNIFORM, 1.0, *starts, *np.nextafter(starts[1:], 0.0), starts[0]]
+        edges = np.sort(np.concatenate([edges, rng.choice(special, int(rng.integers(0, 6)))]))
+        search = _BucketSearch(edges, side)
+        assert search.table.dtype == np.int32
+        assert search.table.tolist() == searched_table(search).tolist(), edges.tolist()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("edges", [[], [0.5], [0.0], [_MAX_UNIFORM], [1.0]])
 def test_few_edges(side, edges):
-    assert_equals_searchsorted(_BucketSearch(np.array(edges, dtype=float), side))
+    search = _BucketSearch(np.array(edges, dtype=float), side)
+    assert search.table.tolist() == searched_table(search).tolist()
+    assert_equals_searchsorted(search)
 
 
 def test_needle_automaton_cells():
@@ -60,6 +87,7 @@ def test_needle_automaton_cells():
     assert search.edges is automaton.boundaries and search.side == "right"
     # the automaton's 445 cell edges get 2^16 buckets of 4 bytes
     assert len(search.edges) == 445 and search.scale == 2.0**16 and search.table.nbytes == 1 << 18
+    assert search.table.tolist() == searched_table(search).tolist()
     assert_equals_searchsorted(search)
 
 
@@ -69,4 +97,5 @@ def test_walk_magnitudes(delta):
     search = walk._magnitude_search
     assert search.edges is walk._search_cdf and search.side == "left"
     assert search.scale <= 2.0**14
+    assert search.table.tolist() == searched_table(search).tolist()
     assert_equals_searchsorted(search)

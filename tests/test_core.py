@@ -179,6 +179,16 @@ def test_trial_outcomes_read_as_a_sequence_of_trial_outcomes():
     assert outcomes != dl.core.TrialOutcomes(6, [3.0, 2.5, 4.0], [None, 12, 1]) and outcomes != 3
 
 
+def test_trial_outcomes_slice_as_lists():
+    outcomes = dl.run_trials(dl.GeometricDriftWalk(0.2, 1.0, 3.0), dl.DriftWindow(0.0, 3.0), 6, 50, master_seed=3)
+    rows = list(outcomes)
+    slices = [slice(0, 2), slice(-4, -1), slice(-2, None), slice(None, None, 2), slice(None, None, -1),
+              slice(5, 0, -2), slice(-1, -7, -3), slice(2, 2), slice(4, 1), slice(10, 20), slice(None, -6)]
+    for s in slices:
+        assert outcomes[s] == rows[s], s
+    assert outcomes[2:2] == [] and outcomes[:] == rows and outcomes[1:3][0].index == 1
+
+
 def test_trial_outcomes_pickle_as_their_columns():
     outcomes = dl.core.TrialOutcomes(7, [3.0, 2.5], [None, 12])
     loaded = pickle.loads(pickle.dumps(outcomes))

@@ -232,6 +232,31 @@ class TestWhenBuilt:
         dl.run_trials(dl.NeedleOneOneEA(50), dl.DriftWindow(0.0, 1.0), trials=3, max_steps=1000, master_seed=1)
         assert builds == []
 
+    def test_a_budget_that_pays_for_the_build_starts_on_the_automaton(self, builds, advances):
+        needle = dl.NeedleOneOneEA(N)
+        budget = math.ceil(needle._automaton_build_at(0))
+        rng = generator(trial_seed(5, 0))
+        needle.hitting_time(25, rng, 0.0, budget)
+        assert builds == [(N, P, 0)]
+        assert isinstance(advances[0], int)
+
+    def test_a_budget_one_generation_short_builds_nothing(self, builds, advances):
+        needle = dl.NeedleOneOneEA(N)
+        budget = math.ceil(needle._automaton_build_at(0)) - 1
+        rng = generator(trial_seed(5, 0))
+        needle.hitting_time(25, rng, 0.0, budget)
+        assert builds == [] and advances == []
+
+    def test_pooled_workers_build_their_own_and_agree(self, builds, monkeypatch):
+        # the pool's workers start with an empty cache and build what they need
+        monkeypatch.setattr(dl.core, "SERIAL_TRIAL_STEPS", 0)
+        args = dl.NeedleOneOneEA(N), dl.DriftWindow(0.0, 1.0), 8, 80_000
+        pooled = dl.run_trials(*args, master_seed=6, workers=2)
+        assert builds == []
+        serial = dl.run_trials(*args, master_seed=6, workers=1)
+        assert builds == [(N, P, 0)]
+        assert pooled == serial and pooled.hit_times == [None] * 8
+
     def test_the_cache_keeps_a_few_automata(self, builds):
         for n in range(6, 12):
             processes._needle_automaton((n, 1 / n, 0))
