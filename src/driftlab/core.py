@@ -10,11 +10,11 @@ workers without affecting results.
 from __future__ import annotations
 
 import os
-from collections import deque
+import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional
 
 from .rng import check_seed_args, trial_generators, trial_uniforms
 from .stats import wilson_interval
@@ -105,12 +105,15 @@ class HittingEstimate:
 
 #: trial-steps below which run_trials stays serial on the stepped path, where a
 #: trial seeds its own generator; simulate-long's 2.2M long needle and walk
-#: trial-steps go to the pool. Re-measure it before changing it.
+#: trial-steps go to the pool. Two workers broke even with one at about 350k
+#: steps of the geometric walk (8 trials, in-process, 2-vCPU host) and ran
+#: 2.2M in 0.6 times the serial time. Re-measure it before changing it.
 SERIAL_TRIAL_STEPS = 2_000_000
 #: the same cutoff on the batched path (a process with batch_hitting_times), in
 #: the doubles its trials read (trials * batch_doubles) whatever the budget: two
-#: workers broke even with one at 3-4M doubles at n = 10 and below 2M at n = 25
-#: (2-vCPU host), so simulate-short's 300k doubles stay serial
+#: workers broke even with one at about 300k doubles at n = 10, 15 and 25
+#: (in-process, 2-vCPU host), so simulate-short's 300k doubles gain nothing
+#: from the pool and stay serial
 SERIAL_BATCH_STEPS = 4_000_000
 
 #: initial states a trial draws at most before it gives up on a start at or above b
@@ -214,33 +217,82 @@ def run_trials(
 def ordered_map(fn, tasks: Iterable, workers: int) -> Iterator:
     """Yield fn(task) for each task, in the order of `tasks`.
 
-    With workers > 1 the calls run in a pool of that many processes, and at
-    most 2 * workers of them are submitted and not yet yielded, so the results
-    held at once stay bounded however many tasks there are. fn and the tasks
-    are pickled, so fn must be a module-level function.
+    With workers > 1 the caller forks workers - 1 children, and task i goes to
+    worker i % workers, worker 0 being the caller, which runs its own tasks
+    inline as their turn comes. fn and the tasks reach the children by fork, so
+    neither is pickled. Each child runs its tasks in order and sends each
+    result, pickled, over its own pipe; a full pipe blocks it, so it holds at
+    most one finished result that the caller has not read, however many tasks
+    there are. An exception that a child's task raises is raised again in the
+    caller, and a child that ends without sending its result raises
+    RuntimeError. Every child is killed and reaped when the generator ends,
+    raises or is closed. Where os.fork does not exist, the calls run serially.
     """
-    if workers <= 1:
+    tasks = list(tasks)
+    workers = min(workers, len(tasks))
+    if workers <= 1 or not hasattr(os, "fork"):
         yield from map(fn, tasks)
         return
-    # Imported here: concurrent.futures.process brings in multiprocessing,
-    # socket and logging, which serial commands never need.
-    from concurrent.futures import ProcessPoolExecutor
+    import signal  # here: serial commands never need it
 
-    # On Linux before Python 3.14 the default start method is fork, which spares
-    # each worker the import of numpy and driftlab (about 0.14 s with -X importtime
-    # on a 2-CPU host); from 3.14 it is forkserver, and each worker imports them again.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        try:
+    children = []
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                # the child shares the caller's loaded modules and its numpy
+                # and driftlab imports, which a spawned process would redo
+                _serve(fn, tasks[w::workers], write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        for i, task in enumerate(tasks):
+            yield fn(task) if i % workers == 0 else _receive(*children[i % workers - 1])
+    finally:
+        for pid, results in children:
+            os.kill(pid, signal.SIGKILL)
+            results.close()
+            os.waitpid(pid, 0)
+
+
+def _serve(fn, tasks: list, write_fd: int) -> NoReturn:
+    """A forked child of ordered_map: send (True, fn(task)) for each task in
+    turn, or (False, the exception) for the first that raises or whose result
+    does not pickle, then leave by os._exit, so that nothing of the caller's
+    (its stdio buffers, its exit hooks, the generator's finally) runs again in
+    the child."""
+    code = 1
+    try:
+        with open(write_fd, "wb") as pipe:
             for task in tasks:
-                if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-                pending.append(pool.submit(fn, task))
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+                try:
+                    message, failed = pickle.dumps((True, fn(task))), False
+                except Exception as exc:
+                    message, failed = pickle.dumps((False, exc)), True
+                pipe.write(message)
+                pipe.flush()
+                if failed:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(pid: int, results):
+    """The next result that child `pid` sends over its pipe `results`; its
+    exception raised again if its task raised one."""
+    try:
+        ok, value = pickle.load(results)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError(f"worker process {pid} ended without sending its result") from None
+    if not ok:
+        raise value
+    return value
 
 
 def estimate_hitting_probability(

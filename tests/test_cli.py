@@ -11,6 +11,7 @@ import pytest
 
 from driftlab.cli import main
 from driftlab.conditions import step_laws
+from driftlab.core import SERIAL_TRIAL_STEPS
 from driftlab.inequalities import SWEEPS, InequalityResult
 from driftlab.presets import PRESETS, ExperimentConfig, load_config
 from helpers import PEA_PRIME_CHECK_INI, config_file_text
@@ -526,23 +527,37 @@ def test_scaling_reports_unresolved_horizon(tmp_path, capsys):
 
 
 #: modules a cold CLI start does not need: scipy is for the empirical check
-#: only, the pool's modules for a parallel run only, and numpy.ma (which
-#: np.unique imports on its first call) for nothing
-COLD_START_UNNEEDED = ("scipy", "concurrent.futures.process", "multiprocessing", "numpy.ma")
+#: only, numpy.ma (which np.unique imports on its first call) for nothing, and
+#: an executor's modules for nothing either, as the pool forks its own children
+COLD_START_UNNEEDED = ("scipy", "concurrent.futures", "multiprocessing", "numpy.ma")
+
+#: 8 trials of the geometric walk to SERIAL_TRIAL_STEPS / 8 steps each, which
+#: start 300 above the target against drift 0.2 and never hit: the run pools
+POOLED_WALK_INI = (
+    "[process]\nkind = geometric-walk\neps = 0.2\ndelta = 1\nstart = 300\n[window]\na = 0\nb = 300\n"
+    f"[budget]\ntrials = 8\nmax_steps = {SERIAL_TRIAL_STEPS // 8}\n[run]\nhorizon = {SERIAL_TRIAL_STEPS // 8}\n"
+)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # a fresh interpreter: other tests import scipy and the pool into this one
     (tmp_path / "pea-prime-check.ini").write_text(PEA_PRIME_CHECK_INI)
+    (tmp_path / "walk.ini").write_text(POOLED_WALK_INI)
     code = (
-        "import hashlib, json, sys\n"
+        "import hashlib, json, os, sys\n"
         "import driftlab.cli\n"
         "def loaded(*names):\n    return [name for name in names if name in sys.modules]\n"
         f"seen = {{'import': loaded(*{COLD_START_UNNEEDED!r})}}\n"
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(os.getpid()))\n"
         "driftlab.cli.main(['check', '--preset', 'needle-n50-twosided', '--out', 'needle.csv'])\n"
         "driftlab.cli.main(['simulate', '--preset', 'counterexample-n15', '--out', 'simulate.csv'])\n"
         "driftlab.cli.main(['bounds', '--suite', 'comma-lambda', '--n-max', '30', '--j-max', '4', '--out', 'b.csv'])\n"
         "seen['exact check, simulate and bounds'] = loaded('scipy', 'numpy.ma')\n"
+        "seen['serial forks'] = len(forks)\n"
+        "seen['pooled exit'] = driftlab.cli.main(['simulate', '--config', 'walk.ini', '--threads', '2'])\n"
+        f"seen['pooled simulate'] = loaded(*{COLD_START_UNNEEDED!r})\n"
+        "seen['pooled forks'] = len(forks)\n"
         "driftlab.cli.main(['check', '--config', 'pea-prime-check.ini', '--out', 'pea.csv'])\n"
         "seen['empirical check'] = loaded('scipy.special')\n"
         "seen['digest'] = hashlib.sha256(open('pea.csv', 'rb').read()).hexdigest()\n"
@@ -555,6 +570,22 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     seen = json.loads(result.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["exact check, simulate and bounds"] == []
+    # the pooled walk forks one child and loads no executor
+    assert (seen["serial forks"], seen["pooled forks"], seen["pooled exit"], seen["pooled simulate"]) == (0, 1, 0, [])
     # the positive control: the empirical check loads scipy.special, and its CSV is the golden one
     assert seen["empirical check"] == ["scipy.special"]
     assert seen["digest"] == GOLDEN["check-pea-prime-empirical"][1]
+
+
+def test_a_pooled_start_error_exits_two_with_one_error_line(tmp_path):
+    # every chunk of the pooled walk raises the start error, in the caller and
+    # in its forked child; a fresh interpreter shows what the child writes too
+    (tmp_path / "walk.ini").write_text(POOLED_WALK_INI.replace("start = 300", "start = 3").replace("b = 300", "b = 5"))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, driftlab.cli\nsys.exit(driftlab.cli.main(['simulate', '--config', 'walk.ini', '--threads', '2']))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.splitlines() == ["error: initial potential 3.0 is below the start threshold b=5.0; "
+                                          "the window does not match the process configuration"]

@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import signal
 import tracemalloc
 
 import pytest
@@ -207,8 +208,6 @@ def test_trial_outcomes_unpickle_one_start_object_per_run():
 def test_a_pooled_batched_run_holds_no_more_than_a_serial_one(monkeypatch):
     # the pool's chunks unpickle their start column as one float object per run,
     # so the joined column repeats a few objects, as the serial column repeats one
-    import concurrent.futures.process  # noqa: F401  the pool's import, kept out of the traced memory
-
     monkeypatch.setattr(dl.core, "SERIAL_BATCH_STEPS", 0)
     process, win = dl.CounterexampleChain(10), dl.DriftWindow(0.0, 10.0)
     outcomes, held = {}, {}
@@ -243,6 +242,86 @@ def test_ordered_map_keeps_task_order_with_more_workers_than_cores():
     tasks = list(range(3000, 0, -100))
     assert list(dl.core.ordered_map(math.factorial, tasks, workers=3)) == [math.factorial(n) for n in tasks]
     assert list(dl.core.ordered_map(math.factorial, tasks, workers=1)) == [math.factorial(n) for n in tasks]
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def caller():
+    return os.getpid()
+
+
+class TestOrderedMapPool:
+    """ordered_map's fork pool: the caller is worker 0, and task i goes to worker i % workers."""
+
+    def test_a_childs_exception_reaches_the_caller(self, caller):
+        # tasks 1 and 3 go to the child
+        def fail_in_child(x):
+            if os.getpid() != caller:
+                raise ValueError(f"task {x} failed in a child")
+            return x
+
+        with pytest.raises(ValueError, match=r"^task 1 failed in a child$"):
+            list(dl.core.ordered_map(fail_in_child, range(4), workers=2))
+        assert_no_child_left()
+
+    def test_a_result_that_does_not_pickle_raises_in_the_caller(self):
+        # task 1's result, a local function, goes to the caller by pickle
+        results = dl.core.ordered_map(lambda x: (lambda: x), range(2), workers=2)
+        assert next(results)() == 0
+        with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+            next(results)
+        assert_no_child_left()
+
+    def test_the_callers_own_exception_leaves_no_child(self):
+        # task 2 is the caller's second, after the child's first result
+        def fail_at_2(x):
+            if x == 2:
+                raise ValueError("task 2 failed")
+            return x
+
+        results = dl.core.ordered_map(fail_at_2, range(6), workers=2)
+        assert next(results) == 0 and next(results) == 1
+        with pytest.raises(ValueError, match="task 2 failed"):
+            next(results)
+        assert_no_child_left()
+
+    def test_closing_after_the_first_result_leaves_no_child(self):
+        results = dl.core.ordered_map(math.factorial, range(2000, 2100), workers=3)
+        assert next(results) == math.factorial(2000)
+        results.close()
+        assert_no_child_left()
+
+    def test_a_child_that_dies_unsent_raises_runtime_error(self, caller):
+        def die_in_child(x):
+            if os.getpid() != caller:
+                os._exit(3)
+            return x
+
+        def timed_out(signum, frame):
+            raise TimeoutError("ordered_map waits on a dead child")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(30)
+        try:
+            with pytest.raises(RuntimeError, match="ended without sending its result"):
+                list(dl.core.ordered_map(die_in_child, range(4), workers=2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
+
+    def test_without_fork_a_pooled_run_is_the_serial_run(self, monkeypatch):
+        monkeypatch.setattr(dl.core, "SERIAL_TRIAL_STEPS", 0)
+        process, win = dl.GeometricDriftWalk(0.2, 1.0, start=3.0), dl.DriftWindow(0.0, 3.0)
+        serial = dl.run_trials(process, win, 37, 60, master_seed=8)
+        monkeypatch.delattr(os, "fork")
+        assert dl.run_trials(process, win, 37, 60, master_seed=8, workers=2) == serial
+        assert_no_child_left()
 
 
 def test_default_workers_honours_the_cpu_affinity_mask(monkeypatch):

@@ -248,11 +248,12 @@ class TestWhenBuilt:
         assert builds == [] and advances == []
 
     def test_pooled_workers_build_their_own_and_agree(self, builds, monkeypatch):
-        # the pool's workers start with an empty cache and build what they need
+        # the caller is worker 0 and builds the automaton for its own chunks, once;
+        # the forked child builds its own, which this process does not record
         monkeypatch.setattr(dl.core, "SERIAL_TRIAL_STEPS", 0)
         args = dl.NeedleOneOneEA(N), dl.DriftWindow(0.0, 1.0), 8, 80_000
         pooled = dl.run_trials(*args, master_seed=6, workers=2)
-        assert builds == []
+        assert builds == [(N, P, 0)]
         serial = dl.run_trials(*args, master_seed=6, workers=1)
         assert builds == [(N, P, 0)]
         assert pooled == serial and pooled.hit_times == [None] * 8
