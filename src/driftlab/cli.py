@@ -268,7 +268,10 @@ def _add_common(parser: argparse.ArgumentParser, with_horizon: bool = False,
         parser.add_argument("--horizon", type=int, help="override the simulation horizon (steps)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every subcommand is there with its name and help; its
+    arguments are added when `command` is None or names it, so a parser for
+    one command parses that command's argv as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="driftlab",
         description="Drift-analysis laboratory: simulate, check conditions, derive constants, sweep bounds.",
@@ -277,47 +280,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run trials and report the hitting probability")
-    _add_common(p, with_horizon=True)
     p.set_defaults(func=cmd_simulate)
+    if command in (None, "simulate"):
+        _add_common(p, with_horizon=True)
 
     p = sub.add_parser("check", help="check the drift and jump-tail conditions")
-    _add_common(p, threads_help="unused: check runs no trials")
-    p.add_argument("--jump-table", dest="jump_table",
-                   help="also export the one step law of a state-independent process as CSV")
     p.set_defaults(func=cmd_check)
+    if command in (None, "check"):
+        _add_common(p, threads_help="unused: check runs no trials")
+        p.add_argument("--jump-table", dest="jump_table",
+                       help="also export the one step law of a state-independent process as CSV")
 
     p = sub.add_parser("constants", help="derive the escape-bound constants")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--prob-target", type=float, default=0.5, dest="prob_target")
-    p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_constants)
+    if command in (None, "constants"):
+        p.add_argument("--eps", type=float, required=True)
+        p.add_argument("--delta", type=float, required=True)
+        p.add_argument("--r", type=float, default=2.0)
+        p.add_argument("--ell", type=float, required=True)
+        p.add_argument("--prob-target", type=float, default=0.5, dest="prob_target")
+        p.add_argument("--out", help="CSV output path")
 
     p = sub.add_parser("bounds", help="run an inequality sweep suite")
-    p.add_argument("--suite", choices=sorted(SWEEPS) + ["all"], default="all")
-    for f in fields(SweepGrid):
-        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default, dest=f.name)
-    # Workers check and format whole slabs: the default grid takes about 9 s on
-    # one process and 6 s on two (2-CPU host, same bytes). The default stays one
-    # process so that a profiler or tracer in the calling process sees every link.
-    p.add_argument("--threads", type=_worker_count, default=1, help="worker processes for the sweeps (default 1)")
-    p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_bounds)
+    if command in (None, "bounds"):
+        p.add_argument("--suite", choices=sorted(SWEEPS) + ["all"], default="all")
+        for f in fields(SweepGrid):
+            p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default, dest=f.name)
+        # Workers check and format whole slabs: the default grid takes about 4.7 s
+        # on one process and 2.6 s on two (2-CPU host, same bytes). The default
+        # stays one process because a tracer or profiler in the calling process,
+        # such as the benchmark's traced run, counts only the links it checks.
+        p.add_argument("--threads", type=_worker_count, default=1, help="worker processes for the sweeps (default 1)")
+        p.add_argument("--out", help="CSV output path")
 
     p = sub.add_parser("scaling", help="run a process family across window lengths")
-    _add_common(p)
     p.set_defaults(func=cmd_scaling)
+    if command in (None, "scaling"):
+        _add_common(p)
 
     p = sub.add_parser("list-presets", help="list compiled-in experiments")
     p.set_defaults(func=cmd_list_presets)
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the parser of the subcommand it invokes. argparse runs the
+    subcommand named by the first argument that does not start with '-', since
+    the top level's only options take no value. When that argument names no
+    subcommand, argparse reports the invalid choice from the names alone."""
+    return build_parser(next((arg for arg in argv if not arg.startswith("-")), None)).parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

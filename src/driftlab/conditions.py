@@ -11,11 +11,15 @@ differ: drift is required in every state strictly inside the window
 (a < X < b), the tail bound in every state above the target threshold (a < X).
 A process with exact step laws (`Process.step_law`) is checked exactly in every
 such state by `check_conditions_exact`; a process whose law does not depend on
-its state goes through the same check with its one law. All of a law's checked
-tails are one searchsorted into its tail table (`JumpDistribution.tails`), one
-sort and one suffix sum. Only processes without an exact law (PEA and PEA',
-whose state is a multiset) are checked empirically, from steps pooled over
-free-running trajectories.
+its state goes through the same check with its one law. The check reads every
+input as one `LawTable`: the needle's and the (1,λ) EA's laws are built as one
+table by `step_laws`, a single law is a one-row table, and (x, law) pairs are
+stacked on the union of their values. Each state's drift is `np.dot` over its
+own support, and every tail of every state comes from one sort of the grid's
+magnitudes, one suffix sum along the rows and one searchsorted, with the bits
+that each law's own one-row table gives. Only processes without an exact law
+(PEA and PEA', whose state is a multiset) are checked empirically, from steps
+pooled over free-running trajectories.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jumps import JumpDistribution
+from .jumps import JumpDistribution, LawTable
 from .rng import trial_generators
 from .stats import mean_t_interval, wilson_interval
 
@@ -133,14 +137,15 @@ def step_laws(process, window):
     """What check_conditions_exact checks `process` with on `window`.
 
     None when the process has no exact step law; its one law when that does not
-    depend on the state; otherwise an iterator over (x, law out of the state)
-    for every state whose potential x lies above window.a, which builds each
-    law only when the check reaches it.
+    depend on the state; otherwise the LawTable of the laws out of every state
+    whose potential x lies above window.a, which the process's `law_table`
+    builds in one pass: one grid of integer steps trimmed to the union of the
+    states' supports, and one row of probabilities per state.
     """
     states = process.states()
     if states is None:
         return process.step_law(None)
-    return ((x, process.step_law(s)) for s in states if (x := process.potential(s)) > window.a)
+    return process.law_table([s for s in states if process.potential(s) > window.a])
 
 
 def check_conditions_exact(
@@ -148,36 +153,39 @@ def check_conditions_exact(
 ) -> ConditionReport:
     """Check both conditions exactly from step laws.
 
-    `laws` is one JumpDistribution, the law of every state, or (x, law) pairs:
+    `laws` is one JumpDistribution, the law of every state; (x, law) pairs,
     the law of the step out of each state whose potential x lies above
-    window.a. Drift is the exact expectation, required in every state with
-    x < window.b. Tails are suffix sums of each law's tail table, required in
-    every state and compared strictly against r/(1+delta)^j in log space. Checked indices are
-    the grid 0..j_max plus every support magnitude beyond it, so isolated huge
-    jumps are never missed; each index's row holds the largest tail over the
-    states. The report names the state with the least drift and the (state, j)
-    whose tail comes closest to its bound.
+    window.a; or a LawTable of such states, as step_laws gives. A single law
+    is a one-row table and pairs are stacked into one on the union of their
+    values. Drift is the exact expectation over each state's own support,
+    required in every state with x < window.b. Tails are the table's suffix
+    sums (`LawTable.tails`), required in every state and compared strictly
+    against r/(1+delta)^j in log space. Checked indices are the grid 0..j_max
+    plus every support magnitude beyond it, so isolated huge jumps are never
+    missed; each index's row holds the largest tail over the states. The
+    report names the state with the least drift and the (state, j) whose tail
+    comes closest to its bound.
     """
     _require_variant(variant)
     if isinstance(laws, JumpDistribution):
-        pairs = [(None, laws)]
+        table = LawTable.stack([(None, laws)])
     else:
         if window is None:
             raise ValueError("per-state step laws need the window they are checked on")
-        pairs = list(laws)
-        if any(not x > window.a for x, _ in pairs):
+        table = laws if isinstance(laws, LawTable) else LawTable.stack(list(laws))
+        if any(not x > window.a for x in table.states):
             raise ValueError(f"per-state step laws must lie above the target threshold a={window.a}")
     drift, drift_state = math.inf, None
-    for x, law in pairs:
-        if (x is None or x < window.b) and (law_drift := law.drift()) < drift:
-            drift, drift_state = law_drift, x
+    for row, x in enumerate(table.states):
+        if (x is None or x < window.b) and (row_drift := table.drift(row)) < drift:
+            drift, drift_state = row_drift, x
     if drift == math.inf:
         raise ValueError(f"no state of the process lies strictly inside the window ({window.a}, {window.b})")
     drift_ok = drift >= params.eps or math.isclose(drift, params.eps, rel_tol=FLOAT_SLACK)
-    beyond = {m for _, law in pairs for m in law.support_magnitudes().tolist() if m > params.j_max}
+    beyond = {m for m in table.support_magnitudes().tolist() if m > params.j_max}
     js = np.array(sorted(set(range(params.j_max + 1)) | beyond), dtype=float)
-    # tails[state, index], one searchsorted into each law's tail table
-    tails = np.array([law.tails(js, variant == ONE_SIDED) for _, law in pairs])
+    # tails[state, index]
+    tails = table.tails(js, variant == ONE_SIDED)
     largest = tails.max(axis=0)
     log_bounds = params.log_bound(js)
     with np.errstate(divide="ignore"):
@@ -188,7 +196,7 @@ def check_conditions_exact(
     if largest[k := int(np.argmax(log_largest - log_bounds))] > 0.0:
         j = float(js[k])
         binding = dict(tail_log_margin=math.log(largest[k]) - params.log_bound(j), tail_j=j,
-                       tail_state=pairs[int(np.argmax(tails[:, k]))][0])
+                       tail_state=table.states[int(np.argmax(tails[:, k]))])
     return ConditionReport(
         variant=variant,
         mode="exact",

@@ -6,8 +6,10 @@ Every process is immutable after construction and steps via pure functions of
 exact law of the potential's step out of a state: the walk, the counterexample
 chain and the constant walk have one law for every state, and the needle and
 (1,λ) EA lumped chains have one per state of their finite state space
-(`states()`), built only when asked for. PEA and PEA′, whose state is a
-multiset of counts, have no exact law and are checked empirically.
+(`states()`), built only when asked for; their `law_table(states)` builds the
+laws of many states as one `LawTable` in one pass, each binomial pmf once and
+each row as `step_law` builds it. PEA and PEA′, whose state is a multiset of
+counts, have no exact law and are checked empirically.
 
 A trial's generator belongs to the trial alone, and the trial loop re-seeds
 the same generator for the next trial, so a process must not keep it past its
@@ -42,7 +44,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .jumps import JumpDistribution
+from .jumps import JumpDistribution, LawTable
 
 _LN8 = math.log(8.0)
 #: steps (walk) or generations (needle) in a trial's first block; each further
@@ -149,7 +151,8 @@ class Process(ABC):
 
     def states(self) -> range | None:
         """Every state, in increasing potential, when step_law depends on the
-        state; None when it does not or when there is no exact law."""
+        state, and then `law_table(states)` gives the laws of those states as
+        one `LawTable`; None when it does not or when there is no exact law."""
         return None
 
     def absorbed(self, state) -> bool:
@@ -558,19 +561,30 @@ def _binomial_pmf(k: int, p: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def _mutation_step(n: int, d: int, p: float) -> tuple[int, np.ndarray]:
+class _TrimmedBinomials(dict):
+    """k -> (first, terms): the terms P(Binomial(k, p) = first + i) that do not
+    underflow to 0 at either end, computed once per k."""
+
+    def __init__(self, p: float):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, k: int) -> tuple[int, np.ndarray]:
+        pmf = _binomial_pmf(k, self.p)
+        nonzero = np.flatnonzero(pmf)
+        first, last = int(nonzero[0]), int(nonzero[-1])
+        self[k] = entry = (first, pmf[first:last + 1])
+        return entry
+
+
+def _mutation_step(n: int, d: int, binomials: _TrimmedBinomials) -> tuple[int, np.ndarray]:
     """(lo, probs) with probs[i] = P(Binomial(n-d, p) - Binomial(d, p) = lo + i):
     the change of the distance d to a fixed bit string of length n under standard
-    bit mutation at rate p. Terms that underflow to 0 at either end are cut off."""
-    up, down = _binomial_pmf(n - d, p), _binomial_pmf(d, p)
-    u0, u1 = _support(up)
-    w0, w1 = _support(down)
-    return u0 - w1, np.convolve(up[u0:u1 + 1], down[w0:w1 + 1][::-1])
-
-
-def _support(pmf: np.ndarray) -> tuple[int, int]:
-    nonzero = np.flatnonzero(pmf)
-    return int(nonzero[0]), int(nonzero[-1])
+    bit mutation at rate p, from `binomials` at that p. Terms that underflow to 0
+    at either end are cut off."""
+    u0, up = binomials[n - d]
+    w0, down = binomials[d]
+    return u0 - (w0 + down.size - 1), np.convolve(up, down[::-1])
 
 
 class _BitMutation(Process):
@@ -596,13 +610,31 @@ class _BitMutation(Process):
 class _MutationChain(_BitMutation):
     """A bit-string EA under standard bit mutation, lumped to a count d in 0..n
     of bits that differ from a target string; the potential is d. Runs start
-    from a uniform random bitstring, i.e. d0 ~ Binomial(n, 1/2)."""
+    from a uniform random bitstring, i.e. d0 ~ Binomial(n, 1/2).
+
+    A subclass gives the law out of d as integer steps from lo (`_law_row`),
+    built from the binomial pmfs it is handed, so one state's law and a table
+    of many do the same arithmetic."""
 
     def initial_state(self, rng):
         return int(rng.binomial(self.n, 0.5))
 
     def states(self) -> range:
         return range(self.n + 1)
+
+    @abstractmethod
+    def _law_row(self, d: int, binomials: _TrimmedBinomials) -> tuple[int, np.ndarray]:
+        """(lo, probs) with probs[i] = P(step = lo + i) out of distance d."""
+
+    def step_law(self, state) -> JumpDistribution:
+        lo, probs = self._law_row(state, _TrimmedBinomials(self.mutation_rate))
+        return JumpDistribution(np.arange(lo, lo + probs.size, dtype=float), probs)
+
+    def law_table(self, states) -> LawTable:
+        """The laws of `states` in one pass: each binomial pmf is computed once,
+        for every state that needs it, and each row as step_law computes it."""
+        binomials = _TrimmedBinomials(self.mutation_rate)
+        return LawTable.from_rows([self.potential(d) for d in states], [self._law_row(d, binomials) for d in states])
 
 
 class NeedleOneOneEA(_MutationChain):
@@ -622,11 +654,10 @@ class NeedleOneOneEA(_MutationChain):
     def absorbed(self, state) -> bool:
         return state == 0
 
-    def step_law(self, state) -> JumpDistribution:
-        if state == 0:
-            return JumpDistribution(np.array([0.0]), np.array([1.0]))
-        lo, probs = _mutation_step(self.n, state, self.mutation_rate)
-        return JumpDistribution(np.arange(lo, lo + probs.size, dtype=float), probs)
+    def _law_row(self, d, binomials):
+        if d == 0:
+            return 0, np.array([1.0])
+        return _mutation_step(self.n, d, binomials)
 
     @functools.cached_property
     def _inversion_tables(self) -> _InversionTables:
@@ -739,12 +770,12 @@ class OneCommaLambdaEA(_MutationChain):
                 best = candidate
         return int(best), saw_copy
 
-    def step_law(self, state) -> JumpDistribution:
+    def _law_row(self, d, binomials):
         """One offspring's count is Y = d - Binomial(d, p) + Binomial(n-d, p), and
         the best of λ has P(best >= k) = S_k^λ with S_k = P(Y >= k). Its pmf
         S_k^λ - S_{k+1}^λ is taken as P(Y = k) * sum_{i<λ} S_k^i S_{k+1}^{λ-1-i},
         which has no cancellation."""
-        lo, probs = _mutation_step(self.n, state, self.mutation_rate)
+        lo, probs = _mutation_step(self.n, d, binomials)
         tail = np.cumsum(probs[::-1])[::-1]
         beyond = np.append(tail[1:], 0.0)
         # powers = sum_{i<m} tail^i beyond^(m-1-i), built up from m = 1
@@ -752,7 +783,7 @@ class OneCommaLambdaEA(_MutationChain):
         for _ in range(self.lambda_offspring - 1):
             beyond_power = beyond_power * beyond
             powers = tail * powers + beyond_power
-        return JumpDistribution(np.arange(lo, lo + probs.size, dtype=float), probs * powers)
+        return lo, probs * powers
 
 
 def pea_prime_selection(fitnesses) -> np.ndarray:

@@ -5,7 +5,8 @@ from dynamic programming over the step distribution, expectations from direct
 summation, step laws of the bit-string EAs from enumerating every flip mask in
 exact rational arithmetic, high-precision reference values from mpmath, the
 needle's binomial draws from a transliteration of numpy's C sampler, and exact
-condition checks from one masked sum per (state, tail index).
+condition checks from one masked sum per (state, tail index), or, where a check
+must match bit for bit, from each law's own tail table.
 """
 
 import itertools
@@ -355,4 +356,48 @@ def reference_exact_check(laws, params, variant=TWO_SIDED, window=None):
     return ConditionReport(
         variant=variant, mode="exact", params=params, drift=drift, drift_verdict="pass" if drift_ok else "fail",
         tails=tuple(tails), drift_state=drift_state, tail_log_margin=worst[0], tail_state=worst[1], tail_j=worst[2],
+    )
+
+
+def per_law_tails(law, js, one_sided=False):
+    """P(|step| >= j), or P(step <= -j), at each j of js from the law's own tail
+    table: the magnitudes of its steps of positive probability in a stable
+    sort, and their suffix sums added from the largest magnitude down."""
+    positive = law.probs > 0
+    magnitudes = -law.values[positive] if one_sided else np.abs(law.values[positive])
+    order = np.argsort(magnitudes, kind="stable")
+    suffix = np.append(np.cumsum(law.probs[positive][order[::-1]])[::-1], 0.0)
+    tails = suffix[np.searchsorted(magnitudes[order], js)]
+    return tails if one_sided else np.where(js <= 0, 1.0, tails)
+
+
+def per_law_exact_check(laws, params, variant=TWO_SIDED, window=None):
+    """check_conditions_exact's report, from each law on its own: its drift
+    `law.drift()`, and every tail from its own tail table (`per_law_tails`).
+    These are the sums a table of laws must reproduce bit for bit. It takes
+    valid input only."""
+    pairs = [(None, laws)] if isinstance(laws, JumpDistribution) else list(laws)
+    drift, drift_state = math.inf, None
+    for x, law in pairs:
+        if (x is None or x < window.b) and (law_drift := law.drift()) < drift:
+            drift, drift_state = law_drift, x
+    drift_ok = drift >= params.eps or math.isclose(drift, params.eps, rel_tol=FLOAT_SLACK)
+    beyond = {float(m) for _, law in pairs for m in np.abs(law.values[law.probs > 0]).tolist() if m > params.j_max}
+    js = np.array(sorted(set(range(params.j_max + 1)) | beyond), dtype=float)
+    tails = np.array([per_law_tails(law, js, variant != TWO_SIDED) for _, law in pairs])
+    largest = tails.max(axis=0)
+    log_bounds = params.log_bound(js)
+    with np.errstate(divide="ignore"):
+        log_largest = np.log(largest)
+    binding = {}
+    if largest[k := int(np.argmax(log_largest - log_bounds))] > 0.0:
+        j = float(js[k])
+        binding = dict(tail_log_margin=math.log(largest[k]) - params.log_bound(j), tail_j=j,
+                       tail_state=pairs[int(np.argmax(tails[:, k]))][0])
+    return ConditionReport(
+        variant=variant, mode="exact", params=params, drift=drift, drift_verdict="pass" if drift_ok else "fail",
+        tails=tuple(TailCheck(j, tail, params.bound(j), "pass" if log_tail <= log_bound + FLOAT_SLACK else "fail")
+                    for j, tail, log_tail, log_bound in zip(js.tolist(), largest.tolist(), log_largest.tolist(),
+                                                            log_bounds.tolist())),
+        drift_state=drift_state, **binding,
     )

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from driftlab import cli
 from driftlab.cli import main
 from driftlab.conditions import step_laws
 from driftlab.core import SERIAL_TRIAL_STEPS
@@ -37,6 +40,65 @@ def read_csv(path):
             else:
                 rows.append(dict(zip(header, next(csv.reader(io.StringIO(line))))))
     return provenance, header, rows, trailer
+
+
+def parsed(parse, argv):
+    """(the namespace or the exit code, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exit_info:
+            result = exit_info.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def parses_as_the_full_parser(monkeypatch):
+    """main() parses argv with the parser of the invoked subcommand only; every
+    argv a test here runs must give what the parser of all subcommands gives:
+    the same namespace, or the same exit code and output."""
+    lean = cli.parse_args
+
+    def parse_args(argv):
+        result, out, err = got = parsed(lean, argv)
+        # by repr, where a nan option value equals itself
+        assert repr(got) == repr(parsed(cli.build_parser().parse_args, argv)), argv
+        sys.stdout.write(out)
+        sys.stderr.write(err)
+        if not isinstance(result, argparse.Namespace):
+            raise SystemExit(result)
+        return result
+
+    monkeypatch.setattr(cli, "parse_args", parse_args)
+
+
+HELP_AND_ERRORS = [
+    (["--help"], 0),
+    *(([name, "--help"], 0) for name in ("simulate", "check", "constants", "bounds", "scaling", "list-presets")),
+    (["no-such-command"], 2),
+    (["check", "--preset", "counterexample-onesided", "--no-such-option"], 2),
+    (["--no-such-option", "check"], 2),
+    (["constants", "--eps", "1"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", HELP_AND_ERRORS, ids=[" ".join(argv) for argv, _ in HELP_AND_ERRORS])
+def test_help_and_errors_are_the_full_parsers(argv, code):
+    full = parsed(cli.build_parser().parse_args, argv)
+    assert full[0] == code and (full[1] if code == 0 else full[2])
+    assert parsed(cli.parse_args, argv) == full
+
+
+def test_a_parser_for_one_command_leaves_the_others_empty():
+    def options(parser):
+        subcommands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+        return {name: [a.dest for a in sub._actions] for name, sub in subcommands.choices.items()}
+
+    full, lean = options(cli.build_parser()), options(cli.build_parser("check"))
+    assert list(lean) == list(full) == ["simulate", "check", "constants", "bounds", "scaling", "list-presets"]
+    assert lean["check"] == full["check"] and len(full["check"]) > 1
+    assert all(dests == ["help"] for name, dests in lean.items() if name != "check")
 
 
 def test_list_presets(capsys):

@@ -245,13 +245,15 @@ class TestPerStateChecks:
         with pytest.raises(ValueError, match="strictly inside"):
             dl.check_conditions_exact([(16.0, law)], self.params, TWO_SIDED, self.window)
 
-    def test_laws_are_built_only_by_the_check(self, monkeypatch):
+    def test_laws_are_built_only_by_step_laws(self, monkeypatch):
         built = []
-        original = dl.NeedleOneOneEA.step_law
-        monkeypatch.setattr(dl.NeedleOneOneEA, "step_law", lambda self, s: built.append(s) or original(self, s))
+        original = dl.NeedleOneOneEA._law_row
+        monkeypatch.setattr(dl.NeedleOneOneEA, "_law_row",
+                            lambda self, d, binomials: built.append(d) or original(self, d, binomials))
         process = dl.NeedleOneOneEA(20)
         dl.run_trials(process, dl.DriftWindow(2.0, 5.0), 20, 100, master_seed=1)
-        laws = dl.step_laws(process, dl.DriftWindow(2.0, 5.0))
         assert built == []
+        laws = dl.step_laws(process, dl.DriftWindow(2.0, 5.0))
+        assert built == list(range(3, 21))
         dl.check_conditions_exact(laws, self.params, TWO_SIDED, dl.DriftWindow(2.0, 5.0))
         assert built == list(range(3, 21))

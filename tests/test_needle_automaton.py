@@ -8,8 +8,10 @@ with that replay, and the automaton must be built only where it pays.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +213,9 @@ class TestCraftedStreams:
 class TestWhenBuilt:
     def test_import_builds_no_automaton(self):
         code = "import driftlab.cli, driftlab.processes as p; print(len(p._AUTOMATA))"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        # the child imports this checkout's driftlab, whatever the shell exports
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "0"
 
     def test_needle_check_builds_no_automaton(self, builds, capsys):

@@ -1,9 +1,10 @@
 """The exact check's tail tables against independent references.
 
-`check_conditions_exact` reads every tail from one sorted tail table per law.
-Here it is compared with `reference_exact_check`, one masked sum per (state,
-index) in a Python loop, and each table tail with the exact rational sum of the
-law's float probabilities.
+`check_conditions_exact` reads every tail from one `LawTable` of all the
+checked states. Here it is compared with `reference_exact_check`, one masked
+sum per (state, index) in a Python loop, and bit for bit with
+`per_law_exact_check`, each law's own tail table; and each law's tail with the
+exact rational sum of the law's float probabilities.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import driftlab as dl
 from driftlab.conditions import ONE_SIDED, TWO_SIDED, step_laws
 from driftlab.presets import PRESETS
-from helpers import reference_exact_check
+from helpers import per_law_exact_check, reference_exact_check
 
 
 def assert_same_report(report, ref):
@@ -35,9 +36,29 @@ def assert_same_report(report, ref):
         assert abs(got.tail - want.tail) <= 4 * np.spacing(max(got.tail, want.tail)), got.j
 
 
+def bits(array):
+    return np.ascontiguousarray(array, dtype=float).view(np.int64).tolist()
+
+
+def assert_bit_equal_reports(got, want):
+    """Equal verdicts, states and indices, and every float with the same bits."""
+    assert (got.drift_verdict, got.drift_state, got.tail_state, got.tail_j) == (
+        want.drift_verdict, want.drift_state, want.tail_state, want.tail_j)
+    assert bits([got.drift]) == bits([want.drift])
+    assert (got.tail_log_margin is None) == (want.tail_log_margin is None)
+    if want.tail_log_margin is not None:
+        assert bits([got.tail_log_margin]) == bits([want.tail_log_margin])
+    assert [(t.j, t.bound, t.verdict) for t in got.tails] == [(t.j, t.bound, t.verdict) for t in want.tails]
+    assert bits([t.tail for t in got.tails]) == bits([t.tail for t in want.tails])
+
+
 def checked_both_ways(laws, params, variant, window):
+    """The check's report and the reference's; the report must also be the one
+    that each law on its own gives, bit for bit."""
     laws = laws if isinstance(laws, dl.JumpDistribution) else list(laws)
-    return dl.check_conditions_exact(laws, params, variant, window), reference_exact_check(laws, params, variant, window)
+    report = dl.check_conditions_exact(laws, params, variant, window)
+    assert_bit_equal_reports(report, per_law_exact_check(laws, params, variant, window))
+    return report, reference_exact_check(laws, params, variant, window)
 
 
 EXACT_PRESETS = [
