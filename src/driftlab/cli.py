@@ -1,5 +1,8 @@
 """Command-line harness: named experiments, config files, CSV emission.
 
+Every subcommand's options are one table, `commands()`. argparse builds its
+parser from it, and `parse_args` reads a plain argv from it directly.
+
 Exit codes: 0 when every requested check passes, 1 when a check fails,
 2 for configuration errors. CSV is the only data output format; each file
 embeds its full resolved configuration as '# key=value' header lines.
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, fields, replace
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
 from .conditions import TWO_SIDED, check_conditions_empirical, check_conditions_exact, harvest_step_samples, step_laws
@@ -256,80 +260,123 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def _add_common(parser: argparse.ArgumentParser, with_horizon: bool = False,
-                threads_help: str = "worker processes for trials") -> None:
-    parser.add_argument("--preset", help="name of a compiled-in experiment")
-    parser.add_argument("--config", help="path to a sectioned key-value config file")
-    parser.add_argument("--seed", type=int, dest="master_seed", help="override the master seed (unsigned 64-bit)")
-    parser.add_argument("--trials", type=int, help="override the trial count")
-    parser.add_argument("--threads", type=_worker_count, default=default_workers(), help=threads_help)
-    parser.add_argument("--out", help="CSV output path")
-    if with_horizon:
-        parser.add_argument("--horizon", type=int, help="override the simulation horizon (steps)")
+class Option(NamedTuple):
+    """One `--flag value` option of a subcommand, in argparse's terms."""
+
+    flag: str
+    dest: str
+    type: Optional[Callable[[str], Any]] = None
+    default: Any = None
+    required: bool = False
+    choices: Optional[list] = None
+    help: Optional[str] = None
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser. Every subcommand is there with its name and help; its
-    arguments are added when `command` is None or names it, so a parser for
-    one command parses that command's argv as the full parser does."""
+class Command(NamedTuple):
+    """One subcommand: its help, the function it runs and its options."""
+
+    help: str
+    func: Callable[[argparse.Namespace], int]
+    options: tuple[Option, ...] = ()
+
+
+_OUT = Option("--out", "out", help="CSV output path")
+
+
+def _common(with_horizon: bool = False, threads_help: str = "worker processes for trials") -> tuple[Option, ...]:
+    return (
+        Option("--preset", "preset", help="name of a compiled-in experiment"),
+        Option("--config", "config", help="path to a sectioned key-value config file"),
+        Option("--seed", "master_seed", int, help="override the master seed (unsigned 64-bit)"),
+        Option("--trials", "trials", int, help="override the trial count"),
+        Option("--threads", "threads", _worker_count, default_workers(), help=threads_help),
+        _OUT,
+        *([Option("--horizon", "horizon", int, help="override the simulation horizon (steps)")] if with_horizon else []),
+    )
+
+
+def commands() -> dict[str, Command]:
+    """Every subcommand with its help, function and options, in help order. Each
+    call evaluates the defaults afresh, `default_workers()` included."""
+    return {
+        "simulate": Command("run trials and report the hitting probability", cmd_simulate, _common(with_horizon=True)),
+        "check": Command("check the drift and jump-tail conditions", cmd_check, (
+            *_common(threads_help="unused: check runs no trials"),
+            Option("--jump-table", "jump_table",
+                   help="also export the one step law of a state-independent process as CSV"),
+        )),
+        "constants": Command("derive the escape-bound constants", cmd_constants, (
+            Option("--eps", "eps", float, required=True),
+            Option("--delta", "delta", float, required=True),
+            Option("--r", "r", float, 2.0),
+            Option("--ell", "ell", float, required=True),
+            Option("--prob-target", "prob_target", float, 0.5),
+            _OUT,
+        )),
+        "bounds": Command("run an inequality sweep suite", cmd_bounds, (
+            Option("--suite", "suite", default="all", choices=sorted(SWEEPS) + ["all"]),
+            *(Option("--" + f.name.replace("_", "-"), f.name, int, f.default) for f in fields(SweepGrid)),
+            # Workers check and format whole slabs: the default grid takes about 4.7 s
+            # on one process and 2.6 s on two (2-CPU host, same bytes). The default
+            # stays one process because a tracer or profiler in the calling process,
+            # such as the benchmark's traced run, counts only the links it checks.
+            Option("--threads", "threads", _worker_count, 1, help="worker processes for the sweeps (default 1)"),
+            _OUT,
+        )),
+        "scaling": Command("run a process family across window lengths", cmd_scaling, _common()),
+        "list-presets": Command("list compiled-in experiments", cmd_list_presets),
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, with every subcommand's options from `commands()`."""
     parser = argparse.ArgumentParser(
         prog="driftlab",
         description="Drift-analysis laboratory: simulate, check conditions, derive constants, sweep bounds.",
     )
     parser.add_argument("--version", action="version", version=f"driftlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run trials and report the hitting probability")
-    p.set_defaults(func=cmd_simulate)
-    if command in (None, "simulate"):
-        _add_common(p, with_horizon=True)
-
-    p = sub.add_parser("check", help="check the drift and jump-tail conditions")
-    p.set_defaults(func=cmd_check)
-    if command in (None, "check"):
-        _add_common(p, threads_help="unused: check runs no trials")
-        p.add_argument("--jump-table", dest="jump_table",
-                       help="also export the one step law of a state-independent process as CSV")
-
-    p = sub.add_parser("constants", help="derive the escape-bound constants")
-    p.set_defaults(func=cmd_constants)
-    if command in (None, "constants"):
-        p.add_argument("--eps", type=float, required=True)
-        p.add_argument("--delta", type=float, required=True)
-        p.add_argument("--r", type=float, default=2.0)
-        p.add_argument("--ell", type=float, required=True)
-        p.add_argument("--prob-target", type=float, default=0.5, dest="prob_target")
-        p.add_argument("--out", help="CSV output path")
-
-    p = sub.add_parser("bounds", help="run an inequality sweep suite")
-    p.set_defaults(func=cmd_bounds)
-    if command in (None, "bounds"):
-        p.add_argument("--suite", choices=sorted(SWEEPS) + ["all"], default="all")
-        for f in fields(SweepGrid):
-            p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default, dest=f.name)
-        # Workers check and format whole slabs: the default grid takes about 4.7 s
-        # on one process and 2.6 s on two (2-CPU host, same bytes). The default
-        # stays one process because a tracer or profiler in the calling process,
-        # such as the benchmark's traced run, counts only the links it checks.
-        p.add_argument("--threads", type=_worker_count, default=1, help="worker processes for the sweeps (default 1)")
-        p.add_argument("--out", help="CSV output path")
-
-    p = sub.add_parser("scaling", help="run a process family across window lengths")
-    p.set_defaults(func=cmd_scaling)
-    if command in (None, "scaling"):
-        _add_common(p)
-
-    p = sub.add_parser("list-presets", help="list compiled-in experiments")
-    p.set_defaults(func=cmd_list_presets)
+    for name, command in commands().items():
+        p = sub.add_parser(name, help=command.help)
+        p.set_defaults(func=command.func)
+        for option in command.options:
+            settings = option._asdict()
+            p.add_argument(settings.pop("flag"), **settings)
     return parser
 
 
+def _parse_plain(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse gives for a subcommand name followed by `--flag value`
+    pairs, each flag one of its exact long flags and no value starting with '-';
+    None for any other argv or for a value that argparse would refuse."""
+    command = commands().get(argv[0]) if argv and len(argv) % 2 else None
+    if command is None:
+        return None
+    options = {option.flag: option for option in command.options}
+    values = {option.dest: option.default for option in command.options}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if (option := options.get(flag)) is None or text.startswith("-"):
+            return None
+        try:
+            value = text if option.type is None else option.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if any(option.required and option.flag not in argv[1::2] for option in command.options):
+        return None
+    # argparse's attribute order: the subcommand, its options' dests, its defaults
+    return argparse.Namespace(command=argv[0], **values, func=command.func)
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the parser of the subcommand it invokes. argparse runs the
-    subcommand named by the first argument that does not start with '-', since
-    the top level's only options take no value. When that argument names no
-    subcommand, argparse reports the invalid choice from the names alone."""
-    return build_parser(next((arg for arg in argv if not arg.startswith("-")), None)).parse_args(argv)
+    """argv parsed as `build_parser()` parses it. A plain argv (see `_parse_plain`)
+    is read straight from the option table, without building a parser, whose
+    first gettext lookup imports `locale`; everything else, help, errors and
+    `--version` included, goes to argparse."""
+    args = _parse_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

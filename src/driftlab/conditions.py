@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class ConditionParams:
             return math.inf
 
 
-@dataclass(frozen=True)
-class TailCheck:
+class TailCheck(NamedTuple):
     """Verdict for one tail index j."""
 
     j: float

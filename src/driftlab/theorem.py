@@ -93,8 +93,14 @@ def derive_constants(
     if not 0.0 < prob_target < 1.0:
         raise ValueError(f"prob_target must lie in (0, 1), got {prob_target}")
     gamma, d_bound = _moment_constants(delta, r)
-    c_bound = d_bound / (gamma * gamma)
+    # at the edges of the double range D̄ overflows or γ² underflows, so λ·ε reaches 0
+    c_bound = d_bound / (gamma * gamma) if gamma * gamma > 0.0 else math.inf
     lam = min(gamma, eps / (2.0 * c_bound))
+    if lam * eps == 0.0:
+        raise ValueError(
+            f"eps={eps}, delta={delta} and r={r} lie beyond the double range of the constants: "
+            "lambda*eps underflows to 0, so p_ell = 2/(lambda*eps) is undefined"
+        )
     p_ell = 2.0 / (lam * eps)
     ln_horizon = math.log(prob_target) + lam * ell - math.log(d_bound) - math.log(p_ell)
     log2_horizon = ln_horizon / _LN2

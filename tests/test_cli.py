@@ -10,6 +10,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from driftlab import cli
 from driftlab.cli import main
@@ -55,9 +56,9 @@ def parsed(parse, argv):
 
 @pytest.fixture(autouse=True)
 def parses_as_the_full_parser(monkeypatch):
-    """main() parses argv with the parser of the invoked subcommand only; every
-    argv a test here runs must give what the parser of all subcommands gives:
-    the same namespace, or the same exit code and output."""
+    """main() reads a plain argv from the option table without argparse; every
+    argv a test here runs must give what the full parser gives: the same
+    namespace, or the same exit code and output."""
     lean = cli.parse_args
 
     def parse_args(argv):
@@ -90,15 +91,63 @@ def test_help_and_errors_are_the_full_parsers(argv, code):
     assert parsed(cli.parse_args, argv) == full
 
 
-def test_a_parser_for_one_command_leaves_the_others_empty():
-    def options(parser):
-        subcommands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-        return {name: [a.dest for a in sub._actions] for name, sub in subcommands.choices.items()}
+COMMANDS = cli.commands()
+FLAGS = sorted({option.flag for command in COMMANDS.values() for option in command.options})
+VALUES = ["", "-1", "0", "3", "nan", "x", *sorted(SWEEPS), "all"]
+#: the unwrapped parse_args, taken before the autouse fixture wraps it
+LEAN_PARSE_ARGS = cli.parse_args
+FLAG_TOKENS = st.one_of(
+    st.sampled_from(FLAGS),
+    st.sampled_from(FLAGS).map(lambda flag: flag[:max(3, len(flag) - 2)]),  # abbreviations
+    st.builds("{}={}".format, st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+    st.sampled_from(["-h", "--help", "--version"]),
+)
+TOKENS = st.one_of(st.sampled_from(list(COMMANDS)), FLAG_TOKENS, st.sampled_from(VALUES))
+ARGVS = st.builds(
+    lambda head, pairs, tail: [*head, *(token for pair in pairs for token in pair), *tail],
+    st.lists(st.sampled_from(list(COMMANDS)) | TOKENS, max_size=1),
+    st.lists(st.tuples(FLAG_TOKENS, st.sampled_from(VALUES)), max_size=4),
+    st.lists(TOKENS, max_size=2),
+)
 
-    full, lean = options(cli.build_parser()), options(cli.build_parser("check"))
-    assert list(lean) == list(full) == ["simulate", "check", "constants", "bounds", "scaling", "list-presets"]
-    assert lean["check"] == full["check"] and len(full["check"]) > 1
-    assert all(dests == ["help"] for name, dests in lean.items() if name != "check")
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=ARGVS)
+def test_parse_args_is_the_full_parser_on_any_argv(argv):
+    lean = parsed(LEAN_PARSE_ARGS, argv)
+    # by repr, where a nan option value equals itself
+    assert repr(lean) == repr(parsed(cli.build_parser().parse_args, argv))
+
+
+def test_a_plain_argv_builds_no_parser_and_imports_no_locale(tmp_path):
+    # a fresh interpreter: an argparse parser's first gettext lookup imports locale for good
+    code = (
+        "import argparse, contextlib, io, json, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import driftlab.cli\n"
+        "seen = {}\n"
+        "for argv in (['check', '--preset', 'counterexample-onesided', '--seed', '7', '--threads', '2'],\n"
+        "             ['simulate', '--preset', 'counterexample-n10', '--trials', '20', '--threads', '1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = driftlab.cli.main(argv)\n"
+        "    seen[argv[0]] = [code, len(built), 'locale' in sys.modules]\n"
+        "driftlab.cli.build_parser()\n"
+        "seen['build_parser'] = [0, len(built) > 0, 'locale' in sys.modules]\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
+    )
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen["check"] == [0, 0, False] and seen["simulate"] == [0, 0, False]
+    # the positive control: the full parser is counted and imports locale
+    assert seen["build_parser"] == [0, True, True]
 
 
 def test_list_presets(capsys):
@@ -410,6 +459,12 @@ def test_non_finite_inputs_exit_two(tmp_path, capsys):
             assert main([command, "--config", str(config)]) == 2, (kind, key, value, command)
             line = _single_error_line(capsys)
             assert key in line and value in line, (kind, key, value, command)
+
+
+def test_constants_beyond_the_double_range_exit_two(capsys):
+    assert main(["constants", "--eps", "1", "--delta", "1e308", "--ell", "10"]) == 2
+    line = _single_error_line(capsys)
+    assert all(f"{name}=" in line for name in ("eps", "delta", "r"))
 
 
 def test_horizon_below_one_step_exits_two(capsys):

@@ -143,6 +143,12 @@ class TestDeriveConstants:
         with pytest.raises(ValueError):
             dl.derive_constants(1.0, 1.0, 2.0, 10.0, prob_target=1.0)
 
+    @pytest.mark.parametrize("eps,delta,r", [(1.0, 1e308, 2.0), (1.0, 1e-320, 2.0), (1.0, 1.0, 1e308), (1e-320, 1.0, 2.0)])
+    def test_inputs_at_the_edges_of_the_double_range_are_refused(self, eps, delta, r):
+        # D̄ overflows to inf or γ² underflows, so λ·ε reaches 0 and p_ell would divide by it
+        with pytest.raises(ValueError, match=r"eps=.*delta=.*r="):
+            dl.derive_constants(eps, delta, r, 10.0)
+
     def test_derivation_trace_covers_all_symbols(self):
         c = dl.derive_constants(1.0, 1.0, 2.0, 50.0)
         symbols = [row[0] for row in c.derivation_trace()]
