@@ -16,19 +16,12 @@ from dataclasses import asdict, fields, replace
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
-from .conditions import TWO_SIDED, check_conditions_empirical, check_conditions_exact, harvest_step_samples, step_laws
-from .core import default_workers, estimate_hitting_probability, ordered_map
-from .presets import PRESETS, ExperimentConfig, get_preset, load_config
-from .reporting import (
-    condition_report_columns,
-    condition_report_rows,
-    condition_summary,
-    constants_trace,
-    format_cell,
-    format_links,
-    format_trials,
-    write_csv,
+from .conditions import (
+    TWO_SIDED, TailCheck, check_conditions_empirical, check_conditions_exact, harvest_step_samples, step_laws
 )
+from .core import default_workers, estimate_hitting_probability, ordered_map
+from .presets import AUTO, PRESETS, WINDOW, ExperimentConfig, get_preset, load_config, parse_horizon
+from .reporting import condition_summary, constants_trace, format_cell, format_links, format_trials, write_csv
 from .jumps import JumpDistribution
 from .theorem import derive_constants, hajek_escape_bound
 from .inequalities import SWEEPS, SweepGrid, check_grid, slab_count
@@ -127,7 +120,7 @@ def cmd_check(args) -> int:
         provenance["tail_log_margin"] = report.tail_log_margin
     provenance["overall"] = report.overall()
     if args.out:
-        write_csv(args.out, provenance, condition_report_columns(), condition_report_rows(report))
+        write_csv(args.out, provenance, list(TailCheck._fields), report.tails)
     print(condition_summary(report))
     return 0 if report.overall() == "pass" else 1
 
@@ -255,9 +248,18 @@ def cmd_list_presets(args) -> int:
 
 
 def _worker_count(text: str) -> int:
+    """N workers, clamped at the CPUs this process may run on."""
     if (workers := int(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return workers
+    return min(workers, default_workers())
+
+
+def _horizon(text: str):
+    """A --horizon value, read by the rule a config file's horizon is read by."""
+    try:
+        return parse_horizon(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, {AUTO!r} or {WINDOW!r}, got {text!r}") from None
 
 
 class Option(NamedTuple):
@@ -283,7 +285,9 @@ class Command(NamedTuple):
 _OUT = Option("--out", "out", help="CSV output path")
 
 
-def _common(with_horizon: bool = False, threads_help: str = "worker processes for trials") -> tuple[Option, ...]:
+def _common(
+    with_horizon: bool = False, threads_help: str = "worker processes for trials, at most the CPUs available"
+) -> tuple[Option, ...]:
     return (
         Option("--preset", "preset", help="name of a compiled-in experiment"),
         Option("--config", "config", help="path to a sectioned key-value config file"),
@@ -291,7 +295,8 @@ def _common(with_horizon: bool = False, threads_help: str = "worker processes fo
         Option("--trials", "trials", int, help="override the trial count"),
         Option("--threads", "threads", _worker_count, default_workers(), help=threads_help),
         _OUT,
-        *([Option("--horizon", "horizon", int, help="override the simulation horizon (steps)")] if with_horizon else []),
+        *([Option("--horizon", "horizon", _horizon, help="override the simulation horizon: steps, auto or window")]
+          if with_horizon else []),
     )
 
 
@@ -320,7 +325,8 @@ def commands() -> dict[str, Command]:
             # on one process and 2.6 s on two (2-CPU host, same bytes). The default
             # stays one process because a tracer or profiler in the calling process,
             # such as the benchmark's traced run, counts only the links it checks.
-            Option("--threads", "threads", _worker_count, 1, help="worker processes for the sweeps (default 1)"),
+            Option("--threads", "threads", _worker_count, 1,
+                   help="worker processes for the sweeps, at most the CPUs available (default 1)"),
             _OUT,
         )),
         "scaling": Command("run a process family across window lengths", cmd_scaling, _common()),

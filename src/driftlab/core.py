@@ -103,18 +103,15 @@ class HittingEstimate:
             raise ValueError("estimate must satisfy 0 <= ci_low <= point <= ci_high <= 1")
 
 
-#: trial-steps below which run_trials stays serial on the stepped path, where a
-#: trial seeds its own generator; simulate-long's 2.2M long needle and walk
-#: trial-steps go to the pool. Two workers broke even with one at about 350k
-#: steps of the geometric walk (8 trials, in-process, 2-vCPU host) and ran
-#: 2.2M in 0.6 times the serial time. Re-measure it before changing it.
-SERIAL_TRIAL_STEPS = 2_000_000
-#: the same cutoff on the batched path (a process with batch_hitting_times), in
-#: the doubles its trials read (trials * batch_doubles) whatever the budget: two
-#: workers broke even with one at about 300k doubles at n = 10, 15 and 25
-#: (in-process, 2-vCPU host), so simulate-short's 300k doubles gain nothing
-#: from the pool and stay serial
-SERIAL_BATCH_STEPS = 4_000_000
+#: work below which run_trials stays serial: trials * max_steps on the stepped
+#: path, where a trial seeds its own generator, and trials * batch_doubles, the
+#: doubles its trials read, on the batched path. Two workers broke even with
+#: one at about 350k steps of the geometric walk (8 trials) and at about 300k
+#: doubles of the counterexample chain at n = 10, 15 and 25, and ran 2.2M walk
+#: steps in 0.6 times the serial time (in-process, 2-vCPU host). So
+#: simulate-short's 300k doubles stay serial and simulate-long's 2.2M long
+#: needle and walk trial-steps go to the pool. Re-measure it before changing it.
+SERIAL_WORK = 2_000_000
 
 #: initial states a trial draws at most before it gives up on a start at or above b
 START_ATTEMPTS = 1000
@@ -147,29 +144,22 @@ def _run_trial(process, window: DriftWindow, max_steps: int, rng) -> tuple[float
     raise _start_error(x0, window)
 
 
-def _run_batch(process, window: DriftWindow, max_steps: int, master_seed: int, lo: int, hi: int) -> TrialOutcomes:
-    """Trials [lo, hi) of a process with a batched hitting-time hook. Its start
-    draws nothing, so it is resolved once, and each trial's doubles are read a
-    block of trials at a time."""
-    state = process.initial_state(None)
-    x0 = process.potential(state)
-    if x0 < window.b:
-        raise _start_error(x0, window)
-    k = process.batch_doubles(state, window.a, max_steps)
+def _run_chunk(task) -> TrialOutcomes:
+    """Trials [lo, hi) of a run. `batch` is None for a process that steps, and
+    otherwise the (state, potential, doubles per trial) that run_trials resolved
+    for the batched hook: each trial's doubles are read a block of trials at a
+    time."""
+    process, window, max_steps, master_seed, lo, hi, batch = task
+    if batch is None:
+        trials = [_run_trial(process, window, max_steps, rng) for _, rng in trial_generators(master_seed, lo, hi)]
+        return TrialOutcomes(lo, *map(list, zip(*trials)))
+    state, x0, k = batch
     block = max(1, BATCH_DOUBLES // max(1, k))
     hit_times = []
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
         hit_times += process.batch_hitting_times(state, trial_uniforms(master_seed, start, stop, k), window.a)
     return TrialOutcomes(lo, [x0] * (hi - lo), hit_times)
-
-
-def _run_chunk(args) -> TrialOutcomes:
-    process, window, max_steps, master_seed, lo, hi = args
-    if hasattr(process, "batch_hitting_times"):
-        return _run_batch(*args)
-    trials = [_run_trial(process, window, max_steps, rng) for _, rng in trial_generators(master_seed, lo, hi)]
-    return TrialOutcomes(lo, *map(list, zip(*trials)))
 
 
 def run_trials(
@@ -187,25 +177,30 @@ def run_trials(
     master_seed outside [0, 2**64) before any work starts, and processes that
     start below the start threshold b in START_ATTEMPTS draws in a row, such as
     a deterministic start below b (a misconfigured experiment, not a hit).
+    A process with a batched hitting-time hook starts without a draw, so its
+    start is resolved, and checked, once. The run goes to the pool, in
+    min(trials, 4 * workers) chunks, once its work reaches SERIAL_WORK.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     check_seed_args(master_seed, 0)
+    batch, per_trial = None, max_steps
+    if hasattr(process, "batch_hitting_times"):
+        state = process.initial_state(None)
+        x0 = process.potential(state)
+        if x0 < window.b:
+            raise _start_error(x0, window)
+        per_trial = process.batch_doubles(state, window.a, max_steps)
+        batch = state, x0, per_trial
     workers = max(1, int(workers))
-    batched = hasattr(process, "batch_hitting_times")
-    per_trial = process.batch_doubles(process.initial_state(None), window.a, max_steps) if batched else max_steps
-    serial = trials * per_trial < (SERIAL_BATCH_STEPS if batched else SERIAL_TRIAL_STEPS)
-    if workers == 1 or trials < 4 * workers or serial:
-        return _run_chunk((process, window, max_steps, master_seed, 0, trials))
+    if workers == 1 or trials * per_trial < SERIAL_WORK:
+        return _run_chunk((process, window, max_steps, master_seed, 0, trials, batch))
     n_chunks = min(trials, 4 * workers)
-    bounds = [round(k * trials / n_chunks) for k in range(n_chunks + 1)]
-    tasks = [
-        (process, window, max_steps, master_seed, lo, hi)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
+    # k * trials // n_chunks grows by at least one with k, as n_chunks <= trials
+    bounds = [k * trials // n_chunks for k in range(n_chunks + 1)]
+    tasks = [(process, window, max_steps, master_seed, lo, hi, batch) for lo, hi in zip(bounds, bounds[1:])]
     # filled in place, so the columns take no more room than a serial run's
     starts, hit_times = [None] * trials, [None] * trials
     for chunk in ordered_map(_run_chunk, tasks, workers):

@@ -233,9 +233,14 @@ _LAYOUT = {
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
+def parse_horizon(raw: str) -> Union[int, str]:
+    """A horizon as a config file or --horizon spells it: AUTO, WINDOW or an int."""
+    return raw if raw in (AUTO, WINDOW) else int(raw)
+
+
 def _parse_field(name: str, raw: str):
     if name == "horizon":
-        return raw if raw in (AUTO, WINDOW) else int(raw)
+        return parse_horizon(raw)
     if name == "ell_values":
         return tuple(float(v) for v in raw.split(",")) if raw else ()
     return _FIELD_TYPES[name](raw)

@@ -71,8 +71,10 @@ _MAX_BUCKET_BITS = 16
 
 
 class _BucketSearch:
-    """np.searchsorted(edges, u, side) by one table lookup per double, exact for
-    every double u in [0, 1), so for every double Generator.random returns.
+    """np.searchsorted(edges, u, "right") by one table lookup per double, exact
+    for every double u in [0, 1), so for every double Generator.random returns.
+    For doubles e < u holds exactly when nextafter(e, inf) <= u, so the search
+    on the left is this one on the edges' next doubles.
 
     [0, 1) is cut into 2**B buckets of equal width. u · 2**B is exact, so its
     integer part is u's bucket. The search is monotone in u, so where it agrees
@@ -81,25 +83,20 @@ class _BucketSearch:
     the few doubles that land in one are searched. This is Chen & Asau's (1974)
     guide table, made exact on numpy's doubles.
 
-    The table comes from the edges, which lie in [0, 1], with no search. An
-    edge counts in the search of every double from bucket `counted` on and of
-    none below bucket `clear`; where the two differ, the edge splits bucket
-    `clear`. On the right an edge counts from itself on, so one at a bucket's
-    first double splits nothing; on the left it counts past itself, so one at
-    a bucket's last double splits nothing.
+    The table comes from the edges, which are at least 0, with no search. An
+    edge e counts in the search of every double from bucket ceil(e * 2**B) on
+    and of none below bucket floor(e * 2**B); where the two differ, the edge
+    splits the lower one. So an edge at a bucket's first double splits
+    nothing, and one at 1 or above counts for no double.
     """
 
-    def __init__(self, edges: np.ndarray, side: str):
+    def __init__(self, edges: np.ndarray):
         self.edges = edges
-        self.side = side
         bits = min(_MAX_BUCKET_BITS, (len(edges) * _BUCKETS_PER_EDGE - 1).bit_length())
         size = 1 << bits
         self.scale = float(size)
         scaled = edges * self.scale  # exact: the scale is a power of two
-        if side == "right":
-            counted, clear = np.ceil(scaled), np.floor(scaled)
-        else:
-            counted, clear = np.floor(scaled) + 1.0, np.floor(np.nextafter(edges, np.inf) * self.scale)
+        counted, clear = np.ceil(scaled), np.floor(scaled)
         counts = np.bincount(np.minimum(counted, size).astype(np.intp), minlength=size + 1)
         self.table = np.cumsum(counts[:size], dtype=np.int32)
         split = clear[(counted > clear) & (clear < size)]
@@ -108,7 +105,7 @@ class _BucketSearch:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         found = self.table.take((u * self.scale).astype(np.intp))
         searched = np.flatnonzero(found < 0)
-        found[searched] = np.searchsorted(self.edges, u[searched], self.side)
+        found[searched] = np.searchsorted(self.edges, u[searched], "right")
         return found
 
 
@@ -343,7 +340,8 @@ class GeometricDriftWalk(Process):
 
     @functools.cached_property
     def _magnitude_search(self) -> _BucketSearch:
-        return _BucketSearch(self._search_cdf, "left")
+        # u draws the first X with u <= sums[X], so X counts the sums below u
+        return _BucketSearch(np.nextafter(self._search_cdf, np.inf))
 
     def step_law(self, state=None) -> JumpDistribution:
         """Table truncated once the omitted mass drops below 1e-16.
@@ -473,10 +471,6 @@ _MAX_AUTOMATON_ENTRIES = 1 << 21
 #: margin covers trials that hit early: such a trial wastes at most one build
 #: per process and key, at most about 50 ms at the 2**21-entry cap.
 _STEPS_PER_ENTRY = 0.25
-#: automata by (n, p, floor_a), built in the process that first needs one; the
-#: oldest goes once _MAX_AUTOMATA are held
-_AUTOMATA: dict = {}
-_MAX_AUTOMATA = 4
 
 
 def _draw_cap(px: tuple) -> int:
@@ -512,7 +506,7 @@ class _NeedleAutomaton:
         # counts[k][c]: the X that Bin(k, p) returns on cell c, or cap for any more
         counts = {k: np.searchsorted(ts, lowers, side="right").tolist() for k, ts in thresholds.items()}
         self.boundaries = np.array(boundaries)
-        self._cells = _BucketSearch(self.boundaries, "right")
+        self._cells = _BucketSearch(self.boundaries)
         self.sink = sink = []
         sink.extend([sink] * len(lowers))
         phase_a = {d: [] for d in live}
@@ -533,13 +527,11 @@ class _NeedleAutomaton:
         return None if end is self.sink else end[-1]
 
 
-def _needle_automaton(key: tuple) -> _NeedleAutomaton:
-    """The automaton for key = (n, p, floor_a), built and kept on first use."""
-    if key not in _AUTOMATA:
-        if len(_AUTOMATA) == _MAX_AUTOMATA:
-            del _AUTOMATA[next(iter(_AUTOMATA))]
-        _AUTOMATA[key] = _NeedleAutomaton(*key)
-    return _AUTOMATA[key]
+@functools.lru_cache(maxsize=4)
+def _needle_automaton(n: int, p: float, floor_a: int) -> _NeedleAutomaton:
+    """The automaton for (n, p, floor_a), built in the process that first needs
+    it; the four last used are kept."""
+    return _NeedleAutomaton(n, p, floor_a)
 
 
 def _binomial_pmf(k: int, p: float) -> np.ndarray:
@@ -680,10 +672,7 @@ class NeedleOneOneEA(_MutationChain):
             return 1
         n = self.n
         floor_a = math.floor(a) if a < n else n
-        key = (n, p, floor_a)
-        automaton = _AUTOMATA.get(key)
-        if automaton is None and max_steps >= self._automaton_build_at(floor_a):
-            automaton = _needle_automaton(key)
+        automaton = _needle_automaton(n, p, floor_a) if max_steps >= self._automaton_build_at(floor_a) else None
         d, t = state, 0
         for size in _block_sizes():
             u = rng.random(2 * min(size, max_steps - t))

@@ -119,17 +119,6 @@ def write_csv(path: str, provenance: dict, columns: list[str], rows: Iterable, t
             fh.write(trailer if trailer.endswith("\n") else trailer + "\n")
 
 
-def condition_report_columns() -> list[str]:
-    return ["j", "tail", "bound", "verdict", "count", "ci_low", "ci_high"]
-
-
-def condition_report_rows(report) -> list[tuple]:
-    return [
-        (t.j, t.tail, t.bound, t.verdict, t.count, t.ci_low, t.ci_high)
-        for t in report.tails
-    ]
-
-
 def condition_summary(report) -> str:
     """Human-readable block for one condition report."""
     lines = [

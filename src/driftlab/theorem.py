@@ -83,11 +83,8 @@ def derive_constants(
     eps: float, delta: float, r: float, ell: float, prob_target: float = 0.5
 ) -> TheoremConstants:
     """Compute the full constant chain for given condition parameters."""
+    ConditionParams(eps, delta, r)  # raises for (eps, delta, r) outside the conditions' domain
     # written so that NaN fails each comparison
-    if not (0 < eps < math.inf and 0 < delta < math.inf):
-        raise ValueError(f"need finite eps > 0 and delta > 0, got eps={eps}, delta={delta}")
-    if not 1.0 <= r < math.inf:
-        raise ValueError(f"r must be >= 1 and finite, got {r}")
     if not 0 < ell < math.inf:
         raise ValueError(f"ell must be positive and finite, got {ell}")
     if not 0.0 < prob_target < 1.0:

@@ -1,5 +1,6 @@
 """The bucket table of the long-trial kernels equals np.searchsorted on every
-double Generator.random can return."""
+double Generator.random can return: on the right, and on the left as the
+table of the edges' next doubles, since e < u exactly when nextafter(e) <= u."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ import driftlab as dl
 from driftlab.processes import _MAX_UNIFORM, _BucketSearch, _NeedleAutomaton
 
 
-def probes(search: _BucketSearch) -> np.ndarray:
+def bucket_search(edges: np.ndarray, side: str) -> _BucketSearch:
+    """The table whose lookups equal np.searchsorted(edges, u, side)."""
+    return _BucketSearch(edges if side == "right" else np.nextafter(edges, np.inf))
+
+
+def probes(edges: np.ndarray, search: _BucketSearch) -> np.ndarray:
     """Each edge and its neighbours, each bucket's first and last double, 0.0,
     the largest double random() returns and 10^6 random doubles, within [0, 1)."""
-    edges = search.edges
     starts = np.arange(int(search.scale)) / search.scale
     u = np.concatenate([
         edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
@@ -21,11 +26,11 @@ def probes(search: _BucketSearch) -> np.ndarray:
     return u[(u >= 0.0) & (u < 1.0)]
 
 
-def assert_equals_searchsorted(search: _BucketSearch) -> None:
-    u = probes(search)
-    assert search(u).tolist() == np.searchsorted(search.edges, u, search.side).tolist()
+def assert_equals_searchsorted(search: _BucketSearch, edges: np.ndarray, side: str) -> None:
+    u = probes(edges, search)
+    assert search(u).tolist() == np.searchsorted(edges, u, side).tolist()
     # a strided view, as the walk passes every other double of its block
-    assert search(u[1::2]).tolist() == np.searchsorted(search.edges, u[1::2], search.side).tolist()
+    assert search(u[1::2]).tolist() == np.searchsorted(edges, u[1::2], side).tolist()
 
 
 def crafted_edges() -> np.ndarray:
@@ -40,20 +45,21 @@ def crafted_edges() -> np.ndarray:
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_crafted_edges(side):
-    search = _BucketSearch(crafted_edges(), side)
+    edges = crafted_edges()
+    search = bucket_search(edges, side)
     assert search.scale == 2.0**13
     # the bucket that starts at an edge holds -1 on the left and a value on the right
     assert (search.table[1000] < 0) == (side == "left")
     assert search.table[2000] < 0
-    assert_equals_searchsorted(search)
+    assert_equals_searchsorted(search, edges, side)
 
 
 def searched_table(search: _BucketSearch) -> np.ndarray:
     """The table by its definition: the search at each bucket's first double
     where it equals the search at the bucket's last double, -1 elsewhere."""
     grid = np.arange(int(search.scale) + 1) / search.scale
-    first = np.searchsorted(search.edges, grid[:-1], search.side)
-    last = np.searchsorted(search.edges, np.nextafter(grid[1:], 0.0), search.side)
+    first = np.searchsorted(search.edges, grid[:-1], "right")
+    last = np.searchsorted(search.edges, np.nextafter(grid[1:], 0.0), "right")
     return np.where(first == last, first, -1)
 
 
@@ -64,11 +70,11 @@ def test_the_table_equals_its_definition(side):
     rng = np.random.default_rng(11)
     for _ in range(300):
         edges = rng.random(int(rng.integers(0, 80)))
-        width = 1.0 / _BucketSearch(edges, side).scale
+        width = 1.0 / _BucketSearch(edges).scale
         starts = rng.integers(0, int(1 / width), 4) * width
         special = [0.0, _MAX_UNIFORM, 1.0, *starts, *np.nextafter(starts[1:], 0.0), starts[0]]
         edges = np.sort(np.concatenate([edges, rng.choice(special, int(rng.integers(0, 6)))]))
-        search = _BucketSearch(edges, side)
+        search = bucket_search(edges, side)
         assert search.table.dtype == np.int32
         assert search.table.tolist() == searched_table(search).tolist(), edges.tolist()
 
@@ -76,26 +82,27 @@ def test_the_table_equals_its_definition(side):
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("edges", [[], [0.5], [0.0], [_MAX_UNIFORM], [1.0]])
 def test_few_edges(side, edges):
-    search = _BucketSearch(np.array(edges, dtype=float), side)
+    edges = np.array(edges, dtype=float)
+    search = bucket_search(edges, side)
     assert search.table.tolist() == searched_table(search).tolist()
-    assert_equals_searchsorted(search)
+    assert_equals_searchsorted(search, edges, side)
 
 
 def test_needle_automaton_cells():
     automaton = _NeedleAutomaton(50, 1 / 50, 0)
     search = automaton._cells
-    assert search.edges is automaton.boundaries and search.side == "right"
+    assert search.edges is automaton.boundaries
     # the automaton's 445 cell edges get 2^16 buckets of 4 bytes
     assert len(search.edges) == 445 and search.scale == 2.0**16 and search.table.nbytes == 1 << 18
     assert search.table.tolist() == searched_table(search).tolist()
-    assert_equals_searchsorted(search)
+    assert_equals_searchsorted(search, automaton.boundaries, "right")
 
 
 @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
 def test_walk_magnitudes(delta):
     walk = dl.GeometricDriftWalk(0.2, delta)
     search = walk._magnitude_search
-    assert search.edges is walk._search_cdf and search.side == "left"
+    assert search.edges.tolist() == np.nextafter(walk._search_cdf, np.inf).tolist()
     assert search.scale <= 2.0**14
     assert search.table.tolist() == searched_table(search).tolist()
-    assert_equals_searchsorted(search)
+    assert_equals_searchsorted(search, walk._search_cdf, "left")

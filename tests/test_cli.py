@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from driftlab import cli
+from driftlab import cli, core
 from driftlab.cli import main
 from driftlab.conditions import step_laws
-from driftlab.core import SERIAL_TRIAL_STEPS
+from driftlab.core import SERIAL_WORK
 from driftlab.inequalities import SWEEPS, InequalityResult
 from driftlab.presets import PRESETS, ExperimentConfig, load_config
 from helpers import PEA_PRIME_CHECK_INI, config_file_text
@@ -581,6 +581,69 @@ def test_threads_below_one_exit_two(argv, threads, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A process that may run on two CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize("command", ["simulate", "check", "scaling", "bounds"])
+def test_threads_are_clamped_at_the_cpus_available(command, two_cpus):
+    argv = [command] + (["--preset", "counterexample-n10"] if command != "bounds" else [])
+    assert cli.parse_args([*argv, "--threads", "1000"]).threads == 2
+    assert cli.parse_args([*argv, "--threads", "1"]).threads == 1
+
+
+def test_bounds_with_a_thousand_threads_uses_the_cpus_available(two_cpus, monkeypatch, capsys):
+    # a recording stub in place of the pool, which maps the slabs in this process
+    pools = []
+    monkeypatch.setattr(cli, "ordered_map", lambda fn, tasks, workers: pools.append(workers) or map(fn, tasks))
+    assert main(["bounds", "--suite", "mutation", "--n-max", "5", "--threads", "1000"]) == 0
+    assert pools == [2]
+
+
+def test_simulate_with_a_thousand_threads_uses_the_cpus_available(two_cpus, monkeypatch, tmp_path):
+    # every run pools, through a recording stub that maps the chunks in this process
+    monkeypatch.setattr(core, "SERIAL_WORK", 0)
+    pools = []
+    monkeypatch.setattr(core, "ordered_map", lambda fn, tasks, workers: pools.append(workers) or map(fn, tasks))
+    argv = ["simulate", "--preset", "counterexample-n10", "--trials", "50"]
+    assert main([*argv, "--threads", "1000", "--out", str(tmp_path / "many.csv")]) == 0
+    assert pools == [2]
+    assert main([*argv, "--threads", "1", "--out", str(tmp_path / "one.csv")]) == 0
+    assert pools == [2] and (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+@pytest.mark.parametrize("horizon", ["auto", "window"])
+def test_simulate_takes_a_named_horizon(horizon, tmp_path, capsys):
+    # counterexample-n10 certifies no step at ell = 10, so auto floors at one step;
+    # window runs one step per unit of the window's length
+    steps = {"auto": 1, "window": 10}[horizon]
+    named, fixed = tmp_path / "named.csv", tmp_path / "fixed.csv"
+    argv = ["simulate", "--preset", "counterexample-n10", "--horizon"]
+    assert main([*argv, horizon, "--out", str(named)]) == 0
+    stdout = capsys.readouterr().out
+    assert main([*argv, str(steps), "--out", str(fixed)]) == 0
+    assert capsys.readouterr().out == stdout and f"within horizon {steps};" in stdout
+    provenance, *table = read_csv(named)
+    fixed_provenance, *fixed_table = read_csv(fixed)
+    assert table == fixed_table
+    assert provenance.pop("horizon") == horizon and fixed_provenance.pop("horizon") == str(steps)
+    assert ("certified_horizon" in provenance) == (horizon == "auto")
+    provenance.pop("certified_horizon", None)
+    assert provenance == fixed_provenance and provenance["resolved_horizon"] == str(steps)
+
+
+@pytest.mark.parametrize("horizon", ["2.5", "soon", "Auto"])
+def test_a_malformed_horizon_flag_exits_two_naming_it(horizon, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--preset", "counterexample-n10", "--horizon", horizon])
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [f"driftlab simulate: error: argument --horizon: must be an integer, 'auto' or 'window', "
+                      f"got {horizon!r}"]
+
+
 def test_check_help_says_it_ignores_threads(capsys):
     with pytest.raises(SystemExit):
         main(["check", "--help"])
@@ -648,11 +711,11 @@ def test_scaling_reports_unresolved_horizon(tmp_path, capsys):
 #: an executor's modules for nothing either, as the pool forks its own children
 COLD_START_UNNEEDED = ("scipy", "concurrent.futures", "multiprocessing", "numpy.ma")
 
-#: 8 trials of the geometric walk to SERIAL_TRIAL_STEPS / 8 steps each, which
+#: 8 trials of the geometric walk to SERIAL_WORK / 8 steps each, which
 #: start 300 above the target against drift 0.2 and never hit: the run pools
 POOLED_WALK_INI = (
     "[process]\nkind = geometric-walk\neps = 0.2\ndelta = 1\nstart = 300\n[window]\na = 0\nb = 300\n"
-    f"[budget]\ntrials = 8\nmax_steps = {SERIAL_TRIAL_STEPS // 8}\n[run]\nhorizon = {SERIAL_TRIAL_STEPS // 8}\n"
+    f"[budget]\ntrials = 8\nmax_steps = {SERIAL_WORK // 8}\n[run]\nhorizon = {SERIAL_WORK // 8}\n"
 )
 
 
@@ -672,6 +735,7 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
         "driftlab.cli.main(['bounds', '--suite', 'comma-lambda', '--n-max', '30', '--j-max', '4', '--out', 'b.csv'])\n"
         "seen['exact check, simulate and bounds'] = loaded('scipy', 'numpy.ma')\n"
         "seen['serial forks'] = len(forks)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}  # --threads 2 is clamped at the CPUs available\n"
         "seen['pooled exit'] = driftlab.cli.main(['simulate', '--config', 'walk.ini', '--threads', '2'])\n"
         f"seen['pooled simulate'] = loaded(*{COLD_START_UNNEEDED!r})\n"
         "seen['pooled forks'] = len(forks)\n"

@@ -31,7 +31,7 @@ def test_budget_validation(monkeypatch):
 
     monkeypatch.setattr(dl.core, "ordered_map", no_pool)
     with pytest.raises(ValueError, match="master_seed"):
-        dl.run_trials(walk, win, 8, dl.core.SERIAL_TRIAL_STEPS, master_seed=-1, workers=2)
+        dl.run_trials(walk, win, 8, dl.core.SERIAL_WORK, master_seed=-1, workers=2)
 
 
 def test_constant_zero_step_truncates():
@@ -161,7 +161,7 @@ def test_batched_trials_stay_serial_whatever_the_budget(monkeypatch):
     chain15, win15 = dl.CounterexampleChain(15), dl.DriftWindow(0.0, 15.0)
     assert len(dl.run_trials(chain15, win15, 20_000, 15, master_seed=3, workers=2)) == 20_000
     # the pool starts once the trials' doubles reach the cutoff
-    trials = -(-dl.core.SERIAL_BATCH_STEPS // 10)
+    trials = -(-dl.core.SERIAL_WORK // 10)
     with pytest.raises(PoolStarted):
         dl.run_trials(process, win, trials, 10**12, master_seed=3, workers=2)
 
@@ -208,7 +208,7 @@ def test_trial_outcomes_unpickle_one_start_object_per_run():
 def test_a_pooled_batched_run_holds_no_more_than_a_serial_one(monkeypatch):
     # the pool's chunks unpickle their start column as one float object per run,
     # so the joined column repeats a few objects, as the serial column repeats one
-    monkeypatch.setattr(dl.core, "SERIAL_BATCH_STEPS", 0)
+    monkeypatch.setattr(dl.core, "SERIAL_WORK", 0)
     process, win = dl.CounterexampleChain(10), dl.DriftWindow(0.0, 10.0)
     outcomes, held = {}, {}
     for workers in (1, 2):
@@ -226,7 +226,7 @@ def test_a_pooled_batched_run_holds_no_more_than_a_serial_one(monkeypatch):
 def test_pooled_stepped_trials_equal_the_serial_run_across_chunks(monkeypatch):
     # 37 trials make 8 chunks of 4 or 5 trials; from 3 above the target, against
     # drift 0.2, the walk hits within 60 steps in some trials and not in others
-    monkeypatch.setattr(dl.core, "SERIAL_TRIAL_STEPS", 0)
+    monkeypatch.setattr(dl.core, "SERIAL_WORK", 0)
     pools, ordered_map = [], dl.core.ordered_map
     monkeypatch.setattr(dl.core, "ordered_map", lambda *args: pools.append(args[2]) or ordered_map(*args))
     process, win = dl.GeometricDriftWalk(0.2, 1.0, start=3.0), dl.DriftWindow(0.0, 3.0)
@@ -235,6 +235,24 @@ def test_pooled_stepped_trials_equal_the_serial_run_across_chunks(monkeypatch):
     assert pools == [2] and pooled == serial and pooled.first == 0
     assert [o.index for o in pooled] == list(range(37))
     assert None in pooled.hit_times and any(hit is not None for hit in pooled.hit_times)
+
+
+def test_few_trials_pool_once_their_work_reaches_the_cutoff(monkeypatch):
+    # 3 trials on 2 workers, fewer than 4 * workers, go to the pool in 3 chunks
+    # of one trial each once their 3 * 60 trial-steps reach the cutoff
+    monkeypatch.setattr(dl.core, "SERIAL_WORK", 3 * 60)
+    pools, ordered_map = [], dl.core.ordered_map
+    monkeypatch.setattr(dl.core, "ordered_map", lambda *args: pools.append(args[1:]) or ordered_map(*args))
+    process, win = dl.GeometricDriftWalk(0.2, 1.0, start=3.0), dl.DriftWindow(0.0, 3.0)
+    serial = dl.run_trials(process, win, 3, 60, master_seed=8)
+    assert pools == []
+    pooled = dl.run_trials(process, win, 3, 60, master_seed=8, workers=2)
+    assert [[task[4:6] for task in tasks] for tasks, _ in pools] == [[(0, 1), (1, 2), (2, 3)]]
+    assert [workers for _, workers in pools] == [2]
+    assert pooled == serial and pooled.first == 0
+    # one trial-step short of the cutoff, the run stays serial
+    dl.run_trials(process, win, 3, 59, master_seed=8, workers=2)
+    assert len(pools) == 1
 
 
 def test_ordered_map_keeps_task_order_with_more_workers_than_cores():
@@ -316,7 +334,7 @@ class TestOrderedMapPool:
         assert_no_child_left()
 
     def test_without_fork_a_pooled_run_is_the_serial_run(self, monkeypatch):
-        monkeypatch.setattr(dl.core, "SERIAL_TRIAL_STEPS", 0)
+        monkeypatch.setattr(dl.core, "SERIAL_WORK", 0)
         process, win = dl.GeometricDriftWalk(0.2, 1.0, start=3.0), dl.DriftWindow(0.0, 3.0)
         serial = dl.run_trials(process, win, 37, 60, master_seed=8)
         monkeypatch.delattr(os, "fork")

@@ -186,7 +186,7 @@ class TestCounterexampleChain:
         monkeypatch.setattr(dl.core, "ordered_map", lambda *args: pools.append(args[2]) or ordered_map(*args))
         process, window = dl.CounterexampleChain(2), dl.DriftWindow(0.0, 2.0)
         trials = 2 * (dl.core.BATCH_DOUBLES // 2) + 13
-        monkeypatch.setattr(dl.core, "SERIAL_BATCH_STEPS", 2 * trials)
+        monkeypatch.setattr(dl.core, "SERIAL_WORK", 2 * trials)
         max_steps = 30
         serial = dl.run_trials(process, window, trials, max_steps, master_seed=5)
         assert dl.run_trials(process, window, trials, max_steps, master_seed=5, workers=2) == serial

@@ -42,9 +42,9 @@ def cap_of(n, p):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """A fresh automaton cache; the list collects the key of every automaton built."""
+    """A fresh automaton cache, emptied again after the test; the list collects
+    the key of every automaton built."""
     built = []
-    monkeypatch.setattr(processes, "_AUTOMATA", {})
 
     class Counted(processes._NeedleAutomaton):
         def __init__(self, n, p, floor_a):
@@ -52,7 +52,9 @@ def builds(monkeypatch):
             super().__init__(n, p, floor_a)
 
     monkeypatch.setattr(processes, "_NeedleAutomaton", Counted)
-    return built
+    processes._needle_automaton.cache_clear()
+    yield built
+    processes._needle_automaton.cache_clear()
 
 
 @pytest.fixture
@@ -149,8 +151,7 @@ N, P = 50, 1 / 50
 
 def assert_crafted_trial(prefix, state, a, max_steps, n=N, p=P, seed=0):
     """hitting_time on a stream that starts with `prefix` equals the oracle's
-    hit time on the same doubles; the automaton for the trial is built first."""
-    processes._needle_automaton((n, p, math.floor(a)))
+    hit time on the same doubles."""
     stub = PrescribedDoubles(prefix, seed)
     expected = needle_hit_time(n, p, state, a, max_steps, iter(stub.doubles))
     assert dl.NeedleOneOneEA(n, mutation_rate=p).hitting_time(state, stub, a, max_steps) == expected
@@ -163,6 +164,11 @@ def still(generations):
 
 
 class TestCraftedStreams:
+    @pytest.fixture(autouse=True)
+    def on_the_automaton(self, monkeypatch):
+        """Every trial here builds its automaton first, whatever its budget."""
+        monkeypatch.setattr(processes, "_STEPS_PER_ENTRY", 0.0)
+
     def test_a_start_over_double(self, builds, advances):
         prefix = still(10) + [_MAX_UNIFORM]
         for seed in range(5):
@@ -212,7 +218,7 @@ class TestCraftedStreams:
 
 class TestWhenBuilt:
     def test_import_builds_no_automaton(self):
-        code = "import driftlab.cli, driftlab.processes as p; print(len(p._AUTOMATA))"
+        code = "import driftlab.cli, driftlab.processes as p; print(p._needle_automaton.cache_info().currsize)"
         # the child imports this checkout's driftlab, whatever the shell exports
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -220,7 +226,7 @@ class TestWhenBuilt:
 
     def test_needle_check_builds_no_automaton(self, builds, capsys):
         assert main(["check", "--preset", "needle-n50-twosided"]) == 0
-        assert builds == [] and processes._AUTOMATA == {}
+        assert builds == [] and processes._needle_automaton.cache_info().currsize == 0
 
     def test_trials_with_one_key_share_one_automaton(self, builds):
         needle = dl.NeedleOneOneEA(20)
@@ -228,7 +234,7 @@ class TestWhenBuilt:
             rng = generator(trial_seed(9, index))
             needle.hitting_time(needle.initial_state(rng), rng, 0.0, 20_000)
         assert builds == [(20, 1 / 20, 0)]
-        assert list(processes._AUTOMATA) == [(20, 1 / 20, 0)]
+        assert processes._needle_automaton.cache_info()[:2] == (1, 1)  # (hits, misses)
 
     def test_short_trials_and_large_n_keep_the_step_loop(self, builds):
         window = dl.DriftWindow(400.0, 450.0)
@@ -254,7 +260,7 @@ class TestWhenBuilt:
     def test_pooled_workers_build_their_own_and_agree(self, builds, monkeypatch):
         # the caller is worker 0 and builds the automaton for its own chunks, once;
         # the forked child builds its own, which this process does not record
-        monkeypatch.setattr(dl.core, "SERIAL_TRIAL_STEPS", 0)
+        monkeypatch.setattr(dl.core, "SERIAL_WORK", 0)
         args = dl.NeedleOneOneEA(N), dl.DriftWindow(0.0, 1.0), 8, 80_000
         pooled = dl.run_trials(*args, master_seed=6, workers=2)
         assert builds == [(N, P, 0)]
@@ -264,6 +270,9 @@ class TestWhenBuilt:
 
     def test_the_cache_keeps_a_few_automata(self, builds):
         for n in range(6, 12):
-            processes._needle_automaton((n, 1 / n, 0))
-        assert len(processes._AUTOMATA) == processes._MAX_AUTOMATA
-        assert (11, 1 / 11, 0) in processes._AUTOMATA and (6, 1 / 6, 0) not in processes._AUTOMATA
+            processes._needle_automaton(n, 1 / n, 0)
+        assert processes._needle_automaton.cache_info().currsize == 4
+        # the last one built is kept, and the first one is built again
+        processes._needle_automaton(11, 1 / 11, 0)
+        processes._needle_automaton(6, 1 / 6, 0)
+        assert builds == [(n, 1 / n, 0) for n in range(6, 12)] + [(6, 1 / 6, 0)]
