@@ -2,7 +2,8 @@
 
 The package simulates stochastic processes over a drift window, checks the
 drift and exponential jump-tail conditions exactly in every window state from
-each process's step laws, or statistically where a process has none,
+the table of step laws each process gives for the window (`law_table`), or
+statistically where a process has none,
 derives every constant of the escape-probability bound, and verifies the
 inequality chains used by the classic applications in exact arithmetic.
 """
@@ -22,7 +23,6 @@ from .conditions import (
     check_conditions_empirical,
     check_conditions_exact,
     harvest_step_samples,
-    step_laws,
 )
 from .jumps import JumpDistribution
 from .processes import (
@@ -98,7 +98,6 @@ __all__ = [
     "pea_prime_expected_selections",
     "pea_prime_selection",
     "run_trials",
-    "step_laws",
     "sweep_comma_lambda",
     "sweep_diversity",
     "sweep_matching",

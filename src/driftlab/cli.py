@@ -16,13 +16,10 @@ from dataclasses import asdict, fields, replace
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
-from .conditions import (
-    TWO_SIDED, TailCheck, check_conditions_empirical, check_conditions_exact, harvest_step_samples, step_laws
-)
+from .conditions import TWO_SIDED, TailCheck, check_conditions_empirical, check_conditions_exact, harvest_step_samples
 from .core import default_workers, estimate_hitting_probability, ordered_map
-from .presets import AUTO, PRESETS, WINDOW, ExperimentConfig, get_preset, load_config, parse_horizon
+from .presets import PRESETS, ExperimentConfig, get_preset, load_config, parse_horizon
 from .reporting import condition_summary, constants_trace, format_cell, format_links, format_trials, write_csv
-from .jumps import JumpDistribution
 from .theorem import derive_constants, hajek_escape_bound
 from .inequalities import SWEEPS, SweepGrid, check_grid, slab_count
 
@@ -83,19 +80,20 @@ def cmd_check(args) -> int:
     process = config.process()
     window = config.window()
     params = config.condition_params()
-    laws = step_laws(process, window)
+    laws = process.law_table(window)
     provenance = config.provenance()
     if laws is not None:
         # only the empirical check simulates, so only it reads the budget and the run keys
         for key in ("trials", "max_steps", "master_seed", "horizon", "prob_target"):
             del provenance[key]
     if args.jump_table:
-        if not isinstance(laws, JumpDistribution):
+        law = process.step_law()
+        if law is None:
             raise ValueError(
                 f"process {config.process_kind!r} has no state-independent step law; "
                 "no exact jump table to export"
             )
-        write_csv(args.jump_table, provenance, ["j", "p_up", "p_down"], laws.csv_rows())
+        write_csv(args.jump_table, provenance, ["j", "p_up", "p_down"], law.csv_rows())
     if laws is not None:
         report = check_conditions_exact(laws, params, config.variant, window)
         where = "the one step law" if report.drift_state is None else "the step law of every window state"
@@ -188,7 +186,7 @@ def cmd_scaling(args) -> int:
         horizon, constants = config.resolve_horizon(ell)
         constants = constants or config.constants(ell)
         # every kind with a scaling family has one exact law for all its states
-        report = check_conditions_exact(step_laws(process, window), config.condition_params(), TWO_SIDED, window)
+        report = check_conditions_exact(process.law_table(window), config.condition_params(), TWO_SIDED, window)
         row = {
             "ell": ell,
             "horizon": horizon,
@@ -258,8 +256,8 @@ def _horizon(text: str):
     """A --horizon value, read by the rule a config file's horizon is read by."""
     try:
         return parse_horizon(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, {AUTO!r} or {WINDOW!r}, got {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class Option(NamedTuple):

@@ -9,13 +9,12 @@ exists to exhibit.
 Both conditions are conditional on the current state, and their domains
 differ: drift is required in every state strictly inside the window
 (a < X < b), the tail bound in every state above the target threshold (a < X).
-A process with exact step laws (`Process.step_law`) is checked exactly in every
-such state by `check_conditions_exact`; a process whose law does not depend on
-its state goes through the same check with its one law. The check reads every
-input as one `LawTable`: the needle's and the (1,λ) EA's laws are built as one
-table by `step_laws`, a single law is a one-row table, and (x, law) pairs are
-stacked on the union of their values. Each state's drift is `np.dot` over its
-own support, and every tail of every state comes from one sort of the grid's
+A process with exact step laws is checked exactly in every such state by
+`check_conditions_exact`, from the one `LawTable` its `law_table(window)`
+gives: a row per state above the target for the needle and the (1,λ) EA, and
+one row for a process whose law does not depend on its state. A single law is
+checked as a one-row table. Each state's drift is `np.dot` over its own
+support, and every tail of every state comes from one sort of the grid's
 magnitudes, one suffix sum along the rows and one searchsorted, with the bits
 that each law's own one-row table gives. Only processes without an exact law
 (PEA and PEA', whose state is a multiset) are checked empirically, from steps
@@ -132,46 +131,28 @@ def _require_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def step_laws(process, window):
-    """What check_conditions_exact checks `process` with on `window`.
-
-    None when the process has no exact step law; its one law when that does not
-    depend on the state; otherwise the LawTable of the laws out of every state
-    whose potential x lies above window.a, which the process's `law_table`
-    builds in one pass: one grid of integer steps trimmed to the union of the
-    states' supports, and one row of probabilities per state.
-    """
-    states = process.states()
-    if states is None:
-        return process.step_law(None)
-    return process.law_table([s for s in states if process.potential(s) > window.a])
-
-
 def check_conditions_exact(
     laws, params: ConditionParams, variant: str = TWO_SIDED, window=None
 ) -> ConditionReport:
     """Check both conditions exactly from step laws.
 
-    `laws` is one JumpDistribution, the law of every state; (x, law) pairs,
-    the law of the step out of each state whose potential x lies above
-    window.a; or a LawTable of such states, as step_laws gives. A single law
-    is a one-row table and pairs are stacked into one on the union of their
-    values. Drift is the exact expectation over each state's own support,
-    required in every state with x < window.b. Tails are the table's suffix
-    sums (`LawTable.tails`), required in every state and compared strictly
-    against r/(1+delta)^j in log space. Checked indices are the grid 0..j_max
-    plus every support magnitude beyond it, so isolated huge jumps are never
-    missed; each index's row holds the largest tail over the states. The
-    report names the state with the least drift and the (state, j) whose tail
-    comes closest to its bound.
+    `laws` is a LawTable, as `Process.law_table(window)` gives: the law of the
+    step out of each state whose potential x lies above window.a, or one row
+    (state None) for the law of every state. A single JumpDistribution is
+    checked as that one-row table. Drift is the exact expectation over each
+    state's own support, required in every state with x < window.b. Tails are
+    the table's suffix sums (`LawTable.tails`), required in every state and
+    compared strictly against r/(1+delta)^j in log space. Checked indices are
+    the grid 0..j_max plus every support magnitude beyond it, so isolated huge
+    jumps are never missed; each index's row holds the largest tail over the
+    states. The report names the state with the least drift and the (state, j)
+    whose tail comes closest to its bound.
     """
     _require_variant(variant)
-    if isinstance(laws, JumpDistribution):
-        table = LawTable.stack([(None, laws)])
-    else:
+    table = LawTable.stack([(None, laws)]) if isinstance(laws, JumpDistribution) else laws
+    if table.states != (None,):
         if window is None:
             raise ValueError("per-state step laws need the window they are checked on")
-        table = laws if isinstance(laws, LawTable) else LawTable.stack(list(laws))
         if any(not x > window.a for x in table.states):
             raise ValueError(f"per-state step laws must lie above the target threshold a={window.a}")
     drift, drift_state = math.inf, None

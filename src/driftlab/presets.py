@@ -235,7 +235,12 @@ _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 def parse_horizon(raw: str) -> Union[int, str]:
     """A horizon as a config file or --horizon spells it: AUTO, WINDOW or an int."""
-    return raw if raw in (AUTO, WINDOW) else int(raw)
+    if raw in (AUTO, WINDOW):
+        return raw
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"must be an integer, {AUTO!r} or {WINDOW!r}, got {raw!r}") from None
 
 
 def _parse_field(name: str, raw: str):

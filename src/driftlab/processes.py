@@ -2,14 +2,14 @@
 walk, and evolutionary algorithms lumped to their potential chains.
 
 Every process is immutable after construction and steps via pure functions of
-(state, generator), so trials parallelize safely. `step_law(state)` gives the
-exact law of the potential's step out of a state: the walk, the counterexample
-chain and the constant walk have one law for every state, and the needle and
-(1,λ) EA lumped chains have one per state of their finite state space
-(`states()`), built only when asked for; their `law_table(states)` builds the
-laws of many states as one `LawTable` in one pass, each binomial pmf once and
-each row as `step_law` builds it. PEA and PEA′, whose state is a multiset of
-counts, have no exact law and are checked empirically.
+(state, generator), so trials parallelize safely. `law_table(window)` gives
+the exact laws of the potential's step that a check on a window reads, as one
+`LawTable`: the walk, the counterexample chain and the constant walk have one
+law, `step_law()`, and a one-row table. The needle and (1,λ) EA lumped chains
+state their law once, as `transitions(d)`, and have a row per state above the
+window's target, built only when asked for, each binomial pmf once per
+process. PEA and PEA′, whose state is a multiset of counts, have no exact law
+and are checked empirically.
 
 A trial's generator belongs to the trial alone, and the trial loop re-seeds
 the same generator for the next trial, so a process must not keep it past its
@@ -140,17 +140,16 @@ class Process(ABC):
                 return t
         return None
 
-    def step_law(self, state) -> JumpDistribution | None:
-        """Exact law of the potential's step out of `state`, or None when the
-        process has none. A process whose law does not depend on the state
-        returns that one law for any state, None included."""
+    def step_law(self) -> JumpDistribution | None:
+        """Exact law of the potential's step, when it is the same out of every
+        state; None otherwise."""
         return None
 
-    def states(self) -> range | None:
-        """Every state, in increasing potential, when step_law depends on the
-        state, and then `law_table(states)` gives the laws of those states as
-        one `LawTable`; None when it does not or when there is no exact law."""
-        return None
+    def law_table(self, window) -> LawTable | None:
+        """The exact step laws a check on `window` reads, or None when the
+        process has none: here the one-row table (state None) of step_law()."""
+        law = self.step_law()
+        return None if law is None else LawTable.stack([(None, law)])
 
     def absorbed(self, state) -> bool:
         """True once the state can never move again; sample harvesting restarts here."""
@@ -174,7 +173,7 @@ class ConstantWalk(Process):
     def step(self, state, rng):
         return state + self.step_size
 
-    def step_law(self, state=None):
+    def step_law(self):
         return JumpDistribution(np.array([self.step_size]), np.array([1.0]))
 
 
@@ -242,12 +241,19 @@ class CounterexampleChain(Process):
         times = np.where(landed <= a, np.where(jumped, t + 1, steps), 0)
         return [time or None for time in times.tolist()]
 
-    def step_law(self, state=None):
-        """Exact transition law on the live region ]0, n], where a check's window lies."""
+    def step_law(self):
+        """Exact transition law on the live region ]0, n]."""
         return JumpDistribution(
             np.array([-1.0, float(self.up_jump)]),
             np.array([1.0 - self.up_prob, self.up_prob]),
         )
+
+    def law_table(self, window):
+        """step_law's one row, on a window whose condition domains hold no frozen state."""
+        if window.a < 0 or window.b > self.n + 1:
+            raise ValueError(f"the counterexample chain is frozen at 0 and above n={self.n}, so its step law "
+                             f"needs a >= 0 and b <= {self.n + 1}; got a={window.a}, b={window.b}")
+        return super().law_table(window)
 
 
 class GeometricDriftWalk(Process):
@@ -343,7 +349,7 @@ class GeometricDriftWalk(Process):
         # u draws the first X with u <= sums[X], so X counts the sums below u
         return _BucketSearch(np.nextafter(self._search_cdf, np.inf))
 
-    def step_law(self, state=None) -> JumpDistribution:
+    def step_law(self) -> JumpDistribution:
         """Table truncated once the omitted mass drops below 1e-16.
 
         The cap also covers the exponential-moment tail at gamma = ln(1+delta/2),
@@ -569,16 +575,6 @@ class _TrimmedBinomials(dict):
         return entry
 
 
-def _mutation_step(n: int, d: int, binomials: _TrimmedBinomials) -> tuple[int, np.ndarray]:
-    """(lo, probs) with probs[i] = P(Binomial(n-d, p) - Binomial(d, p) = lo + i):
-    the change of the distance d to a fixed bit string of length n under standard
-    bit mutation at rate p, from `binomials` at that p. Terms that underflow to 0
-    at either end are cut off."""
-    u0, up = binomials[n - d]
-    w0, down = binomials[d]
-    return u0 - (w0 + down.size - 1), np.convolve(up, down[::-1])
-
-
 class _BitMutation(Process):
     """A process on bit strings of length n under standard bit mutation, which
     flips each bit independently at mutation_rate (default 1/n)."""
@@ -604,29 +600,35 @@ class _MutationChain(_BitMutation):
     of bits that differ from a target string; the potential is d. Runs start
     from a uniform random bitstring, i.e. d0 ~ Binomial(n, 1/2).
 
-    A subclass gives the law out of d as integer steps from lo (`_law_row`),
-    built from the binomial pmfs it is handed, so one state's law and a table
-    of many do the same arithmetic."""
+    A subclass states its law once, as `transitions(d)`, from the process's
+    binomial pmfs, which are computed once per k."""
 
     def initial_state(self, rng):
         return int(rng.binomial(self.n, 0.5))
 
-    def states(self) -> range:
-        return range(self.n + 1)
+    @functools.cached_property
+    def _binomials(self) -> _TrimmedBinomials:
+        return _TrimmedBinomials(self.mutation_rate)
+
+    def _mutated(self, d: int) -> tuple[int, np.ndarray]:
+        """(first, probs) with probs[i] = P(d + Binomial(n-d, p) - Binomial(d, p) = first + i):
+        the distance d to a fixed bit string after standard bit mutation. Terms
+        that underflow to 0 at either end are cut off."""
+        u0, up = self._binomials[self.n - d]
+        w0, down = self._binomials[d]
+        return d + u0 - (w0 + down.size - 1), np.convolve(up, down[::-1])
 
     @abstractmethod
-    def _law_row(self, d: int, binomials: _TrimmedBinomials) -> tuple[int, np.ndarray]:
-        """(lo, probs) with probs[i] = P(step = lo + i) out of distance d."""
+    def transitions(self, d: int) -> tuple[int, np.ndarray]:
+        """(first, probs): out of distance d the chain moves to first + i with
+        probability probs[i]."""
 
-    def step_law(self, state) -> JumpDistribution:
-        lo, probs = self._law_row(state, _TrimmedBinomials(self.mutation_rate))
-        return JumpDistribution(np.arange(lo, lo + probs.size, dtype=float), probs)
-
-    def law_table(self, states) -> LawTable:
-        """The laws of `states` in one pass: each binomial pmf is computed once,
-        for every state that needs it, and each row as step_law computes it."""
-        binomials = _TrimmedBinomials(self.mutation_rate)
-        return LawTable.from_rows([self.potential(d) for d in states], [self._law_row(d, binomials) for d in states])
+    def law_table(self, window) -> LawTable:
+        """The laws out of every state d > window.a, each row the steps
+        first - d + i of transitions(d)."""
+        states = [d for d in range(self.n + 1) if d > window.a]
+        rows = [(first - d, probs) for d, (first, probs) in zip(states, map(self.transitions, states))]
+        return LawTable.from_rows([self.potential(d) for d in states], rows)
 
 
 class NeedleOneOneEA(_MutationChain):
@@ -646,10 +648,10 @@ class NeedleOneOneEA(_MutationChain):
     def absorbed(self, state) -> bool:
         return state == 0
 
-    def _law_row(self, d, binomials):
+    def transitions(self, d):
         if d == 0:
             return 0, np.array([1.0])
-        return _mutation_step(self.n, d, binomials)
+        return self._mutated(d)
 
     @functools.cached_property
     def _inversion_tables(self) -> _InversionTables:
@@ -759,12 +761,12 @@ class OneCommaLambdaEA(_MutationChain):
                 best = candidate
         return int(best), saw_copy
 
-    def _law_row(self, d, binomials):
+    def transitions(self, d):
         """One offspring's count is Y = d - Binomial(d, p) + Binomial(n-d, p), and
         the best of λ has P(best >= k) = S_k^λ with S_k = P(Y >= k). Its pmf
         S_k^λ - S_{k+1}^λ is taken as P(Y = k) * sum_{i<λ} S_k^i S_{k+1}^{λ-1-i},
         which has no cancellation."""
-        lo, probs = _mutation_step(self.n, d, binomials)
+        first, probs = self._mutated(d)
         tail = np.cumsum(probs[::-1])[::-1]
         beyond = np.append(tail[1:], 0.0)
         # powers = sum_{i<m} tail^i beyond^(m-1-i), built up from m = 1
@@ -772,7 +774,7 @@ class OneCommaLambdaEA(_MutationChain):
         for _ in range(self.lambda_offspring - 1):
             beyond_power = beyond_power * beyond
             powers = tail * powers + beyond_power
-        return lo, probs * powers
+        return first, probs * powers
 
 
 def pea_prime_selection(fitnesses) -> np.ndarray:

@@ -309,6 +309,19 @@ def needle_step_exact(n, d):
     return law, n**n
 
 
+def transition_law(process, d):
+    """The law of a mutation chain's step out of distance d, on its own values,
+    rebuilt from `transitions(d)`: successor first + i is the step first - d + i."""
+    first, probs = process.transitions(d)
+    return JumpDistribution(np.arange(first - d, first - d + probs.size, dtype=float), probs)
+
+
+def state_laws(process, window):
+    """(x, law) for every state d > window.a of a mutation chain, each law built
+    on its own by `transition_law`."""
+    return [(float(d), transition_law(process, d)) for d in range(process.n + 1) if d > window.a]
+
+
 def tail_reach(law, variant):
     """The largest j whose tail can be positive: the largest |step|, or for the
     one-sided variant the largest down-step, among steps of positive probability."""

@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from driftlab import cli, core
 from driftlab.cli import main
-from driftlab.conditions import step_laws
 from driftlab.core import SERIAL_WORK
 from driftlab.inequalities import SWEEPS, InequalityResult
 from driftlab.presets import PRESETS, ExperimentConfig, load_config
@@ -246,7 +245,7 @@ def test_exact_check_presets_leave_the_simulation_keys_at_their_defaults():
     # an exact check reads none of them, so a preset that set one would state a budget nothing uses
     defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.name in SIMULATION_KEYS}
     checks = [cfg for cfg in PRESETS.values() if cfg.command == "check"]
-    exact = [cfg for cfg in checks if step_laws(cfg.process(), cfg.window()) is not None]
+    exact = [cfg for cfg in checks if cfg.process().law_table(cfg.window()) is not None]
     assert len(exact) == 4
     for cfg in exact:
         assert {key: getattr(cfg, key) for key in defaults} == defaults, cfg.name
@@ -501,6 +500,31 @@ def test_out_of_range_max_steps_in_config_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("window, frozen", [("a = -1\nb = 5", "a=-1.0"), ("b = 12", "b=12.0")],
+                         ids=["state-0-inside", "above-n-inside"])
+def test_a_counterexample_window_over_frozen_states_exits_two(window, frozen, tmp_path, capsys):
+    # the chain is frozen at 0 and above n = 10, where its one step law, and its drift of 1, do not hold
+    cfg = tmp_path / "frozen.ini"
+    cfg.write_text(f"[process]\nkind = counterexample\nn = 10\n[window]\n{window}\n[run]\nvariant = one_sided\n")
+    out = tmp_path / "out.csv"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+    line = _single_error_line(capsys)
+    assert "frozen" in line and frozen in line
+    assert not out.exists()
+
+
+def test_a_window_from_minus_infinity_checks_every_needle_state(tmp_path):
+    cfg = tmp_path / "all-states.ini"
+    cfg.write_text("[process]\nkind = needle\nn = 20\n[window]\na = -inf\nb = 5\n")
+    config = load_config(str(cfg))
+    assert config.process().law_table(config.window()).states == tuple(float(d) for d in range(21))
+    out = tmp_path / "out.csv"
+    # the optimum, state 0, is inside the window and does not move
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    provenance = read_csv(out)[0]
+    assert (provenance["drift"], provenance["drift_state"]) == ("0", "0")
+
+
 def test_malformed_config_files_exit_two(tmp_path, capsys):
     needle = "[process]\nkind = needle\nn = 10\n"
     cases = {
@@ -512,7 +536,8 @@ def test_malformed_config_files_exit_two(tmp_path, capsys):
         "unknown-section": (needle + "[extra]\nx = 1\n", "[extra]"),
         "fractional-int": ("[process]\nkind = needle\nn = 20.7\n", "[process] n"),
         "non-numeric": ("[process]\nkind = needle\nn = abc\n", "[process] n"),
-        "fractional-horizon": (needle + "[run]\nhorizon = 2.5\n", "[run] horizon"),
+        "fractional-horizon": (needle + "[run]\nhorizon = 2.5\n",
+                               "[run] horizon: must be an integer, 'auto' or 'window', got '2.5'"),
     }
     for name, (text, words) in cases.items():
         path = tmp_path / f"{name}.ini"

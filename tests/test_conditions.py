@@ -5,13 +5,14 @@ import pytest
 
 import driftlab as dl
 from driftlab.conditions import ONE_SIDED, TWO_SIDED
+from driftlab.jumps import LawTable
 from driftlab.rng import generator
 from helpers import sample_steps, tail_reach
 
 
 @pytest.fixture(scope="module")
 def counterexample_table():
-    return dl.CounterexampleChain(10).step_law(None)
+    return dl.CounterexampleChain(10).step_law()
 
 
 @pytest.fixture(scope="module")
@@ -46,19 +47,19 @@ class TestExactChecks:
 
     def test_geometric_walk_passes_two_sided(self, walk):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=2.0)
-        report = dl.check_conditions_exact(walk.step_law(None), params, TWO_SIDED)
+        report = dl.check_conditions_exact(walk.step_law(), params, TWO_SIDED)
         assert report.overall() == "pass"
         assert all(t.verdict == "pass" for t in report.tails)
 
     def test_j_zero_always_passes_with_r_at_least_one(self, walk):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=1.0)
-        report = dl.check_conditions_exact(walk.step_law(None), params, TWO_SIDED)
+        report = dl.check_conditions_exact(walk.step_law(), params, TWO_SIDED)
         assert report.tails[0].j == 0.0
         assert report.tails[0].verdict == "pass"
 
     def test_one_sided_implied_by_two_sided(self, counterexample_table, walk):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=2.0)
-        for table in (counterexample_table, walk.step_law(None)):
+        for table in (counterexample_table, walk.step_law()):
             two = dl.check_conditions_exact(table, params, TWO_SIDED)
             one = dl.check_conditions_exact(table, params, ONE_SIDED)
             one_by_j = {t.j: t.verdict for t in one.tails}
@@ -118,9 +119,9 @@ class TestEmpiricalChecks:
 
     def test_agrees_with_exact_mode_where_margins_are_wide(self, walk):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=2.0, j_max=32)
-        exact = dl.check_conditions_exact(walk.step_law(None), params, TWO_SIDED)
+        exact = dl.check_conditions_exact(walk.step_law(), params, TWO_SIDED)
         rng = generator(2024)
-        samples = sample_steps(walk.step_law(None), rng, 1_000_000)
+        samples = sample_steps(walk.step_law(), rng, 1_000_000)
         emp = dl.check_conditions_empirical(samples, samples, params, TWO_SIDED)
         exact_by_j = {t.j: t for t in exact.tails}
         for t in emp.tails:
@@ -134,7 +135,7 @@ class TestEmpiricalChecks:
                 assert t.verdict == ref.verdict
 
     def test_counterexample_large_jump_fails_when_observed(self):
-        table = dl.CounterexampleChain(10).step_law(None)
+        table = dl.CounterexampleChain(10).step_law()
         rng = generator(8)  # seed with at least one up-jump among 1e5 draws
         samples = sample_steps(table, rng, 100_000)
         n_jumps = int((samples > 1).sum())
@@ -195,7 +196,7 @@ class TestPerStateChecks:
     window = dl.DriftWindow(10.0, 16.0)
 
     def test_needle_checked_in_every_window_state(self):
-        laws = dl.step_laws(dl.NeedleOneOneEA(50), self.window)
+        laws = dl.NeedleOneOneEA(50).law_table(self.window)
         report = dl.check_conditions_exact(laws, self.params, TWO_SIDED, self.window)
         assert report.mode == "exact" and report.overall() == "pass"
         # drift (n - 2d)/n falls with d, so state 15 is the least inside (10, 16)
@@ -211,7 +212,7 @@ class TestPerStateChecks:
         bad = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         pairs = [(11.0, good), (12.0, bad), (13.0, good), (14.0, good)]
         # the average drift over the four states is 0.375 >= eps, but state 12 has none
-        report = dl.check_conditions_exact(pairs, self.params, TWO_SIDED, self.window)
+        report = dl.check_conditions_exact(LawTable.stack(pairs), self.params, TWO_SIDED, self.window)
         assert report.drift_verdict == "fail" and report.drift_state == 12.0
 
     def test_drift_only_inside_the_window_tails_above_it(self):
@@ -219,9 +220,9 @@ class TestPerStateChecks:
         good = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.25, 0.75]))
         heavy = dl.JumpDistribution(np.array([-40.0, 1.0]), np.array([0.01, 0.99]))
         # state 16 is not inside (10, 16): its weak drift is not required, its tails are
-        report = dl.check_conditions_exact([(11.0, good), (16.0, weak)], self.params, TWO_SIDED, self.window)
+        report = dl.check_conditions_exact(LawTable.stack([(11.0, good), (16.0, weak)]), self.params, TWO_SIDED, self.window)
         assert report.overall() == "pass" and report.drift_state == 11.0
-        report = dl.check_conditions_exact([(11.0, good), (16.0, heavy)], self.params, TWO_SIDED, self.window)
+        report = dl.check_conditions_exact(LawTable.stack([(11.0, good), (16.0, heavy)]), self.params, TWO_SIDED, self.window)
         assert report.overall() == "fail" and report.tail_state == 16.0
         assert {t.j for t in report.tail_failures()} >= {40.0}
 
@@ -230,7 +231,7 @@ class TestPerStateChecks:
         window = dl.DriftWindow(0.0, 10.0)
         single = dl.check_conditions_exact(counterexample_table, params, TWO_SIDED)
         pairs = [(float(x), counterexample_table) for x in range(1, 11)]
-        per_state = dl.check_conditions_exact(pairs, params, TWO_SIDED, window)
+        per_state = dl.check_conditions_exact(LawTable.stack(pairs), params, TWO_SIDED, window)
         assert per_state.tails == single.tails
         assert per_state.overall() == single.overall() == "fail"
         assert single.drift_state is None and single.tail_state is None
@@ -239,21 +240,20 @@ class TestPerStateChecks:
     def test_bad_per_state_input_rejected(self):
         law = dl.JumpDistribution(np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="window"):
-            dl.check_conditions_exact([(11.0, law)], self.params)
+            dl.check_conditions_exact(LawTable.stack([(11.0, law)]), self.params)
         with pytest.raises(ValueError, match="above the target threshold"):
-            dl.check_conditions_exact([(10.0, law)], self.params, TWO_SIDED, self.window)
+            dl.check_conditions_exact(LawTable.stack([(10.0, law)]), self.params, TWO_SIDED, self.window)
         with pytest.raises(ValueError, match="strictly inside"):
-            dl.check_conditions_exact([(16.0, law)], self.params, TWO_SIDED, self.window)
+            dl.check_conditions_exact(LawTable.stack([(16.0, law)]), self.params, TWO_SIDED, self.window)
 
-    def test_laws_are_built_only_by_step_laws(self, monkeypatch):
+    def test_laws_are_built_only_by_law_table(self, monkeypatch):
         built = []
-        original = dl.NeedleOneOneEA._law_row
-        monkeypatch.setattr(dl.NeedleOneOneEA, "_law_row",
-                            lambda self, d, binomials: built.append(d) or original(self, d, binomials))
+        original = dl.NeedleOneOneEA.transitions
+        monkeypatch.setattr(dl.NeedleOneOneEA, "transitions", lambda self, d: built.append(d) or original(self, d))
         process = dl.NeedleOneOneEA(20)
         dl.run_trials(process, dl.DriftWindow(2.0, 5.0), 20, 100, master_seed=1)
         assert built == []
-        laws = dl.step_laws(process, dl.DriftWindow(2.0, 5.0))
+        laws = process.law_table(dl.DriftWindow(2.0, 5.0))
         assert built == list(range(3, 21))
         dl.check_conditions_exact(laws, self.params, TWO_SIDED, dl.DriftWindow(2.0, 5.0))
         assert built == list(range(3, 21))

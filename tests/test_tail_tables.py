@@ -1,10 +1,12 @@
 """The exact check's tail tables against independent references.
 
 `check_conditions_exact` reads every tail from one `LawTable` of all the
-checked states. Here it is compared with `reference_exact_check`, one masked
-sum per (state, index) in a Python loop, and bit for bit with
-`per_law_exact_check`, each law's own tail table; and each law's tail with the
-exact rational sum of the law's float probabilities.
+checked states, as `Process.law_table(window)` or `LawTable.stack` builds it.
+Here it is compared with `reference_exact_check`, one masked sum per (state,
+index) in a Python loop, and bit for bit with `per_law_exact_check`, each law's
+own tail table; both references read the laws built one by one, never the
+table. Each law's tail is also compared with the exact rational sum of the
+law's float probabilities.
 """
 
 import math
@@ -16,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftlab as dl
-from driftlab.conditions import ONE_SIDED, TWO_SIDED, step_laws
+from driftlab.conditions import ONE_SIDED, TWO_SIDED
+from driftlab.jumps import LawTable
 from driftlab.presets import PRESETS
-from helpers import per_law_exact_check, reference_exact_check
+from helpers import per_law_exact_check, reference_exact_check, state_laws, transition_law
 
 
 def assert_same_report(report, ref):
@@ -52,18 +55,27 @@ def assert_bit_equal_reports(got, want):
     assert bits([t.tail for t in got.tails]) == bits([t.tail for t in want.tails])
 
 
-def checked_both_ways(laws, params, variant, window):
-    """The check's report and the reference's; the report must also be the one
-    that each law on its own gives, bit for bit."""
-    laws = laws if isinstance(laws, dl.JumpDistribution) else list(laws)
+def checked_both_ways(laws, params, variant, window, reference_laws=None):
+    """The check's report on a LawTable or a single law, and the reference's;
+    the report must also be the one that each law on its own gives, bit for bit.
+
+    The references read `reference_laws`, the (x, law) pairs built without the
+    table, or with none given the single law `laws`."""
     report = dl.check_conditions_exact(laws, params, variant, window)
-    assert_bit_equal_reports(report, per_law_exact_check(laws, params, variant, window))
-    return report, reference_exact_check(laws, params, variant, window)
+    own = laws if reference_laws is None else reference_laws
+    assert_bit_equal_reports(report, per_law_exact_check(own, params, variant, window))
+    return report, reference_exact_check(own, params, variant, window)
+
+
+def own_laws(process, window):
+    """The process's laws built one by one: (x, law) per state from
+    `transitions(d)` for a mutation chain, else its single `step_law()`."""
+    return state_laws(process, window) if hasattr(process, "transitions") else process.step_law()
 
 
 EXACT_PRESETS = [
     name for name, config in PRESETS.items()
-    if config.command == "check" and step_laws(config.process(), config.window()) is not None
+    if config.command == "check" and config.process().law_table(config.window()) is not None
 ]
 
 
@@ -71,8 +83,9 @@ EXACT_PRESETS = [
 def test_every_exact_check_preset_equals_the_reference(name):
     config = PRESETS[name]
     window = config.window()
-    laws = step_laws(config.process(), window)
-    assert_same_report(*checked_both_ways(laws, config.condition_params(), config.variant, window))
+    process = config.process()
+    assert_same_report(*checked_both_ways(process.law_table(window), config.condition_params(), config.variant, window,
+                                          own_laws(process, window)))
 
 
 @pytest.mark.parametrize("name", [name for name, config in PRESETS.items() if config.command == "scaling"])
@@ -81,15 +94,17 @@ def test_every_scaling_family_member_equals_the_reference(name, variant):
     config = PRESETS[name]
     for ell in config.ell_values:
         process, window = config.family_member(ell)
-        assert_same_report(*checked_both_ways(step_laws(process, window), config.condition_params(), variant, window))
+        assert_same_report(*checked_both_ways(process.law_table(window), config.condition_params(), variant, window,
+                                              own_laws(process, window)))
 
 
 def test_the_needle_at_n_1000_equals_the_reference():
     # 825 laws (d = 176..1000), and every distinct |step| up to the laws' reach is an index
     window = dl.DriftWindow(175.0, 375.0)
-    laws = list(step_laws(dl.NeedleOneOneEA(1000), window))
+    needle = dl.NeedleOneOneEA(1000)
+    laws = needle.law_table(window)
     params = dl.ConditionParams(eps=0.25, delta=1.0, r=2.0)
-    report, ref = checked_both_ways(laws, params, TWO_SIDED, window)
+    report, ref = checked_both_ways(laws, params, TWO_SIDED, window, own_laws(needle, window))
     assert len(laws) == 825 and len(report.tails) > params.j_max + 1
     assert report.overall() == ref.overall() == "pass"
     assert (report.tail_state, report.tail_j) == (ref.tail_state, ref.tail_j)
@@ -139,7 +154,8 @@ PARAMS = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(pairs=per_state_laws(), params=PARAMS, variant=st.sampled_from([TWO_SIDED, ONE_SIDED]))
 def test_drawn_per_state_laws_equal_the_reference(pairs, params, variant):
-    assert_same_report(*checked_both_ways(pairs, params, variant, dl.DriftWindow(10.0, 16.0)))
+    window = dl.DriftWindow(10.0, 16.0)
+    assert_same_report(*checked_both_ways(LawTable.stack(pairs), params, variant, window, pairs))
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,13 +166,10 @@ def test_a_drawn_single_law_equals_the_reference(law, params, variant):
 
 def small_laws():
     for n in range(2, 13):
-        needle = dl.NeedleOneOneEA(n)
-        yield from (needle.step_law(d) for d in needle.states())
-        for lam in (1, 2, 5):
-            comma = dl.OneCommaLambdaEA(n, lam)
-            yield from (comma.step_law(d) for d in comma.states())
-    yield dl.GeometricDriftWalk(0.2, 1.0).step_law(None)
-    yield dl.CounterexampleChain(10).step_law(None)
+        for process in (dl.NeedleOneOneEA(n), *(dl.OneCommaLambdaEA(n, lam) for lam in (1, 2, 5))):
+            yield from (transition_law(process, d) for d in range(n + 1))
+    yield dl.GeometricDriftWalk(0.2, 1.0).step_law()
+    yield dl.CounterexampleChain(10).step_law()
 
 
 @pytest.mark.parametrize("one_sided", [False, True])

@@ -206,7 +206,7 @@ class TestMgfBoundCheck:
         # closed form: E(e^{gamma |step|}) = 2 + delta at gamma = ln(1 + delta/2)
         for delta in (0.5, 1.0):
             walk = dl.GeometricDriftWalk(0.1, delta)
-            link = dl.mgf_bound_check(walk.step_law(None), delta=delta, r=1.0 + delta)
+            link = dl.mgf_bound_check(walk.step_law(), delta=delta, r=1.0 + delta)
             assert link.lhs == pytest.approx(2.0 + delta, rel=1e-10)
             assert link.rhs == pytest.approx((1 + delta) * (4 + delta + 2 / delta), rel=1e-12)
             assert link.parameters["gamma"] == pytest.approx(math.log1p(delta / 2), rel=1e-15)
@@ -215,11 +215,11 @@ class TestMgfBoundCheck:
 
     def test_geometric_walk_below_fourteen(self):
         walk = dl.GeometricDriftWalk(0.2, 1.0)
-        link = dl.mgf_bound_check(walk.step_law(None), delta=1.0, r=2.0)
+        link = dl.mgf_bound_check(walk.step_law(), delta=1.0, r=2.0)
         assert link.lhs <= 14.0
         assert link.holds
 
     def test_rejects_condition_failures(self):
-        table = dl.CounterexampleChain(10).step_law(None)
+        table = dl.CounterexampleChain(10).step_law()
         with pytest.raises(ValueError, match="not asserted"):
             dl.mgf_bound_check(table, delta=1.0, r=2.0)
