@@ -2,8 +2,8 @@
 
 The package simulates stochastic processes over a drift window, checks the
 drift and exponential jump-tail conditions exactly in every window state from
-the table of step laws each process gives for the window (`law_table`), or
-statistically where a process has none,
+the `LawTable` of step laws each process gives for the window (`law_table`;
+a single law is a one-row table), or statistically where a process has none,
 derives every constant of the escape-probability bound, and verifies the
 inequality chains used by the classic applications in exact arithmetic.
 """
@@ -24,7 +24,7 @@ from .conditions import (
     check_conditions_exact,
     harvest_step_samples,
 )
-from .jumps import JumpDistribution
+from .jumps import LawTable
 from .processes import (
     ConstantWalk,
     CounterexampleChain,
@@ -71,7 +71,7 @@ __all__ = [
     "GeometricDriftWalk",
     "HittingEstimate",
     "InequalityResult",
-    "JumpDistribution",
+    "LawTable",
     "LemmaInput",
     "NeedleOneOneEA",
     "OneCommaLambdaEA",

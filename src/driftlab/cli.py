@@ -19,7 +19,7 @@ from . import __version__
 from .conditions import TWO_SIDED, TailCheck, check_conditions_empirical, check_conditions_exact, harvest_step_samples
 from .core import default_workers, estimate_hitting_probability, ordered_map
 from .presets import PRESETS, ExperimentConfig, get_preset, load_config, parse_horizon
-from .reporting import condition_summary, constants_trace, format_cell, format_links, format_trials, write_csv
+from .reporting import condition_summary, constants_trace, format_cell, format_links, format_trials, jump_table_rows, write_csv
 from .theorem import derive_constants, hajek_escape_bound
 from .inequalities import SWEEPS, SweepGrid, check_grid, slab_count
 
@@ -87,13 +87,12 @@ def cmd_check(args) -> int:
         for key in ("trials", "max_steps", "master_seed", "horizon", "prob_target"):
             del provenance[key]
     if args.jump_table:
-        law = process.step_law()
-        if law is None:
+        if laws is None or laws.states != (None,):
             raise ValueError(
                 f"process {config.process_kind!r} has no state-independent step law; "
                 "no exact jump table to export"
             )
-        write_csv(args.jump_table, provenance, ["j", "p_up", "p_down"], law.csv_rows())
+        write_csv(args.jump_table, provenance, ["j", "p_up", "p_down"], jump_table_rows(laws))
     if laws is not None:
         report = check_conditions_exact(laws, params, config.variant, window)
         where = "the one step law" if report.drift_state is None else "the step law of every window state"

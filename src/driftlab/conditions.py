@@ -13,12 +13,12 @@ A process with exact step laws is checked exactly in every such state by
 `check_conditions_exact`, from the one `LawTable` its `law_table(window)`
 gives: a row per state above the target for the needle and the (1,λ) EA, and
 one row for a process whose law does not depend on its state. A single law is
-checked as a one-row table. Each state's drift is `np.dot` over its own
-support, and every tail of every state comes from one sort of the grid's
-magnitudes, one suffix sum along the rows and one searchsorted, with the bits
-that each law's own one-row table gives. Only processes without an exact law
-(PEA and PEA', whose state is a multiset) are checked empirically, from steps
-pooled over free-running trajectories.
+a one-row table, `LawTable.law(values, probs)`. Each state's drift is
+`np.dot` over its own support, and every tail of every state comes from one
+sort of the grid's magnitudes, one suffix sum along the rows and one
+searchsorted, with the bits that each law's own one-row table gives. Only
+processes without an exact law (PEA and PEA', whose state is a multiset) are
+checked empirically, from steps pooled over free-running trajectories.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .jumps import JumpDistribution, LawTable
+from .jumps import MAX_TAIL_INDEX, LawTable
 from .rng import trial_generators
 from .stats import mean_t_interval, wilson_interval
 
@@ -51,10 +51,10 @@ FLOAT_SLACK = 1e-9
 class ConditionParams:
     """Parameters (ε, δ, r) of the drift and tail conditions.
 
-    j_max is the largest tail index checked on the regular grid; exact tables
-    additionally get checked at every support magnitude beyond it. Bound
-    comparisons run in log space, so indices past the underflow point of
-    r/(1+δ)^j still resolve correctly.
+    j_max, at most MAX_TAIL_INDEX, is the largest tail index checked on the
+    regular grid; exact tables additionally get checked at every support
+    magnitude beyond it. Bound comparisons run in log space, so indices past
+    the underflow point of r/(1+δ)^j still resolve correctly.
     """
 
     eps: float
@@ -70,8 +70,8 @@ class ConditionParams:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not 1.0 <= self.r < math.inf:
             raise ValueError(f"r must be >= 1 and finite, got {self.r}")
-        if self.j_max < 1:
-            raise ValueError(f"j_max must be >= 1, got {self.j_max}")
+        if not 1 <= self.j_max <= MAX_TAIL_INDEX:
+            raise ValueError(f"j_max must lie in [1, {MAX_TAIL_INDEX}], got {self.j_max}")
 
     def log_bound(self, j):
         """log of r / (1+delta)^j, at a float j or elementwise on an array of them."""
@@ -132,24 +132,23 @@ def _require_variant(variant: str) -> None:
 
 
 def check_conditions_exact(
-    laws, params: ConditionParams, variant: str = TWO_SIDED, window=None
+    table: LawTable, params: ConditionParams, variant: str = TWO_SIDED, window=None
 ) -> ConditionReport:
     """Check both conditions exactly from step laws.
 
-    `laws` is a LawTable, as `Process.law_table(window)` gives: the law of the
+    `table` is a LawTable, as `Process.law_table(window)` gives: the law of the
     step out of each state whose potential x lies above window.a, or one row
-    (state None) for the law of every state. A single JumpDistribution is
-    checked as that one-row table. Drift is the exact expectation over each
-    state's own support, required in every state with x < window.b. Tails are
-    the table's suffix sums (`LawTable.tails`), required in every state and
-    compared strictly against r/(1+delta)^j in log space. Checked indices are
-    the grid 0..j_max plus every support magnitude beyond it, so isolated huge
-    jumps are never missed; each index's row holds the largest tail over the
-    states. The report names the state with the least drift and the (state, j)
-    whose tail comes closest to its bound.
+    (state None) for the law of every state, which needs no window. Drift is
+    the exact expectation over each state's own support, required in every
+    state with x < window.b. Tails are the table's suffix sums
+    (`LawTable.tails`), required in every state and compared strictly against
+    r/(1+delta)^j in log space. Checked indices are the grid 0..j_max plus
+    every support magnitude beyond it, so isolated huge jumps are never missed;
+    each index's row holds the largest tail over the states. The report names
+    the state with the least drift and the (state, j) whose tail comes closest
+    to its bound.
     """
     _require_variant(variant)
-    table = LawTable.stack([(None, laws)]) if isinstance(laws, JumpDistribution) else laws
     if table.states != (None,):
         if window is None:
             raise ValueError("per-state step laws need the window they are checked on")

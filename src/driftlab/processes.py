@@ -5,7 +5,7 @@ Every process is immutable after construction and steps via pure functions of
 (state, generator), so trials parallelize safely. `law_table(window)` gives
 the exact laws of the potential's step that a check on a window reads, as one
 `LawTable`: the walk, the counterexample chain and the constant walk have one
-law, `step_law()`, and a one-row table. The needle and (1,λ) EA lumped chains
+law for every state, a one-row table. The needle and (1,λ) EA lumped chains
 state their law once, as `transitions(d)`, and have a row per state above the
 window's target, built only when asked for, each binomial pmf once per
 process. PEA and PEA′, whose state is a multiset of counts, have no exact law
@@ -44,7 +44,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .jumps import JumpDistribution, LawTable
+from .jumps import MAX_TAIL_INDEX, LawTable
 
 _LN8 = math.log(8.0)
 #: steps (walk) or generations (needle) in a trial's first block; each further
@@ -140,16 +140,11 @@ class Process(ABC):
                 return t
         return None
 
-    def step_law(self) -> JumpDistribution | None:
-        """Exact law of the potential's step, when it is the same out of every
-        state; None otherwise."""
-        return None
-
     def law_table(self, window) -> LawTable | None:
         """The exact step laws a check on `window` reads, or None when the
-        process has none: here the one-row table (state None) of step_law()."""
-        law = self.step_law()
-        return None if law is None else LawTable.stack([(None, law)])
+        process has none, as here: a law the same out of every state is one
+        row, state None."""
+        return None
 
     def absorbed(self, state) -> bool:
         """True once the state can never move again; sample harvesting restarts here."""
@@ -173,8 +168,8 @@ class ConstantWalk(Process):
     def step(self, state, rng):
         return state + self.step_size
 
-    def step_law(self):
-        return JumpDistribution(np.array([self.step_size]), np.array([1.0]))
+    def law_table(self, window):
+        return LawTable.law([self.step_size], [1.0])
 
 
 class CounterexampleChain(Process):
@@ -241,19 +236,13 @@ class CounterexampleChain(Process):
         times = np.where(landed <= a, np.where(jumped, t + 1, steps), 0)
         return [time or None for time in times.tolist()]
 
-    def step_law(self):
-        """Exact transition law on the live region ]0, n]."""
-        return JumpDistribution(
-            np.array([-1.0, float(self.up_jump)]),
-            np.array([1.0 - self.up_prob, self.up_prob]),
-        )
-
     def law_table(self, window):
-        """step_law's one row, on a window whose condition domains hold no frozen state."""
+        """The one exact transition law of the live region ]0, n], on a window
+        whose condition domains hold no frozen state."""
         if window.a < 0 or window.b > self.n + 1:
             raise ValueError(f"the counterexample chain is frozen at 0 and above n={self.n}, so its step law "
                              f"needs a >= 0 and b <= {self.n + 1}; got a={window.a}, b={window.b}")
-        return super().law_table(window)
+        return LawTable.law([-1.0, float(self.up_jump)], [1.0 - self.up_prob, self.up_prob])
 
 
 class GeometricDriftWalk(Process):
@@ -349,25 +338,28 @@ class GeometricDriftWalk(Process):
         # u draws the first X with u <= sums[X], so X counts the sums below u
         return _BucketSearch(np.nextafter(self._search_cdf, np.inf))
 
-    def step_law(self) -> JumpDistribution:
-        """Table truncated once the omitted mass drops below 1e-16.
+    def law_table(self, window) -> LawTable:
+        """The one law of every state, truncated once the omitted mass drops below 1e-16.
 
         The cap also covers the exponential-moment tail at gamma = ln(1+delta/2),
         which converges slower than the probability mass, so table-based moment
-        sums stay accurate to roughly 1e-16 as well.
+        sums stay accurate to roughly 1e-16 as well. A small delta needs about
+        74/delta magnitudes; past MAX_TAIL_INDEX of them the table is
+        refused before anything is allocated.
         """
         gamma_rate = math.log1p(self.delta) - math.log1p(self.delta / 2.0)
         log_tol = math.log(1e-16)
-        j_cap = max(
-            64,
-            math.ceil(-log_tol / math.log1p(self.delta)) + 1,
-            math.ceil(-log_tol / gamma_rate) + 1,
-        )
+        # past this magnitude the moment tail, and so the mass, is below 1e-16
+        reach = -log_tol / gamma_rate
+        if not reach < MAX_TAIL_INDEX:
+            raise ValueError(f"delta={self.delta} needs a step table of about {reach:.3g} magnitudes, more than "
+                             f"the {MAX_TAIL_INDEX} an exact check holds; raise delta")
+        j_cap = max(64, math.ceil(reach) + 1)
         j = np.arange(1, j_cap + 1, dtype=float)
         weights = (1.0 + self.delta) ** (-j)
         values = np.concatenate([-j[::-1], j])
         probs = np.concatenate([self.c_minus * weights[::-1], self.c_plus * weights])
-        return JumpDistribution(values, probs)
+        return LawTable.law(values, probs)
 
 
 class _InversionTables(dict):

@@ -104,6 +104,17 @@ def format_trials(outcomes) -> list[str]:
     ]
 
 
+def jump_table_rows(law) -> list[tuple]:
+    """Rows (j, P(step = +j), P(step = -j)) over the support magnitudes of the
+    one-row LawTable `law`."""
+    pairs = list(zip(law.values.tolist(), law.probs[0].tolist()))
+    up = {v: p for v, p in pairs if v > 0}
+    down = {-v: p for v, p in pairs if v < 0}
+    zero = sum(p for v, p in pairs if v == 0)
+    rows = [(0.0, zero, zero)] if zero else []
+    return rows + [(j, up.get(j, 0.0), down.get(j, 0.0)) for j in sorted(set(up) | set(down))]
+
+
 def write_csv(path: str, provenance: dict, columns: list[str], rows: Iterable, trailer: str = "") -> None:
     """Write the provenance as '# key=value' lines, the header `columns`, then
     `rows`: a row is a sequence of cells, and a str is CSV text that is already

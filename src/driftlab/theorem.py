@@ -13,9 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .conditions import TWO_SIDED, ConditionParams, check_conditions_exact
 from .inequalities import InequalityResult
-from .jumps import JumpDistribution
+from .jumps import LawTable
 
 _LN2 = math.log(2.0)
 
@@ -209,13 +211,15 @@ def lemma_tail_bound(inp: LemmaInput) -> float:
     return total + inp.remainder_bound
 
 
-def mgf_bound_check(law: JumpDistribution, delta: float, r: float) -> InequalityResult:
+def mgf_bound_check(law: LawTable, delta: float, r: float) -> InequalityResult:
     """The link E(e^{gamma |step|}) <= r*(4 + delta + 2/delta) at gamma = ln(1 + delta/2),
-    with the moment computed exactly from a step law.
+    with the moment computed exactly from the one-row table of a step law.
 
     The comparison is only asserted under the two-sided tail condition, so a
     law whose two-sided check fails for (delta, r) is rejected.
     """
+    if len(law) != 1:
+        raise ValueError(f"the exponential-moment bound takes the one-row table of one law, got {len(law)} rows")
     # drift plays no role here; any positive eps makes the params valid
     params = ConditionParams(eps=1.0, delta=delta, r=r)
     gamma, bound = _moment_constants(delta, r)
@@ -227,7 +231,8 @@ def mgf_bound_check(law: JumpDistribution, delta: float, r: float) -> Inequality
             f"(tail {worst.tail!r} > bound {worst.bound!r}); "
             "the exponential-moment bound is not asserted in that case"
         )
-    moment = law.abs_mgf(gamma)
+    with np.errstate(over="ignore"):
+        moment = float(np.dot(np.exp(gamma * np.abs(law.values)), law.probs[0]))
     return InequalityResult(
         "mgf-vs-moment-bound", {"delta": delta, "r": r, "gamma": gamma}, moment, bound, moment <= bound
     )

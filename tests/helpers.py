@@ -6,7 +6,9 @@ summation, step laws of the bit-string EAs from enumerating every flip mask in
 exact rational arithmetic, high-precision reference values from mpmath, the
 needle's binomial draws from a transliteration of numpy's C sampler, and exact
 condition checks from one masked sum per (state, tail index), or, where a check
-must match bit for bit, from each law's own tail table.
+must match bit for bit, from each law's own tail table. The laws these checks
+read are one-row tables built by `LawTable.law` from their (values, probs),
+never a table that `LawTable.stack` or `law_table` built.
 """
 
 import itertools
@@ -15,9 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
+import driftlab as dl
 from driftlab.conditions import FLOAT_SLACK, TWO_SIDED, ConditionReport, TailCheck
 from driftlab.inequalities import E_LO
-from driftlab.jumps import JumpDistribution
+from driftlab.jumps import LawTable
 from driftlab.rng import generator, trial_seed
 
 #: a check of PEA', which has no exact step law, so the check harvests steps
@@ -186,8 +189,8 @@ def brute_expectation(values, probs, f):
 
 
 def sample_steps(law, rng, size):
-    """`size` independent steps drawn from a JumpDistribution."""
-    return rng.choice(law.values, size=size, p=law.probs)
+    """`size` independent steps drawn from the one-row LawTable `law`."""
+    return rng.choice(law.values, size=size, p=law.probs[0])
 
 
 def random_discrete_distribution(rng, x_min, span=20, max_support=20):
@@ -313,51 +316,87 @@ def transition_law(process, d):
     """The law of a mutation chain's step out of distance d, on its own values,
     rebuilt from `transitions(d)`: successor first + i is the step first - d + i."""
     first, probs = process.transitions(d)
-    return JumpDistribution(np.arange(first - d, first - d + probs.size, dtype=float), probs)
+    return LawTable.law(np.arange(first - d, first - d + probs.size, dtype=float), probs, float(d))
 
 
 def state_laws(process, window):
-    """(x, law) for every state d > window.a of a mutation chain, each law built
-    on its own by `transition_law`."""
-    return [(float(d), transition_law(process, d)) for d in range(process.n + 1) if d > window.a]
+    """The law of every state d > window.a of a mutation chain, each built on
+    its own by `transition_law`."""
+    return [transition_law(process, d) for d in range(process.n + 1) if d > window.a]
 
 
-def tail_reach(law, variant):
+def single_law(process):
+    """The one law of every state of the counterexample chain, the signed
+    geometric walk or the constant walk, built from its parameters. The walk's
+    weights c_± (1+δ)^-j run out to j_cap, past which the moment tail at
+    γ = ln(1+δ/2), and so the mass, falls below 1e-16."""
+    if isinstance(process, dl.CounterexampleChain):
+        return LawTable.law([-1.0, float(process.up_jump)], [1.0 - process.up_prob, process.up_prob])
+    if isinstance(process, dl.ConstantWalk):
+        return LawTable.law([process.step_size], [1.0])
+    delta = process.delta
+    j_cap = max(64, math.ceil(-math.log(1e-16) / (math.log1p(delta) - math.log1p(delta / 2.0))) + 1)
+    j = np.arange(1, j_cap + 1, dtype=float)
+    weights = (1.0 + delta) ** (-j)
+    return LawTable.law(np.concatenate([-j[::-1], j]),
+                        np.concatenate([process.c_minus * weights[::-1], process.c_plus * weights]))
+
+
+def own_laws(process, window):
+    """The laws a check of `process` on `window` reads, built one by one:
+    `state_laws` for a mutation chain, else `[single_law(process)]`."""
+    return state_laws(process, window) if hasattr(process, "transitions") else [single_law(process)]
+
+
+def law_rows(laws):
+    """(x, values, probs) of each one-row LawTable of `laws`."""
+    return [(law.states[0], law.values, law.probs[0]) for law in laws]
+
+
+def tail_reach(values, probs, variant):
     """The largest j whose tail can be positive: the largest |step|, or for the
     one-sided variant the largest down-step, among steps of positive probability."""
-    support = law.values[law.probs > 0]
+    support = values[probs > 0]
     lowest, highest = float(support[0]), float(support[-1])
     return max(-lowest, highest) if variant == TWO_SIDED else -lowest
 
 
-def reference_exact_check(laws, params, variant=TWO_SIDED, window=None):
-    """check_conditions_exact's report, from one masked sum over the law's own
-    values per (tail index, state) in a Python loop: P(|step| >= j) (1.0 at
-    j <= 0) or P(step <= -j). It takes valid input only. The closest (state, j)
-    is the first in the order j, then state, with the largest log-margin."""
-    pairs = [(None, laws)] if isinstance(laws, JumpDistribution) else list(laws)
+def least_drift(rows, window):
+    """(drift, x): the least drift np.dot(values, probs) over the states of
+    `rows` inside the window, the first such state on ties."""
     drift, drift_state = math.inf, None
-    for x, law in pairs:
-        if (x is None or x < window.b) and (law_drift := law.drift()) < drift:
-            drift, drift_state = law_drift, x
+    for x, values, probs in rows:
+        if (x is None or x < window.b) and (row_drift := float(np.dot(values, probs))) < drift:
+            drift, drift_state = row_drift, x
+    return drift, drift_state
+
+
+def reference_exact_check(laws, params, variant=TWO_SIDED, window=None):
+    """check_conditions_exact's report on the one-row LawTables `laws`, from one
+    masked sum over each law's own values per (tail index, state) in a Python
+    loop: P(|step| >= j) (1.0 at j <= 0) or P(step <= -j). It takes valid input
+    only. The closest (state, j) is the first in the order j, then state, with
+    the largest log-margin."""
+    rows = law_rows(laws)
+    drift, drift_state = least_drift(rows, window)
     drift_ok = drift >= params.eps or math.isclose(drift, params.eps, rel_tol=FLOAT_SLACK)
     indices = sorted(
         set(range(params.j_max + 1))
-        | {float(m) for _, law in pairs for m in np.abs(law.values[law.probs > 0]) if m > params.j_max}
+        | {float(m) for _, values, probs in rows for m in np.abs(values[probs > 0]) if m > params.j_max}
     )
-    reaches = [tail_reach(law, variant) for _, law in pairs]
+    reaches = [tail_reach(values, probs, variant) for _, values, probs in rows]
     tails = []
     worst = (None, None, None)
     for j in indices:
         log_bound = params.log_bound(j)
         largest, ok = 0.0, True
-        for (x, law), reach in zip(pairs, reaches):
+        for (x, values, probs), reach in zip(rows, reaches):
             if j > reach:
                 continue
             if variant == TWO_SIDED:
-                tail = 1.0 if j <= 0 else float(law.probs[np.abs(law.values) >= j].sum())
+                tail = 1.0 if j <= 0 else float(probs[np.abs(values) >= j].sum())
             else:
-                tail = float(law.probs[law.values <= -j].sum())
+                tail = float(probs[values <= -j].sum())
             if tail <= 0.0:
                 continue
             log_tail = math.log(tail)
@@ -372,32 +411,29 @@ def reference_exact_check(laws, params, variant=TWO_SIDED, window=None):
     )
 
 
-def per_law_tails(law, js, one_sided=False):
+def per_law_tails(values, probs, js, one_sided=False):
     """P(|step| >= j), or P(step <= -j), at each j of js from the law's own tail
     table: the magnitudes of its steps of positive probability in a stable
     sort, and their suffix sums added from the largest magnitude down."""
-    positive = law.probs > 0
-    magnitudes = -law.values[positive] if one_sided else np.abs(law.values[positive])
+    positive = probs > 0
+    magnitudes = -values[positive] if one_sided else np.abs(values[positive])
     order = np.argsort(magnitudes, kind="stable")
-    suffix = np.append(np.cumsum(law.probs[positive][order[::-1]])[::-1], 0.0)
+    suffix = np.append(np.cumsum(probs[positive][order[::-1]])[::-1], 0.0)
     tails = suffix[np.searchsorted(magnitudes[order], js)]
     return tails if one_sided else np.where(js <= 0, 1.0, tails)
 
 
 def per_law_exact_check(laws, params, variant=TWO_SIDED, window=None):
-    """check_conditions_exact's report, from each law on its own: its drift
-    `law.drift()`, and every tail from its own tail table (`per_law_tails`).
-    These are the sums a table of laws must reproduce bit for bit. It takes
-    valid input only."""
-    pairs = [(None, laws)] if isinstance(laws, JumpDistribution) else list(laws)
-    drift, drift_state = math.inf, None
-    for x, law in pairs:
-        if (x is None or x < window.b) and (law_drift := law.drift()) < drift:
-            drift, drift_state = law_drift, x
+    """check_conditions_exact's report on the one-row LawTables `laws`, from
+    each law on its own: its drift np.dot(values, probs), and every tail from
+    its own tail table (`per_law_tails`). These are the sums a table of laws
+    must reproduce bit for bit. It takes valid input only."""
+    rows = law_rows(laws)
+    drift, drift_state = least_drift(rows, window)
     drift_ok = drift >= params.eps or math.isclose(drift, params.eps, rel_tol=FLOAT_SLACK)
-    beyond = {float(m) for _, law in pairs for m in np.abs(law.values[law.probs > 0]).tolist() if m > params.j_max}
+    beyond = {float(m) for _, values, probs in rows for m in np.abs(values[probs > 0]).tolist() if m > params.j_max}
     js = np.array(sorted(set(range(params.j_max + 1)) | beyond), dtype=float)
-    tails = np.array([per_law_tails(law, js, variant != TWO_SIDED) for _, law in pairs])
+    tails = np.array([per_law_tails(values, probs, js, variant != TWO_SIDED) for _, values, probs in rows])
     largest = tails.max(axis=0)
     log_bounds = params.log_bound(js)
     with np.errstate(divide="ignore"):
@@ -406,7 +442,7 @@ def per_law_exact_check(laws, params, variant=TWO_SIDED, window=None):
     if largest[k := int(np.argmax(log_largest - log_bounds))] > 0.0:
         j = float(js[k])
         binding = dict(tail_log_margin=math.log(largest[k]) - params.log_bound(j), tail_j=j,
-                       tail_state=pairs[int(np.argmax(tails[:, k]))][0])
+                       tail_state=rows[int(np.argmax(tails[:, k]))][0])
     return ConditionReport(
         variant=variant, mode="exact", params=params, drift=drift, drift_verdict="pass" if drift_ok else "fail",
         tails=tuple(TailCheck(j, tail, params.bound(j), "pass" if log_tail <= log_bound + FLOAT_SLACK else "fail")

@@ -120,7 +120,7 @@ def test_criterion_4_mgf_bound_suite():
         # r = 2 certifies the two-sided condition whenever delta <= 1; the
         # walk's exact tail needs r = 1 + delta beyond that
         r = max(2.0, 1.0 + delta)
-        link = dl.mgf_bound_check(walk.step_law(), delta=delta, r=r)
+        link = dl.mgf_bound_check(walk.law_table(dl.DriftWindow(0.0, 1.0)), delta=delta, r=r)
         assert link.holds, (delta, eps)
         assert link.lhs == pytest.approx(2.0 + delta, rel=1e-9)
         # the criterion's literal inequality at r = 2 holds for every delta

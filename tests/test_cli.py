@@ -473,6 +473,32 @@ def test_horizon_below_one_step_exits_two(capsys):
     assert "-3" in _single_error_line(capsys)
 
 
+def test_jump_table_of_per_state_laws_exits_two(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["check", "--preset", "needle-n50-twosided", "--jump-table", str(out)]) == 2
+    assert _single_error_line(capsys) == (
+        "error: process 'needle' has no state-independent step law; no exact jump table to export")
+    assert not out.exists()
+
+
+def test_walk_check_whose_table_would_not_fit_exits_two(tmp_path, capsys):
+    # at delta = 1e-10 the walk's table needs about 7.4e11 magnitudes, some 5 TiB of floats
+    config = tmp_path / "tiny-delta.ini"
+    config.write_text("[process]\nkind = geometric-walk\neps = 0.2\ndelta = 1e-10\n"
+                      "[window]\nb = 10\n[conditions]\neps = 0.2\n")
+    assert main(["check", "--config", str(config)]) == 2
+    assert "delta=1e-10" in _single_error_line(capsys)
+
+
+def test_check_with_a_huge_j_max_exits_two(tmp_path, capsys):
+    # the check would hold a set and a TailCheck per index 0..j_max
+    config = tmp_path / "huge-j-max.ini"
+    config.write_text("[process]\nkind = counterexample\nn = 10\n[window]\nb = 10\n"
+                      "[conditions]\nj_max = 100000000000\n")
+    assert main(["check", "--config", str(config)]) == 2
+    assert "j_max" in _single_error_line(capsys)
+
+
 @pytest.mark.parametrize(
     "argv, words",
     [

@@ -5,19 +5,22 @@ import pytest
 
 import driftlab as dl
 from driftlab.conditions import ONE_SIDED, TWO_SIDED
-from driftlab.jumps import LawTable
+from driftlab.jumps import MAX_TAIL_INDEX, LawTable
 from driftlab.rng import generator
 from helpers import sample_steps, tail_reach
+
+#: a window on which the counterexample chain at n = 10 has its one law
+LIVE = dl.DriftWindow(0.0, 10.0)
 
 
 @pytest.fixture(scope="module")
 def counterexample_table():
-    return dl.CounterexampleChain(10).step_law()
+    return dl.CounterexampleChain(10).law_table(LIVE)
 
 
 @pytest.fixture(scope="module")
-def walk():
-    return dl.GeometricDriftWalk(0.2, 1.0)
+def walk_law():
+    return dl.GeometricDriftWalk(0.2, 1.0).law_table(LIVE)
 
 
 class TestExactChecks:
@@ -45,21 +48,21 @@ class TestExactChecks:
         # first failing index: 2/2^j < e^-10 from j = 16 onward
         assert min(failed_js) == 16.0
 
-    def test_geometric_walk_passes_two_sided(self, walk):
+    def test_geometric_walk_passes_two_sided(self, walk_law):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=2.0)
-        report = dl.check_conditions_exact(walk.step_law(), params, TWO_SIDED)
+        report = dl.check_conditions_exact(walk_law, params, TWO_SIDED)
         assert report.overall() == "pass"
         assert all(t.verdict == "pass" for t in report.tails)
 
-    def test_j_zero_always_passes_with_r_at_least_one(self, walk):
+    def test_j_zero_always_passes_with_r_at_least_one(self, walk_law):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=1.0)
-        report = dl.check_conditions_exact(walk.step_law(), params, TWO_SIDED)
+        report = dl.check_conditions_exact(walk_law, params, TWO_SIDED)
         assert report.tails[0].j == 0.0
         assert report.tails[0].verdict == "pass"
 
-    def test_one_sided_implied_by_two_sided(self, counterexample_table, walk):
+    def test_one_sided_implied_by_two_sided(self, counterexample_table, walk_law):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=2.0)
-        for table in (counterexample_table, walk.step_law()):
+        for table in (counterexample_table, walk_law):
             two = dl.check_conditions_exact(table, params, TWO_SIDED)
             one = dl.check_conditions_exact(table, params, ONE_SIDED)
             one_by_j = {t.j: t.verdict for t in one.tails}
@@ -79,19 +82,33 @@ class TestExactChecks:
     )
     def test_a_tail_is_zero_exactly_past_its_reach(self, values, probs):
         # the reference check skips a law once j passes its reach, so that must be where its tail becomes 0.0
-        law = dl.JumpDistribution(values, probs)
+        law = LawTable.law(values, probs)
         for variant in (TWO_SIDED, ONE_SIDED):
-            reach = tail_reach(law, variant)
+            reach = tail_reach(law.values, law.probs[0], variant)
             js = np.array([*np.arange(0.0, 9.0, 0.25), reach, np.nextafter(reach, math.inf)])
-            for j, tail in zip(js.tolist(), law.tails(js, variant == ONE_SIDED).tolist()):
+            for j, tail in zip(js.tolist(), law.tails(js, variant == ONE_SIDED)[0].tolist()):
                 assert (tail == 0.0) == (j > reach), (variant, j)
+
+    def test_mismatched_or_empty_arrays_rejected(self):
+        for values, probs in (([-1.0, 1.0], [1.0]), ([], []), ([[0.0]], [[1.0]])):
+            with pytest.raises(ValueError, match="matching non-empty 1-d arrays"):
+                LawTable.law(values, probs)
+
+    def test_unsorted_values_rejected(self):
+        for values in ([1.0, -1.0], [0.0, 0.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                LawTable.law(values, [0.5, 0.5])
+
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            LawTable.law([-1.0, 0.0, 1.0], [0.6, -0.1, 0.5])
 
     def test_non_normalized_table_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
-            dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.6, 0.5]))
+            LawTable.law(np.array([-1.0, 1.0]), np.array([0.6, 0.5]))
 
     def test_drift_failure_detected(self):
-        table = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        table = LawTable.law(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         params = dl.ConditionParams(eps=0.1, delta=1.0, r=2.0)
         report = dl.check_conditions_exact(table, params)
         assert report.drift_verdict == "fail"
@@ -117,11 +134,11 @@ class TestEmpiricalChecks:
             if t.count == 0:
                 assert t.verdict == "inconclusive"
 
-    def test_agrees_with_exact_mode_where_margins_are_wide(self, walk):
+    def test_agrees_with_exact_mode_where_margins_are_wide(self, walk_law):
         params = dl.ConditionParams(eps=0.2, delta=1.0, r=2.0, j_max=32)
-        exact = dl.check_conditions_exact(walk.step_law(), params, TWO_SIDED)
+        exact = dl.check_conditions_exact(walk_law, params, TWO_SIDED)
         rng = generator(2024)
-        samples = sample_steps(walk.step_law(), rng, 1_000_000)
+        samples = sample_steps(walk_law, rng, 1_000_000)
         emp = dl.check_conditions_empirical(samples, samples, params, TWO_SIDED)
         exact_by_j = {t.j: t for t in exact.tails}
         for t in emp.tails:
@@ -135,7 +152,7 @@ class TestEmpiricalChecks:
                 assert t.verdict == ref.verdict
 
     def test_counterexample_large_jump_fails_when_observed(self):
-        table = dl.CounterexampleChain(10).step_law()
+        table = dl.CounterexampleChain(10).law_table(LIVE)
         rng = generator(8)  # seed with at least one up-jump among 1e5 draws
         samples = sample_steps(table, rng, 100_000)
         n_jumps = int((samples > 1).sum())
@@ -190,6 +207,12 @@ class TestHarvesting:
         with pytest.raises(ValueError):
             dl.ConditionParams(eps=0.1, delta=1.0, r=2.0, j_max=0)
 
+    def test_j_max_past_what_a_check_can_hold_rejected(self):
+        # a check holds a TailCheck per index 0..j_max
+        assert dl.ConditionParams(eps=0.1, delta=1.0, r=2.0, j_max=MAX_TAIL_INDEX).j_max == MAX_TAIL_INDEX
+        with pytest.raises(ValueError, match="j_max"):
+            dl.ConditionParams(eps=0.1, delta=1.0, r=2.0, j_max=100_000_000_000)
+
 
 class TestPerStateChecks:
     params = dl.ConditionParams(eps=0.25, delta=1.0, r=2.0)
@@ -208,21 +231,20 @@ class TestPerStateChecks:
         assert report.tails[1].tail == pytest.approx(1 - 0.98**50, rel=1e-12)
 
     def test_a_state_cannot_hide_behind_the_average(self):
-        good = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.25, 0.75]))
-        bad = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-        pairs = [(11.0, good), (12.0, bad), (13.0, good), (14.0, good)]
+        laws = [LawTable.law([-1.0, 1.0], probs, x) for probs, x in
+                [([0.25, 0.75], 11.0), ([0.5, 0.5], 12.0), ([0.25, 0.75], 13.0), ([0.25, 0.75], 14.0)]]
         # the average drift over the four states is 0.375 >= eps, but state 12 has none
-        report = dl.check_conditions_exact(LawTable.stack(pairs), self.params, TWO_SIDED, self.window)
+        report = dl.check_conditions_exact(LawTable.stack(laws), self.params, TWO_SIDED, self.window)
         assert report.drift_verdict == "fail" and report.drift_state == 12.0
 
     def test_drift_only_inside_the_window_tails_above_it(self):
-        weak = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-        good = dl.JumpDistribution(np.array([-1.0, 1.0]), np.array([0.25, 0.75]))
-        heavy = dl.JumpDistribution(np.array([-40.0, 1.0]), np.array([0.01, 0.99]))
+        good = LawTable.law([-1.0, 1.0], [0.25, 0.75], 11.0)
+        weak = LawTable.law([-1.0, 1.0], [0.5, 0.5], 16.0)
+        heavy = LawTable.law([-40.0, 1.0], [0.01, 0.99], 16.0)
         # state 16 is not inside (10, 16): its weak drift is not required, its tails are
-        report = dl.check_conditions_exact(LawTable.stack([(11.0, good), (16.0, weak)]), self.params, TWO_SIDED, self.window)
+        report = dl.check_conditions_exact(LawTable.stack([good, weak]), self.params, TWO_SIDED, self.window)
         assert report.overall() == "pass" and report.drift_state == 11.0
-        report = dl.check_conditions_exact(LawTable.stack([(11.0, good), (16.0, heavy)]), self.params, TWO_SIDED, self.window)
+        report = dl.check_conditions_exact(LawTable.stack([good, heavy]), self.params, TWO_SIDED, self.window)
         assert report.overall() == "fail" and report.tail_state == 16.0
         assert {t.j for t in report.tail_failures()} >= {40.0}
 
@@ -230,21 +252,20 @@ class TestPerStateChecks:
         params = dl.ConditionParams(eps=1.0, delta=1.0, r=2.0)
         window = dl.DriftWindow(0.0, 10.0)
         single = dl.check_conditions_exact(counterexample_table, params, TWO_SIDED)
-        pairs = [(float(x), counterexample_table) for x in range(1, 11)]
-        per_state = dl.check_conditions_exact(LawTable.stack(pairs), params, TWO_SIDED, window)
+        laws = [LawTable.law(counterexample_table.values, counterexample_table.probs[0], float(x)) for x in range(1, 11)]
+        per_state = dl.check_conditions_exact(LawTable.stack(laws), params, TWO_SIDED, window)
         assert per_state.tails == single.tails
         assert per_state.overall() == single.overall() == "fail"
         assert single.drift_state is None and single.tail_state is None
         assert per_state.tail_j == single.tail_j == 44053.0
 
     def test_bad_per_state_input_rejected(self):
-        law = dl.JumpDistribution(np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="window"):
-            dl.check_conditions_exact(LawTable.stack([(11.0, law)]), self.params)
+            dl.check_conditions_exact(LawTable.law([1.0], [1.0], 11.0), self.params)
         with pytest.raises(ValueError, match="above the target threshold"):
-            dl.check_conditions_exact(LawTable.stack([(10.0, law)]), self.params, TWO_SIDED, self.window)
+            dl.check_conditions_exact(LawTable.law([1.0], [1.0], 10.0), self.params, TWO_SIDED, self.window)
         with pytest.raises(ValueError, match="strictly inside"):
-            dl.check_conditions_exact(LawTable.stack([(16.0, law)]), self.params, TWO_SIDED, self.window)
+            dl.check_conditions_exact(LawTable.law([1.0], [1.0], 16.0), self.params, TWO_SIDED, self.window)
 
     def test_laws_are_built_only_by_law_table(self, monkeypatch):
         built = []

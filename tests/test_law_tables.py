@@ -6,8 +6,8 @@ its own from `transitions(d)` (`helpers.transition_law`), bit for bit, and a
 check over the table must give the report that each law on its own gives
 (`helpers.per_law_exact_check`), also bit for bit: zeros off a row's support
 add +0.0 to its sums and nothing else. `reference_exact_check` stays the
-independent oracle, within a few ulps. Single laws and drawn (x, law) pairs
-are checked bit for bit in `test_tail_tables.py`.
+independent oracle, within a few ulps. Single laws and drawn laws of several
+states are checked bit for bit in `test_tail_tables.py`.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ import driftlab as dl
 from driftlab import processes
 from driftlab.conditions import ONE_SIDED, TWO_SIDED
 from driftlab.jumps import LawTable
-from helpers import per_law_exact_check, reference_exact_check, state_laws, transition_law
+from helpers import per_law_exact_check, reference_exact_check, single_law, state_laws, transition_law
 from test_tail_tables import assert_bit_equal_reports, assert_same_report, bits
 
 PROCESSES = [
@@ -39,14 +39,15 @@ def test_every_row_is_its_states_own_law(process):
     table = process.law_table(dl.DriftWindow(-1.0, process.n))
     assert isinstance(table, LawTable) and table.states == tuple(float(d) for d in range(process.n + 1))
     assert np.array_equal(table.values, np.arange(table.values[0], table.values[-1] + 1))
-    for row, (x, law) in enumerate(table):
+    for row, (x, law) in enumerate(zip(table.states, table)):
         own = transition_law(process, int(x))
+        assert law.states == own.states == (x,)
         assert bits(law.values) == bits(own.values) and bits(law.probs) == bits(own.probs), x
         # off its own values a row holds exactly 0.0
         off = np.ones(table.values.size, dtype=bool)
         off[table.supports[row]] = False
         assert not table.probs[row, off].any(), x
-        assert bits([table.drift(row)]) == bits([own.drift()]), x
+        assert bits([table.drift(row)]) == bits([np.dot(own.values, own.probs[0])]), x
 
 
 @pytest.mark.parametrize("process", PROCESSES, ids=IDS)
@@ -56,7 +57,7 @@ def test_a_check_over_the_table_is_the_check_law_by_law(process, variant):
     for window in windows(process.n):
         table = process.law_table(window)
         own = state_laws(process, window)
-        assert table.states == tuple(x for x, _ in own)
+        assert table.states == tuple(law.states[0] for law in own)
         report = dl.check_conditions_exact(table, params, variant, window)
         assert_bit_equal_reports(report, per_law_exact_check(own, params, variant, window))
         # the laws stacked on the union of their values make the same grid
@@ -95,8 +96,18 @@ def test_each_binomial_pmf_is_computed_once(monkeypatch):
 
 def test_one_law_is_a_one_row_table():
     walk = dl.GeometricDriftWalk(0.2, 1.0)
-    law = walk.step_law()
-    table = LawTable.stack([(None, law)])
-    assert table.states == (None,) and table.values is law.values and table.probs.shape == (1, law.values.size)
+    law = single_law(walk)
+    assert law.states == (None,) and law.probs.shape == (1, law.values.size) and len(list(law)) == 1
+    table = LawTable.stack([law])
+    assert table.states == (None,) and bits(table.values) == bits(law.values) and bits(table.probs) == bits(law.probs)
     table = walk.law_table(dl.DriftWindow(0.0, 5.0))
-    assert table.states == (None,) and bits(table.probs[0]) == bits(law.probs)
+    assert table.states == (None,) and bits(table.values) == bits(law.values) and bits(table.probs) == bits(law.probs)
+
+
+@pytest.mark.parametrize("variant", [TWO_SIDED, ONE_SIDED])
+def test_a_stack_of_a_tables_rows_is_that_table(variant):
+    window = dl.DriftWindow(10.0, 16.0)
+    params = dl.ConditionParams(eps=0.25, delta=1.0, r=2.0)
+    table = dl.NeedleOneOneEA(50).law_table(window)
+    report = dl.check_conditions_exact(table, params, variant, window)
+    assert_bit_equal_reports(dl.check_conditions_exact(LawTable.stack(list(table)), params, variant, window), report)

@@ -26,24 +26,24 @@ class TestCounterexampleChain:
 
     def test_drift_at_least_one_for_every_n(self):
         for n in range(2, 26):
-            table = dl.CounterexampleChain(n).step_law()
+            table = dl.CounterexampleChain(n).law_table(dl.DriftWindow(0.0, n))
             expected = math.exp(-n) * math.ceil(2 * math.exp(n)) - (1 - math.exp(-n))
-            assert table.drift() == pytest.approx(expected, rel=1e-12)
-            assert table.drift() >= 1.0
+            assert table.drift(0) == pytest.approx(expected, rel=1e-12)
+            assert table.drift(0) >= 1.0
 
     def test_one_sided_tail_is_unit_steps_only(self):
-        table = dl.CounterexampleChain(10).step_law()
-        down = table.tails(np.array([1.0, 2.0, 50.0]), one_sided=True)
+        table = dl.CounterexampleChain(10).law_table(dl.DriftWindow(0.0, 10.0))
+        down = table.tails(np.array([1.0, 2.0, 50.0]), one_sided=True)[0]
         assert down[0] == pytest.approx(1 - math.exp(-10), rel=1e-14)
         assert down[1] == 0.0
         assert down[2] == 0.0
 
     def test_two_sided_tail_concentrates_on_the_big_jump(self):
-        table = dl.CounterexampleChain(10).step_law()
+        table = dl.CounterexampleChain(10).law_table(dl.DriftWindow(0.0, 10.0))
         p = math.exp(-10)
-        for tail in table.tails(np.array([2.0, 100.0, 44053.0])):
+        for tail in table.tails(np.array([2.0, 100.0, 44053.0]))[0]:
             assert tail == pytest.approx(p, rel=1e-14)
-        assert table.tails(np.array([44054.0]))[0] == 0.0
+        assert table.tails(np.array([44054.0]))[0, 0] == 0.0
 
     def test_trajectories_never_step_down_by_two(self):
         process = dl.CounterexampleChain(6)
@@ -74,16 +74,16 @@ class TestGeometricDriftWalk:
     def test_table_is_normalized_with_exact_drift(self):
         for eps, delta in [(0.2, 1.0), (0.5, 0.3), (1.0, 2.5), (0.05, 0.1)]:
             walk = dl.GeometricDriftWalk(eps, delta)
-            table = walk.step_law()
+            table = walk.law_table(dl.DriftWindow(0.0, 5.0))
             assert abs(float(table.probs.sum()) - 1.0) < 1e-12
-            assert table.drift() == pytest.approx(eps, rel=1e-9)
+            assert table.drift(0) == pytest.approx(eps, rel=1e-9)
 
     @pytest.mark.parametrize("delta", [0.3, 1.0, 2.0])
     def test_closed_form_tail_matches_term_summation(self, delta):
         walk = dl.GeometricDriftWalk(0.1, delta)
         pmf, j_cap = geometric_step_pmf(0.1, delta, j_cap=4000)
         mags = np.abs(np.arange(-j_cap, j_cap + 1))
-        tails = walk.step_law().tails(np.arange(61.0))
+        tails = walk.law_table(dl.DriftWindow(0.0, 5.0)).tails(np.arange(61.0))[0]
         for j in range(0, 61):
             brute = float(pmf[mags >= j].sum())
             # closed form: P(|step| >= j) = (1+delta)^(1-j) for j >= 1
@@ -97,6 +97,13 @@ class TestGeometricDriftWalk:
         for j in range(0, 65):
             bound = walk.r / (1.0 + walk.delta) ** j
             assert float(pmf[mags >= j].sum()) <= bound * (1 + 1e-12)
+
+    def test_table_past_what_a_check_can_hold_refused(self):
+        window = dl.DriftWindow(0.0, 5.0)
+        # the moment tail at ln(1 + delta/2) needs about 74/delta magnitudes
+        assert dl.GeometricDriftWalk(0.2, 1e-4).law_table(window).values.size == 2 * 736_884
+        with pytest.raises(ValueError, match="delta=1e-10"):
+            dl.GeometricDriftWalk(0.2, 1e-10).law_table(window)
 
     def test_infeasible_drift_rejected_with_diagnostic(self):
         with pytest.raises(ValueError, match="geometric tails allow"):

@@ -2,7 +2,8 @@
 
 The bit-string EAs' transitions are compared with enumerations of every flip
 mask in exact rational arithmetic, and at n = 1000 with exact integer sums;
-the state-independent laws with their closed forms.
+the state-independent laws with the laws built from their parameters
+(`helpers.single_law`).
 """
 
 import math
@@ -14,11 +15,12 @@ import pytest
 import driftlab as dl
 from driftlab.jumps import NORMALIZATION_TOL
 from driftlab.processes import _FACTORIES
-from helpers import comma_lambda_step_oracle, needle_step_exact, needle_step_oracle
+from helpers import comma_lambda_step_oracle, needle_step_exact, needle_step_oracle, single_law
 
 
 def as_dict(law):
-    return dict(zip(law.values.tolist(), law.probs.tolist()))
+    """{step: P} of a one-row LawTable."""
+    return dict(zip(law.values.tolist(), law.probs[0].tolist()))
 
 
 def steps(process, d):
@@ -28,7 +30,7 @@ def steps(process, d):
 
 
 def assert_is_a_law(probs):
-    """A table row is never validated as a JumpDistribution, so check it here."""
+    """transitions(d) is never validated as `LawTable.law` validates a law, so check it here."""
     assert np.all(probs >= 0.0) and abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL
 
 
@@ -113,14 +115,12 @@ def test_state_independent_laws_are_one_row_tables():
     for window in (dl.DriftWindow(0.0, 5.0), dl.DriftWindow(3.0, 11.0)):
         for process in processes.values():
             table = process.law_table(window)
-            (x, law), = table
-            assert x is None and as_dict(law) == as_dict(process.step_law())
-    # a mutation chain's law depends on its state, so it has no one law
+            assert table.states == (None,) and as_dict(table) == as_dict(single_law(process))
+    # a mutation chain's law depends on its state, so it has a row per state above a
     for process in (dl.NeedleOneOneEA(10), dl.OneCommaLambdaEA(10, 2)):
-        assert process.step_law() is None
+        assert process.law_table(dl.DriftWindow(3.0, 11.0)).states == tuple(float(d) for d in range(4, 11))
 
 
 def test_pea_has_no_exact_law():
     for process in (dl.pea(10, 2), dl.pea_prime(10, 2)):
-        assert process.step_law() is None
         assert process.law_table(dl.DriftWindow(0.0, 5.0)) is None

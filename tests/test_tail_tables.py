@@ -4,9 +4,9 @@
 checked states, as `Process.law_table(window)` or `LawTable.stack` builds it.
 Here it is compared with `reference_exact_check`, one masked sum per (state,
 index) in a Python loop, and bit for bit with `per_law_exact_check`, each law's
-own tail table; both references read the laws built one by one, never the
-table. Each law's tail is also compared with the exact rational sum of the
-law's float probabilities.
+own tail table; both references read the laws built one by one as one-row
+tables, never the table. Each law's tail is also compared with the exact
+rational sum of the law's float probabilities.
 """
 
 import math
@@ -21,7 +21,7 @@ import driftlab as dl
 from driftlab.conditions import ONE_SIDED, TWO_SIDED
 from driftlab.jumps import LawTable
 from driftlab.presets import PRESETS
-from helpers import per_law_exact_check, reference_exact_check, state_laws, transition_law
+from helpers import own_laws, per_law_exact_check, reference_exact_check, single_law, transition_law
 
 
 def assert_same_report(report, ref):
@@ -55,22 +55,13 @@ def assert_bit_equal_reports(got, want):
     assert bits([t.tail for t in got.tails]) == bits([t.tail for t in want.tails])
 
 
-def checked_both_ways(laws, params, variant, window, reference_laws=None):
-    """The check's report on a LawTable or a single law, and the reference's;
-    the report must also be the one that each law on its own gives, bit for bit.
-
-    The references read `reference_laws`, the (x, law) pairs built without the
-    table, or with none given the single law `laws`."""
-    report = dl.check_conditions_exact(laws, params, variant, window)
-    own = laws if reference_laws is None else reference_laws
-    assert_bit_equal_reports(report, per_law_exact_check(own, params, variant, window))
-    return report, reference_exact_check(own, params, variant, window)
-
-
-def own_laws(process, window):
-    """The process's laws built one by one: (x, law) per state from
-    `transitions(d)` for a mutation chain, else its single `step_law()`."""
-    return state_laws(process, window) if hasattr(process, "transitions") else process.step_law()
+def checked_both_ways(table, params, variant, window, laws):
+    """The check's report on a LawTable, and the reference's on `laws`, the
+    one-row tables of its states built without it; the report must also be the
+    one that each law on its own gives, bit for bit."""
+    report = dl.check_conditions_exact(table, params, variant, window)
+    assert_bit_equal_reports(report, per_law_exact_check(laws, params, variant, window))
+    return report, reference_exact_check(laws, params, variant, window)
 
 
 EXACT_PRESETS = [
@@ -121,7 +112,8 @@ WEIGHTS = st.one_of(st.floats(1e-3, 1.0), st.sampled_from([1e-300, 1e-17, 0.5]))
 
 
 @st.composite
-def step_law(draw):
+def finite_law(draw):
+    """(values, probs) of a finite law."""
     values = sorted(draw(st.lists(STEPS, min_size=1, max_size=6, unique=True)))
     weights = draw(st.lists(WEIGHTS, min_size=len(values), max_size=len(values)))
     # zero-probability extremes: the support, the reach and the indices ignore them
@@ -130,16 +122,16 @@ def step_law(draw):
     if len(values) > 2 and draw(st.booleans()):
         weights[-1] = 0.0
     total = math.fsum(weights)
-    return dl.JumpDistribution(np.array(values), np.array([w / total for w in weights]))
+    return np.array(values), np.array([w / total for w in weights])
 
 
 @st.composite
 def per_state_laws(draw):
-    laws = draw(st.lists(step_law(), min_size=1, max_size=3))
+    laws = draw(st.lists(finite_law(), min_size=1, max_size=3))
     # repeated states and repeated laws make ties, which go to the first j, then the first state
     picks = draw(st.lists(st.tuples(st.sampled_from([11.0, 12.0, 15.5, 16.0, 40.0]), st.integers(0, len(laws) - 1)),
                           min_size=1, max_size=6))
-    return [(11.0, laws[0]), *((x, laws[i]) for x, i in picks)]
+    return [LawTable.law(*laws[i], x) for x, i in [(11.0, 0), *picks]]
 
 
 PARAMS = st.builds(
@@ -152,24 +144,25 @@ PARAMS = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(pairs=per_state_laws(), params=PARAMS, variant=st.sampled_from([TWO_SIDED, ONE_SIDED]))
-def test_drawn_per_state_laws_equal_the_reference(pairs, params, variant):
+@given(laws=per_state_laws(), params=PARAMS, variant=st.sampled_from([TWO_SIDED, ONE_SIDED]))
+def test_drawn_per_state_laws_equal_the_reference(laws, params, variant):
     window = dl.DriftWindow(10.0, 16.0)
-    assert_same_report(*checked_both_ways(LawTable.stack(pairs), params, variant, window, pairs))
+    assert_same_report(*checked_both_ways(LawTable.stack(laws), params, variant, window, laws))
 
 
 @settings(max_examples=100, deadline=None)
-@given(law=step_law(), params=PARAMS, variant=st.sampled_from([TWO_SIDED, ONE_SIDED]))
+@given(law=finite_law(), params=PARAMS, variant=st.sampled_from([TWO_SIDED, ONE_SIDED]))
 def test_a_drawn_single_law_equals_the_reference(law, params, variant):
-    assert_same_report(*checked_both_ways(law, params, variant, None))
+    law = LawTable.law(*law)
+    assert_same_report(*checked_both_ways(law, params, variant, None, [law]))
 
 
 def small_laws():
     for n in range(2, 13):
         for process in (dl.NeedleOneOneEA(n), *(dl.OneCommaLambdaEA(n, lam) for lam in (1, 2, 5))):
             yield from (transition_law(process, d) for d in range(n + 1))
-    yield dl.GeometricDriftWalk(0.2, 1.0).step_law()
-    yield dl.CounterexampleChain(10).step_law()
+    yield single_law(dl.GeometricDriftWalk(0.2, 1.0))
+    yield single_law(dl.CounterexampleChain(10))
 
 
 @pytest.mark.parametrize("one_sided", [False, True])
@@ -178,17 +171,17 @@ def test_every_table_tail_is_within_k_minus_1_roundoffs_of_the_exact_sum(one_sid
     # of their exact sum (Jeannerod and Rump, 2013)
     unit = Fraction(1, 2**53)
     for law in small_laws():
-        positive = law.probs > 0
+        positive = law.probs[0] > 0
         magnitudes = -law.values[positive] if one_sided else np.abs(law.values[positive])
-        terms = [Fraction(p) for p in law.probs[positive].tolist()]
+        terms = [Fraction(p) for p in law.probs[0, positive].tolist()]
         js = np.array(sorted(set(magnitudes.tolist())))
         if not one_sided:
             # a two-sided tail at j <= 0 is 1.0 by definition, not a sum
-            assert law.tails(np.array([-1.5, 0.0]), one_sided).tolist() == [1.0, 1.0]
+            assert law.tails(np.array([-1.5, 0.0]), one_sided)[0].tolist() == [1.0, 1.0]
             js = js[js > 0]
-        for j, tail in zip(js.tolist(), law.tails(js, one_sided).tolist()):
+        for j, tail in zip(js.tolist(), law.tails(js, one_sided)[0].tolist()):
             included = [t for t, m in zip(terms, magnitudes.tolist()) if m >= j]
             exact = sum(included, Fraction(0))
             assert abs(Fraction(tail) - exact) <= (len(included) - 1) * unit * exact, (law.values, j)
         reach = float(magnitudes.max())
-        assert law.tails(np.array([np.nextafter(reach, math.inf), reach + 1.0]), one_sided).tolist() == [0.0, 0.0]
+        assert law.tails(np.array([np.nextafter(reach, math.inf), reach + 1.0]), one_sided)[0].tolist() == [0.0, 0.0]

@@ -193,8 +193,11 @@ class TestHajekEscapeBound:
 
 
 class TestMgfBoundCheck:
+    #: a window on which the walk and the counterexample chain at n = 10 have their one law
+    WINDOW = dl.DriftWindow(0.0, 10.0)
+
     def test_point_mass_at_zero(self):
-        table = dl.JumpDistribution(np.array([0.0]), np.array([1.0]))
+        table = dl.LawTable.law(np.array([0.0]), np.array([1.0]))
         link = dl.mgf_bound_check(table, delta=1.0, r=2.0)
         assert isinstance(link, dl.InequalityResult)
         assert link.name == "mgf-vs-moment-bound"
@@ -206,7 +209,7 @@ class TestMgfBoundCheck:
         # closed form: E(e^{gamma |step|}) = 2 + delta at gamma = ln(1 + delta/2)
         for delta in (0.5, 1.0):
             walk = dl.GeometricDriftWalk(0.1, delta)
-            link = dl.mgf_bound_check(walk.step_law(), delta=delta, r=1.0 + delta)
+            link = dl.mgf_bound_check(walk.law_table(self.WINDOW), delta=delta, r=1.0 + delta)
             assert link.lhs == pytest.approx(2.0 + delta, rel=1e-10)
             assert link.rhs == pytest.approx((1 + delta) * (4 + delta + 2 / delta), rel=1e-12)
             assert link.parameters["gamma"] == pytest.approx(math.log1p(delta / 2), rel=1e-15)
@@ -215,11 +218,16 @@ class TestMgfBoundCheck:
 
     def test_geometric_walk_below_fourteen(self):
         walk = dl.GeometricDriftWalk(0.2, 1.0)
-        link = dl.mgf_bound_check(walk.step_law(), delta=1.0, r=2.0)
+        link = dl.mgf_bound_check(walk.law_table(self.WINDOW), delta=1.0, r=2.0)
         assert link.lhs <= 14.0
         assert link.holds
 
     def test_rejects_condition_failures(self):
-        table = dl.CounterexampleChain(10).step_law()
+        table = dl.CounterexampleChain(10).law_table(self.WINDOW)
         with pytest.raises(ValueError, match="not asserted"):
             dl.mgf_bound_check(table, delta=1.0, r=2.0)
+
+    def test_rejects_a_table_of_two_laws(self):
+        laws = [dl.LawTable.law([0.0], [1.0], x) for x in (1.0, 2.0)]
+        with pytest.raises(ValueError, match="one-row table of one law, got 2 rows"):
+            dl.mgf_bound_check(dl.LawTable.stack(laws), delta=1.0, r=2.0)
