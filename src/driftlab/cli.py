@@ -49,13 +49,14 @@ def cmd_simulate(args) -> int:
             f"horizon {config.horizon}{certified_note} at ell={format_cell(window.ell)} "
             f"exceeds max_steps={config.max_steps}"
         )
-    estimate = estimate_hitting_probability(
-        config.process(), window, config.trials, horizon, config.master_seed, args.threads
-    )
+    process = config.process()
+    estimate = estimate_hitting_probability(process, window, config.trials, horizon, config.master_seed, args.threads)
     provenance = config.provenance()
     provenance["resolved_horizon"] = horizon
     if certified is not None:
         provenance["certified_horizon"] = certified
+    if process.stream_layout != 1:
+        provenance["stream_layout"] = process.stream_layout
     summary = (
         f"# summary: hits={estimate.hits} trials={estimate.trials} point={format_cell(estimate.point)} "
         f"ci_low={format_cell(estimate.ci_low)} ci_high={format_cell(estimate.ci_high)}"
@@ -220,7 +221,11 @@ def cmd_scaling(args) -> int:
             failures += 1
             row["note"] = "empirical probability exceeds the certified bound"
     if args.out:
-        write_csv(args.out, config.provenance(), list(rows[0]), (row.values() for row in rows))
+        provenance = config.provenance()
+        # every member of the family is of one kind, so the last one built tells its layout
+        if process.stream_layout != 1:
+            provenance["stream_layout"] = process.stream_layout
+        write_csv(args.out, provenance, list(rows[0]), (row.values() for row in rows))
     for row in rows:
         print(
             f"ell={format_cell(row['ell'])} horizon={format_cell(row['horizon'])} "

@@ -15,18 +15,19 @@ A trial's generator belongs to the trial alone, and the trial loop re-seeds
 the same generator for the next trial, so a process must not keep it past its
 trial. `hitting_time` may draw its doubles in blocks, ahead of need: what
 matters is that the doubles it uses are the ones the `step` loop would use, in
-the same order. The walk and the needle replay numpy's own geometric and
-binomial algorithms on such blocks. The counterexample chain, whose start
-draws nothing, has a batched hook instead (`batch_doubles`,
-`batch_hitting_times`) that takes the doubles of a block of trials at once
-from `rng.trial_uniforms`; every other process steps. A long needle trial
-advances whole blocks of generations through `_NeedleAutomaton`, whose states
-are lists indexed by cells of [0, 1) cut at the exact thresholds of numpy's
-binomial inversion. What the automaton does not hold goes to its sink, and
-the step loop replays that block. Each process builds an automaton once per
-(n, p, floor(a)), before the first block of the first trial whose budget of
-generations would pay for the build; a trial with a smaller budget keeps the
-step loop. The automaton's cell and the walk's magnitude come from a
+the same order. The walk replays numpy's own geometric algorithm on such
+blocks. The needle steps on its own exact law (`stream_layout` 2): a
+generation reads one double and inverts the cumulative sums of
+`transitions(d)`. The counterexample chain, whose start draws nothing, has a
+batched hook instead (`batch_doubles`, `batch_hitting_times`) that takes the
+doubles of a block of trials at once from `rng.trial_uniforms`; every other
+process steps. A long needle trial advances whole blocks of generations
+through `_NeedleAutomaton`, whose states are lists indexed by cells of [0, 1)
+cut at every live state's cumulative sums. A hit goes to its sink, and the
+step loop replays that block to time it. Each process builds an automaton once
+per (n, p, floor(a)), before the first block of the first trial whose budget
+of generations would pay for the build; a trial with a smaller budget keeps
+the step loop. The automaton's cell and the walk's magnitude come from a
 `_BucketSearch`: one table lookup per double, exact on numpy's doubles, in
 place of a binary search.
 """
@@ -39,7 +40,6 @@ import inspect
 import itertools
 import math
 import operator
-import struct
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -115,6 +115,9 @@ class Process(ABC):
     name = "process"
     #: reports flag any non-identity potential scale (e.g. log-transformed)
     potential_scale = "identity"
+    #: how trials turn their doubles into steps; simulate and scaling CSVs name
+    #: any layout other than the first, numpy's own samplers drawn by `step`
+    stream_layout = 1
     #: constructor parameter that sets the window length ell of a scaling family
     #: (the window is [0, ell]); None when the process has no such family
     family_param = None
@@ -362,164 +365,69 @@ class GeometricDriftWalk(Process):
         return LawTable.law(values, probs)
 
 
-class _InversionTables(dict):
-    """k -> (px, bound) of numpy's random_binomial_inversion for Binomial(k, p),
-    each built on first use: px[X] = P(X) in numpy's float arithmetic, and a
-    draw past bound starts over with a fresh double."""
+class _InverseCdfs(dict):
+    """d -> (first, edges) of a chain's `transitions(d)`, each built on first
+    use: edges are the law's cumulative sums but the last, so a double u moves
+    d to first + bisect_right(edges, u). That is first +
+    min(bisect_right(cdf, u), len(cdf) - 1) on the whole cdf: a double at or
+    past the last edge draws the last successor, whatever the rounded sum."""
 
-    def __init__(self, p: float):
+    def __init__(self, transitions):
         super().__init__()
-        self.p = p
+        self.transitions = transitions
 
-    def __missing__(self, k: int) -> tuple[tuple[float, ...], int]:
-        p = self.p
-        q = 1.0 - p
-        kp = k * p
-        bound = int(min(k, kp + 10.0 * math.sqrt(kp * q + 1)))
-        px = [math.exp(k * math.log(q))]
-        for x in range(1, bound + 1):
-            px.append(((k - x + 1) * p * px[-1]) / (x * q))
-        table = self[k] = (tuple(px), bound)
-        return table
+    def __missing__(self, d: int) -> tuple[int, list[float]]:
+        first, probs = self.transitions(d)
+        entry = self[d] = (first, np.cumsum(probs[:-1]).tolist())
+        return entry
 
 
-def _inversion_tail(u: float, px: tuple, bound: int, draw) -> int:
-    """The X numpy's random_binomial_inversion returns for a first double u > px[0]."""
-    x = 0
-    while u > px[x]:
-        x += 1
-        if x > bound:
-            x = 0
-            u = draw()
-        else:
-            u -= px[x - 1]
-    return x
-
-
-_DOUBLE = struct.Struct("<d")
-_BITS = struct.Struct("<q")
-#: bit pattern of 1.0; the bit patterns of non-negative doubles order as the doubles do
-_ONE_BITS = _BITS.unpack(_DOUBLE.pack(1.0))[0]
-
-
-def _inversion_thresholds(px: tuple, bound: int, cap: int) -> list[float]:
-    """[T(1), ..., T(cap)]: T(x) is the least double u from which
-    random_binomial_inversion, with u as its first double, returns X >= x or
-    starts over, which counts as X >= every x; 1.0 when no double below 1 does.
-
-    Float subtraction is monotone, so X(u) is non-decreasing in u and a
-    bisection on the bit patterns of doubles, bracketed from the float sum of
-    px[:x], finds T(x) exactly by replaying _inversion_tail.
-    """
-    no_double = iter(()).__next__
-
-    def reaches(bits):
-        try:
-            return _inversion_tail(_DOUBLE.unpack(_BITS.pack(bits))[0], px, bound, no_double) >= x
-        except StopIteration:  # it would start over with a fresh double
-            return True
-
-    thresholds = []
-    below = 0  # a bit pattern whose double returns X < x: 0.0 returns 0
-    total = 0.0
-    for x in range(1, cap + 1):
-        total += px[x - 1] if x <= bound + 1 else 0.0
-        guess = max(_BITS.unpack(_DOUBLE.pack(min(total, 1.0)))[0], below + 1)
-        at = _least_true(reaches, below, _ONE_BITS, guess)
-        thresholds.append(_DOUBLE.unpack(_BITS.pack(at))[0])
-        below = at - 1
-    return thresholds
-
-
-def _least_true(pred, lo: int, hi: int, guess: int) -> int:
-    """The least i in (lo, hi] with pred(i), where pred is monotone, false at lo
-    and taken as true at hi: gallop from guess in lo < guess <= hi, then bisect."""
-    step = 1
-    if guess == hi or pred(guess):
-        hi = guess
-        while hi - step > lo and pred(hi - step):
-            hi -= step
-            step *= 2
-        lo = max(lo, hi - step)
-    else:
-        lo = guess
-        while lo + step < hi and not pred(lo + step):
-            lo += step
-            step *= 2
-        hi = min(hi, lo + step)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-#: a needle automaton caps its draws where P(Binomial(n - 1, p) >= cap) is at most
-#: this, so a block of _MAX_BLOCK generations reaches the cap with at most about 1% chance
-_CAP_TAIL = 3e-7
-#: the most list entries (states times cells, 8 bytes each) an automaton may have
+#: the most list entries (states times cells, 8 bytes each) an automaton's
+#: bound may reach: n = 127 at a = 0, whose 1.22M entries (bound 2.05M) took
+#: 55 ms to build on a 2-vCPU host
 _MAX_AUTOMATON_ENTRIES = 1 << 21
-#: generations of budget per automaton entry from which a trial builds the
-#: automaton before its first block. On a 2-vCPU host a build took 7-8 ms for
-#: n = 50's bound of 289k entries and about 50 ms for n = 133's 2.09M, 23-25 ns
-#: an entry, and a generation on the automaton saved 0.21 us, so a trial that
-#: runs its whole budget breaks even at about 0.12 generations an entry. The
-#: margin covers trials that hit early: such a trial wastes at most one build
-#: per process and key, at most about 50 ms at the 2**21-entry cap.
-_STEPS_PER_ENTRY = 0.25
-
-
-def _draw_cap(px: tuple) -> int:
-    """The least c with P(X >= c) <= _CAP_TAIL for X drawn from the inversion table px."""
-    tail = 0.0
-    for c in range(len(px) - 1, -1, -1):
-        tail += px[c]
-        if tail > _CAP_TAIL:
-            return c + 1
-    return 0
+#: a trial builds the automaton before its first block when its budget of
+#: generations is at least _BUILD_STEPS + _STEPS_PER_ENTRY * (a bound on the
+#: automaton's list entries). On a 2-vCPU host a build, laws and bucket table
+#: included, took 0.33 ms at n = 8, 1.3 ms at n = 20, 5.7 ms at n = 50 and
+#: 55 ms at n = 127 (a = 0, rate 1/n), and a generation on the automaton
+#: saved about 0.2 us against the step loop. So a trial that runs its whole
+#: budget pays for the build 1.8 to 5 times over, which covers trials that
+#: hit early: such a trial wastes at most one build per process and key.
+_BUILD_STEPS = 8000
+_STEPS_PER_ENTRY = 0.5
 
 
 class _NeedleAutomaton:
     """The needle's generations as a finite automaton over cells of [0, 1).
 
-    A generation at distance d < n draws Bin(d, p) from one double, then
-    Bin(n - d, p) from the next. The thresholds of every count the automaton
-    draws cut [0, 1) into cells, and on each cell every draw returns one X. A
-    phase-A state d is about to draw the down count and a phase-B state
-    (d - X, n - d) the up count; each is a list indexed by cell whose entries
-    are the next states, and a phase-A list ends with its d. A hit (d <= floor_a),
-    d = n (whose generation draws one double), a draw of `cap` or more and a
-    start-over go to the sink, which maps every cell to itself.
+    A generation at distance d reads one double u and moves to first +
+    bisect_right(edges, u) of `_InverseCdfs`. The edges of every live state d
+    > floor_a cut [0, 1) into cells, on each of which every live state moves to
+    one successor. A live state is a list indexed by cell whose entries are the
+    next states, and it ends with its d. A successor at or below floor_a, a
+    hit, is the sink, which maps every cell to itself.
     """
 
-    def __init__(self, n: int, p: float, floor_a: int):
-        tables = _InversionTables(p)
-        cap = _draw_cap(tables[n - 1][0])
-        live = range(floor_a + 1, n)
-        thresholds = {k: _inversion_thresholds(*tables[k], cap) for k in {*live, *(n - d for d in live)}}
-        boundaries = sorted({t for ts in thresholds.values() for t in ts if t < 1.0})
-        lowers = [0.0, *boundaries]
-        # counts[k][c]: the X that Bin(k, p) returns on cell c, or cap for any more
-        counts = {k: np.searchsorted(ts, lowers, side="right").tolist() for k, ts in thresholds.items()}
-        self.boundaries = np.array(boundaries)
-        self._cells = _BucketSearch(self.boundaries)
+    def __init__(self, needle: NeedleOneOneEA, floor_a: int):
+        laws = needle._inverse_cdfs
+        live = range(floor_a + 1, needle.n + 1)
+        boundaries = np.array(sorted({e for d in live for e in laws[d][1] if e < 1.0}))
+        lowers = np.append(0.0, boundaries)
+        self._cells = _BucketSearch(boundaries)
         self.sink = sink = []
-        sink.extend([sink] * len(lowers))
-        phase_a = {d: [] for d in live}
-        for d, row in phase_a.items():
-            after_down = [sink] * (cap + 1)
-            for x in set(counts[d]) - {cap}:
-                after_up = [phase_a.get(d - x + y, sink) for y in range(cap)] + [sink]
-                after_down[x] = list(map(after_up.__getitem__, counts[n - d]))
-            row.extend(map(after_down.__getitem__, counts[d]))
+        sink.extend([sink] * lowers.size)
+        rows = {d: [] for d in live}
+        for d, row in rows.items():
+            first, edges = laws[d]
+            successors = [rows.get(first + i, sink) for i in range(len(edges) + 1)]
+            row.extend(map(successors.__getitem__, np.searchsorted(edges, lowers, "right").tolist()))
             row.append(d)
-        self.starts = [phase_a.get(d, sink) for d in range(n + 1)]
+        self.starts = [rows.get(d, sink) for d in range(needle.n + 1)]
 
     def advance(self, d: int, u: np.ndarray) -> int | None:
-        """The distance after len(u) // 2 generations from d on the doubles u,
-        or None when they reach the sink."""
+        """The distance after len(u) generations from d on the doubles u, or
+        None when they reach the sink."""
         cells = self._cells(u).tolist()
         end = functools.reduce(operator.getitem, cells, self.starts[d])
         return None if end is self.sink else end[-1]
@@ -529,7 +437,7 @@ class _NeedleAutomaton:
 def _needle_automaton(n: int, p: float, floor_a: int) -> _NeedleAutomaton:
     """The automaton for (n, p, floor_a), built in the process that first needs
     it; the four last used are kept."""
-    return _NeedleAutomaton(n, p, floor_a)
+    return _NeedleAutomaton(NeedleOneOneEA(n, p), floor_a)
 
 
 def _binomial_pmf(k: int, p: float) -> np.ndarray:
@@ -636,6 +544,8 @@ class NeedleOneOneEA(_MutationChain):
     """
 
     name = "needle"
+    #: one double per generation, inverted on the exact law of `transitions`
+    stream_layout = 2
 
     def absorbed(self, state) -> bool:
         return state == 0
@@ -646,78 +556,51 @@ class NeedleOneOneEA(_MutationChain):
         return self._mutated(d)
 
     @functools.cached_property
-    def _inversion_tables(self) -> _InversionTables:
-        return _InversionTables(self.mutation_rate)
+    def _inverse_cdfs(self) -> _InverseCdfs:
+        return _InverseCdfs(self.transitions)
 
     def step(self, state, rng):
-        if state == 0:
-            return 0
-        return self._mutate(state, rng)
+        first, edges = self._inverse_cdfs[state]
+        return first + bisect.bisect_right(edges, rng.random())
 
     def hitting_time(self, state, rng, a, max_steps):
-        p = self.mutation_rate
-        # numpy draws Binomial(k, p) by inversion when p <= 1/2 and k p <= 30
-        if not (p <= 0.5 and p * self.n <= 30.0):
-            return super().hitting_time(state, rng, a, max_steps)
         # every potential is >= 0, and once at 0 the chain stays there
         if not self.potential(0) <= a:
             return None
-        if state == 0:
-            return 1
         n = self.n
         floor_a = math.floor(a) if a < n else n
-        automaton = _needle_automaton(n, p, floor_a) if max_steps >= self._automaton_build_at(floor_a) else None
+        build = max_steps >= self._automaton_build_at(floor_a)
+        automaton = _needle_automaton(n, self.mutation_rate, floor_a) if build else None
+        laws = self._inverse_cdfs
         d, t = state, 0
         for size in _block_sizes():
-            u = rng.random(2 * min(size, max_steps - t))
+            u = rng.random(min(size, max_steps - t))
             end = None if automaton is None else automaton.advance(d, u)
             if end is None:
-                d, t = self._replay(d, t, u.tolist(), rng, a, max_steps)
-                if d <= a:
-                    return t
+                # the step loop on the block's doubles: without an automaton, or
+                # to time the hit that took the automaton to its sink
+                for t, x in enumerate(u.tolist(), t + 1):
+                    first, edges = laws[d]
+                    d = first + bisect.bisect_right(edges, x)
+                    if d <= a:
+                        return t
             else:
-                d, t = end, t + u.size // 2
+                d, t = end, t + u.size
             if t == max_steps:
                 return None
 
     def _automaton_build_at(self, floor_a: int) -> float:
         """The least budget of generations with which a trial builds its
-        automaton, or math.inf when the automaton would be too large or empty."""
-        n = self.n
-        cap = _draw_cap(self._inversion_tables[n - 1][0])
-        # a bound on the automaton's list entries: states times cells
-        entries = (n - 1 - floor_a) * (cap + 2) * ((n - 1) * cap + 2)
-        if floor_a >= n - 1 or entries > _MAX_AUTOMATON_ENTRIES:
-            return math.inf
-        return entries * _STEPS_PER_ENTRY
+        automaton, or math.inf when the automaton would be too large or empty.
 
-    def _replay(self, d, t, block, rng, a, max_steps):
-        """(d, t) after stepping generations from distance d after t generations
-        on the doubles of `block`, and on rng.random() past its end, until the
-        block is used up, the target is hit or the budget ends."""
-        n = self.n
-        tables = self._inversion_tables
-        doubles = iter(block)
-        left = doubles.__length_hint__
-        draw = itertools.chain(doubles, iter(rng.random, None)).__next__
-        # a generation draws two doubles, or one at d = n, or more to start over
-        while (count := min((left() + 1) // 2, max_steps - t)) > 0:
-            for t in range(t + 1, t + count + 1):
-                # down ~ Binomial(d, p), then up ~ Binomial(n - d, p); numpy returns
-                # Binomial(0, p) = 0 without a draw. Most draws stop at X = 0.
-                k = n - d
-                px, bound = tables[d]
-                u = draw()
-                if u > px[0]:
-                    d -= _inversion_tail(u, px, bound, draw)
-                if k:
-                    px, bound = tables[k]
-                    u = draw()
-                    if u > px[0]:
-                        d += _inversion_tail(u, px, bound, draw)
-                if d <= a:
-                    return d, t
-        return d, t
+        Each of the live states' laws has at most n edges, so the automaton
+        has at most live * n + 1 cells and live * (live * n + 2) list entries.
+        """
+        live = self.n - floor_a
+        entries = live * (live * self.n + 2)
+        if live < 1 or entries > _MAX_AUTOMATON_ENTRIES:
+            return math.inf
+        return _BUILD_STEPS + entries * _STEPS_PER_ENTRY
 
 
 class OneCommaLambdaEA(_MutationChain):

@@ -130,6 +130,10 @@ def write_csv(path: str, provenance: dict, columns: list[str], rows: Iterable, t
             fh.write(trailer if trailer.endswith("\n") else trailer + "\n")
 
 
+#: failing tail indices that condition_summary names, the first ones; it counts the rest
+FAIL_LINES = 10
+
+
 def condition_summary(report) -> str:
     """Human-readable block for one condition report."""
     lines = [
@@ -163,9 +167,11 @@ def condition_summary(report) -> str:
             f"  closest tail: j={format_cell(report.tail_j)}{state}, "
             f"log(tail/bound) = {report.tail_log_margin:.6g}"
         )
-    for t in report.tails:
-        if t.verdict == "fail":
-            lines.append(f"    FAIL at j={format_cell(t.j)}: tail {t.tail:.6g} > bound {t.bound:.6g}")
+    failures = report.tail_failures()
+    for t in failures[:FAIL_LINES]:
+        lines.append(f"    FAIL at j={format_cell(t.j)}: tail {t.tail:.6g} > bound {t.bound:.6g}")
+    if len(failures) > FAIL_LINES:
+        lines.append(f"    ... and {len(failures) - FAIL_LINES} more failing indices, every one in the --out CSV")
     lines.append(f"  overall: {report.overall()}")
     return "\n".join(lines)
 

@@ -9,6 +9,8 @@ steps every trial's PCG64 in uint64 arrays and returns their first doubles.
 Either way the states, and so the streams, are numpy's own.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1

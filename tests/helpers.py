@@ -3,8 +3,7 @@
 These deliberately avoid the library's own code paths: hit probabilities come
 from dynamic programming over the step distribution, expectations from direct
 summation, step laws of the bit-string EAs from enumerating every flip mask in
-exact rational arithmetic, high-precision reference values from mpmath, the
-needle's binomial draws from a transliteration of numpy's C sampler, and exact
+exact rational arithmetic, high-precision reference values from mpmath, and exact
 condition checks from one masked sum per (state, tail index), or, where a check
 must match bit for bit, from each law's own tail table. The laws these checks
 read are one-row tables built by `LawTable.law` from their (values, probs),
@@ -45,52 +44,6 @@ def replay_potentials(process, master_seed, index, steps, state=None):
         state = process.step(state, rng)
         path.append(process.potential(state))
     return path
-
-
-def binomial_inversion(n, p, doubles):
-    """numpy's random_binomial_inversion(n, p), line by line from numpy's
-    distributions.c, taking each double it needs from the iterator `doubles`.
-    It keeps its own px recurrence, and past `bound` it starts over with a
-    fresh double. numpy's random_binomial takes this branch for n > 0 when
-    p <= 1/2 and n p <= 30."""
-    q = 1.0 - p
-    qn = math.exp(n * math.log(q))
-    np_ = n * p
-    bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
-    x = 0
-    px = qn
-    u = next(doubles)
-    while u > px:
-        x += 1
-        if x > bound:
-            x = 0
-            px = qn
-            u = next(doubles)
-        else:
-            u -= px
-            px = ((n - x + 1) * p * px) / (x * q)
-    return x
-
-
-def needle_generation(n, p, d, doubles):
-    """The needle's distance after one generation from d on `doubles`: numpy's
-    binomial(d, p) down, then binomial(n - d, p) up, where a count of 0 draws
-    no double; the optimum d = 0 is kept and draws nothing."""
-    if d == 0:
-        return 0
-    down = binomial_inversion(d, p, doubles)
-    up = binomial_inversion(n - d, p, doubles) if n > d else 0
-    return d - down + up
-
-
-def needle_hit_time(n, p, d, a, max_steps, doubles):
-    """First generation t in 1..max_steps after which the needle's distance,
-    from d, is <= a, or None."""
-    for t in range(1, max_steps + 1):
-        d = needle_generation(n, p, d, doubles)
-        if d <= a:
-            return t
-    return None
 
 
 class PrescribedDoubles:

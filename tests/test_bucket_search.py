@@ -89,13 +89,11 @@ def test_few_edges(side, edges):
 
 
 def test_needle_automaton_cells():
-    automaton = _NeedleAutomaton(50, 1 / 50, 0)
-    search = automaton._cells
-    assert search.edges is automaton.boundaries
-    # the automaton's 445 cell edges get 2^16 buckets of 4 bytes
-    assert len(search.edges) == 445 and search.scale == 2.0**16 and search.table.nbytes == 1 << 18
+    search = _NeedleAutomaton(dl.NeedleOneOneEA(50), 0)._cells
+    # the automaton's 1,829 cell edges at n = 50 get 2^16 buckets of 4 bytes
+    assert len(search.edges) == 1829 and search.scale == 2.0**16 and search.table.nbytes == 1 << 18
     assert search.table.tolist() == searched_table(search).tolist()
-    assert_equals_searchsorted(search, automaton.boundaries, "right")
+    assert_equals_searchsorted(search, search.edges, "right")
 
 
 @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])

@@ -267,14 +267,16 @@ class TestPerStateChecks:
         with pytest.raises(ValueError, match="strictly inside"):
             dl.check_conditions_exact(LawTable.law([1.0], [1.0], 16.0), self.params, TWO_SIDED, self.window)
 
-    def test_laws_are_built_only_by_law_table(self, monkeypatch):
+    def test_a_check_builds_its_laws_once_and_trials_once_a_state(self, monkeypatch):
         built = []
         original = dl.NeedleOneOneEA.transitions
         monkeypatch.setattr(dl.NeedleOneOneEA, "transitions", lambda self, d: built.append(d) or original(self, d))
         process = dl.NeedleOneOneEA(20)
-        dl.run_trials(process, dl.DriftWindow(2.0, 5.0), 20, 100, master_seed=1)
-        assert built == []
         laws = process.law_table(dl.DriftWindow(2.0, 5.0))
         assert built == list(range(3, 21))
         dl.check_conditions_exact(laws, self.params, TWO_SIDED, dl.DriftWindow(2.0, 5.0))
         assert built == list(range(3, 21))
+        # trials step on the same law, read once for each state they visit
+        built.clear()
+        dl.run_trials(process, dl.DriftWindow(2.0, 5.0), 20, 100, master_seed=1)
+        assert built and len(built) == len(set(built))

@@ -7,12 +7,15 @@ leave them as they are.
 """
 
 import hashlib
+import math
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftlab.cli import main
-from helpers import PEA_PRIME_CHECK_INI
+from helpers import PEA_PRIME_CHECK_INI, needle_step_exact
 
 #: simulate configs whose trials hit, written next to example.ini; each
 #: budget reaches the 2e6 trial-steps at which run_trials starts its pool
@@ -120,19 +123,19 @@ GOLDEN = {
     # hits, on one worker and on the pool, give the same CSV
     "simulate-needle-hits-threads-1": (
         ["simulate", "--config", "needle-hits.ini", "--threads", "1"],
-        "b07ca318c21c7977fef2764e79f5f9f64eed21b1440e3e7ea7ccc78e1f2aa4fb",
+        "6a706659640e4987751eb3da0461534040394be873d15af6419dfcd2c4776542",
     ),
     "simulate-needle-hits-threads-2": (
         ["simulate", "--config", "needle-hits.ini", "--threads", "2"],
-        "b07ca318c21c7977fef2764e79f5f9f64eed21b1440e3e7ea7ccc78e1f2aa4fb",
+        "6a706659640e4987751eb3da0461534040394be873d15af6419dfcd2c4776542",
     ),
     "simulate-needle-late-hits-threads-1": (
         ["simulate", "--config", "needle-late-hits.ini", "--threads", "1"],
-        "a9cda33688d38d6893ef5939346812b5b9b83ea61ed4973d4688772fc3463680",
+        "f5570820aa4ead310d8dcbaa347d0b4d7fed9c915cc391d95945b9a97389ea23",
     ),
     "simulate-needle-late-hits-threads-2": (
         ["simulate", "--config", "needle-late-hits.ini", "--threads", "2"],
-        "a9cda33688d38d6893ef5939346812b5b9b83ea61ed4973d4688772fc3463680",
+        "f5570820aa4ead310d8dcbaa347d0b4d7fed9c915cc391d95945b9a97389ea23",
     ),
     "simulate-walk-delta1-hits-threads-1": (
         ["simulate", "--config", "walk-delta1-hits.ini", "--threads", "1"],
@@ -171,3 +174,54 @@ def test_csv_digest(name, tmp_path, capsys, monkeypatch):
     assert main(argv) in (0, 1)
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def needle_hit_probability(n, a, b, horizon):
+    """P(the needle at rate 1/n is at or below a within `horizon` generations),
+    from Bin(n, 1/2) conditioned on d >= b as run_trials redraws its starts.
+    The live states a < d <= n carry their law from `needle_step_exact`, and
+    one absorbing column gathers the hits, so nothing is read as 1 - survival;
+    the matrix is raised to the horizon by repeated squaring."""
+    live = range(math.floor(a) + 1, n + 1)
+    size = len(live) + 1
+    matrix = np.zeros((size, size))
+    matrix[-1, -1] = 1.0
+    for row, d in enumerate(live):
+        law, denominator = needle_step_exact(n, d)
+        for step, weight in law.items():
+            column = d + step - live.start if d + step in live else -1
+            matrix[row, column] += float(Fraction(weight, denominator))
+    power, result = matrix, np.eye(size)
+    while horizon:
+        if horizon & 1:
+            result = result @ power
+        power, horizon = power @ power, horizon >> 1
+    starts = np.array([math.comb(n, d) if d >= b else 0 for d in live], dtype=float)
+    return float(starts @ result[:-1, -1] / starts.sum())
+
+
+def binomial_tail_ok(hits, trials, p, level=1e-3):
+    """True when `hits` lies in the two-sided level interval of Bin(trials, p):
+    neither P(X <= hits) nor P(X >= hits) is below level / 2."""
+    pmf = [math.comb(trials, k) * p**k * (1 - p) ** (trials - k) for k in range(trials + 1)]
+    return sum(pmf[:hits + 1]) >= level / 2 and sum(pmf[hits:]) >= level / 2
+
+
+@pytest.mark.parametrize("config, n, a, b, horizon, exact", [
+    ("needle-hits.ini", 20, 2, 5, 20_000, 0.85607),
+    ("needle-late-hits.ini", 50, 11, 20, 100_000, 0.74650),
+])
+def test_needle_golden_hits_agree_with_the_exact_probability(config, n, a, b, horizon, exact, tmp_path, capsys,
+                                                             monkeypatch):
+    """The hit count of each needle golden lies in the 99.9% binomial interval
+    of its exact hit probability."""
+    p = needle_hit_probability(n, a, b, horizon)
+    assert p == pytest.approx(exact, abs=5e-6)
+    (tmp_path / config).write_text(CONFIGS[config])
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", config, "--out", "out.csv"]) == 0
+    capsys.readouterr()
+    summary = (tmp_path / "out.csv").read_text().splitlines()[-1]
+    fields = dict(item.split("=") for item in summary.removeprefix("# summary: ").split())
+    hits, trials = int(fields["hits"]), int(fields["trials"])
+    assert binomial_tail_ok(hits, trials, p), (hits, trials, p)

@@ -1,10 +1,11 @@
 """Each process's hitting_time against its own step loop.
 
-The walk and the needle draw their doubles in blocks and replay numpy's
-geometric and binomial algorithms on them, and the counterexample chain reads
-a block of trials' doubles at once through its batched hook. Every hit time
-must equal the first passage of the path that `step` draws from the same
-generator, so these tests fail if a numpy upgrade changes those algorithms.
+The walk draws its doubles in blocks and replays numpy's geometric algorithm
+on them, the needle draws its doubles in blocks and inverts its own law's cdf
+on each, and the counterexample chain reads a block of trials' doubles at
+once through its batched hook. Every hit time must equal the first passage of
+the path that `step` draws from the same generator, so these tests fail if a
+numpy upgrade changes the walk's algorithm.
 """
 
 import math
@@ -97,10 +98,9 @@ class TestGeometricDriftWalk:
 
 
 class TestNeedleOneOneEA:
-    # the needle's first block is _FIRST_BLOCK generations, of one or two
-    # doubles each
-    @pytest.mark.parametrize("max_steps", [1, _FIRST_BLOCK // 2 - 1, _FIRST_BLOCK // 2, _FIRST_BLOCK // 2 + 1,
-                                           _FIRST_BLOCK - 1, _FIRST_BLOCK, _FIRST_BLOCK + 1])
+    # the needle's first block is _FIRST_BLOCK generations of one double each
+    @pytest.mark.parametrize("max_steps", [1, _FIRST_BLOCK // 2, _FIRST_BLOCK - 1, _FIRST_BLOCK, _FIRST_BLOCK + 1,
+                                           3 * _FIRST_BLOCK, 3 * _FIRST_BLOCK + 1])
     def test_budgets_around_the_blocks(self, max_steps):
         assert_hit_times_match(dl.NeedleOneOneEA(10), 3.0, max_steps)
 
@@ -108,7 +108,7 @@ class TestNeedleOneOneEA:
         hits = assert_hit_times_match(dl.NeedleOneOneEA(20), 4.0, 1000)
         assert None in hits and any(hits)
 
-    def test_at_distance_n_only_down_flips_are_drawn(self):
+    def test_from_distance_n(self):
         hits = assert_hit_times_match(dl.NeedleOneOneEA(12), 11.0, 200, state=12)
         assert 1 in hits
 
@@ -126,15 +126,17 @@ class TestNeedleOneOneEA:
     def test_target_below_zero_is_never_hit(self):
         assert set(assert_hit_times_match(dl.NeedleOneOneEA(6), -1.0, 50, state=1)) == {None}
 
-    def test_high_mutation_rate_on_numpy_inversion_branch(self):
+    def test_high_mutation_rate(self):
         assert_hit_times_match(dl.NeedleOneOneEA(10, mutation_rate=0.3), 2.0, 200)
 
-    def test_rate_past_inversion_takes_the_step_loop(self):
-        # near d = 100, k p is about 40 > 30, where numpy draws binomials by BTPE
+    def test_every_rate_takes_the_one_sampler(self):
+        # rates at and past one half, and n p past 30, where numpy's binomial
+        # would switch algorithms
         hits = assert_hit_times_match(dl.NeedleOneOneEA(200, mutation_rate=0.4), 90.0, 100, seeds=range(50))
         assert any(hits)
-        # n p = 31 is just past the branch, and at d = n the first draw is BTPE's
         hits = assert_hit_times_match(dl.NeedleOneOneEA(62, mutation_rate=0.5), 28.0, 100, state=62, seeds=range(50))
+        assert any(hits)
+        hits = assert_hit_times_match(dl.NeedleOneOneEA(20, mutation_rate=0.8), 6.0, 100, seeds=range(50))
         assert any(hits)
 
 

@@ -8,6 +8,9 @@ list exactly the names it imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +88,13 @@ def test_unused_function_level_import_is_reported():
 def test_all_lists_exactly_the_imported_names():
     imported = imported_names(ast.parse((SRC / "__init__.py").read_text()))
     assert sorted(driftlab.__all__) == sorted(imported)
+
+
+def test_the_cli_import_leaves_numpy_random_unloaded():
+    """numpy loads numpy.random on first access, so an annotation that names
+    np.random.Generator at import time would load it; every module defers its
+    annotations. A fresh interpreter imports this checkout's driftlab."""
+    code = "import sys, driftlab.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

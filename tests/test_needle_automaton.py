@@ -1,16 +1,19 @@
-"""The needle's automaton against an independent replay of numpy's sampler.
+"""The needle's sampler and its automaton against the step rule and the exact law.
 
-`helpers.binomial_inversion` transliterates numpy's binomial inversion, with
-its own px recurrence and start-over, and `helpers.needle_hit_time` steps the
-needle on it. The thresholds that cut [0, 1) into the automaton's cells, its
-one-generation transitions and whole trials on crafted streams must all agree
-with that replay, and the automaton must be built only where it pays.
+A generation reads one double u and moves distance d to first +
+min(bisect_right(cdf, u), len(cdf) - 1), where (first, probs) =
+`transitions(d)` and cdf is the cumulative sum of probs. Every double of a
+cell of the automaton must give `step`'s successor, the doubles that draw each
+successor must carry its exact probability, whole trials must equal the step
+loop on the same doubles, and the automaton must be built only where it pays.
 """
 
+import bisect
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,23 +24,34 @@ from driftlab import processes
 from driftlab.cli import main
 from driftlab.processes import _FIRST_BLOCK, _MAX_UNIFORM
 from driftlab.rng import generator, trial_seed
-from helpers import PrescribedDoubles, binomial_inversion, needle_generation, needle_hit_time
+from helpers import PrescribedDoubles, needle_step_exact
+
+#: (n, rate, floor(a)) of the automata whose every cell is checked
+KEYS = [(50, 1 / 50, 0), (12, 1 / 12, 3), (20, 0.3, 2), (30, 0.7, 5)]
 
 
-def first_draw(k, p, u):
-    """X from the first double u, or math.inf when u makes numpy start over."""
-    try:
-        return binomial_inversion(k, p, iter([u]))
-    except StopIteration:
-        return math.inf
+def step_rule(needle, d, u):
+    """The distance after one generation from d on the double u, read from
+    `transitions(d)` by the rule, not from the process's own tables."""
+    first, probs = needle.transitions(d)
+    cdf = np.cumsum(probs).tolist()
+    return first + min(bisect.bisect_right(cdf, u), len(cdf) - 1)
 
 
-def thresholds(k, p, cap):
-    return processes._inversion_thresholds(*processes._InversionTables(p)[k], cap)
+class OneDouble:
+    """A stand-in for a generator that serves the one double u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
-def cap_of(n, p):
-    return processes._draw_cap(processes._InversionTables(p)[n - 1][0])
+def successor(automaton, d, cell):
+    """The automaton's next distance from d on `cell`, or None for the sink."""
+    row = automaton.starts[d][cell]
+    return None if row is automaton.sink else row[-1]
 
 
 @pytest.fixture
@@ -47,9 +61,9 @@ def builds(monkeypatch):
     built = []
 
     class Counted(processes._NeedleAutomaton):
-        def __init__(self, n, p, floor_a):
-            built.append((n, p, floor_a))
-            super().__init__(n, p, floor_a)
+        def __init__(self, needle, floor_a):
+            built.append((needle.n, needle.mutation_rate, floor_a))
+            super().__init__(needle, floor_a)
 
     monkeypatch.setattr(processes, "_NeedleAutomaton", Counted)
     processes._needle_automaton.cache_clear()
@@ -71,149 +85,164 @@ def advances(monkeypatch):
     return results
 
 
-class TestOracle:
-    @pytest.mark.parametrize("n, p, a", [(50, 1 / 50, 11.0), (10, 0.3, 2.0), (20, 1 / 20, 0.0)])
-    def test_oracle_paths_equal_numpy_steps(self, n, p, a):
+class TestStep:
+    @pytest.mark.parametrize("n, p", [(12, 1 / 12), (30, 0.7)])
+    def test_step_is_the_rule(self, n, p):
         needle = dl.NeedleOneOneEA(n, mutation_rate=p)
-        for index in range(20):
-            rng = generator(trial_seed(4, index))
-            d = needle.initial_state(rng)
-            doubles = iter(rng.random(5000).tolist())
-            rng = generator(trial_seed(4, index))
-            assert needle.initial_state(rng) == d
-            oracle = d
-            for _ in range(1000):
-                d = needle.step(d, rng)
-                oracle = needle_generation(n, p, oracle, doubles)
-                assert oracle == d
+        doubles = [0.0, _MAX_UNIFORM, *np.random.default_rng(3).random(200).tolist()]
+        for d in range(n + 1):
+            for u in doubles:
+                assert needle.step(d, OneDouble(u)) == step_rule(needle, d, u), (d, u)
 
-    def test_a_start_over_draws_a_fresh_double(self):
-        # at k = 25, bound = 12 and the largest double overruns it
-        assert first_draw(25, 1 / 50, _MAX_UNIFORM) == math.inf
-        assert binomial_inversion(25, 1 / 50, iter([_MAX_UNIFORM, 0.0])) == 0
+    def test_the_optimum_is_kept(self):
+        needle = dl.NeedleOneOneEA(10)
+        assert {needle.step(0, OneDouble(u)) for u in (0.0, 0.5, _MAX_UNIFORM)} == {0}
 
-
-class TestThresholds:
-    @pytest.mark.parametrize("n, p", [(50, 1 / 50), (10, 0.3)])
-    def test_every_threshold_is_the_least_double_that_reaches_its_count(self, n, p):
-        checked = 0
-        for k in range(1, n + 1):
-            bound = processes._InversionTables(p)[k][1]
-            # every count up to the bound and the start-over beyond it
-            for x, t in enumerate(thresholds(k, p, bound + 1), 1):
-                if t < 1.0:
-                    assert first_draw(k, p, t) >= x, (k, x)
-                    assert first_draw(k, p, math.nextafter(t, 0.0)) < x, (k, x)
-                    checked += 1
-                else:
-                    assert first_draw(k, p, _MAX_UNIFORM) < x, (k, x)
-        assert checked > 5 * n
-
-    def test_a_smaller_cap_gives_a_prefix(self):
-        assert thresholds(30, 1 / 50, 4) == thresholds(30, 1 / 50, 12)[:4]
+    def test_the_doubles_of_each_successor_carry_its_exact_probability(self):
+        """Generator.random returns k * 2**-53, so the doubles that draw a
+        successor are an interval of k, and their count * 2**-53 is the mass
+        the sampler gives it; against the law in rationals at rate 1/n. The
+        float law and its rounded sums are a few ulps off, and what the sums
+        miss of 1 goes to the last successor: at n = 50 the worst is the last
+        successor from d = 8, 5.6e-16 for a probability of 3.7e-72."""
+        n = 50
+        needle = dl.NeedleOneOneEA(n)
+        worst = 0.0
+        for d in range(1, n + 1):
+            first, edges = needle._inverse_cdfs[d]
+            law, denominator = needle_step_exact(n, d)
+            ks = [0, *(math.ceil(e * 2.0**53) for e in edges), 2**53]
+            ks = [min(max(k, 0), 2**53) for k in ks]
+            for i in range(len(ks) - 1):
+                mass = Fraction(ks[i + 1] - ks[i], 2**53)
+                worst = max(worst, abs(float(mass - Fraction(law.get(first + i - d, 0), denominator))))
+            # no double draws a successor outside the law's reach
+            assert first >= 0 and first + len(edges) <= n
+        assert worst < 1e-15
 
 
-class TestTransitions:
-    @pytest.mark.parametrize("n, p, floor_a", [(10, 0.3, 2), (12, 1 / 12, 0)])
-    def test_one_generation_per_pair_of_cells(self, n, p, floor_a):
-        """Every state and every pair of cells, at both ends of each cell: the
-        automaton's next distance is the oracle's, or it goes to the sink
-        exactly when the generation hits, reaches n, draws cap or more or
-        starts over."""
-        automaton = processes._NeedleAutomaton(n, p, floor_a)
-        cap = cap_of(n, p)
-        edges = automaton.boundaries.tolist()
-        ends = sorted({0.0, *edges, *(math.nextafter(b, 0.0) for b in edges), _MAX_UNIFORM})
+class TestCells:
+    @pytest.mark.parametrize("n, p, floor_a", KEYS)
+    def test_every_cell_at_both_ends_gives_the_step(self, n, p, floor_a):
+        """The first double of every cell and the double just below the next
+        edge, for every live state: the automaton's next distance is the
+        step's, or the sink exactly when the step hits."""
+        needle = dl.NeedleOneOneEA(n, mutation_rate=p)
+        automaton = processes._NeedleAutomaton(needle, floor_a)
+        edges = automaton._cells.edges.tolist()
+        firsts = [0.0, *edges]
+        lasts = [math.nextafter(e, 0.0) for e in edges] + [_MAX_UNIFORM]
+        # the cell search puts each end in its own cell
+        assert automaton._cells(np.array(firsts)).tolist() == list(range(len(firsts)))
+        assert automaton._cells(np.array(lasts[1:])).tolist() == list(range(1, len(lasts)))
         sinks = 0
-        for d in range(floor_a + 1, n):
-            for down in ends:
-                x = first_draw(d, p, down)
-                for up in ends:
-                    y = first_draw(n - d, p, up)
-                    end = automaton.advance(d, np.array([down, up]))
-                    after = d - x + y if max(x, y) < cap else None
-                    if after is None or after <= floor_a or after == n:
-                        assert end is None, (d, down, up)
-                        sinks += 1
-                    else:
-                        assert end == after == needle_generation(n, p, d, iter([down, up])), (d, down, up)
+        for d in range(floor_a + 1, n + 1):
+            for cell, ends in enumerate(zip(firsts, lasts)):
+                for u in ends:
+                    after = needle.step(d, OneDouble(u))
+                    assert after == step_rule(needle, d, u)
+                    expected = None if after <= floor_a else after
+                    assert successor(automaton, d, cell) == expected, (d, cell, u)
+                    sinks += expected is None
         assert sinks
 
-    def test_start_states_outside_the_automaton_are_the_sink(self):
-        automaton = processes._NeedleAutomaton(12, 1 / 12, 3)
-        for d in (0, 3, 12):
+    def test_start_states_at_or_below_the_target_are_the_sink(self):
+        automaton = processes._NeedleAutomaton(dl.NeedleOneOneEA(12), 3)
+        for d in (0, 3):
             assert automaton.advance(d, np.zeros(4)) is None
-        assert automaton.advance(4, np.zeros(4)) == 4
+        assert automaton.advance(12, np.zeros(0)) == 12
+
+    @pytest.mark.parametrize("n, p, floor_a", KEYS)
+    def test_the_bound_holds_every_entry(self, n, p, floor_a):
+        automaton = processes._NeedleAutomaton(dl.NeedleOneOneEA(n, mutation_rate=p), floor_a)
+        entries = (n - floor_a) * (len(automaton.sink) + 1)
+        build_at = dl.NeedleOneOneEA(n, mutation_rate=p)._automaton_build_at(floor_a)
+        bound = (build_at - processes._BUILD_STEPS) / processes._STEPS_PER_ENTRY
+        assert entries <= bound
+
+
+def step_loop_hit_time(needle, state, a, max_steps, doubles):
+    """First generation t in 1..max_steps after which `step`, from `state` on
+    `doubles`, is at or below a, or None."""
+    rng = PrescribedDoubles(doubles)
+    for t in range(1, max_steps + 1):
+        state = needle.step(state, rng)
+        if state <= a:
+            return t
+    return None
+
+
+def assert_crafted_trial(needle, prefix, state, a, max_steps, seed=0):
+    """hitting_time on a stream that starts with `prefix` equals the step
+    loop's hit time on the same doubles."""
+    stub = PrescribedDoubles(prefix, seed)
+    expected = step_loop_hit_time(needle, state, a, max_steps, stub.doubles)
+    assert needle.hitting_time(state, stub, a, max_steps) == expected
+    return expected
+
+
+def stay(needle, d):
+    """The least double on which a generation from d stays at d."""
+    first, edges = needle._inverse_cdfs[d]
+    return 0.0 if d == first else edges[d - first - 1]
 
 
 N, P = 50, 1 / 50
 
 
-def assert_crafted_trial(prefix, state, a, max_steps, n=N, p=P, seed=0):
-    """hitting_time on a stream that starts with `prefix` equals the oracle's
-    hit time on the same doubles."""
-    stub = PrescribedDoubles(prefix, seed)
-    expected = needle_hit_time(n, p, state, a, max_steps, iter(stub.doubles))
-    assert dl.NeedleOneOneEA(n, mutation_rate=p).hitting_time(state, stub, a, max_steps) == expected
-    return expected
-
-
-def still(generations):
-    """Doubles for generations in which no bit flips: 0.0 draws X = 0 at every count."""
-    return [0.0] * (2 * generations)
-
-
-class TestCraftedStreams:
+class TestTrials:
     @pytest.fixture(autouse=True)
     def on_the_automaton(self, monkeypatch):
         """Every trial here builds its automaton first, whatever its budget."""
+        monkeypatch.setattr(processes, "_BUILD_STEPS", 0)
         monkeypatch.setattr(processes, "_STEPS_PER_ENTRY", 0.0)
 
-    def test_a_start_over_double(self, builds, advances):
-        prefix = still(10) + [_MAX_UNIFORM]
-        for seed in range(5):
-            assert_crafted_trial(prefix, 25, 11.0, 3000, seed=seed)
-        assert advances[0] is None and any(advances[1:])
-
-    def test_a_draw_above_the_cap(self, builds, advances):
-        t_cap = thresholds(25, P, cap_of(N, P))[-1]
-        assert first_draw(25, P, t_cap) >= cap_of(N, P)
-        for seed in range(5):
-            assert_crafted_trial(still(10) + [t_cap, 0.0], 25, 11.0, 3000, seed=seed)
-            # the double just below draws cap - 1 flips, which the automaton holds
-            assert_crafted_trial(still(10) + [math.nextafter(t_cap, 0.0), 0.0], 25, 11.0, 3000, seed=seed)
-        assert None in advances
-
-    def test_distance_n(self, builds, advances):
-        # one up-flip from n - 1 reaches n, whose generation draws one double
-        assert first_draw(1, P, 0.99) == 1
-        for seed in range(5):
-            assert_crafted_trial(still(3) + [0.0, 0.99], N - 1, 11.0, 3000, seed=seed)
-            assert_crafted_trial([], N, 11.0, 3000, seed=seed)
-        assert None in advances and any(advances)
-
-    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
     def test_a_hit_on_a_block_last_generation(self, builds, advances, blocks):
-        # blocks of _FIRST_BLOCK then 2 * _FIRST_BLOCK generations; one down-flip from 12 hits 11
+        # blocks of _FIRST_BLOCK, 2 * _FIRST_BLOCK, ... generations; 0.0 draws
+        # the fewest flips of all, from 12 a hit at 11
+        needle = dl.NeedleOneOneEA(N)
         last = _FIRST_BLOCK * (2**blocks - 1)
-        prefix = still(last - 1) + [thresholds(12, P, 1)[0], 0.0]
-        assert first_draw(12, P, prefix[-2]) == 1
-        assert assert_crafted_trial(prefix, 12, 11.0, 3000) == last
-        assert assert_crafted_trial(prefix, 12, 11.0, last) == last
-        assert assert_crafted_trial(prefix, 12, 11.0, last - 1) is None
+        prefix = [stay(needle, 12)] * (last - 1) + [0.0]
+        assert needle.step(12, OneDouble(0.0)) <= 11 < needle.step(12, OneDouble(prefix[0]))
+        assert assert_crafted_trial(needle, prefix, 12, 11.0, 3000) == last
+        assert assert_crafted_trial(needle, prefix, 12, 11.0, last) == last
+        assert assert_crafted_trial(needle, prefix, 12, 11.0, last - 1) is None
         assert advances[blocks - 1] is None and all(advances[:blocks - 1])
 
-    def test_a_sink_then_more_automaton_blocks(self, builds, advances):
-        t_cap = thresholds(25, P, cap_of(N, P))[-1]
-        for seed in range(3):
-            advances.clear()
-            assert_crafted_trial(still(10) + [t_cap, 0.0], 25, 0.0, 20_000, seed=seed)
-            assert advances[0] is None and len(advances) > 4 and all(advances[1:])
+    def test_a_hit_on_a_block_first_generation(self, builds, advances):
+        needle = dl.NeedleOneOneEA(N)
+        prefix = [stay(needle, 12)] * _FIRST_BLOCK + [0.0]
+        assert assert_crafted_trial(needle, prefix, 12, 11.0, 3000) == _FIRST_BLOCK + 1
+        assert advances == [12, None]
 
-    def test_a_high_rate_with_starts_over(self, builds):
-        # at p = 0.3 and n = 10 the automaton holds every count; only start-overs sink
-        for seed in range(10):
-            assert_crafted_trial(still(5) + [_MAX_UNIFORM], 7, 2.0, 2000, n=10, p=0.3, seed=seed)
+    def test_the_sink_replays_its_block_to_the_hit(self, builds, advances):
+        # hits near 5e4 generations fall in the middle of a full block past the ramp
+        needle = dl.NeedleOneOneEA(N)
+        late = 0
+        for seed in range(6):
+            advances.clear()
+            if assert_crafted_trial(needle, [], 20, 11.0, 100_000, seed=seed):
+                late += advances[-1] is None and len(advances) > 6
+        assert late
+
+    @pytest.mark.parametrize("n, p, floor_a", [(12, 1 / 12, 3), (20, 0.3, 2), (30, 0.7, 5), (50, 1 / 50, 20)])
+    def test_seeded_trials_equal_the_step_loop(self, builds, n, p, floor_a):
+        needle = dl.NeedleOneOneEA(n, mutation_rate=p)
+        a = floor_a + 0.5
+        hits = []
+        for index in range(30):
+            rng = generator(trial_seed(8, index))
+            state = needle.initial_state(rng)
+            # the trial's doubles after its start
+            doubles = rng.random(5000).tolist()
+            for budget in (1, _FIRST_BLOCK, 3 * _FIRST_BLOCK + 1, 5000):
+                rng = generator(trial_seed(8, index))
+                needle.initial_state(rng)
+                expected = step_loop_hit_time(needle, state, a, budget, doubles)
+                assert needle.hitting_time(state, rng, a, budget) == expected, (index, budget)
+            hits.append(expected)
+        assert any(hits) and builds == [(n, p, floor_a)]
 
 
 class TestWhenBuilt:
@@ -267,6 +296,14 @@ class TestWhenBuilt:
         serial = dl.run_trials(*args, master_seed=6, workers=1)
         assert builds == [(N, P, 0)]
         assert pooled == serial and pooled.hit_times == [None] * 8
+
+    def test_pooled_runs_with_hits_equal_serial_ones(self, builds, monkeypatch):
+        monkeypatch.setattr(dl.core, "SERIAL_WORK", 0)
+        args = dl.NeedleOneOneEA(20), dl.DriftWindow(2.0, 5.0), 16, 20_000
+        pooled = dl.run_trials(*args, master_seed=2, workers=2)
+        serial = dl.run_trials(*args, master_seed=2, workers=1)
+        assert pooled == serial and None in serial.hit_times and any(serial.hit_times)
+        assert builds == [(20, 1 / 20, 2)]
 
     def test_the_cache_keeps_a_few_automata(self, builds):
         for n in range(6, 12):

@@ -7,7 +7,8 @@ from hypothesis import example, given, strategies as st
 import driftlab as dl
 from driftlab.cli import _bounds_slab
 from driftlab.inequalities import SWEEPS, InequalityResult, SweepGrid, slab_count
-from driftlab.reporting import format_cell, format_links, format_rows, format_trials, write_csv
+from driftlab.conditions import ConditionParams, ConditionReport, TailCheck
+from driftlab.reporting import FAIL_LINES, condition_summary, format_cell, format_links, format_rows, format_trials, write_csv
 
 
 def csv_module_text(rows) -> str:
@@ -108,3 +109,19 @@ def test_write_csv_writes_text_blocks_as_they_are(tmp_path):
     assert out.read_text() == (
         "# command=test\nx,y\n1,0.5\nblock,1\nblock,2\n,true\n\"a,b\",2\nblock,3\n# done\n"
     )
+
+
+@pytest.mark.parametrize("failing", [0, FAIL_LINES - 1, FAIL_LINES, FAIL_LINES + 1, 1000])
+def test_condition_summary_names_the_first_failures_and_counts_the_rest(failing):
+    tails = tuple(TailCheck(float(j), 1.0 if j <= failing else 0.0, 0.5, "fail" if j <= failing else "pass")
+                  for j in range(1, failing + 3))
+    report = ConditionReport("two_sided", "exact", ConditionParams(1.0, 1.0, 2.0, failing + 2), 1.0, "pass", tails)
+    lines = condition_summary(report).splitlines()
+    named = [line for line in lines if line.startswith("    FAIL at j=")]
+    assert named == [f"    FAIL at j={j}: tail 1 > bound 0.5" for j in range(1, min(failing, FAIL_LINES) + 1)]
+    rest = [line for line in lines if line.startswith("    ... and ")]
+    if failing > FAIL_LINES:
+        assert rest == [f"    ... and {failing - FAIL_LINES} more failing indices, every one in the --out CSV"]
+    else:
+        assert rest == []
+    assert lines[-1] == ("  overall: fail" if failing else "  overall: pass")
