@@ -15,21 +15,21 @@ A trial's generator belongs to the trial alone, and the trial loop re-seeds
 the same generator for the next trial, so a process must not keep it past its
 trial. `hitting_time` may draw its doubles in blocks, ahead of need: what
 matters is that the doubles it uses are the ones the `step` loop would use, in
-the same order. The walk replays numpy's own geometric algorithm on such
-blocks. The needle steps on its own exact law (`stream_layout` 2): a
-generation reads one double and inverts the cumulative sums of
-`transitions(d)`. The counterexample chain, whose start draws nothing, has a
-batched hook instead (`batch_doubles`, `batch_hitting_times`) that takes the
-doubles of a block of trials at once from `rng.trial_uniforms`; every other
-process steps. A long needle trial advances whole blocks of generations
-through `_NeedleAutomaton`, whose states are lists indexed by cells of [0, 1)
-cut at every live state's cumulative sums. A hit goes to its sink, and the
-step loop replays that block to time it. Each process builds an automaton once
-per (n, p, floor(a)), before the first block of the first trial whose budget
-of generations would pay for the build; a trial with a smaller budget keeps
-the step loop. The automaton's cell and the walk's magnitude come from a
-`_BucketSearch`: one table lookup per double, exact on numpy's doubles, in
-place of a binary search.
+the same order. Every process with an exact law steps on it (`stream_layout`
+2): a step reads one double and inverts the law's cumulative sums, the law
+`law_table` gives the checks. The walk inverts its one law on a block of
+doubles at once; the needle and the (1,λ) EA invert `transitions(d)`, and a
+long trial advances whole blocks of generations through an `_Automaton`, whose
+states are lists indexed by cells of [0, 1) cut at every live state's
+cumulative sums. A hit goes to its sink, and the step loop replays that block
+to time it. Each chain builds an automaton once per floor(a), before the
+first block of the first trial whose budget of generations would pay for the
+build; a trial with a smaller budget keeps the step loop. The automaton's cell
+and the walk's step come from a `_BucketSearch`: one table lookup per double,
+exact on numpy's doubles, in place of a binary search. The counterexample
+chain, whose start draws nothing, has a batched hook instead (`batch_doubles`,
+`batch_hitting_times`) that takes the doubles of a block of trials at once
+from `rng.trial_uniforms`.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ _LN8 = math.log(8.0)
 #: and long ones hold a bounded block
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 14
-#: the largest double Generator.random returns
-_MAX_UNIFORM = 1.0 - 2.0**-53
 
 
 def _block_sizes():
@@ -73,8 +71,6 @@ _MAX_BUCKET_BITS = 16
 class _BucketSearch:
     """np.searchsorted(edges, u, "right") by one table lookup per double, exact
     for every double u in [0, 1), so for every double Generator.random returns.
-    For doubles e < u holds exactly when nextafter(e, inf) <= u, so the search
-    on the left is this one on the edges' next doubles.
 
     [0, 1) is cut into 2**B buckets of equal width. u · 2**B is exact, so its
     integer part is u's bucket. The search is monotone in u, so where it agrees
@@ -116,7 +112,8 @@ class Process(ABC):
     #: reports flag any non-identity potential scale (e.g. log-transformed)
     potential_scale = "identity"
     #: how trials turn their doubles into steps; simulate and scaling CSVs name
-    #: any layout other than the first, numpy's own samplers drawn by `step`
+    #: any layout other than the first, numpy's own samplers or a process's
+    #: own use of its doubles; 2 is one double per step on the exact law
     stream_layout = 1
     #: constructor parameter that sets the window length ell of a scaling family
     #: (the window is [0, ell]); None when the process has no such family
@@ -263,6 +260,8 @@ class GeometricDriftWalk(Process):
 
     name = "geometric-walk"
     family_param = "start"
+    #: one double per step, inverted on the one exact law of `law_table`
+    stream_layout = 2
 
     def __init__(self, eps: float, delta: float, start: float = 0.0):
         if not (0 < eps < math.inf and 0 < delta < math.inf):
@@ -276,39 +275,36 @@ class GeometricDriftWalk(Process):
                 f"infeasible (eps={eps}, delta={delta}): the demanded drift exceeds "
                 f"what geometric tails allow; need eps <= (1+delta)/delta = {(1 + delta) / delta}"
             )
+        # past this magnitude the exponential-moment tail at gamma = ln(1+delta/2),
+        # which converges slower than the mass, is below 1e-16
+        reach = -math.log(1e-16) / (math.log1p(delta) - math.log1p(delta / 2.0))
+        if not reach < MAX_TAIL_INDEX:
+            raise ValueError(f"delta={delta} needs a step law of about {reach:.3g} magnitudes, more than "
+                             f"the {MAX_TAIL_INDEX} the walk keeps; raise delta")
         self.eps = float(eps)
         self.delta = float(delta)
         self.start = float(start)
         self.c_plus = (c_sum + c_diff) / 2.0
         self.c_minus = (c_sum - c_diff) / 2.0
         self.r = 1.0 + self.delta
-        self._p_up = self.c_plus / delta
-        self._p_geom = delta / (1.0 + delta)
+        self.j_cap = max(64, math.ceil(reach) + 1)
 
     def initial_state(self, rng):
         return self.start
 
     def step(self, state, rng):
-        magnitude = rng.geometric(self._p_geom)
-        if rng.random() < self._p_up:
-            return state + magnitude
-        return state - magnitude
+        steps, edges = self._inverse_cdf
+        return state + steps[bisect.bisect_right(edges, rng.random())]
 
     def hitting_time(self, state, rng, a, max_steps):
-        # numpy draws a geometric with p >= 1/3 by searching its cdf with one
-        # double, and by inversion of an exponential below that
-        if self._p_geom < 1.0 / 3.0:
-            return super().hitting_time(state, rng, a, max_steps)
-        magnitudes = self._magnitude_search
+        steps, search = self._step_search
         position = float(state)
         t = 0
         for size in _block_sizes():
             size = min(size, max_steps - t)
-            u = rng.random(2 * size)
-            magnitude = magnitudes(u[0::2]) + 1.0
             path = np.empty(size + 1)
             path[0] = position
-            path[1:] = np.where(u[1::2] < self._p_up, magnitude, -magnitude)
+            path[1:] = steps.take(search(rng.random(size)))
             # cumsum adds left to right, one step at a time, as the step loop does
             np.cumsum(path, out=path)
             hit = int(np.argmax(path[1:] <= a))
@@ -320,66 +316,56 @@ class GeometricDriftWalk(Process):
                 return None
 
     @functools.cached_property
-    def _search_cdf(self) -> np.ndarray:
-        """The partial sums numpy's random_geometric_search compares its double
-        with, in its float arithmetic; a double u draws the first X with u <= sum X."""
-        q = 1.0 - self._p_geom
-        prod = total = self._p_geom
-        sums = [total]
-        # until every double random() returns is covered, or the sum stalls: from
-        # there on numpy would search forever
-        while total < _MAX_UNIFORM:
-            prod *= q
-            if total + prod == total:
-                break
-            total += prod
-            sums.append(total)
-        return np.array(sums)
+    def _law(self) -> LawTable:
+        j = np.arange(1, self.j_cap + 1, dtype=float)
+        weights = (1.0 + self.delta) ** (-j)
+        return LawTable.law(np.concatenate([-j[::-1], j]),
+                            np.concatenate([self.c_minus * weights[::-1], self.c_plus * weights]))
 
     @functools.cached_property
-    def _magnitude_search(self) -> _BucketSearch:
-        # u draws the first X with u <= sums[X], so X counts the sums below u
-        return _BucketSearch(np.nextafter(self._search_cdf, np.inf))
+    def _inverse_cdf(self) -> tuple[list[float], list[float]]:
+        """(steps, edges) of the one law: a double u moves the walk by
+        steps[bisect_right(edges, u)]."""
+        return self._law.values.tolist(), _inverse_cdf_edges(self._law.probs[0])
+
+    @functools.cached_property
+    def _step_search(self) -> tuple[np.ndarray, _BucketSearch]:
+        """The law's steps, and the bucket table of its edges for a block of doubles."""
+        return self._law.values, _BucketSearch(np.array(self._inverse_cdf[1]))
 
     def law_table(self, window) -> LawTable:
-        """The one law of every state, truncated once the omitted mass drops below 1e-16.
-
-        The cap also covers the exponential-moment tail at gamma = ln(1+delta/2),
-        which converges slower than the probability mass, so table-based moment
-        sums stay accurate to roughly 1e-16 as well. A small delta needs about
-        74/delta magnitudes; past MAX_TAIL_INDEX of them the table is
-        refused before anything is allocated.
-        """
-        gamma_rate = math.log1p(self.delta) - math.log1p(self.delta / 2.0)
-        log_tol = math.log(1e-16)
-        # past this magnitude the moment tail, and so the mass, is below 1e-16
-        reach = -log_tol / gamma_rate
-        if not reach < MAX_TAIL_INDEX:
-            raise ValueError(f"delta={self.delta} needs a step table of about {reach:.3g} magnitudes, more than "
-                             f"the {MAX_TAIL_INDEX} an exact check holds; raise delta")
-        j_cap = max(64, math.ceil(reach) + 1)
-        j = np.arange(1, j_cap + 1, dtype=float)
-        weights = (1.0 + self.delta) ** (-j)
-        values = np.concatenate([-j[::-1], j])
-        probs = np.concatenate([self.c_minus * weights[::-1], self.c_plus * weights])
-        return LawTable.law(values, probs)
+        """The one law of every state, the one `step` draws from, truncated at
+        j_cap magnitudes, where the omitted mass and the exponential-moment tail
+        at gamma = ln(1+delta/2) drop below 1e-16, so table-based moment sums
+        stay accurate to roughly 1e-16 as well. A small delta needs about
+        74/delta magnitudes; past MAX_TAIL_INDEX of them the constructor refuses
+        it."""
+        return self._law
 
 
-class _InverseCdfs(dict):
-    """d -> (first, edges) of a chain's `transitions(d)`, each built on first
-    use: edges are the law's cumulative sums but the last, so a double u moves
-    d to first + bisect_right(edges, u). That is first +
-    min(bisect_right(cdf, u), len(cdf) - 1) on the whole cdf: a double at or
-    past the last edge draws the last successor, whatever the rounded sum."""
+def _inverse_cdf_edges(probs: np.ndarray) -> list[float]:
+    """The edges of a law's inverse cdf: a double u in [0, 1) draws outcome
+    bisect_right(edges, u). Below the modal outcome the edges are the sums of
+    the probabilities from the left, and past it 1 less the sums from the right,
+    so what the rounded sums miss of 1 goes to the modal outcome. Each edge is
+    rounded to the nearest k * 2**-53, the doubles Generator.random returns, so
+    an outcome far in either tail gets the doubles of its own probability to
+    within one: none where its tail is below half of one."""
+    mode = int(np.argmax(probs))
+    edges = np.concatenate([np.cumsum(probs[:mode]), 1.0 - np.cumsum(probs[:mode:-1])[::-1]])
+    return (np.rint(edges * 2.0**53) / 2.0**53).tolist()
 
-    def __init__(self, transitions):
+
+class _Lazy(dict):
+    """key -> build(key), each built on first use and kept."""
+
+    def __init__(self, build):
         super().__init__()
-        self.transitions = transitions
+        self.build = build
 
-    def __missing__(self, d: int) -> tuple[int, list[float]]:
-        first, probs = self.transitions(d)
-        entry = self[d] = (first, np.cumsum(probs[:-1]).tolist())
-        return entry
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 #: the most list entries (states times cells, 8 bytes each) an automaton's
@@ -388,31 +374,32 @@ class _InverseCdfs(dict):
 _MAX_AUTOMATON_ENTRIES = 1 << 21
 #: a trial builds the automaton before its first block when its budget of
 #: generations is at least _BUILD_STEPS + _STEPS_PER_ENTRY * (a bound on the
-#: automaton's list entries). On a 2-vCPU host a build, laws and bucket table
-#: included, took 0.33 ms at n = 8, 1.3 ms at n = 20, 5.7 ms at n = 50 and
-#: 55 ms at n = 127 (a = 0, rate 1/n), and a generation on the automaton
-#: saved about 0.2 us against the step loop. So a trial that runs its whole
-#: budget pays for the build 1.8 to 5 times over, which covers trials that
-#: hit early: such a trial wastes at most one build per process and key.
+#: automaton's list entries). On a 2-vCPU host a needle's build, laws and
+#: bucket table included, took 0.33 ms at n = 8, 1.3 ms at n = 20, 5.7 ms at
+#: n = 50 and 55 ms at n = 127 (a = 0, rate 1/n), and a generation on the
+#: automaton saved about 0.2 us against the step loop. So a trial that runs
+#: its whole budget pays for the build 1.8 to 5 times over, which covers
+#: trials that hit early: such a trial wastes at most one build per process
+#: and floor(a).
 _BUILD_STEPS = 8000
 _STEPS_PER_ENTRY = 0.5
 
 
-class _NeedleAutomaton:
-    """The needle's generations as a finite automaton over cells of [0, 1).
+class _Automaton:
+    """A mutation chain's generations as a finite automaton over cells of [0, 1).
 
     A generation at distance d reads one double u and moves to first +
-    bisect_right(edges, u) of `_InverseCdfs`. The edges of every live state d
-    > floor_a cut [0, 1) into cells, on each of which every live state moves to
-    one successor. A live state is a list indexed by cell whose entries are the
-    next states, and it ends with its d. A successor at or below floor_a, a
-    hit, is the sink, which maps every cell to itself.
+    bisect_right(edges, u) of the chain's `_inverse_cdfs`. The edges of every
+    live state d > floor_a cut [0, 1) into cells, on each of which every live
+    state moves to one successor. A live state is a list indexed by cell whose
+    entries are the next states, and it ends with its d. A successor at or
+    below floor_a, a hit, is the sink, which maps every cell to itself.
     """
 
-    def __init__(self, needle: NeedleOneOneEA, floor_a: int):
-        laws = needle._inverse_cdfs
-        live = range(floor_a + 1, needle.n + 1)
-        boundaries = np.array(sorted({e for d in live for e in laws[d][1] if e < 1.0}))
+    def __init__(self, chain: _MutationChain, floor_a: int):
+        laws = chain._inverse_cdfs
+        live = range(floor_a + 1, chain.n + 1)
+        boundaries = np.array(sorted({e for d in live for e in laws[d][1] if 0.0 < e < 1.0}))
         lowers = np.append(0.0, boundaries)
         self._cells = _BucketSearch(boundaries)
         self.sink = sink = []
@@ -423,7 +410,7 @@ class _NeedleAutomaton:
             successors = [rows.get(first + i, sink) for i in range(len(edges) + 1)]
             row.extend(map(successors.__getitem__, np.searchsorted(edges, lowers, "right").tolist()))
             row.append(d)
-        self.starts = [rows.get(d, sink) for d in range(needle.n + 1)]
+        self.starts = [rows.get(d, sink) for d in range(chain.n + 1)]
 
     def advance(self, d: int, u: np.ndarray) -> int | None:
         """The distance after len(u) generations from d on the doubles u, or
@@ -431,13 +418,6 @@ class _NeedleAutomaton:
         cells = self._cells(u).tolist()
         end = functools.reduce(operator.getitem, cells, self.starts[d])
         return None if end is self.sink else end[-1]
-
-
-@functools.lru_cache(maxsize=4)
-def _needle_automaton(n: int, p: float, floor_a: int) -> _NeedleAutomaton:
-    """The automaton for (n, p, floor_a), built in the process that first needs
-    it; the four last used are kept."""
-    return _NeedleAutomaton(NeedleOneOneEA(n, p), floor_a)
 
 
 def _binomial_pmf(k: int, p: float) -> np.ndarray:
@@ -459,20 +439,12 @@ def _binomial_pmf(k: int, p: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-class _TrimmedBinomials(dict):
-    """k -> (first, terms): the terms P(Binomial(k, p) = first + i) that do not
-    underflow to 0 at either end, computed once per k."""
-
-    def __init__(self, p: float):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, k: int) -> tuple[int, np.ndarray]:
-        pmf = _binomial_pmf(k, self.p)
-        nonzero = np.flatnonzero(pmf)
-        first, last = int(nonzero[0]), int(nonzero[-1])
-        self[k] = entry = (first, pmf[first:last + 1])
-        return entry
+def _trimmed_binomial(k: int, p: float) -> tuple[int, np.ndarray]:
+    """(first, terms): the terms P(Binomial(k, p) = first + i) that do not
+    underflow to 0 at either end."""
+    pmf = _binomial_pmf(k, p)
+    nonzero = np.flatnonzero(pmf)
+    return int(nonzero[0]), pmf[nonzero[0]:nonzero[-1] + 1]
 
 
 class _BitMutation(Process):
@@ -501,14 +473,32 @@ class _MutationChain(_BitMutation):
     from a uniform random bitstring, i.e. d0 ~ Binomial(n, 1/2).
 
     A subclass states its law once, as `transitions(d)`, from the process's
-    binomial pmfs, which are computed once per k."""
+    binomial pmfs, which are computed once per k. The chain steps on that law:
+    a generation reads one double and inverts its cumulative sums, and a long
+    trial advances on the chain's `_Automaton`, built once per floor(a).
+    """
+
+    #: one double per generation, inverted on the exact law of `transitions`
+    stream_layout = 2
 
     def initial_state(self, rng):
         return int(rng.binomial(self.n, 0.5))
 
     @functools.cached_property
-    def _binomials(self) -> _TrimmedBinomials:
-        return _TrimmedBinomials(self.mutation_rate)
+    def _binomials(self) -> _Lazy:
+        return _Lazy(lambda k: _trimmed_binomial(k, self.mutation_rate))
+
+    @functools.cached_property
+    def _inverse_cdfs(self) -> _Lazy:
+        """d -> (first, edges): a double u moves d to first + bisect_right(edges, u)."""
+        def inverse_cdf(d):
+            first, probs = self.transitions(d)
+            return first, _inverse_cdf_edges(probs)
+        return _Lazy(inverse_cdf)
+
+    @functools.cached_property
+    def _automata(self) -> _Lazy:
+        return _Lazy(lambda floor_a: _Automaton(self, floor_a))
 
     def _mutated(self, d: int) -> tuple[int, np.ndarray]:
         """(first, probs) with probs[i] = P(d + Binomial(n-d, p) - Binomial(d, p) = first + i):
@@ -530,47 +520,16 @@ class _MutationChain(_BitMutation):
         rows = [(first - d, probs) for d, (first, probs) in zip(states, map(self.transitions, states))]
         return LawTable.from_rows([self.potential(d) for d in states], rows)
 
-
-class NeedleOneOneEA(_MutationChain):
-    """(1+1) EA on a single-optimum plateau, lumped to the Hamming distance chain.
-
-    All non-optimal points share one fitness value, so every offspring is
-    accepted and the distance d to the optimum evolves as
-
-        d' = d - Binomial(d, rate) + Binomial(n - d, rate),
-
-    the exact image of standard bit mutation under exchangeability of bit
-    positions. The optimum itself is kept once reached.
-    """
-
-    name = "needle"
-    #: one double per generation, inverted on the exact law of `transitions`
-    stream_layout = 2
-
-    def absorbed(self, state) -> bool:
-        return state == 0
-
-    def transitions(self, d):
-        if d == 0:
-            return 0, np.array([1.0])
-        return self._mutated(d)
-
-    @functools.cached_property
-    def _inverse_cdfs(self) -> _InverseCdfs:
-        return _InverseCdfs(self.transitions)
-
     def step(self, state, rng):
         first, edges = self._inverse_cdfs[state]
         return first + bisect.bisect_right(edges, rng.random())
 
     def hitting_time(self, state, rng, a, max_steps):
-        # every potential is >= 0, and once at 0 the chain stays there
+        # every potential is >= 0
         if not self.potential(0) <= a:
             return None
-        n = self.n
-        floor_a = math.floor(a) if a < n else n
-        build = max_steps >= self._automaton_build_at(floor_a)
-        automaton = _needle_automaton(n, self.mutation_rate, floor_a) if build else None
+        floor_a = math.floor(a) if a < self.n else self.n
+        automaton = self._automata[floor_a] if max_steps >= self._automaton_build_at(floor_a) else None
         laws = self._inverse_cdfs
         d, t = state, 0
         for size in _block_sizes():
@@ -603,6 +562,29 @@ class NeedleOneOneEA(_MutationChain):
         return _BUILD_STEPS + entries * _STEPS_PER_ENTRY
 
 
+class NeedleOneOneEA(_MutationChain):
+    """(1+1) EA on a single-optimum plateau, lumped to the Hamming distance chain.
+
+    All non-optimal points share one fitness value, so every offspring is
+    accepted and the distance d to the optimum evolves as
+
+        d' = d - Binomial(d, rate) + Binomial(n - d, rate),
+
+    the exact image of standard bit mutation under exchangeability of bit
+    positions. The optimum itself is kept once reached.
+    """
+
+    name = "needle"
+
+    def absorbed(self, state) -> bool:
+        return state == 0
+
+    def transitions(self, d):
+        if d == 0:
+            return 0, np.array([1.0])
+        return self._mutated(d)
+
+
 class OneCommaLambdaEA(_MutationChain):
     """(1,λ) EA on a one-count objective, lumped to the zero-bit count chain.
 
@@ -618,23 +600,6 @@ class OneCommaLambdaEA(_MutationChain):
         if lambda_offspring < 1:
             raise ValueError(f"lambda_offspring must be >= 1, got {lambda_offspring}")
         self.lambda_offspring = int(lambda_offspring)
-
-    def step(self, state, rng):
-        return self.generation(state, rng)[0]
-
-    def generation(self, state, rng) -> tuple[int, bool]:
-        """One generation; also reports whether any offspring was an exact copy."""
-        best = None
-        saw_copy = False
-        for _ in range(self.lambda_offspring):
-            down = rng.binomial(state, self.mutation_rate)
-            up = rng.binomial(self.n - state, self.mutation_rate)
-            if down == 0 and up == 0:
-                saw_copy = True
-            candidate = state - down + up
-            if best is None or candidate < best:
-                best = candidate
-        return int(best), saw_copy
 
     def transitions(self, d):
         """One offspring's count is Y = d - Binomial(d, p) + Binomial(n-d, p), and

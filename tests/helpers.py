@@ -22,6 +22,8 @@ from driftlab.inequalities import E_LO
 from driftlab.jumps import LawTable
 from driftlab.rng import generator, trial_seed
 
+#: the largest double Generator.random returns
+MAX_UNIFORM = 1.0 - 2.0**-53
 #: a check of PEA', which has no exact step law, so the check harvests steps
 PEA_PRIME_CHECK_INI = (
     "[experiment]\nname = pea-prime-check\ncommand = check\n[process]\nkind = pea-prime\nn = 30\nmu = 2\n"

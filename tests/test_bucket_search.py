@@ -1,17 +1,12 @@
-"""The bucket table of the long-trial kernels equals np.searchsorted on every
-double Generator.random can return: on the right, and on the left as the
-table of the edges' next doubles, since e < u exactly when nextafter(e) <= u."""
+"""The bucket table of the long-trial kernels equals np.searchsorted(edges, u,
+"right") on every double Generator.random can return."""
 
 import numpy as np
 import pytest
 
 import driftlab as dl
-from driftlab.processes import _MAX_UNIFORM, _BucketSearch, _NeedleAutomaton
-
-
-def bucket_search(edges: np.ndarray, side: str) -> _BucketSearch:
-    """The table whose lookups equal np.searchsorted(edges, u, side)."""
-    return _BucketSearch(edges if side == "right" else np.nextafter(edges, np.inf))
+from driftlab.processes import _Automaton, _BucketSearch
+from helpers import MAX_UNIFORM
 
 
 def probes(edges: np.ndarray, search: _BucketSearch) -> np.ndarray:
@@ -20,17 +15,17 @@ def probes(edges: np.ndarray, search: _BucketSearch) -> np.ndarray:
     starts = np.arange(int(search.scale)) / search.scale
     u = np.concatenate([
         edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
-        starts, np.nextafter(starts[1:], 0.0), [0.0, _MAX_UNIFORM],
+        starts, np.nextafter(starts[1:], 0.0), [0.0, MAX_UNIFORM],
         np.random.default_rng(2024).random(1_000_000),
     ])
     return u[(u >= 0.0) & (u < 1.0)]
 
 
-def assert_equals_searchsorted(search: _BucketSearch, edges: np.ndarray, side: str) -> None:
-    u = probes(edges, search)
-    assert search(u).tolist() == np.searchsorted(edges, u, side).tolist()
-    # a strided view, as the walk passes every other double of its block
-    assert search(u[1::2]).tolist() == np.searchsorted(edges, u[1::2], side).tolist()
+def assert_equals_searchsorted(search: _BucketSearch) -> None:
+    u = probes(search.edges, search)
+    assert search(u).tolist() == np.searchsorted(search.edges, u, "right").tolist()
+    # a strided view
+    assert search(u[1::2]).tolist() == np.searchsorted(search.edges, u[1::2], "right").tolist()
 
 
 def crafted_edges() -> np.ndarray:
@@ -39,19 +34,17 @@ def crafted_edges() -> np.ndarray:
     width = 2.0**-13
     edges = np.random.default_rng(7).random(42).tolist()
     edges += [0.0, 1000 * width, (2000 + 0.25) * width, (2000 + 0.5) * width, (2000 + 0.75) * width]
-    edges += [edges[3], 1.0 - width, _MAX_UNIFORM]
+    edges += [edges[3], 1.0 - width, MAX_UNIFORM]
     return np.sort(np.array(edges))
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_crafted_edges(side):
-    edges = crafted_edges()
-    search = bucket_search(edges, side)
+def test_crafted_edges():
+    search = _BucketSearch(crafted_edges())
     assert search.scale == 2.0**13
-    # the bucket that starts at an edge holds -1 on the left and a value on the right
-    assert (search.table[1000] < 0) == (side == "left")
+    # an edge at a bucket's first double splits nothing; one inside a bucket splits it
+    assert search.table[1000] >= 0
     assert search.table[2000] < 0
-    assert_equals_searchsorted(search, edges, side)
+    assert_equals_searchsorted(search)
 
 
 def searched_table(search: _BucketSearch) -> np.ndarray:
@@ -63,8 +56,7 @@ def searched_table(search: _BucketSearch) -> np.ndarray:
     return np.where(first == last, first, -1)
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_the_table_equals_its_definition(side):
+def test_the_table_equals_its_definition():
     """Random edge sets, with edges at 0.0, at the largest double random()
     returns, at 1.0 and on buckets' first and last doubles mixed in."""
     rng = np.random.default_rng(11)
@@ -72,35 +64,32 @@ def test_the_table_equals_its_definition(side):
         edges = rng.random(int(rng.integers(0, 80)))
         width = 1.0 / _BucketSearch(edges).scale
         starts = rng.integers(0, int(1 / width), 4) * width
-        special = [0.0, _MAX_UNIFORM, 1.0, *starts, *np.nextafter(starts[1:], 0.0), starts[0]]
+        special = [0.0, MAX_UNIFORM, 1.0, *starts, *np.nextafter(starts[1:], 0.0), starts[0]]
         edges = np.sort(np.concatenate([edges, rng.choice(special, int(rng.integers(0, 6)))]))
-        search = bucket_search(edges, side)
+        search = _BucketSearch(edges)
         assert search.table.dtype == np.int32
         assert search.table.tolist() == searched_table(search).tolist(), edges.tolist()
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("edges", [[], [0.5], [0.0], [_MAX_UNIFORM], [1.0]])
-def test_few_edges(side, edges):
-    edges = np.array(edges, dtype=float)
-    search = bucket_search(edges, side)
+@pytest.mark.parametrize("edges", [[], [0.5], [0.0], [MAX_UNIFORM], [1.0]])
+def test_few_edges(edges):
+    search = _BucketSearch(np.array(edges, dtype=float))
     assert search.table.tolist() == searched_table(search).tolist()
-    assert_equals_searchsorted(search, edges, side)
+    assert_equals_searchsorted(search)
 
 
 def test_needle_automaton_cells():
-    search = _NeedleAutomaton(dl.NeedleOneOneEA(50), 0)._cells
-    # the automaton's 1,829 cell edges at n = 50 get 2^16 buckets of 4 bytes
-    assert len(search.edges) == 1829 and search.scale == 2.0**16 and search.table.nbytes == 1 << 18
+    search = _Automaton(dl.NeedleOneOneEA(50), 0)._cells
+    # the automaton's 1,121 cell edges inside (0, 1) at n = 50 get 2^16 buckets of 4 bytes
+    assert len(search.edges) == 1121 and search.scale == 2.0**16 and search.table.nbytes == 1 << 18
     assert search.table.tolist() == searched_table(search).tolist()
-    assert_equals_searchsorted(search, search.edges, "right")
+    assert_equals_searchsorted(search)
 
 
-@pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
-def test_walk_magnitudes(delta):
+@pytest.mark.parametrize("delta", [0.3, 1.0, 3.0])
+def test_walk_steps(delta):
     walk = dl.GeometricDriftWalk(0.2, delta)
-    search = walk._magnitude_search
-    assert search.edges.tolist() == np.nextafter(walk._search_cdf, np.inf).tolist()
-    assert search.scale <= 2.0**14
+    steps, search = walk._step_search
+    assert search.edges.tolist() == walk._inverse_cdf[1] and steps.tolist() == walk._inverse_cdf[0]
     assert search.table.tolist() == searched_table(search).tolist()
-    assert_equals_searchsorted(search, walk._search_cdf, "left")
+    assert_equals_searchsorted(search)

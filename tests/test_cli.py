@@ -481,13 +481,15 @@ def test_jump_table_of_per_state_laws_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_walk_check_whose_table_would_not_fit_exits_two(tmp_path, capsys):
-    # at delta = 1e-10 the walk's table needs about 7.4e11 magnitudes, some 5 TiB of floats
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_walk_whose_law_would_not_fit_exits_two(command, tmp_path, capsys):
+    # at delta = 1e-10 the walk's law needs about 7.4e11 magnitudes, some 5 TiB
+    # of floats; a check reads that law and a simulation draws from it
     config = tmp_path / "tiny-delta.ini"
-    config.write_text("[process]\nkind = geometric-walk\neps = 0.2\ndelta = 1e-10\n"
+    config.write_text("[process]\nkind = geometric-walk\neps = 0.2\ndelta = 1e-10\nstart = 10\n"
                       "[window]\nb = 10\n[conditions]\neps = 0.2\n")
-    assert main(["check", "--config", str(config)]) == 2
-    assert "delta=1e-10" in _single_error_line(capsys)
+    assert main([command, "--config", str(config)]) == 2
+    assert "delta=1e-10 needs a step law" in _single_error_line(capsys)
 
 
 def test_check_with_a_huge_j_max_exits_two(tmp_path, capsys):

@@ -1,9 +1,9 @@
 """Byte-identity of the CLI's CSVs.
 
 Each CSV below is pinned by its sha256. A change that declares a new
-random-stream layout (ROADMAP item 5) or another output change updates these
-digests in the same change and says why in CHANGES.md; any other change must
-leave them as they are.
+random-stream layout (`Process.stream_layout`, written to the CSV provenance)
+or another output change updates these digests in the same change and says
+why in CHANGES.md; any other change must leave them as they are.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from driftlab.cli import main
-from helpers import PEA_PRIME_CHECK_INI, needle_step_exact
+from helpers import PEA_PRIME_CHECK_INI, hit_probability_within, needle_step_exact
 
 #: simulate configs whose trials hit, written next to example.ini; each
 #: budget reaches the 2e6 trial-steps at which run_trials starts its pool
@@ -31,7 +31,7 @@ CONFIGS = {
     "walk-delta1-hits.ini": "[experiment]\nname = geometric-walk-delta1-hits\n[process]\nkind = geometric-walk\n"
                             "eps = 0.2\ndelta = 1\nstart = 10\n[window]\nb = 10\n"
                             "[budget]\ntrials = 200\nmax_steps = 10000\nmaster_seed = 11\n[run]\nhorizon = 10000\n",
-    # delta = 0.3 puts numpy's geometric on its inversion branch
+    # delta = 0.3: a heavier-tailed law, 302 magnitudes a side
     "walk-delta0.3-hits.ini": "[experiment]\nname = geometric-walk-delta0.3-hits\n[process]\nkind = geometric-walk\n"
                               "eps = 0.2\ndelta = 0.3\nstart = 10\n[window]\nb = 10\n"
                               "[budget]\ntrials = 200\nmax_steps = 10000\nmaster_seed = 11\n[run]\nhorizon = 10000\n",
@@ -53,7 +53,7 @@ GOLDEN = {
     ),
     "simulate-geometric-walk-l30": (
         ["simulate", "--preset", "geometric-walk-l30"],
-        "9de6cd0630632bea1d89b25acd9764fc45e0d1ec412d5575dbf650b9afa20292",
+        "3f2044b9c4545694cf3baeeec677e262043e8cef230fe2d21fca822db32e2483",
     ),
     "check-counterexample-onesided": (
         ["check", "--preset", "counterexample-onesided"],
@@ -83,7 +83,7 @@ GOLDEN = {
     ),
     "scaling-geometric-walk": (
         ["scaling", "--preset", "geometric-walk-scaling", "--trials", "300"],
-        "55b9cf097a1c65b09d8e07687a98b6ac764050a19e159d74f4157fa936caae0e",
+        "f8a5d63366dcf2fe76d85c1f4747f88a46874bfa594dced540dcac71da1401ea",
     ),
     "scaling-counterexample": (
         ["scaling", "--preset", "counterexample-scaling", "--trials", "300"],
@@ -95,7 +95,7 @@ GOLDEN = {
     ),
     "simulate-readme-config": (
         ["simulate", "--config", "example.ini"],
-        "c5889923c9b4b94482f0fd2859bffd946e518ea507ba02e6d7cffe4b88fe3430",
+        "d6354c988b06cb15b5552d16e0a426a79b26e6136c29d90c02e93643c2c6e834",
     ),
     "bounds-smoke-grid": (
         ["bounds", "--suite", "all", *SMOKE_GRID],
@@ -139,19 +139,19 @@ GOLDEN = {
     ),
     "simulate-walk-delta1-hits-threads-1": (
         ["simulate", "--config", "walk-delta1-hits.ini", "--threads", "1"],
-        "2fc0419c2e95ebe9b86b6220e033b05811f1151867e0390381059b852fb01dae",
+        "0eab4b319b7470992d5bfc83191b6c5d69c98e0f4fb76c721a10637bf7119d79",
     ),
     "simulate-walk-delta1-hits-threads-2": (
         ["simulate", "--config", "walk-delta1-hits.ini", "--threads", "2"],
-        "2fc0419c2e95ebe9b86b6220e033b05811f1151867e0390381059b852fb01dae",
+        "0eab4b319b7470992d5bfc83191b6c5d69c98e0f4fb76c721a10637bf7119d79",
     ),
     "simulate-walk-delta0.3-hits-threads-1": (
         ["simulate", "--config", "walk-delta0.3-hits.ini", "--threads", "1"],
-        "163dc021455dc66641d2e97d6d8e2560aa8900b93f2eb110389f06960e05c87b",
+        "f90d50bb1198f1fff1a9b934b94ad5175fcba812c84ce2daddc0e9c4e1bf92c5",
     ),
     "simulate-walk-delta0.3-hits-threads-2": (
         ["simulate", "--config", "walk-delta0.3-hits.ini", "--threads", "2"],
-        "163dc021455dc66641d2e97d6d8e2560aa8900b93f2eb110389f06960e05c87b",
+        "f90d50bb1198f1fff1a9b934b94ad5175fcba812c84ce2daddc0e9c4e1bf92c5",
     ),
 }
 
@@ -207,6 +207,17 @@ def binomial_tail_ok(hits, trials, p, level=1e-3):
     return sum(pmf[:hits + 1]) >= level / 2 and sum(pmf[hits:]) >= level / 2
 
 
+def golden_hits(config, tmp_path, capsys, monkeypatch):
+    """(hits, trials) of the simulate golden run from `config`."""
+    (tmp_path / config).write_text(CONFIGS[config])
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", config, "--out", "out.csv"]) == 0
+    capsys.readouterr()
+    summary = (tmp_path / "out.csv").read_text().splitlines()[-1]
+    fields = dict(item.split("=") for item in summary.removeprefix("# summary: ").split())
+    return int(fields["hits"]), int(fields["trials"])
+
+
 @pytest.mark.parametrize("config, n, a, b, horizon, exact", [
     ("needle-hits.ini", 20, 2, 5, 20_000, 0.85607),
     ("needle-late-hits.ini", 50, 11, 20, 100_000, 0.74650),
@@ -217,11 +228,21 @@ def test_needle_golden_hits_agree_with_the_exact_probability(config, n, a, b, ho
     of its exact hit probability."""
     p = needle_hit_probability(n, a, b, horizon)
     assert p == pytest.approx(exact, abs=5e-6)
-    (tmp_path / config).write_text(CONFIGS[config])
-    monkeypatch.chdir(tmp_path)
-    assert main(["simulate", "--config", config, "--out", "out.csv"]) == 0
-    capsys.readouterr()
-    summary = (tmp_path / "out.csv").read_text().splitlines()[-1]
-    fields = dict(item.split("=") for item in summary.removeprefix("# summary: ").split())
-    hits, trials = int(fields["hits"]), int(fields["trials"])
+    hits, trials = golden_hits(config, tmp_path, capsys, monkeypatch)
+    assert binomial_tail_ok(hits, trials, p), (hits, trials, p)
+
+
+@pytest.mark.parametrize("config, delta, upper, exact", [
+    ("walk-delta1-hits.ini", 1.0, 600, 0.47789),
+    # at delta 0.3 the walk climbs past 600 within the horizon, and the DP's
+    # clamp there would read 0.85194
+    ("walk-delta0.3-hits.ini", 0.3, 1200, 0.85076),
+])
+def test_walk_golden_hits_agree_with_the_exact_probability(config, delta, upper, exact, tmp_path, capsys,
+                                                           monkeypatch):
+    """The hit count of each walk golden (eps 0.2, start 10, target 0, 10,000
+    steps) lies in the 99.9% binomial interval of its exact hit probability."""
+    p = hit_probability_within(0.2, delta, 10, 10_000, upper=upper)
+    assert p == pytest.approx(exact, abs=5e-6)
+    hits, trials = golden_hits(config, tmp_path, capsys, monkeypatch)
     assert binomial_tail_ok(hits, trials, p), (hits, trials, p)

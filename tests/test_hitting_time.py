@@ -1,11 +1,9 @@
 """Each process's hitting_time against its own step loop.
 
-The walk draws its doubles in blocks and replays numpy's geometric algorithm
-on them, the needle draws its doubles in blocks and inverts its own law's cdf
-on each, and the counterexample chain reads a block of trials' doubles at
-once through its batched hook. Every hit time must equal the first passage of
-the path that `step` draws from the same generator, so these tests fail if a
-numpy upgrade changes the walk's algorithm.
+The walk, the needle and the (1,λ) EA draw their doubles in blocks and invert
+their own law's cdf on each, and the counterexample chain reads a block of
+trials' doubles at once through its batched hook. Every hit time must equal
+the first passage of the path that `step` draws from the same generator.
 """
 
 import math
@@ -68,10 +66,11 @@ WALK_BUDGETS = [1, _FIRST_BLOCK - 1, _FIRST_BLOCK, _FIRST_BLOCK + 1, 3 * _FIRST_
 
 
 class TestGeometricDriftWalk:
+    @pytest.mark.parametrize("delta", [0.3, 1.0])
     @pytest.mark.parametrize("max_steps", WALK_BUDGETS)
-    def test_budgets_around_the_blocks(self, max_steps):
-        hits = assert_hit_times_match(dl.GeometricDriftWalk(0.2, 1.0, start=6.0), 0.0, max_steps)
-        assert any(hits) or max_steps < 6
+    def test_budgets_around_the_blocks(self, max_steps, delta):
+        hits = assert_hit_times_match(dl.GeometricDriftWalk(0.2, delta, start=6.0), 0.0, max_steps)
+        assert any(hits)
 
     def test_long_budget_with_hits_and_misses(self):
         hits = assert_hit_times_match(dl.GeometricDriftWalk(0.2, 1.0, start=10.0), 0.0, 2000)
@@ -82,8 +81,7 @@ class TestGeometricDriftWalk:
         assert 1 in hits
 
     @pytest.mark.parametrize("delta", [0.5, 3.0])
-    def test_other_deltas_on_numpy_search_branch(self, delta):
-        # p = delta / (1 + delta) is exactly 1/3 at delta = 0.5, the branch's edge
+    def test_other_deltas(self, delta):
         hits = assert_hit_times_match(dl.GeometricDriftWalk(0.3, delta, start=4.0), 0.5, 300)
         assert any(hits)
 
@@ -91,10 +89,10 @@ class TestGeometricDriftWalk:
         assert_hit_times_match(dl.GeometricDriftWalk(0.2, 1.0, start=0.1), -2.7, 300)
 
     @pytest.mark.parametrize("delta", [0.3, 0.49])
-    def test_delta_below_one_half_takes_the_step_loop(self, delta):
-        # numpy draws a geometric with p < 1/3 by inversion
-        hits = assert_hit_times_match(dl.GeometricDriftWalk(0.2, delta, start=5.0), 0.0, 300)
-        assert any(hits)
+    def test_long_budget_below_one_half(self, delta):
+        # heavier tails: hundreds of magnitudes a side, past 3 * _FIRST_BLOCK steps
+        hits = assert_hit_times_match(dl.GeometricDriftWalk(0.2, delta, start=5.0), 0.0, 2000)
+        assert None in hits and any(h > 3 * _FIRST_BLOCK for h in hits if h)
 
 
 class TestNeedleOneOneEA:
@@ -138,6 +136,52 @@ class TestNeedleOneOneEA:
         assert any(hits)
         hits = assert_hit_times_match(dl.NeedleOneOneEA(20, mutation_rate=0.8), 6.0, 100, seeds=range(50))
         assert any(hits)
+
+
+class TestOneCommaLambdaEA:
+    @pytest.mark.parametrize("max_steps", [1, _FIRST_BLOCK - 1, _FIRST_BLOCK, _FIRST_BLOCK + 1, 3 * _FIRST_BLOCK + 1])
+    def test_budgets_around_the_blocks(self, max_steps):
+        assert_hit_times_match(dl.OneCommaLambdaEA(12, 2), 2.0, max_steps, seeds=range(50))
+
+    def test_from_the_initial_state(self):
+        hits = assert_hit_times_match(dl.OneCommaLambdaEA(20, 2), 1.0, 400, seeds=range(50))
+        assert None in hits and any(hits)
+
+    def test_the_optimum_is_left(self):
+        # unlike the needle, the comma EA can leave distance 0
+        process = dl.OneCommaLambdaEA(8, 1)
+        first, probs = process.transitions(0)
+        assert first == 0 and probs.size > 1
+        hits = assert_hit_times_match(process, 0.0, 10, state=0, seeds=range(50))
+        assert 1 in hits and any(hit != 1 for hit in hits)
+
+    def test_target_below_zero_is_never_hit(self):
+        assert set(assert_hit_times_match(dl.OneCommaLambdaEA(6, 3), -1.0, 50, state=1, seeds=range(20))) == {None}
+
+
+class RandomOnly:
+    """A generator with nothing but random(), which counts the doubles it
+    serves: any other sampler raises."""
+
+    def __init__(self, seed):
+        self._rng = generator(seed)
+        self.served = 0
+
+    def random(self, size=None):
+        self.served += 1 if size is None else size
+        return self._rng.random(size)
+
+
+@pytest.mark.parametrize("process", [dl.GeometricDriftWalk(0.2, 1.0, start=5.0), dl.NeedleOneOneEA(20),
+                                     dl.OneCommaLambdaEA(20, 3)], ids=lambda process: process.name)
+def test_processes_with_an_exact_law_draw_only_doubles(process):
+    """`step` and `hitting_time` read nothing but doubles, one per step."""
+    state = process.start if hasattr(process, "start") else 10
+    rng = RandomOnly(1)
+    for _ in range(200):
+        state = process.step(state, rng)
+    assert rng.served == 200 and process.stream_layout == 2
+    process.hitting_time(state, RandomOnly(2), 0.0, 100_000)
 
 
 class TestCounterexampleChain:

@@ -98,12 +98,16 @@ class TestGeometricDriftWalk:
             bound = walk.r / (1.0 + walk.delta) ** j
             assert float(pmf[mags >= j].sum()) <= bound * (1 + 1e-12)
 
-    def test_table_past_what_a_check_can_hold_refused(self):
+    def test_a_law_past_what_the_walk_keeps_refused(self):
         window = dl.DriftWindow(0.0, 5.0)
         # the moment tail at ln(1 + delta/2) needs about 74/delta magnitudes
         assert dl.GeometricDriftWalk(0.2, 1e-4).law_table(window).values.size == 2 * 736_884
-        with pytest.raises(ValueError, match="delta=1e-10"):
-            dl.GeometricDriftWalk(0.2, 1e-10).law_table(window)
+        # the constructor refuses it, so simulations and checks share one domain
+        with pytest.raises(ValueError, match="delta=1e-10 needs a step law") as refused:
+            dl.GeometricDriftWalk(0.2, 1e-10)
+        assert "check" not in str(refused.value)
+        with pytest.raises(ValueError, match="delta=7e-05"):
+            dl.GeometricDriftWalk(0.2, 7e-5)
 
     def test_infeasible_drift_rejected_with_diagnostic(self):
         with pytest.raises(ValueError, match="geometric tails allow"):
@@ -208,15 +212,6 @@ class TestOneCommaLambdaEA:
         moves = [process.step(k, rng) - k for _ in range(20_000)]
         assert np.mean(moves) == pytest.approx((20 - 2 * k) / 20, abs=0.02)
 
-    def test_copy_event_matches_closed_form(self):
-        n, lam = 100, 2
-        process = dl.OneCommaLambdaEA(n, lam)
-        closed = 1.0 - (1.0 - 0.99**100) ** 2
-        rng = generator(11)
-        hits = sum(process.generation(50, rng)[1] for _ in range(20_000))
-        lo, hi = dl.wilson_interval(int(hits), 20_000)
-        assert lo <= closed <= hi
-
     def test_copy_probability_floor(self):
         # an offspring that copies its parent keeps the count, so the best never
         # worsens with probability at least 1 - (1 - (1-1/n)^n)^lambda, which is
@@ -228,14 +223,13 @@ class TestOneCommaLambdaEA:
                 kept = first + np.arange(probs.size) <= n // 2
                 assert float(probs[kept].sum()) >= floor - 1e-12
 
-    def test_best_offspring_selected(self):
+    def test_steps_stay_on_the_law(self):
         process = dl.OneCommaLambdaEA(30, 8)
         rng = generator(9)
-        # with 8 offspring the next parent can never exceed the worst mutation,
-        # and the generation returns the minimum offspring count
-        for _ in range(200):
-            new, _ = process.generation(15, rng)
-            assert 0 <= new <= 30
+        first, probs = process.transitions(15)
+        reach = set((first + np.flatnonzero(probs)).tolist())
+        # every step lands on a successor of positive probability
+        assert {process.step(15, rng) for _ in range(2000)} <= reach
 
     def test_validation(self):
         with pytest.raises(ValueError):
