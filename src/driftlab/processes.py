@@ -19,10 +19,13 @@ the same order. Every process with an exact law steps on it (`stream_layout`
 2): a step reads one double and inverts the law's cumulative sums, the law
 `law_table` gives the checks. The walk inverts its one law on a block of
 doubles at once; the needle and the (1,λ) EA invert `transitions(d)`, and a
-long trial advances whole blocks of generations through an `_Automaton`, whose
-states are lists indexed by cells of [0, 1) cut at every live state's
-cumulative sums. A hit goes to its sink, and the step loop replays that block
-to time it. Each chain builds an automaton once per floor(a), before the
+long trial runs on an `_Automaton`: its doubles become cells of [0, 1), cut
+at every live state's cumulative sums, 2**18 generations a block. Where every
+cell's successor is monotone in d, the block's pieces of 256 generations
+advance in lockstep from the lowest live state and from n, and a piece whose
+two bounds meet off the sink ends there from any start. Only the other
+pieces are chased, one list lookup per generation, and a hit is timed on its
+piece's cells. Each chain builds an automaton once per floor(a), before the
 first block of the first trial whose budget of generations would pay for the
 build; a trial with a smaller budget keeps the step loop. The automaton's cell
 and the walk's step come from a `_BucketSearch`: one table lookup per double,
@@ -368,21 +371,28 @@ class _Lazy(dict):
         return value
 
 
-#: the most list entries (states times cells, 8 bytes each) an automaton's
-#: bound may reach: n = 127 at a = 0, whose 1.22M entries (bound 2.05M) took
-#: 55 ms to build on a 2-vCPU host
-_MAX_AUTOMATON_ENTRIES = 1 << 21
+#: the most entries an automaton's bound may reach, list and table entries
+#: together, so that n = 127 at a = 0 still builds, as when only the list
+#: entries counted (bound 4.11M; 382k list and 385k table entries, built in
+#: 32 to 56 ms on a 2-vCPU host)
+_MAX_AUTOMATON_ENTRIES = 1 << 22
 #: a trial builds the automaton before its first block when its budget of
 #: generations is at least _BUILD_STEPS + _STEPS_PER_ENTRY * (a bound on the
-#: automaton's list entries). On a 2-vCPU host a needle's build, laws and
-#: bucket table included, took 0.33 ms at n = 8, 1.3 ms at n = 20, 5.7 ms at
-#: n = 50 and 55 ms at n = 127 (a = 0, rate 1/n), and a generation on the
-#: automaton saved about 0.2 us against the step loop. So a trial that runs
-#: its whole budget pays for the build 1.8 to 5 times over, which covers
-#: trials that hit early: such a trial wastes at most one build per process
-#: and floor(a).
+#: automaton's entries). In one window on a 2-vCPU host a needle's build,
+#: laws and bucket table included, took 0.47 ms at n = 8, 2.0 ms at n = 20,
+#: 5.8 ms at n = 50, 24 ms at n = 100 and 45 ms at n = 127 (a = 0, rate 1/n;
+#: up to twice that under load), and a generation on the automaton (17 to
+#: 55 ns) saved about 0.25 us against the step loop. So a trial that runs its
+#: whole budget pays for the build 1.5 to 6 times over, which covers trials
+#: that hit early: such a trial wastes at most one build per process and
+#: floor(a).
 _BUILD_STEPS = 8000
-_STEPS_PER_ENTRY = 0.5
+_STEPS_PER_ENTRY = 0.25
+#: generations in a block of a trial on an automaton; its doubles are drawn
+#: and bucketed _MAX_BLOCK at a time, and only their int32 cells are kept
+_AUTOMATON_BLOCK = 1 << 18
+#: generations in a piece of a block that the lockstep pass bounds
+_PIECE = 256
 
 
 class _Automaton:
@@ -391,9 +401,20 @@ class _Automaton:
     A generation at distance d reads one double u and moves to first +
     bisect_right(edges, u) of the chain's `_inverse_cdfs`. The edges of every
     live state d > floor_a cut [0, 1) into cells, on each of which every live
-    state moves to one successor. A live state is a list indexed by cell whose
-    entries are the next states, and it ends with its d. A successor at or
-    below floor_a, a hit, is the sink, which maps every cell to itself.
+    state moves to one successor. A successor at or below floor_a, a hit, is
+    the sink, which maps every cell to itself. The automaton holds its
+    transitions twice: as lists, a live state being a list indexed by cell
+    whose entries are the next states and which ends with its d, and as one
+    dense table over (row, cell), row 0 the sink and row r the distance
+    floor_a + r, whose entries are the next rows times the number of cells.
+
+    When every cell's successor row is monotone in the row, a block of
+    generations is cut into pieces of _PIECE, and all pieces advance together
+    through the dense table, from the lowest live state and from n. By
+    monotone coupling (Propp & Wilson 1996) every start lies between the two
+    bounds, so a piece whose bounds meet off the sink ends in that state from
+    any start, and never hits. Only the other pieces are chased through the
+    lists, from the state the piece before left.
     """
 
     def __init__(self, chain: _MutationChain, floor_a: int):
@@ -402,22 +423,59 @@ class _Automaton:
         boundaries = np.array(sorted({e for d in live for e in laws[d][1] if 0.0 < e < 1.0}))
         lowers = np.append(0.0, boundaries)
         self._cells = _BucketSearch(boundaries)
+        self.floor_a = floor_a
         self.sink = sink = []
         sink.extend([sink] * lowers.size)
-        rows = {d: [] for d in live}
-        for d, row in rows.items():
+        rows = [sink] + [[] for _ in live]
+        nexts = np.zeros((len(rows), lowers.size), dtype=np.intp)
+        for r, d in enumerate(live, 1):
             first, edges = laws[d]
-            successors = [rows.get(first + i, sink) for i in range(len(edges) + 1)]
-            row.extend(map(successors.__getitem__, np.searchsorted(edges, lowers, "right").tolist()))
-            row.append(d)
-        self.starts = [rows.get(d, sink) for d in range(chain.n + 1)]
+            nexts[r] = np.maximum(np.searchsorted(edges, lowers, "right") + (first - floor_a), 0)
+            rows[r].extend(map(rows.__getitem__, nexts[r].tolist()))
+            rows[r].append(d)
+        self.starts = [rows[max(d - floor_a, 0)] for d in range(chain.n + 1)]
+        self.monotone = bool((nexts[1:] >= nexts[:-1]).all())
+        self._width = lowers.size
+        self._next = (nexts * self._width).ravel()
 
-    def advance(self, d: int, u: np.ndarray) -> int | None:
-        """The distance after len(u) generations from d on the doubles u, or
-        None when they reach the sink."""
-        cells = self._cells(u).tolist()
-        end = functools.reduce(operator.getitem, cells, self.starts[d])
-        return None if end is self.sink else end[-1]
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The cells of rng's next `size` doubles, drawn _MAX_BLOCK at a time."""
+        cells = np.empty(size, dtype=np.int32)
+        for lo in range(0, size, _MAX_BLOCK):
+            cells[lo:lo + _MAX_BLOCK] = self._cells(rng.random(min(_MAX_BLOCK, size - lo)))
+        return cells
+
+    def advance(self, d: int, cells: np.ndarray) -> tuple[int | None, int]:
+        """(d', len(cells)) with d' the distance after the generations of
+        `cells` from the live distance d, or (None, t) when the t-th of them
+        hits."""
+        pieces = cells.size // _PIECE if self.monotone else 0
+        ends = self._piece_ends(cells[:pieces * _PIECE].reshape(pieces, _PIECE)) if pieces else np.empty(0)
+        row = self.starts[d]
+        # each piece whose bounds did not meet, then the generations past the last piece
+        for k in [*np.flatnonzero(ends == 0).tolist(), pieces]:
+            if k > 0 and ends[k - 1]:
+                row = self.starts[ends[k - 1]]
+            piece = cells[k * _PIECE:(k + 1) * _PIECE if k < pieces else None].tolist()
+            end = functools.reduce(operator.getitem, piece, row)
+            if end is self.sink:
+                # the hit's time, from the piece's cells
+                for t, cell in enumerate(piece, k * _PIECE + 1):
+                    row = row[cell]
+                    if row is self.sink:
+                        return None, t
+            row = end
+        return row[-1], cells.size
+
+    def _piece_ends(self, pieces: np.ndarray) -> np.ndarray:
+        """For each row of cells of `pieces`, the distance it ends in from
+        every live start, or 0 when its two bounds do not meet off the sink."""
+        # the rows of the lowest live state and of n, times the width
+        bounds = np.repeat([[self._width], [self._next.size - self._width]], len(pieces), axis=1)
+        for cells in pieces.T:
+            bounds = self._next.take(bounds + cells)
+        lower, upper = bounds // self._width
+        return np.where((lower == upper) & (lower > 0), lower + self.floor_a, 0)
 
 
 def _binomial_pmf(k: int, p: float) -> np.ndarray:
@@ -475,7 +533,8 @@ class _MutationChain(_BitMutation):
     A subclass states its law once, as `transitions(d)`, from the process's
     binomial pmfs, which are computed once per k. The chain steps on that law:
     a generation reads one double and inverts its cumulative sums, and a long
-    trial advances on the chain's `_Automaton`, built once per floor(a).
+    trial advances block by block on the chain's `_Automaton`, built once per
+    floor(a).
     """
 
     #: one double per generation, inverted on the exact law of `transitions`
@@ -529,22 +588,22 @@ class _MutationChain(_BitMutation):
         if not self.potential(0) <= a:
             return None
         floor_a = math.floor(a) if a < self.n else self.n
-        automaton = self._automata[floor_a] if max_steps >= self._automaton_build_at(floor_a) else None
-        laws = self._inverse_cdfs
         d, t = state, 0
+        if d > floor_a and max_steps >= self._automaton_build_at(floor_a):
+            automaton = self._automata[floor_a]
+            while t < max_steps:
+                d, size = automaton.advance(d, automaton.draw(rng, min(_AUTOMATON_BLOCK, max_steps - t)))
+                t += size
+                if d is None:
+                    return t
+            return None
+        laws = self._inverse_cdfs
         for size in _block_sizes():
-            u = rng.random(min(size, max_steps - t))
-            end = None if automaton is None else automaton.advance(d, u)
-            if end is None:
-                # the step loop on the block's doubles: without an automaton, or
-                # to time the hit that took the automaton to its sink
-                for t, x in enumerate(u.tolist(), t + 1):
-                    first, edges = laws[d]
-                    d = first + bisect.bisect_right(edges, x)
-                    if d <= a:
-                        return t
-            else:
-                d, t = end, t + u.size
+            for t, x in enumerate(rng.random(min(size, max_steps - t)).tolist(), t + 1):
+                first, edges = laws[d]
+                d = first + bisect.bisect_right(edges, x)
+                if d <= a:
+                    return t
             if t == max_steps:
                 return None
 
@@ -553,10 +612,11 @@ class _MutationChain(_BitMutation):
         automaton, or math.inf when the automaton would be too large or empty.
 
         Each of the live states' laws has at most n edges, so the automaton
-        has at most live * n + 1 cells and live * (live * n + 2) list entries.
+        has at most live * n + 1 cells, live * (live * n + 2) list entries and
+        (live + 1) * (live * n + 1) table entries.
         """
         live = self.n - floor_a
-        entries = live * (live * self.n + 2)
+        entries = live * (live * self.n + 2) + (live + 1) * (live * self.n + 1)
         if live < 1 or entries > _MAX_AUTOMATON_ENTRIES:
             return math.inf
         return _BUILD_STEPS + entries * _STEPS_PER_ENTRY

@@ -80,26 +80,40 @@ def geometric_step_pmf(eps, delta, j_cap=200):
     return pmf, j_cap
 
 
-def hit_probability_within(eps, delta, ell, horizon, upper=600, j_cap=200):
-    """Exact P(walk descends by >= ell within `horizon` steps), by DP convolution.
+def hit_probability_within(eps, delta, ell, horizon, lost=1e-9):
+    """(hit, hit + escaped): a bracket on the exact P(walk descends by >= ell
+    within `horizon` steps), by DP convolution.
 
-    Positions above `upper` are clamped onto the top cell, which can only
-    overestimate the hit probability; with the defaults the clamping error is
-    far below double precision for the horizons used in tests.
+    The DP keeps the law's magnitudes up to j_cap and the positions up to
+    `upper` above the start. The mass a step would take past either cut
+    escapes: it is tallied, not placed, so `hit` counts only the paths that
+    never escaped, and the escaped mass could at most all hit later. Both cuts
+    come from the horizon and the law, so that each lets about lost / 2
+    escape. A step cuts off (1+δ)^-j_cap of the mass. The walk's displacement
+    S_t passes u within the horizon with probability at most
+    exp(horizon ψ(θ) - θ u) for every θ > 0, ψ(θ) = ln E e^{θ step} (Doob's
+    maximal inequality on e^{θ S_t}), so `upper` is the least such u on a
+    grid of θ in (0, ln(1+δ)).
     """
+    j_cap = math.ceil(math.log(2 * horizon / lost) / math.log1p(delta))
     pmf, jc = geometric_step_pmf(eps, delta, j_cap)
+    theta = np.linspace(0.0, math.log1p(delta), 1001)[1:-1]
+    psi = np.log(np.exp(np.outer(theta, np.arange(-jc, jc + 1))) @ pmf)
+    upper = math.ceil(np.min((horizon * psi + math.log(2 / lost)) / theta))
+    cut = (1.0 + delta) ** -j_cap
     n_pos = ell + upper + 1  # index i <-> position i - ell; pos <= -ell is a hit
     dist = np.zeros(n_pos)
     dist[ell] = 1.0
-    hit = 0.0
+    hit = escaped = 0.0
     for _ in range(horizon):
+        escaped += dist.sum() * cut
         full = np.convolve(dist, pmf)  # full[f] <-> position f - jc - ell
         hit += full[: jc + 1].sum()
+        escaped += full[jc + n_pos :].sum()
         nxt = np.zeros(n_pos)
         nxt[1:] = full[jc + 1 : jc + n_pos]
-        nxt[-1] += full[jc + n_pos :].sum()
         dist = nxt
-    return float(hit)
+    return float(hit), float(hit + escaped)
 
 
 def partial_factorial_sum(j, count):

@@ -23,8 +23,8 @@ CONFIGS = {
     "needle-hits.ini": "[experiment]\nname = needle-n20-hits\n[process]\nkind = needle\nn = 20\n"
                        "[window]\na = 2\nb = 5\n[budget]\ntrials = 100\nmax_steps = 20000\nmaster_seed = 2\n"
                        "[run]\nhorizon = 20000\n",
-    # hits near 5e4 generations, past the ramp of growing blocks: most trials
-    # hit inside a full block that the needle's automaton advanced to its sink
+    # hits near 5e4 generations, in one automaton block of 10^5: each is timed
+    # on a piece whose bounds the lockstep pass found apart
     "needle-late-hits.ini": "[experiment]\nname = needle-n50-late-hits\n[process]\nkind = needle\nn = 50\n"
                             "[window]\na = 11\nb = 20\n[budget]\ntrials = 20\nmax_steps = 100000\nmaster_seed = 3\n"
                             "[run]\nhorizon = 100000\n",
@@ -232,17 +232,15 @@ def test_needle_golden_hits_agree_with_the_exact_probability(config, n, a, b, ho
     assert binomial_tail_ok(hits, trials, p), (hits, trials, p)
 
 
-@pytest.mark.parametrize("config, delta, upper, exact", [
-    ("walk-delta1-hits.ini", 1.0, 600, 0.47789),
-    # at delta 0.3 the walk climbs past 600 within the horizon, and the DP's
-    # clamp there would read 0.85194
-    ("walk-delta0.3-hits.ini", 0.3, 1200, 0.85076),
+@pytest.mark.parametrize("config, delta, exact", [
+    ("walk-delta1-hits.ini", 1.0, 0.47789),
+    ("walk-delta0.3-hits.ini", 0.3, 0.85076),
 ])
-def test_walk_golden_hits_agree_with_the_exact_probability(config, delta, upper, exact, tmp_path, capsys,
-                                                           monkeypatch):
+def test_walk_golden_hits_agree_with_the_exact_probability(config, delta, exact, tmp_path, capsys, monkeypatch):
     """The hit count of each walk golden (eps 0.2, start 10, target 0, 10,000
-    steps) lies in the 99.9% binomial interval of its exact hit probability."""
-    p = hit_probability_within(0.2, delta, 10, 10_000, upper=upper)
-    assert p == pytest.approx(exact, abs=5e-6)
+    steps) lies in the 99.9% binomial interval of its exact hit probability,
+    which the DP brackets to within 1e-9."""
+    low, high = hit_probability_within(0.2, delta, 10, 10_000)
+    assert high - low < 1e-9 and low == pytest.approx(exact, abs=5e-6)
     hits, trials = golden_hits(config, tmp_path, capsys, monkeypatch)
-    assert binomial_tail_ok(hits, trials, p), (hits, trials, p)
+    assert binomial_tail_ok(hits, trials, low) and binomial_tail_ok(hits, trials, high), (hits, trials, low)

@@ -4,15 +4,20 @@ The needle and the (1,λ) EA step on `transitions(d)`: a generation reads one
 double u and moves distance d to first + bisect_right(edges, u), where
 (first, probs) = `transitions(d)` and the edges are the law's cumulative sums
 from the left below its modal successor and 1 less the sums from the right
-past it, each rounded to the nearest multiple of 2**-53. Every double of a cell of the automaton must give `step`'s successor,
-the doubles that draw each successor must carry its exact probability (the
-walk's one law too), whole trials must equal the step loop on the same
-doubles, and the automaton must be built only where it pays.
+past it, each rounded to the nearest multiple of 2**-53. Every double of a
+cell of the automaton must give `step`'s successor, the doubles that draw each
+successor must carry its exact probability (the walk's one law too), and the
+dense table must hold the lists. A piece that the lockstep pass ends must end
+there from every start, a table that is not monotone must never take that
+pass, whole trials must equal the step loop on the same doubles, and the
+automaton must be built only where it pays.
 """
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +26,7 @@ import pytest
 import driftlab as dl
 from driftlab import processes
 from driftlab.cli import main
-from driftlab.processes import _FIRST_BLOCK
+from driftlab.processes import _AUTOMATON_BLOCK, _PIECE
 from driftlab.rng import generator, trial_seed
 from helpers import MAX_UNIFORM, PrescribedDoubles, needle_step_exact
 
@@ -72,6 +77,12 @@ def successor(automaton, d, cell):
     return None if row is automaton.sink else row[-1]
 
 
+def chase(automaton, d, cells):
+    """The distance after `cells` from d through the lists, or None for the sink."""
+    row = functools.reduce(operator.getitem, cells, automaton.starts[d])
+    return None if row is automaton.sink else row[-1]
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """The `key` of every automaton built while the test runs."""
@@ -88,16 +99,31 @@ def builds(monkeypatch):
 
 @pytest.fixture
 def advances(monkeypatch):
-    """Every automaton block's result, in order: a distance, or None for the sink."""
+    """Every automaton block's result, in order: (distance, generations), or
+    (None, t) for a hit on the block's t-th generation."""
     results = []
     advance = processes._Automaton.advance
 
-    def spy(self, d, u):
-        results.append(advance(self, d, u))
+    def spy(self, d, cells):
+        results.append(advance(self, d, cells))
         return results[-1]
 
     monkeypatch.setattr(processes._Automaton, "advance", spy)
     return results
+
+
+@pytest.fixture
+def lockstep(monkeypatch):
+    """The number of pieces of every lockstep pass, in order."""
+    passes = []
+    piece_ends = processes._Automaton._piece_ends
+
+    def spy(self, pieces):
+        passes.append(len(pieces))
+        return piece_ends(self, pieces)
+
+    monkeypatch.setattr(processes._Automaton, "_piece_ends", spy)
+    return passes
 
 
 def successor_masses(edges):
@@ -212,26 +238,113 @@ class TestCells:
                     sinks += expected is None
         assert sinks
 
+    @pytest.mark.parametrize("kind, n, p, lam, floor_a", KEYS)
+    def test_the_table_holds_the_lists(self, kind, n, p, lam, floor_a):
+        """Row 0 of the dense table is the sink and row r the distance
+        floor_a + r; its entry on a cell is the next row times the number of
+        cells."""
+        automaton = processes._Automaton(chain(kind, n, p, lam), floor_a)
+        width = len(automaton.sink)
+        table = automaton._next.reshape(-1, width)
+        assert table.shape == (n - floor_a + 1, width) and not table[0].any()
+        for d in range(floor_a + 1, n + 1):
+            rows = [0 if s is None else s - floor_a for s in (successor(automaton, d, c) for c in range(width))]
+            assert table[d - floor_a].tolist() == [row * width for row in rows], d
+
     @pytest.mark.parametrize("kind, lam", [("needle", None), ("comma", 2)])
     def test_start_states_at_or_below_the_target_are_the_sink(self, kind, lam):
         automaton = processes._Automaton(chain(kind, 12, lam=lam), 3)
-        for d in (0, 3):
-            assert automaton.advance(d, np.zeros(4)) is None
-        assert automaton.advance(12, np.zeros(0)) == 12
+        assert all(automaton.starts[d] is automaton.sink for d in range(4))
+        assert automaton.advance(12, np.zeros(0, dtype=np.int32)) == (12, 0)
 
     @pytest.mark.parametrize("kind, n, p, lam, floor_a", KEYS)
     def test_the_bound_holds_every_entry(self, kind, n, p, lam, floor_a):
         process = chain(kind, n, p, lam)
         automaton = processes._Automaton(process, floor_a)
-        entries = (n - floor_a) * (len(automaton.sink) + 1)
+        entries = (n - floor_a) * (len(automaton.sink) + 1) + automaton._next.size
         bound = (process._automaton_build_at(floor_a) - processes._BUILD_STEPS) / processes._STEPS_PER_ENTRY
         assert entries <= bound
+
+
+#: (kind, n, rate, λ, floor(a)) of chains whose tables are not monotone: at
+#: rates of one half and above, more bits flip than stay
+NOT_MONOTONE = [("needle", 20, 0.9, None, 2), ("needle", 12, 0.9, None, 3), ("needle", 50, 0.5, None, 20),
+                ("needle", 30, 0.7, None, 5), ("comma", 12, 0.6, 3, 0), ("comma", 20, 0.6, 3, 2)]
+MONOTONE = [key for key in KEYS if key not in NOT_MONOTONE]
+
+
+def monotone(automaton, n, floor_a):
+    """True when on every cell the lists' successor, the sink counted as
+    below every distance, does not fall as the state rises from the sink to n."""
+    for cell in range(len(automaton.sink)):
+        successors = [floor_a] + [floor_a if s is None else s
+                                  for s in (successor(automaton, d, cell) for d in range(floor_a + 1, n + 1))]
+        if any(x > y for x, y in itertools.pairwise(successors)):
+            return False
+    return True
+
+
+def sinking(automaton):
+    """The first double of the last cell on which the lowest live state goes
+    to the sink."""
+    lowest = automaton.starts[automaton.floor_a + 1]
+    cell = max(c for c, row in enumerate(lowest[:-1]) if row is automaton.sink)
+    return 0.0 if cell == 0 else float(automaton._cells.edges[cell - 1])
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("kind, n, p, lam, floor_a", KEYS + [key for key in NOT_MONOTONE if key not in KEYS])
+    def test_the_check_reads_every_cell(self, kind, n, p, lam, floor_a):
+        automaton = processes._Automaton(chain(kind, n, p, lam), floor_a)
+        assert automaton.monotone is monotone(automaton, n, floor_a)
+        assert automaton.monotone is ((kind, n, p, lam, floor_a) in MONOTONE)
+
+    @pytest.mark.parametrize("kind, n, p, lam, floor_a", MONOTONE)
+    def test_a_piece_whose_bounds_meet_ends_there_from_every_start(self, kind, n, p, lam, floor_a):
+        """The lockstep pass ends a piece exactly when the chase from the
+        lowest live state and the chase from n end in one state off the sink,
+        and then the chase from every live state ends there too."""
+        automaton = processes._Automaton(chain(kind, n, p, lam), floor_a)
+        pieces = automaton.draw(np.random.default_rng(5), 64 * _PIECE).reshape(64, _PIECE)
+        ends = automaton._piece_ends(pieces).tolist()
+        for piece, end in zip(pieces.tolist(), ends):
+            finals = [chase(automaton, d, piece) for d in range(floor_a + 1, n + 1)]
+            met = finals[0] == finals[-1] and finals[0] is not None
+            assert end == (finals[0] if met else 0)
+            assert not end or set(finals) == {end}
+
+    @pytest.mark.parametrize("kind, lam", [("needle", None), ("comma", 2)])
+    def test_most_pieces_of_a_trial_that_does_not_hit_meet(self, kind, lam):
+        """At n = 50 and floor(a) = 0, where the chain stays far from the
+        target, the bounds of all but a few pieces meet."""
+        automaton = processes._Automaton(chain(kind, N, lam=lam), 0)
+        ends = automaton._piece_ends(automaton.draw(np.random.default_rng(6), 1 << 18).reshape(-1, _PIECE))
+        assert np.count_nonzero(ends) >= 0.95 * ends.size
+
+    def test_bounds_that_meet_do_not_bind_a_table_that_is_not_monotone(self):
+        """The needle at rate 1/2 has one law out of every state, but its
+        rounded edges differ from state to state: on some cell the lowest
+        live state and n move to one state and another live state does not,
+        so the lockstep pass would end a piece of that cell wrongly."""
+        automaton = processes._Automaton(chain("needle", 50, 0.5), 20)
+        misled = [cell for cell in range(len(automaton.sink)) if automaton._piece_ends(np.array([[cell]]))[0]
+                  and len({chase(automaton, d, [cell]) for d in range(21, 51)}) > 1]
+        assert misled and not automaton.monotone
+
+    @pytest.mark.parametrize("kind, n, p, lam, floor_a", NOT_MONOTONE)
+    def test_a_table_that_is_not_monotone_is_only_chased(self, kind, n, p, lam, floor_a, lockstep, monkeypatch):
+        monkeypatch.setattr(processes, "_BUILD_STEPS", 0)
+        monkeypatch.setattr(processes, "_STEPS_PER_ENTRY", 0.0)
+        process = chain(kind, n, p, lam)
+        assert not process._automata[floor_a].monotone
+        hits = seeded_trials_match(process, floor_a + 0.5, (1, 3 * _PIECE + 1, 5000))
+        assert any(hits) and lockstep == []
 
 
 def step_loop_hit_time(process, state, a, max_steps, doubles):
     """First generation t in 1..max_steps after which `step`, from `state` on
     `doubles`, is at or below a, or None."""
-    rng = PrescribedDoubles(doubles)
+    rng = PrescribedDoubles(doubles, length=max(len(doubles), max_steps))
     for t in range(1, max_steps + 1):
         state = process.step(state, rng)
         if state <= a:
@@ -239,19 +352,49 @@ def step_loop_hit_time(process, state, a, max_steps, doubles):
     return None
 
 
+def seeded_trials_match(process, a, budgets, trials=20, master_seed=8):
+    """hitting_time on each of `trials` seeded trials with each budget equals
+    the step loop on the trial's doubles after its start. Returns the step
+    loop's hit times with the largest budget."""
+    hits = []
+    for index in range(trials):
+        rng = generator(trial_seed(master_seed, index))
+        state = process.initial_state(rng)
+        hit = step_loop_hit_time(process, state, a, max(budgets), rng.random(max(budgets)).tolist())
+        for budget in budgets:
+            rng = generator(trial_seed(master_seed, index))
+            process.initial_state(rng)
+            expected = hit if hit is not None and hit <= budget else None
+            assert process.hitting_time(state, rng, a, budget) == expected, (index, budget)
+        hits.append(hit)
+    return hits
+
+
 def assert_crafted_trial(process, prefix, state, a, max_steps, seed=0):
     """hitting_time on a stream that starts with `prefix` equals the step
     loop's hit time on the same doubles."""
-    stub = PrescribedDoubles(prefix, seed)
+    stub = PrescribedDoubles(prefix, seed, length=max(1 << 17, max_steps))
     expected = step_loop_hit_time(process, state, a, max_steps, stub.doubles)
     assert process.hitting_time(state, stub, a, max_steps) == expected
     return expected
 
 
-def stay(process, d):
-    """The least double on which a generation from d stays at d."""
-    first, edges = process._inverse_cdfs[d]
-    return 0.0 if d == first else edges[d - first - 1]
+def hit_at(process, state, t, seed=0):
+    """Doubles on which the chain from `state` first reaches 0 on generation t:
+    seeded doubles, on which it stays live, then 0.0, which draws every
+    state's least successor, until the hit."""
+    doubles = np.random.default_rng(seed).random(t).tolist()
+    states = [state]
+    for u in doubles:
+        states.append(process.step(states[-1], OneDouble(u)))
+    assert min(states) > 0
+    for p in range(t - 1, -1, -1):
+        d, zeros = states[p], 0
+        while d > 0 and p + zeros < t:
+            d, zeros = process.step(d, OneDouble(0.0)), zeros + 1
+        if d == 0 and p + zeros == t:
+            return doubles[:p] + [0.0] * zeros
+    raise AssertionError(f"no stream from {state} reaches 0 on generation {t}")
 
 
 #: the chains of the crafted and budget trials, on 50 bits at rate 1/50
@@ -264,6 +407,10 @@ def process(request):
     return chain(*request.param)
 
 
+#: generations in a block of the trials that shrink it: four pieces
+SMALL_BLOCK = 4 * _PIECE
+
+
 class TestTrials:
     @pytest.fixture(autouse=True)
     def on_the_automaton(self, monkeypatch):
@@ -271,55 +418,74 @@ class TestTrials:
         monkeypatch.setattr(processes, "_BUILD_STEPS", 0)
         monkeypatch.setattr(processes, "_STEPS_PER_ENTRY", 0.0)
 
-    @pytest.mark.parametrize("blocks", [1, 2, 3])
-    def test_a_hit_on_a_block_last_generation(self, process, builds, advances, blocks):
-        # blocks of _FIRST_BLOCK, 2 * _FIRST_BLOCK, ... generations; 0.0 draws
-        # the least successor of all, from 12 a hit at 11
-        last = _FIRST_BLOCK * (2**blocks - 1)
-        prefix = [stay(process, 12)] * (last - 1) + [0.0]
-        assert process.step(12, OneDouble(0.0)) <= 11 < process.step(12, OneDouble(prefix[0]))
-        assert assert_crafted_trial(process, prefix, 12, 11.0, 3000) == last
-        assert assert_crafted_trial(process, prefix, 12, 11.0, last) == last
-        assert assert_crafted_trial(process, prefix, 12, 11.0, last - 1) is None
-        assert advances[blocks - 1] is None and all(advances[:blocks - 1])
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(processes, "_AUTOMATON_BLOCK", SMALL_BLOCK)
 
-    def test_a_hit_on_a_block_first_generation(self, process, builds, advances):
-        prefix = [stay(process, 12)] * _FIRST_BLOCK + [0.0]
-        assert assert_crafted_trial(process, prefix, 12, 11.0, 3000) == _FIRST_BLOCK + 1
-        assert advances == [12, None]
+    @pytest.mark.parametrize("t, state", [
+        (1, 1), (_PIECE, 25), (_PIECE + 1, 25), (3 * _PIECE, 25), (SMALL_BLOCK, 25), (SMALL_BLOCK + 1, 25),
+        (SMALL_BLOCK + _PIECE + 7, 25), (2 * SMALL_BLOCK, 25),
+    ], ids=["block-first", "piece-last", "piece-first", "last-piece-last", "block-last", "next-block-first",
+            "tail-last", "second-block-last"])
+    def test_hits_on_the_ends_of_pieces_and_blocks(self, process, small_blocks, advances, lockstep, t, state):
+        """Blocks of four pieces; a budget of 2 * SMALL_BLOCK + _PIECE + 7
+        leaves a last block of one piece and a tail of seven generations."""
+        prefix = hit_at(process, state, t)
+        for budget in (t, 2 * SMALL_BLOCK + _PIECE + 7):
+            advances.clear()
+            assert assert_crafted_trial(process, prefix, state, 0.0, budget) == t
+            blocks, within = divmod(t - 1, SMALL_BLOCK)
+            assert [size for _, size in advances] == [SMALL_BLOCK] * blocks + [within + 1]
+            assert [d is None for d, _ in advances] == [False] * blocks + [True]
+        assert t == 1 or assert_crafted_trial(process, prefix, state, 0.0, t - 1) is None
+        assert lockstep
+
+    @pytest.mark.parametrize("t", [_AUTOMATON_BLOCK, _AUTOMATON_BLOCK + 1], ids=["block-last", "next-block-first"])
+    def test_hits_on_the_ends_of_full_blocks(self, advances, lockstep, t):
+        needle = chain("needle", N)
+        assert assert_crafted_trial(needle, hit_at(needle, 25, t), 25, 0.0, t) == t
+        assert [d is None for d, _ in advances] == [False] * (t > _AUTOMATON_BLOCK) + [True]
+        assert lockstep[0] == _AUTOMATON_BLOCK // _PIECE
+
+    def test_a_lower_bound_in_the_sink_keeps_the_chain_live(self, process, small_blocks, lockstep):
+        """Every piece starts on a double on which the lowest live state hits
+        and the chain from 25 does not, so no piece's bounds meet and every
+        piece is chased."""
+        double = sinking(process._automata[0])
+        doubles = np.random.default_rng(4).random(3 * SMALL_BLOCK)
+        doubles[::_PIECE] = double
+        assert assert_crafted_trial(process, doubles.tolist(), 25, 0.0, 3 * SMALL_BLOCK) is None
+        assert lockstep == [4, 4, 4]
+
+    def test_a_start_at_or_below_the_target_keeps_the_step_loop(self, process, builds, advances):
+        for state in (0, 3):
+            assert_crafted_trial(process, [], state, 3.5, 5000, seed=state)
+        assert builds == [] and advances == []
 
     @pytest.mark.parametrize("process, a", [(("needle", N), 11.0), (("comma", N, None, 2), 2.0)],
                              indirect=["process"], ids=["needle", "comma"])
-    def test_the_sink_replays_its_block_to_the_hit(self, process, a, builds, advances):
-        # hits near 1e4 generations or later fall in the middle of a full block past the ramp
+    def test_a_late_hit_is_timed_on_its_piece(self, process, a, builds, advances, lockstep):
+        # hits near 1e4 generations or later, in one block of 10^5 generations
         late = 0
         for seed in range(6):
             advances.clear()
-            if assert_crafted_trial(process, [], 20, a, 100_000, seed=seed):
-                late += advances[-1] is None and len(advances) > 6
-        assert late
+            if hit := assert_crafted_trial(process, [], 20, a, 100_000, seed=seed):
+                assert advances == [(None, hit)]
+                late += hit > 100 * _PIECE
+        assert late and set(lockstep) == {100_000 // _PIECE}
 
     @pytest.mark.parametrize("kind, n, p, lam, floor_a", [
-        ("needle", 12, 1 / 12, None, 3), ("needle", 20, 0.3, None, 2), ("needle", 30, 0.7, None, 5),
-        ("needle", 50, 1 / 50, None, 20), ("comma", 20, 1 / 20, 2, 2), ("comma", 30, 1 / 30, 4, 1),
+        *(("needle", n, None, None, floor_a) for n in (8, 20, 50, 100) for floor_a in (0, 3)),
+        *(("comma", n, None, 2, floor_a) for n in (8, 20, 50) for floor_a in (0, 3)),
+        ("needle", 20, 0.3, None, 2), ("needle", 50, 1 / 50, None, 20), ("comma", 30, 1 / 30, 4, 1),
         ("comma", 12, 1 / 12, 1, 3),
     ])
-    def test_seeded_trials_equal_the_step_loop(self, builds, kind, n, p, lam, floor_a):
+    def test_seeded_trials_equal_the_step_loop(self, small_blocks, builds, lockstep, kind, n, p, lam, floor_a):
+        """Budgets of one generation, of one piece and one more, and of four
+        blocks and a fifth of three pieces and 136 generations."""
         process = chain(kind, n, p, lam)
-        a = floor_a + 0.5
-        hits = []
-        for index in range(30):
-            rng = generator(trial_seed(8, index))
-            state = process.initial_state(rng)
-            # the trial's doubles after its start
-            doubles = rng.random(5000).tolist()
-            for budget in (1, _FIRST_BLOCK, 3 * _FIRST_BLOCK + 1, 5000):
-                rng = generator(trial_seed(8, index))
-                process.initial_state(rng)
-                expected = step_loop_hit_time(process, state, a, budget, doubles)
-                assert process.hitting_time(state, rng, a, budget) == expected, (index, budget)
-            hits.append(expected)
-        assert any(hits) and builds == [key(process, floor_a)]
+        seeded_trials_match(process, floor_a + 0.5, (1, _PIECE, _PIECE + 1, 5000))
+        assert builds == [key(process, floor_a)] and lockstep
 
 
 class TestWhenBuilt:
@@ -353,7 +519,7 @@ class TestWhenBuilt:
         rng = generator(trial_seed(5, 0))
         process.hitting_time(25, rng, 0.0, budget)
         assert builds == [key(process, 0)]
-        assert isinstance(advances[0], int)
+        assert isinstance(advances[0][0], int)
 
     def test_a_budget_one_generation_short_builds_nothing(self, process, builds, advances):
         budget = math.ceil(process._automaton_build_at(0)) - 1
