@@ -20,12 +20,12 @@ the same order. Every process with an exact law steps on it (`stream_layout`
 `law_table` gives the checks. The walk inverts its one law on a block of
 doubles at once; the needle and the (1,λ) EA invert `transitions(d)`, and a
 long trial runs on an `_Automaton`: its doubles become cells of [0, 1), cut
-at every live state's cumulative sums, 2**18 generations a block. Where every
-cell's successor is monotone in d, the block's pieces of 256 generations
-advance in lockstep from the lowest live state and from n, and a piece whose
-two bounds meet off the sink ends there from any start. Only the other
-pieces are chased, one list lookup per generation, and a hit is timed on its
-piece's cells. Each chain builds an automaton once per floor(a), before the
+at every live state's cumulative sums, in blocks that grow eightfold from 64
+generations to 2**18. Where every cell's successor is monotone in d, the
+pieces of a long block advance in lockstep from the lowest live state and
+from n, and a piece whose two bounds meet off the sink ends there from any
+start. Only the other pieces, and short blocks whole, are chased, one list
+lookup per generation, and a hit is timed on its piece's cells. Each chain builds an automaton once per floor(a), before the
 first block of the first trial whose budget of generations would pay for the
 build; a trial with a smaller budget keeps the step loop. The automaton's cell
 and the walk's step come from a `_BucketSearch`: one table lookup per double,
@@ -51,18 +51,18 @@ from .jumps import MAX_TAIL_INDEX, LawTable
 
 _LN8 = math.log(8.0)
 #: steps (walk) or generations (needle) in a trial's first block; each further
-#: block is twice as long up to the cap, so short trials draw little ahead
-#: and long ones hold a bounded block
+#: block is `growth` times as long up to the cap, so short trials draw little
+#: ahead and long ones hold a bounded block
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 14
 
 
-def _block_sizes():
+def _block_sizes(cap: int = _MAX_BLOCK, growth: int = 2):
     size = _FIRST_BLOCK
-    while size < _MAX_BLOCK:
+    while size < cap:
         yield size
-        size *= 2
-    yield from itertools.repeat(_MAX_BLOCK)
+        size *= growth
+    yield from itertools.repeat(cap)
 
 
 #: a bucket table has about this many buckets per edge, rounded up to a power of
@@ -381,18 +381,31 @@ _MAX_AUTOMATON_ENTRIES = 1 << 22
 #: automaton's entries). In one window on a 2-vCPU host a needle's build,
 #: laws and bucket table included, took 0.47 ms at n = 8, 2.0 ms at n = 20,
 #: 5.8 ms at n = 50, 24 ms at n = 100 and 45 ms at n = 127 (a = 0, rate 1/n;
-#: up to twice that under load), and a generation on the automaton (17 to
-#: 55 ns) saved about 0.25 us against the step loop. So a trial that runs its
+#: up to twice that under load), and a generation on the automaton (15 to
+#: 30 ns) saved about 0.25 us against the step loop. So a trial that runs its
 #: whole budget pays for the build 1.5 to 6 times over, which covers trials
 #: that hit early: such a trial wastes at most one build per process and
 #: floor(a).
 _BUILD_STEPS = 8000
 _STEPS_PER_ENTRY = 0.25
-#: generations in a block of a trial on an automaton; its doubles are drawn
-#: and bucketed _MAX_BLOCK at a time, and only their int32 cells are kept
+#: generations in the longest block of a trial on an automaton; the blocks
+#: grow _AUTOMATON_GROWTH-fold from _FIRST_BLOCK, so a trial that hits draws
+#: at most _FIRST_BLOCK generations or nine times its hit time. A block's doubles are drawn and
+#: bucketed _MAX_BLOCK at a time, and only their int32 cells are kept.
 _AUTOMATON_BLOCK = 1 << 18
-#: generations in a piece of a block that the lockstep pass bounds
+_AUTOMATON_GROWTH = 8
+#: generations in a piece of a block that the lockstep pass bounds, at first
+#: and at most. A pass costs a numpy add and take per generation of a piece,
+#: together about 1.6 us on a 2-vCPU host whatever the number of pieces, so a
+#: block is cut only when it has at least _MIN_PIECES pieces; a shorter one is
+#: chased whole, at about 25 ns a generation. A pass in which fewer than three
+#: quarters of the pieces meet doubles the automaton's piece, and past
+#: _MAX_PIECE the automaton is only chased: on 2**18 generations a pass over
+#: pieces of 1024 costs about 12 ns a generation, so with a quarter of them
+#: chased it saves little.
 _PIECE = 256
+_MAX_PIECE = 1024
+_MIN_PIECES = 128
 
 
 class _Automaton:
@@ -408,13 +421,17 @@ class _Automaton:
     dense table over (row, cell), row 0 the sink and row r the distance
     floor_a + r, whose entries are the next rows times the number of cells.
 
-    When every cell's successor row is monotone in the row, a block of
-    generations is cut into pieces of _PIECE, and all pieces advance together
-    through the dense table, from the lowest live state and from n. By
-    monotone coupling (Propp & Wilson 1996) every start lies between the two
-    bounds, so a piece whose bounds meet off the sink ends in that state from
-    any start, and never hits. Only the other pieces are chased through the
-    lists, from the state the piece before left.
+    When every cell's successor row is monotone in the row, a block of at
+    least _MIN_PIECES pieces of `piece` generations is cut into them, and all
+    pieces advance together through the dense table, from the lowest live
+    state and from n. By monotone coupling (Propp & Wilson 1996) every start
+    lies between the two bounds, so a piece whose bounds meet off the sink
+    ends in that state from any start, and never hits. Only the other pieces
+    are chased through the lists, from the state the piece before left; a
+    shorter block is chased whole. Bounds meet less often the faster the
+    chain leaves their starts, so the pass doubles `piece` when fewer than
+    three quarters of its pieces meet, and sets it to 0, for no more passes,
+    past _MAX_PIECE.
     """
 
     def __init__(self, chain: _MutationChain, floor_a: int):
@@ -435,6 +452,7 @@ class _Automaton:
             rows[r].append(d)
         self.starts = [rows[max(d - floor_a, 0)] for d in range(chain.n + 1)]
         self.monotone = bool((nexts[1:] >= nexts[:-1]).all())
+        self.piece = _PIECE if self.monotone else 0
         self._width = lowers.size
         self._next = (nexts * self._width).ravel()
 
@@ -449,18 +467,25 @@ class _Automaton:
         """(d', len(cells)) with d' the distance after the generations of
         `cells` from the live distance d, or (None, t) when the t-th of them
         hits."""
-        pieces = cells.size // _PIECE if self.monotone else 0
-        ends = self._piece_ends(cells[:pieces * _PIECE].reshape(pieces, _PIECE)) if pieces else np.empty(0)
+        piece = self.piece
+        if piece and cells.size >= _MIN_PIECES * piece:
+            ends = self._piece_ends(cells[:cells.size - cells.size % piece].reshape(-1, piece))
+            if 4 * np.count_nonzero(ends) < 3 * ends.size:
+                self.piece = 2 * piece if piece < _MAX_PIECE else 0
+        else:
+            # chased whole, _MAX_BLOCK generations at a time
+            piece = _MAX_BLOCK
+            ends = np.zeros(cells.size // piece, dtype=np.intp)
         row = self.starts[d]
         # each piece whose bounds did not meet, then the generations past the last piece
-        for k in [*np.flatnonzero(ends == 0).tolist(), pieces]:
+        for k in [*np.flatnonzero(ends == 0).tolist(), ends.size]:
             if k > 0 and ends[k - 1]:
                 row = self.starts[ends[k - 1]]
-            piece = cells[k * _PIECE:(k + 1) * _PIECE if k < pieces else None].tolist()
-            end = functools.reduce(operator.getitem, piece, row)
+            span = cells[k * piece:(k + 1) * piece].tolist()
+            end = functools.reduce(operator.getitem, span, row)
             if end is self.sink:
                 # the hit's time, from the piece's cells
-                for t, cell in enumerate(piece, k * _PIECE + 1):
+                for t, cell in enumerate(span, k * piece + 1):
                     row = row[cell]
                     if row is self.sink:
                         return None, t
@@ -591,12 +616,13 @@ class _MutationChain(_BitMutation):
         d, t = state, 0
         if d > floor_a and max_steps >= self._automaton_build_at(floor_a):
             automaton = self._automata[floor_a]
-            while t < max_steps:
-                d, size = automaton.advance(d, automaton.draw(rng, min(_AUTOMATON_BLOCK, max_steps - t)))
+            for size in _block_sizes(_AUTOMATON_BLOCK, _AUTOMATON_GROWTH):
+                d, size = automaton.advance(d, automaton.draw(rng, min(size, max_steps - t)))
                 t += size
                 if d is None:
                     return t
-            return None
+                if t == max_steps:
+                    return None
         laws = self._inverse_cdfs
         for size in _block_sizes():
             for t, x in enumerate(rng.random(min(size, max_steps - t)).tolist(), t + 1):

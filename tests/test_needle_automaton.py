@@ -26,7 +26,7 @@ import pytest
 import driftlab as dl
 from driftlab import processes
 from driftlab.cli import main
-from driftlab.processes import _AUTOMATON_BLOCK, _PIECE
+from driftlab.processes import _AUTOMATON_BLOCK, _PIECE, _MAX_PIECE
 from driftlab.rng import generator, trial_seed
 from helpers import MAX_UNIFORM, PrescribedDoubles, needle_step_exact
 
@@ -124,6 +124,19 @@ def lockstep(monkeypatch):
 
     monkeypatch.setattr(processes._Automaton, "_piece_ends", spy)
     return passes
+
+
+#: generations in a block of the trials that shrink it: four pieces
+SMALL_BLOCK = 4 * _PIECE
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Every block of a trial on the automaton is SMALL_BLOCK generations, and
+    is cut into pieces."""
+    monkeypatch.setattr(processes, "_FIRST_BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(processes, "_AUTOMATON_BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(processes, "_MIN_PIECES", SMALL_BLOCK // _PIECE)
 
 
 def successor_masses(edges):
@@ -332,13 +345,29 @@ class TestLockstep:
         assert misled and not automaton.monotone
 
     @pytest.mark.parametrize("kind, n, p, lam, floor_a", NOT_MONOTONE)
-    def test_a_table_that_is_not_monotone_is_only_chased(self, kind, n, p, lam, floor_a, lockstep, monkeypatch):
+    def test_a_table_that_is_not_monotone_is_only_chased(self, kind, n, p, lam, floor_a, small_blocks, lockstep,
+                                                         monkeypatch):
         monkeypatch.setattr(processes, "_BUILD_STEPS", 0)
         monkeypatch.setattr(processes, "_STEPS_PER_ENTRY", 0.0)
         process = chain(kind, n, p, lam)
-        assert not process._automata[floor_a].monotone
+        assert not process._automata[floor_a].monotone and process._automata[floor_a].piece == 0
         hits = seeded_trials_match(process, floor_a + 0.5, (1, 3 * _PIECE + 1, 5000))
         assert any(hits) and lockstep == []
+
+    def test_pieces_grow_until_most_bounds_meet(self, lockstep):
+        """At n = 127 the bounds of few pieces of 256 generations meet, and of
+        most pieces of 512; every block ends where the lists take it."""
+        n = 127
+        automaton = processes._Automaton(chain("needle", n), 0)
+        rng = np.random.default_rng(7)
+        d = 63
+        for size in (processes._MIN_PIECES * _PIECE, processes._MIN_PIECES * _PIECE, 1 << 17):
+            cells = automaton.draw(rng, size)
+            assert automaton.advance(d, cells) == (chase(automaton, d, cells.tolist()), size)
+            d = chase(automaton, d, cells.tolist())
+        # the second block has half as many pieces as the pass needs
+        assert lockstep == [processes._MIN_PIECES, (1 << 17) // (2 * _PIECE)]
+        assert automaton.piece == 2 * _PIECE
 
 
 def step_loop_hit_time(process, state, a, max_steps, doubles):
@@ -352,7 +381,7 @@ def step_loop_hit_time(process, state, a, max_steps, doubles):
     return None
 
 
-def seeded_trials_match(process, a, budgets, trials=20, master_seed=8):
+def seeded_trials_match(process, a, budgets, trials=30, master_seed=8):
     """hitting_time on each of `trials` seeded trials with each budget equals
     the step loop on the trial's doubles after its start. Returns the step
     loop's hit times with the largest budget."""
@@ -407,8 +436,9 @@ def process(request):
     return chain(*request.param)
 
 
-#: generations in a block of the trials that shrink it: four pieces
-SMALL_BLOCK = 4 * _PIECE
+#: the blocks of a trial on the automaton before its first of _AUTOMATON_BLOCK
+#: generations: each eight times the one before, from 64
+RAMP = [64, 512, 4096, 32768]
 
 
 class TestTrials:
@@ -418,9 +448,19 @@ class TestTrials:
         monkeypatch.setattr(processes, "_BUILD_STEPS", 0)
         monkeypatch.setattr(processes, "_STEPS_PER_ENTRY", 0.0)
 
-    @pytest.fixture
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(processes, "_AUTOMATON_BLOCK", SMALL_BLOCK)
+    def test_blocks_grow_eightfold_to_the_longest(self, process, advances, lockstep):
+        """Blocks of fewer than _MIN_PIECES pieces are chased whole; of a
+        trial's four blocks before the longest, only the last is cut."""
+        budget = sum(RAMP) + _AUTOMATON_BLOCK + 416
+        assert assert_crafted_trial(process, [], 25, 0.0, budget) is None
+        assert [size for _, size in advances] == RAMP + [_AUTOMATON_BLOCK, 416]
+        assert lockstep == [RAMP[-1] // _PIECE, _AUTOMATON_BLOCK // _PIECE]
+        assert process._automata[0].piece == _PIECE
+
+    def test_an_early_hit_draws_one_short_block(self, process, advances, lockstep):
+        t = 100
+        assert assert_crafted_trial(process, hit_at(process, 25, t), 25, 0.0, 10**6) == t
+        assert advances[0][1] == RAMP[0] and advances[1:] == [(None, t - RAMP[0])] and lockstep == []
 
     @pytest.mark.parametrize("t, state", [
         (1, 1), (_PIECE, 25), (_PIECE + 1, 25), (3 * _PIECE, 25), (SMALL_BLOCK, 25), (SMALL_BLOCK + 1, 25),
@@ -440,22 +480,27 @@ class TestTrials:
         assert t == 1 or assert_crafted_trial(process, prefix, state, 0.0, t - 1) is None
         assert lockstep
 
-    @pytest.mark.parametrize("t", [_AUTOMATON_BLOCK, _AUTOMATON_BLOCK + 1], ids=["block-last", "next-block-first"])
+    @pytest.mark.parametrize("t", [sum(RAMP) + _AUTOMATON_BLOCK, sum(RAMP) + _AUTOMATON_BLOCK + 1],
+                             ids=["block-last", "next-block-first"])
     def test_hits_on_the_ends_of_full_blocks(self, advances, lockstep, t):
         needle = chain("needle", N)
         assert assert_crafted_trial(needle, hit_at(needle, 25, t), 25, 0.0, t) == t
-        assert [d is None for d, _ in advances] == [False] * (t > _AUTOMATON_BLOCK) + [True]
-        assert lockstep[0] == _AUTOMATON_BLOCK // _PIECE
+        assert [size for _, size in advances] == RAMP + [_AUTOMATON_BLOCK] + [1] * (t - sum(RAMP) - _AUTOMATON_BLOCK)
+        assert [d is None for d, _ in advances] == [False] * (len(advances) - 1) + [True]
+        assert lockstep == [RAMP[-1] // _PIECE, _AUTOMATON_BLOCK // _PIECE]
 
-    def test_a_lower_bound_in_the_sink_keeps_the_chain_live(self, process, small_blocks, lockstep):
+    def test_a_lower_bound_in_the_sink_keeps_the_chain_live(self, process, small_blocks, lockstep, monkeypatch):
         """Every piece starts on a double on which the lowest live state hits
         and the chain from 25 does not, so no piece's bounds meet and every
-        piece is chased."""
+        piece is chased. Each pass doubles the piece, and after the pass over
+        pieces of _MAX_PIECE the last block is chased whole."""
+        monkeypatch.setattr(processes, "_MIN_PIECES", 1)
         double = sinking(process._automata[0])
-        doubles = np.random.default_rng(4).random(3 * SMALL_BLOCK)
+        doubles = np.random.default_rng(4).random(4 * SMALL_BLOCK)
         doubles[::_PIECE] = double
-        assert assert_crafted_trial(process, doubles.tolist(), 25, 0.0, 3 * SMALL_BLOCK) is None
-        assert lockstep == [4, 4, 4]
+        assert assert_crafted_trial(process, doubles.tolist(), 25, 0.0, 4 * SMALL_BLOCK) is None
+        assert _MAX_PIECE == SMALL_BLOCK and lockstep == [4, 2, 1]
+        assert process._automata[0].piece == 0
 
     def test_a_start_at_or_below_the_target_keeps_the_step_loop(self, process, builds, advances):
         for state in (0, 3):
@@ -465,26 +510,35 @@ class TestTrials:
     @pytest.mark.parametrize("process, a", [(("needle", N), 11.0), (("comma", N, None, 2), 2.0)],
                              indirect=["process"], ids=["needle", "comma"])
     def test_a_late_hit_is_timed_on_its_piece(self, process, a, builds, advances, lockstep):
-        # hits near 1e4 generations or later, in one block of 10^5 generations
+        # hits near 1e4 generations or later, in the blocks that are cut into pieces
         late = 0
         for seed in range(6):
             advances.clear()
             if hit := assert_crafted_trial(process, [], 20, a, 100_000, seed=seed):
-                assert advances == [(None, hit)]
-                late += hit > 100 * _PIECE
-        assert late and set(lockstep) == {100_000 // _PIECE}
+                before = sum(size for _, size in advances[:-1])
+                assert advances[-1] == (None, hit - before)
+                late += before >= sum(RAMP[:-1])
+        assert late and lockstep
 
-    @pytest.mark.parametrize("kind, n, p, lam, floor_a", [
-        *(("needle", n, None, None, floor_a) for n in (8, 20, 50, 100) for floor_a in (0, 3)),
-        *(("comma", n, None, 2, floor_a) for n in (8, 20, 50) for floor_a in (0, 3)),
-        ("needle", 20, 0.3, None, 2), ("needle", 50, 1 / 50, None, 20), ("comma", 30, 1 / 30, 4, 1),
-        ("comma", 12, 1 / 12, 1, 3),
+    @pytest.mark.parametrize("kind, n, p, lam, floor_a, hits", [
+        ("needle", 8, None, None, 0, True), ("needle", 8, None, None, 3, True),
+        ("needle", 20, None, None, 0, False), ("needle", 20, None, None, 3, True),
+        ("needle", 50, None, None, 0, False), ("needle", 50, None, None, 3, False),
+        ("needle", 100, None, None, 0, False), ("needle", 100, None, None, 3, False),
+        ("comma", 8, None, 2, 0, True), ("comma", 8, None, 2, 3, True),
+        ("comma", 20, None, 2, 0, True), ("comma", 20, None, 2, 3, True),
+        ("comma", 50, None, 2, 0, False), ("comma", 50, None, 2, 3, True),
+        ("needle", 12, 1 / 12, None, 3, True), ("needle", 20, 0.3, None, 2, True),
+        ("needle", 50, 1 / 50, None, 20, True), ("comma", 20, 1 / 20, 2, 2, True),
+        ("comma", 30, 1 / 30, 4, 1, True), ("comma", 12, 1 / 12, 1, 3, True),
     ])
-    def test_seeded_trials_equal_the_step_loop(self, small_blocks, builds, lockstep, kind, n, p, lam, floor_a):
+    def test_seeded_trials_equal_the_step_loop(self, small_blocks, builds, lockstep, kind, n, p, lam, floor_a, hits):
         """Budgets of one generation, of one piece and one more, and of four
-        blocks and a fifth of three pieces and 136 generations."""
+        blocks and a fifth of three pieces and 136 generations. A chain far
+        from its target hits in none of the 30 trials, the others in some."""
         process = chain(kind, n, p, lam)
-        seeded_trials_match(process, floor_a + 0.5, (1, _PIECE, _PIECE + 1, 5000))
+        hit_times = seeded_trials_match(process, floor_a + 0.5, (1, _PIECE, _PIECE + 1, 5000))
+        assert any(hit_times) is hits
         assert builds == [key(process, floor_a)] and lockstep
 
 
