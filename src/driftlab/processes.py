@@ -25,9 +25,10 @@ generations to 2**18. Where every cell's successor is monotone in d, the
 pieces of a long block advance in lockstep from the lowest live state and
 from n, and a piece whose two bounds meet off the sink ends there from any
 start. Only the other pieces, and short blocks whole, are chased, one list
-lookup per generation, and a hit is timed on its piece's cells. Each chain builds an automaton once per floor(a), before the
-first block of the first trial whose budget of generations would pay for the
-build; a trial with a smaller budget keeps the step loop. The automaton's cell
+lookup per generation, and a hit is timed on its piece's cells. Each chain
+builds an automaton once per floor(a), before the first block of the first
+trial whose budget of generations would pay for the build; a trial with a
+smaller budget keeps the step loop. The automaton's cell
 and the walk's step come from a `_BucketSearch`: one table lookup per double,
 exact on numpy's doubles, in place of a binary search. The counterexample
 chain, whose start draws nothing, has a batched hook instead (`batch_doubles`,
@@ -390,8 +391,9 @@ _BUILD_STEPS = 8000
 _STEPS_PER_ENTRY = 0.25
 #: generations in the longest block of a trial on an automaton; the blocks
 #: grow _AUTOMATON_GROWTH-fold from _FIRST_BLOCK, so a trial that hits draws
-#: at most _FIRST_BLOCK generations or nine times its hit time. A block's doubles are drawn and
-#: bucketed _MAX_BLOCK at a time, and only their int32 cells are kept.
+#: at most _FIRST_BLOCK generations or nine times its hit time. A block's
+#: doubles are drawn and bucketed _MAX_BLOCK at a time, and only their int32
+#: cells are kept.
 _AUTOMATON_BLOCK = 1 << 18
 _AUTOMATON_GROWTH = 8
 #: generations in a piece of a block that the lockstep pass bounds, at first
@@ -431,7 +433,8 @@ class _Automaton:
     shorter block is chased whole. Bounds meet less often the faster the
     chain leaves their starts, so the pass doubles `piece` when fewer than
     three quarters of its pieces meet, and sets it to 0, for no more passes,
-    past _MAX_PIECE.
+    past _MAX_PIECE. `piece` changes how fast a block runs, never where it
+    ends.
     """
 
     def __init__(self, chain: _MutationChain, floor_a: int):
