@@ -323,8 +323,9 @@ def commands() -> dict[str, Command]:
         "bounds": Command("run an inequality sweep suite", cmd_bounds, (
             Option("--suite", "suite", default="all", choices=sorted(SWEEPS) + ["all"]),
             *(Option("--" + f.name.replace("_", "-"), f.name, int, f.default) for f in fields(SweepGrid)),
-            # Workers check and format whole slabs: the default grid takes about 4.7 s
-            # on one process and 2.6 s on two (2-CPU host, same bytes). The default
+            # Workers check and format whole slabs: the default grid takes 2.17 s on one
+            # process and 1.41 s on two, and 8.57 s and 5.07 s with --out (167 MB, the
+            # same bytes; medians of 10 alternating pairs, 2-CPU host). The default
             # stays one process because a tracer or profiler in the calling process,
             # such as the benchmark's traced run, counts only the links it checks.
             Option("--threads", "threads", _worker_count, 1,

@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .jumps import MAX_TAIL_INDEX, LawTable
-from .rng import trial_generators
+from .rng import generator, trial_seed
 from .stats import mean_t_interval, wilson_interval
 
 TWO_SIDED = "two_sided"
@@ -275,7 +275,8 @@ def harvest_step_samples(
     drift_samples: list[float] = []
     tail_samples: list[float] = []
     a, b = window.a, window.b
-    for _, rng in trial_generators(master_seed, 0, trials):
+    for i in range(trials):
+        rng = generator(trial_seed(master_seed, i))
         state = process.initial_state(rng)
         for _ in range(steps_per_trial):
             if process.absorbed(state):

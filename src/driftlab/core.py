@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional
 
-from .rng import check_seed_args, trial_generators, trial_uniforms
+from .rng import check_seed_args, generator, trial_seed, trial_uniforms
 from .stats import wilson_interval
 
 
@@ -104,13 +104,15 @@ class HittingEstimate:
 
 
 #: work below which run_trials stays serial: trials * max_steps on the stepped
-#: path, where a trial seeds its own generator, and trials * batch_doubles, the
-#: doubles its trials read, on the batched path. Two workers broke even with
-#: one at about 350k steps of the geometric walk (8 trials) and at about 300k
-#: doubles of the counterexample chain at n = 10, 15 and 25, and ran 2.2M walk
-#: steps in 0.6 times the serial time (in-process, 2-vCPU host). So
-#: simulate-short's 300k doubles stay serial and simulate-long's 2.2M long
-#: needle and walk trial-steps go to the pool. Re-measure it before changing it.
+#: path, where a trial builds its own generator, and trials * batch_doubles, the
+#: doubles its trials read, on the batched path. Two workers once broke even
+#: with one at about 350k steps of the geometric walk (8 trials) and 300k
+#: doubles of the counterexample chain. Now 8 trials of 275k steps take 41 ms
+#: (needle, n = 50) and 28 ms (walk) on one worker in-process, and 1.03 and
+#: 0.93 times as long on two; simulate-long's CLI commands take 0.98 and 1.03
+#: times as long at --threads 2 (medians of 20 and 10 alternating pairs, 2-vCPU
+#: host). So the pool gains nothing at simulate-long's 2.2M trial-steps, and
+#: simulate-short's 300k doubles stay serial. Re-measure it before changing it.
 SERIAL_WORK = 2_000_000
 
 #: initial states a trial draws at most before it gives up on a start at or above b
@@ -151,7 +153,7 @@ def _run_chunk(task) -> TrialOutcomes:
     time."""
     process, window, max_steps, master_seed, lo, hi, batch = task
     if batch is None:
-        trials = [_run_trial(process, window, max_steps, rng) for _, rng in trial_generators(master_seed, lo, hi)]
+        trials = [_run_trial(process, window, max_steps, generator(trial_seed(master_seed, i))) for i in range(lo, hi)]
         return TrialOutcomes(lo, *map(list, zip(*trials)))
     state, x0, k = batch
     block = max(1, BATCH_DOUBLES // max(1, k))

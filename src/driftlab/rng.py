@@ -1,12 +1,13 @@
 """Counter-based seed derivation so parallel and serial trial runs agree bit for bit.
 
-Trial i of a run draws from `generator(trial_seed(master_seed, i))`. Building
-that generator costs numpy a `SeedSequence`, its pool hashing and a fresh
-`PCG64` per trial, so `pcg64_states` replays that seeding for a block of
-trials at once in numpy arrays. `trial_generators` sets each trial's PCG64
-state on one reused generator, and `trial_uniforms` keeps no generator: it
-steps every trial's PCG64 in uint64 arrays and returns their first doubles.
-Either way the states, and so the streams, are numpy's own.
+Trial i of a run draws from `generator(trial_seed(master_seed, i))`, numpy's
+own `Generator(PCG64(seed))`, built afresh for each trial that steps. A
+batched trial reads only its first k doubles, and building a generator would
+cost it more than reading them, so `trial_uniforms` builds none:
+`pcg64_states` replays numpy's `SeedSequence` and PCG64 seeding for a block of
+trials at once in numpy arrays, and `trial_uniforms` steps every trial's PCG64
+in uint64 arrays and returns their first doubles. The states, and so the
+streams, are numpy's own.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-#: trials whose seeds are hashed in one vectorized pass; bounds the arrays held at once
-SEED_BLOCK = 1024
 
 # numpy's SeedSequence: a pool of 4 uint32 words, hashed with these constants
 _POOL_SIZE = 4
@@ -136,28 +134,6 @@ def pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     state_lo = inc_lo + initstate_lo
     state_hi = inc_hi + initstate_hi + (state_lo < inc_lo)
     return (*_lcg_step(state_hi, state_lo, inc_hi, inc_lo), inc_hi, inc_lo)
-
-
-def trial_generators(master_seed: int, lo: int, hi: int):
-    """Yield (i, rng) for each trial i in [lo, hi), rng in the state of
-    `generator(trial_seed(master_seed, i))`.
-
-    Every rng is the same Generator, re-seeded for each trial, so a caller must
-    be done with it before it asks for the next trial's.
-    """
-    check_seed_args(master_seed, lo)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for start in range(lo, hi, SEED_BLOCK):
-        words = [w.tolist() for w in pcg64_states(_trial_seeds(master_seed, start, min(start + SEED_BLOCK, hi)))]
-        for i, (state_hi, state_lo, inc_hi, inc_lo) in enumerate(zip(*words), start):
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield i, rng
 
 
 def trial_uniforms(master_seed: int, lo: int, hi: int, k: int) -> np.ndarray:

@@ -48,6 +48,22 @@ def replay_potentials(process, master_seed, index, steps, state=None):
     return path
 
 
+class Int32Probe(dl.processes.Process):
+    """A process that draws bounded int32s, so every trial leaves a 32-bit half
+    of a uint64 buffered in its generator: three for the start, whose potential
+    10 + 100 d0 + 10 d1 + d2 spells them out, and two a step, which falls by 1
+    to 18. A half that a trial left for the next would change the next's start."""
+
+    name = "int32-probe"
+
+    def initial_state(self, rng):
+        d0, d1, d2 = (int(rng.integers(0, 10, dtype=np.int32)) for _ in range(3))
+        return 10.0 + 100 * d0 + 10 * d1 + d2
+
+    def step(self, state, rng):
+        return state - int(rng.integers(1, 10, dtype=np.int32)) - int(rng.integers(0, 10, dtype=np.int32))
+
+
 class PrescribedDoubles:
     """A stand-in for numpy's Generator whose random() and random(size) serve
     `doubles` in order, then a seeded PCG64 stream, `length` doubles in all."""

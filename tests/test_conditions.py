@@ -6,8 +6,8 @@ import pytest
 import driftlab as dl
 from driftlab.conditions import ONE_SIDED, TWO_SIDED
 from driftlab.jumps import MAX_TAIL_INDEX, LawTable
-from driftlab.rng import generator
-from helpers import sample_steps, tail_reach
+from driftlab.rng import generator, trial_seed
+from helpers import Int32Probe, replay_potentials, sample_steps, tail_reach
 
 #: a window on which the counterexample chain at n = 10 has its one law
 LIVE = dl.DriftWindow(0.0, 10.0)
@@ -196,6 +196,36 @@ class TestHarvesting:
         # absorbed self-loops would contribute zero steps; the live chain never steps by 0
         assert not (np.asarray(tail_s) == 0.0).any()
         assert len(drift_s) >= 100
+
+    @pytest.mark.parametrize("master", [0, 2**64 - 1])
+    def test_harvest_is_the_step_loop_on_each_trials_own_generator(self, master):
+        # every trial leaves a 32-bit half buffered, which would change the
+        # next trial's start if it reached it
+        process, window, trials, steps = Int32Probe(), dl.DriftWindow(0.0, 10.0), 6, 50
+        rng = generator(trial_seed(master, 0))
+        process.initial_state(rng)
+        for _ in range(steps):
+            process.step(0.0, rng)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        drift, tail = [], []
+        for i in range(trials):
+            path = replay_potentials(process, master, i, steps)
+            for x, y in zip(path, path[1:]):
+                if window.a < x < window.b:
+                    drift.append(y - x)
+                if window.a < x:
+                    tail.append(y - x)
+        drift_s, tail_s = dl.harvest_step_samples(process, window, trials, steps, master)
+        assert drift_s.tolist() == drift and tail_s.tolist() == tail
+        assert drift and len(tail) > len(drift)
+
+    def test_harvest_refuses_a_bad_seed_with_trial_seeds_message(self):
+        for master in (-1, 2**64):
+            with pytest.raises(ValueError) as expected:
+                trial_seed(master, 0)
+            with pytest.raises(ValueError) as got:
+                dl.harvest_step_samples(Int32Probe(), dl.DriftWindow(0.0, 10.0), 2, 5, master)
+            assert str(got.value) == str(expected.value)
 
     def test_condition_params_validation(self):
         with pytest.raises(ValueError):

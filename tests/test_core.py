@@ -5,9 +5,10 @@ import signal
 import tracemalloc
 
 import pytest
-from helpers import hit_probability_within, replay_potentials
+from helpers import Int32Probe, hit_probability_within, replay_potentials
 
 import driftlab as dl
+from driftlab.rng import generator, trial_seed
 
 
 def test_window_invariants():
@@ -235,6 +236,62 @@ def test_pooled_stepped_trials_equal_the_serial_run_across_chunks(monkeypatch):
     assert pools == [2] and pooled == serial and pooled.first == 0
     assert [o.index for o in pooled] == list(range(37))
     assert None in pooled.hit_times and any(hit is not None for hit in pooled.hit_times)
+
+
+def step_loop_outcome(process, window, max_steps, master, i):
+    """Trial i's outcome from the step loop on generator(trial_seed(master, i)),
+    and whether the trial left a 32-bit half buffered in that generator."""
+    rng = generator(trial_seed(master, i))
+    state = process.initial_state(rng)
+    x0, hit = process.potential(state), None
+    for t in range(1, max_steps + 1):
+        state = process.step(state, rng)
+        if process.potential(state) <= window.a:
+            hit = t
+            break
+    return dl.core.TrialOutcome(i, x0, hit), rng.bit_generator.state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**63 - 1, 2**64 - 1])
+@pytest.mark.parametrize("lo", [0, 3, 1023, 1024, 1025])
+def test_stepped_chunks_run_each_trial_on_its_own_numpy_generator(master, lo):
+    # every trial leaves a 32-bit half buffered, and a start spells out the
+    # trial's first three int32 draws, so a half that reached the next trial
+    # would change its start
+    process, win, max_steps = Int32Probe(), dl.DriftWindow(0.0, 10.0), 60
+    expected, left = zip(*(step_loop_outcome(process, win, max_steps, master, i) for i in range(lo, lo + 4)))
+    assert all(left)
+    task = (process, win, max_steps, master, lo, lo + 4, None)
+    serial = dl.core._run_chunk(task)
+    # worker 0 runs the first task in the caller, the forked worker the second
+    pooled = list(dl.core.ordered_map(dl.core._run_chunk, [task, task], 2))
+    assert serial == list(expected) and pooled == [list(expected)] * 2
+    assert serial.first == pooled[0].first == pooled[1].first == lo
+
+
+def test_stepped_runs_are_the_step_loop_serial_and_pooled(monkeypatch):
+    monkeypatch.setattr(dl.core, "SERIAL_WORK", 0)
+    process, win = Int32Probe(), dl.DriftWindow(0.0, 10.0)
+    expected = [step_loop_outcome(process, win, 60, 9, i)[0] for i in range(40)]
+    assert None in [o.hit_time for o in expected] and any(o.hit_time is not None for o in expected)
+    assert dl.run_trials(process, win, 40, 60, master_seed=9) == expected
+    assert dl.run_trials(process, win, 40, 60, master_seed=9, workers=2) == expected
+
+
+def test_stepped_trials_refuse_a_bad_seed_with_trial_seeds_message():
+    process, win = Int32Probe(), dl.DriftWindow(0.0, 10.0)
+    for master, lo in [(-1, 0), (2**64, 0), (0, -1)]:
+        with pytest.raises(ValueError) as expected:
+            trial_seed(master, lo)
+        with pytest.raises(ValueError) as got:
+            dl.core._run_chunk((process, win, 10, master, lo, lo + 2, None))
+        assert str(got.value) == str(expected.value)
+    for master in (-1, 2**64):
+        with pytest.raises(ValueError) as expected:
+            trial_seed(master, 0)
+        with pytest.raises(ValueError) as got:
+            dl.run_trials(process, win, 2, 10, master_seed=master)
+        assert str(got.value) == str(expected.value)
 
 
 def test_few_trials_pool_once_their_work_reaches_the_cutoff(monkeypatch):

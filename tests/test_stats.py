@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import mpmath
 import numpy as np
@@ -19,6 +20,10 @@ def score_interval_by_root_finding(hits, trials, z=Z95):
     lo = 0.0 if hits == 0 else brentq(lambda p: score(p) - z, 1e-12, p_hat)
     hi = 1.0 if hits == trials else brentq(lambda p: score(p) + z, max(p_hat, 1e-12), 1 - 1e-12)
     return lo, hi
+
+
+def test_z95_is_the_normal_quantile_bit_for_bit():
+    assert Z95 == statistics.NormalDist().inv_cdf(0.975)
 
 
 @pytest.mark.parametrize("hits,trials", [(0, 200), (1, 10), (5, 10), (9, 10), (50, 100), (999, 1000)])
