@@ -11,8 +11,10 @@ embeds its full resolved configuration as '# key=value' header lines.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import asdict, fields, replace
+from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
@@ -142,7 +144,8 @@ def _bounds_slab(task) -> tuple[list[str], int, int]:
     one slab of a sweep."""
     suite, grid, slab, out = task
     results = list(SWEEPS[suite](grid, slab=slab))
-    failures = sum(not result.holds for result in results)
+    # holds, the fifth field, is a bool, so the sum counts the links that hold
+    failures = len(results) - sum(map(itemgetter(4), results))
     return format_links(results) if out else [], len(results), failures
 
 
@@ -162,12 +165,20 @@ def cmd_bounds(args) -> int:
             failures += slab_failures
             yield from lines
 
-    if args.out:
-        provenance = {"command": "bounds", "suite": args.suite, **asdict(grid)}
-        write_csv(args.out, provenance, ["name", "parameters", "lhs", "rhs", "margin", "holds"], emit())
-    else:
-        for _ in emit():
-            pass
+    # The sweeps' links die young, but each full collection that they set off would
+    # walk again every object made before the command, its imports above all.
+    # Frozen, those objects stay out of every collection, in forked workers too,
+    # while everything the sweeps make is collected as before.
+    gc.freeze()
+    try:
+        if args.out:
+            provenance = {"command": "bounds", "suite": args.suite, **asdict(grid)}
+            write_csv(args.out, provenance, ["name", "parameters", "lhs", "rhs", "margin", "holds"], emit())
+        else:
+            for _ in emit():
+                pass
+    finally:
+        gc.unfreeze()
     print(f"bounds suite {args.suite}: {links} links checked, {failures} failures")
     return 1 if failures else 0
 

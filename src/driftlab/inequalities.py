@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -48,6 +49,12 @@ class InequalityResult(NamedTuple):
         return self.rhs - self.lhs
 
 
+#: InequalityResult from the tuple of its six fields, note included, in one C call.
+#: The sweeps build millions of links, and the named tuple's generated __new__, a
+#: Python function, takes about half as long again per link. Nothing checks the arity.
+_link = partial(tuple.__new__, InequalityResult)
+
+
 def _mutation_comparisons(n: int, j_values: range) -> tuple[str, list[tuple[bool, bool, float, float, float]]]:
     """The note of the mutation chain at n and, for each j of `j_values` (0 <= j <= n),
     the verdicts of C(n,j) n^{-j} <= 1/j! and 1/j! <= 2 (1/2)^j and the three sides
@@ -81,8 +88,8 @@ def _mutation_links(n: int, j_values: range) -> list[InequalityResult]:
     for j, (holds1, holds2, binomial, inv_factorial, geometric) in zip(j_values, comparisons):
         params = {"n": n, "j": j}
         results += (
-            InequalityResult("mutation-binomial-vs-factorial", params, binomial, inv_factorial, holds1, note),
-            InequalityResult("mutation-factorial-vs-geometric", params, inv_factorial, geometric, holds2, note),
+            _link(("mutation-binomial-vs-factorial", params, binomial, inv_factorial, holds1, note)),
+            _link(("mutation-factorial-vs-geometric", params, inv_factorial, geometric, holds2, note)),
         )
     return results
 
@@ -138,15 +145,9 @@ def _matching_sum_links(m: int, h_values: range, j_values: range) -> list[Inequa
                 note = "empty summation range, sum is 0"
             rhs_sum = m * x_j
             results += (
-                InequalityResult("matching-sum-vs-largest-term", params, lhs_sum, rhs_sum, holds_sum, note),
-                InequalityResult(
-                    "matching-largest-term-vs-power",
-                    params,
-                    rhs_sum,
-                    largest_rhs,
-                    p_j <= m_j,
-                    "exact integer comparison",
-                ),
+                _link(("matching-sum-vs-largest-term", params, lhs_sum, rhs_sum, holds_sum, note)),
+                _link(("matching-largest-term-vs-power", params, rhs_sum, largest_rhs, p_j <= m_j,
+                       "exact integer comparison")),
             )
             p_j *= p
     return results
@@ -168,14 +169,14 @@ def matching_ratio_link(m: int, j: int) -> InequalityResult:
         num, den = _E_HI_NUM, _E_HI_DEN * m ** (j - 3)
     if num >= den:
         num = den = 1
-    return InequalityResult(
+    return _link((
         "matching-ratio-vs-geometric",
         {"m": m, "j": j},
         num / den,
         22 / 2**j,
         num << j <= 22 * den,
-        note="rational comparison with certified upper bound on e",
-    )
+        "rational comparison with certified upper bound on e",
+    ))
 
 
 def matching_jump_bound(m: int, h: int, j: int) -> list[InequalityResult]:
@@ -237,23 +238,11 @@ def _diversity_links(phi: int, j: int, mus: range) -> list[InequalityResult]:
         params = {"mu": mu, "phi": phi, "j": j}
         finite_side, upper_side = finite / (top_den * mu), upper / (upper_den * mu)
         results += (
-            InequalityResult("diversity-finite-vs-infinite", params, finite_side, upper_side, holds_infinite, note),
-            InequalityResult(
-                "diversity-infinite-vs-closed-form",
-                params,
-                upper_side,
-                _E_LO_NUM / (closed_den * mu),
-                holds_closed,
-                "compared against a certified lower bound on e/j!",
-            ),
-            InequalityResult(
-                "diversity-reindexing-identity",
-                params,
-                reindexed / (top_den * mu),
-                finite_side,
-                reindexed == finite,
-                "exact rational equality",
-            ),
+            _link(("diversity-finite-vs-infinite", params, finite_side, upper_side, holds_infinite, note)),
+            _link(("diversity-infinite-vs-closed-form", params, upper_side, _E_LO_NUM / (closed_den * mu),
+                   holds_closed, "compared against a certified lower bound on e/j!")),
+            _link(("diversity-reindexing-identity", params, reindexed / (top_den * mu), finite_side,
+                   reindexed == finite, "exact rational equality")),
         )
     return results
 
@@ -299,11 +288,11 @@ def _comma_lambda_links(n: int, lambdas: Sequence[int], j_values: range) -> list
             # combined ratio link: (2 lambda 2^-j) / p_loop <= (2 lambda / (1 - c^lambda)) 2^-j
             lhs5, rhs5 = rhs2 / p_loop, rhs2 / floor
             results += (
-                InequalityResult("comma-lambda-union-vs-factorial", params, lhs1, rhs1, holds1, note),
-                InequalityResult("comma-lambda-factorial-vs-geometric", params, rhs1, rhs2, holds2, note),
-                InequalityResult("comma-lambda-self-loop-premise", params, inv_2e, stay, holds3, note3),
-                InequalityResult("comma-lambda-self-loop-floor", params, floor, p_loop, holds4),
-                InequalityResult("comma-lambda-ratio-chain", params, lhs5, rhs5, lhs5 <= rhs5),
+                _link(("comma-lambda-union-vs-factorial", params, lhs1, rhs1, holds1, note)),
+                _link(("comma-lambda-factorial-vs-geometric", params, rhs1, rhs2, holds2, note)),
+                _link(("comma-lambda-self-loop-premise", params, inv_2e, stay, holds3, note3)),
+                _link(("comma-lambda-self-loop-floor", params, floor, p_loop, holds4, "")),
+                _link(("comma-lambda-ratio-chain", params, lhs5, rhs5, lhs5 <= rhs5, "")),
             )
     return results
 

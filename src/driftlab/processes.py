@@ -11,8 +11,8 @@ window's target, built only when asked for, each binomial pmf once per
 process. PEA and PEA′, whose state is a multiset of counts, have no exact law
 and are checked empirically.
 
-A trial's generator belongs to the trial alone, and the trial loop re-seeds
-the same generator for the next trial, so a process must not keep it past its
+A trial's generator belongs to the trial alone: each stepped trial gets a
+fresh `generator(trial_seed(m, i))`, and a process must not keep it past its
 trial. `hitting_time` may draw its doubles in blocks, ahead of need: what
 matters is that the doubles it uses are the ones the `step` loop would use, in
 the same order. Every process with an exact law steps on it (`stream_layout`

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -363,6 +364,42 @@ def test_bounds_reports_a_failing_link(tmp_path, capsys, monkeypatch):
     _, _, rows, _ = read_csv(out)
     assert rows == [{"name": "always-fails", "parameters": "n=1", "lhs": "2", "rhs": "1", "margin": "-1",
                      "holds": "false"}]
+    assert gc.get_freeze_count() == 0
+
+
+def test_bounds_sweeps_run_on_a_frozen_heap_and_unfreeze_it(tmp_path, monkeypatch):
+    frozen = []
+
+    def recording_sweep(grid, slab=None):
+        frozen.append(gc.get_freeze_count())
+        yield from mutation_sweep(grid, slab)
+
+    mutation_sweep = SWEEPS["mutation"]
+    # one process: pool workers would not see the patched sweep
+    monkeypatch.setitem(SWEEPS, "mutation", recording_sweep)
+    for out in ([], ["--out", str(tmp_path / "bounds.csv")]):
+        frozen.clear()
+        assert main(["bounds", "--suite", "mutation", "--n-max", "25", "--threads", "1", *out]) == 0
+        # the objects made before the command are frozen while every slab is checked
+        assert len(frozen) == 3 and min(frozen) > 0
+        assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_bounds_unfreezes_the_heap_when_a_sweep_raises(error, monkeypatch, capsys):
+    def raising_sweep(grid, slab=None):
+        raise error("sweep broke")
+        yield
+
+    monkeypatch.setitem(SWEEPS, "mutation", raising_sweep)
+    argv = ["bounds", "--suite", "mutation", "--n-max", "5", "--threads", "1"]
+    if error is ValueError:
+        assert main(argv) == 2
+        assert "sweep broke" in _single_error_line(capsys)
+    else:
+        with pytest.raises(RuntimeError, match="sweep broke"):
+            main(argv)
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from driftlab.inequalities import (
     E_LO,
     EXACT_LIMIT,
     SWEEPS,
+    InequalityResult,
     SweepGrid,
     _matching_sum_links,
     log_spaced_integers,
@@ -330,6 +331,43 @@ class TestInequalityResult:
         with pytest.raises(AttributeError):
             del link.note
         assert dl.InequalityResult(name="b", parameters={}, lhs=0.0, rhs=0.0, holds=True, note="x").note == "x"
+
+
+#: the bench's smoke grid: every sweep checks thousands of links on it
+SMOKE_GRID = SweepGrid(n_max=30, m_max=30, mu_max=5, phi_max=10, lambda_max=8, j_max=16)
+#: each single-point chain function at a few points, both of its arithmetic branches included
+CHAIN_CALLS = [
+    *((dl.mutation_tail_chain, args) for args in [(1, 1), (10, 3), (EXACT_LIMIT + 1, 5)]),
+    *((dl.matching_jump_bound, args) for args in [(2, 1, 0), (10, 5, 3), (10, 2, 6), (300, 10, 2)]),
+    *((matching_ratio_link, args) for args in [(2, 0), (2, 3), (7, 9)]),
+    *((dl.diversity_bound, args) for args in [(1, 0, 1), (5, 3, 2), (3, 40, 7)]),
+    *((dl.comma_lambda_bounds, args) for args in [(2, 1, 0), (100, 7, 5), (EXACT_LIMIT + 1, 3, 2)]),
+    (dl.pea_prime_expected_selections, ([3.0, 2.0, 1.0],)),
+]
+
+
+def assert_well_formed(links):
+    """Each link is an InequalityResult of six fields, equal to the one its own
+    constructor builds, with float sides, a bool verdict and str texts, as the
+    CSV formatting reads them."""
+    assert links
+    for link in links:
+        assert type(link) is InequalityResult and len(link) == 6, link
+        assert link == InequalityResult(*link)
+        name, parameters, lhs, rhs, holds, note = link
+        assert (type(name), type(parameters), type(lhs), type(rhs), type(holds), type(note)) == (
+            str, dict, float, float, bool, str), link
+
+
+class TestLinkRecords:
+    @pytest.mark.parametrize("suite", sorted(SWEEPS))
+    def test_every_sweep_builds_well_formed_links(self, suite):
+        assert_well_formed(list(SWEEPS[suite](SMOKE_GRID)))
+
+    @pytest.mark.parametrize("chain, args", CHAIN_CALLS)
+    def test_every_chain_function_builds_well_formed_links(self, chain, args):
+        links = chain(*args)
+        assert_well_formed(links if isinstance(links, list) else [links])
 
 
 class TestSweeps:
