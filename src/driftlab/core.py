@@ -107,11 +107,12 @@ class HittingEstimate:
 #: path, where a trial builds its own generator, and trials * batch_doubles, the
 #: doubles its trials read, on the batched path. Two workers once broke even
 #: with one at about 350k steps of the geometric walk (8 trials) and 300k
-#: doubles of the counterexample chain. Now 8 trials of 275k steps take 41 ms
-#: (needle, n = 50) and 28 ms (walk) on one worker in-process, and 1.03 and
-#: 0.93 times as long on two; simulate-long's CLI commands take 0.98 and 1.03
-#: times as long at --threads 2 (medians of 20 and 10 alternating pairs, 2-vCPU
-#: host). So the pool gains nothing at simulate-long's 2.2M trial-steps, and
+#: doubles of the counterexample chain. Now, at simulate-long's 8 trials of 275k
+#: steps, main() takes 86–104 ms (needle, n = 50) and 54–59 ms (walk) on one
+#: worker in a fresh CLI process, and 0.83–0.96 and 0.98–1.03 times as long on
+#: two; the whole process takes 0.97–1.005 and 0.91–1.02 times as long (medians
+#: of two runs of 12 and 20 alternating pairs, 2-vCPU host). So the pool saves
+#: at most a few ms there, which the process as a whole does not show, and
 #: simulate-short's 300k doubles stay serial. Re-measure it before changing it.
 SERIAL_WORK = 2_000_000
 
